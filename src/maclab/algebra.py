@@ -14,12 +14,16 @@ Everything in this package is built on two value types:
   factors and cross-multiplying the rest (:func:`rational_eq`).
 
 Values are immutable after construction and safe to share across worker
-processes.
+processes.  Nothing writes to a polynomial's ``terms`` once it is built,
+so a factor's canonical form (see :func:`_canonical_factor`) is computed
+once and cached on the polynomial; factored arithmetic then merges maps
+of already-canonical factors instead of normalising them again.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import sub
 from typing import Iterable, Mapping, Sequence, Union
 
 Coef = Union[int, Fraction]
@@ -65,9 +69,14 @@ class LaurentPolynomial:
     ``terms`` maps exponent tuples (one integer per context variable,
     negative exponents allowed) to nonzero coefficients.  Binary
     operations require both operands to share the same context.
+
+    A polynomial is immutable: ``terms`` is never written after
+    construction.  ``_canon`` caches the polynomial's canonical
+    decomposition as a factor, filled by :func:`_canonical_factor` on
+    first use.
     """
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "terms", "_canon")
 
     def __init__(self, vars: Sequence[str], terms: Mapping[tuple, Coef] | None = None):
         self.vars = tuple(vars)
@@ -78,6 +87,17 @@ class LaurentPolynomial:
                 if c:
                     t[tuple(e)] = c
         self.terms = t
+        self._canon = None
+
+    @classmethod
+    def _from_terms(cls, vars: tuple, terms: dict) -> "LaurentPolynomial":
+        """Wrap already-normalised terms (tuple keys, nonzero normalised
+        coefficients) without copying or checking them."""
+        p = object.__new__(cls)
+        p.vars = vars
+        p.terms = terms
+        p._canon = None
+        return p
 
     # -- constructors -------------------------------------------------
 
@@ -87,11 +107,7 @@ class LaurentPolynomial:
 
     @classmethod
     def const(cls, vars: Sequence[str], c: Coef) -> "LaurentPolynomial":
-        p = cls(vars)
-        c = _norm_coef(c)
-        if c:
-            p.terms[(0,) * len(p.vars)] = c
-        return p
+        return cls.monomial(vars, (0,) * len(vars), c)
 
     @classmethod
     def one(cls, vars: Sequence[str]) -> "LaurentPolynomial":
@@ -99,11 +115,8 @@ class LaurentPolynomial:
 
     @classmethod
     def monomial(cls, vars: Sequence[str], exps: Sequence[int], c: Coef = 1) -> "LaurentPolynomial":
-        p = cls(vars)
         c = _norm_coef(c)
-        if c:
-            p.terms[tuple(exps)] = c
-        return p
+        return cls._from_terms(tuple(vars), {tuple(exps): c} if c else {})
 
     @classmethod
     def var(cls, vars: Sequence[str], name: str, power: int = 1) -> "LaurentPolynomial":
@@ -142,14 +155,10 @@ class LaurentPolynomial:
                 t[e] = _norm_coef(s)
             elif e in t:
                 del t[e]
-        out = LaurentPolynomial(self.vars)
-        out.terms = t
-        return out
+        return LaurentPolynomial._from_terms(self.vars, t)
 
     def __neg__(self) -> "LaurentPolynomial":
-        out = LaurentPolynomial(self.vars)
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return LaurentPolynomial._from_terms(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         self._check(other)
@@ -160,9 +169,7 @@ class LaurentPolynomial:
                 t[e] = _norm_coef(s)
             elif e in t:
                 del t[e]
-        out = LaurentPolynomial(self.vars)
-        out.terms = t
-        return out
+        return LaurentPolynomial._from_terms(self.vars, t)
 
     def __mul__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         self._check(other)
@@ -178,23 +185,18 @@ class LaurentPolynomial:
                     t[e] = s
                 elif e in t:
                     del t[e]
-        out = LaurentPolynomial(self.vars)
-        out.terms = {e: _norm_coef(c) for e, c in t.items()}
-        return out
+        return LaurentPolynomial._from_terms(self.vars, {e: _norm_coef(c) for e, c in t.items()})
 
     def scale(self, c: Coef) -> "LaurentPolynomial":
         c = _norm_coef(c)
-        out = LaurentPolynomial(self.vars)
-        if c:
-            out.terms = {e: _norm_coef(v * c) for e, v in self.terms.items()}
-        return out
+        t = {e: _norm_coef(v * c) for e, v in self.terms.items()} if c else {}
+        return LaurentPolynomial._from_terms(self.vars, t)
 
     def shift(self, exps: Sequence[int]) -> "LaurentPolynomial":
         """Multiply by the monomial with the given exponent vector."""
         d = tuple(exps)
-        out = LaurentPolynomial(self.vars)
-        out.terms = {tuple(x + y for x, y in zip(e, d)): c for e, c in self.terms.items()}
-        return out
+        return LaurentPolynomial._from_terms(
+            self.vars, {tuple(x + y for x, y in zip(e, d)): c for e, c in self.terms.items()})
 
     def __pow__(self, n: int) -> "LaurentPolynomial":
         if n < 0:
@@ -243,10 +245,7 @@ class LaurentPolynomial:
         """Componentwise minimum exponent vector over all terms."""
         if not self.terms:
             return (0,) * len(self.vars)
-        mins = None
-        for e in self.terms:
-            mins = e if mins is None else tuple(min(x, y) for x, y in zip(mins, e))
-        return mins
+        return tuple(map(min, zip(*self.terms)))
 
     # -- substitution / evaluation --------------------------------------
 
@@ -292,9 +291,7 @@ class LaurentPolynomial:
                 t[key] = _norm_coef(s)
             elif key in t:
                 del t[key]
-        out = LaurentPolynomial(new_vars)
-        out.terms = t
-        return out
+        return LaurentPolynomial._from_terms(new_vars, t)
 
     def substitute(self, var: str, coef: Coef, exps: Sequence[int]) -> "LaurentPolynomial":
         """Substitute ``var -> coef * self.vars^exps`` within the same context."""
@@ -360,9 +357,8 @@ class LaurentPolynomial:
                 elif key in a:
                     del a[key]
         shift = tuple(x - y for x, y in zip(sh_a, sh_d))
-        out = LaurentPolynomial(self.vars)
-        out.terms = {tuple(x + y for x, y in zip(e, shift)): c for e, c in q.items()}
-        return out
+        return LaurentPolynomial._from_terms(
+            self.vars, {tuple(x + y for x, y in zip(e, shift)): c for e, c in q.items()})
 
     def _divide_binomial(self, divisor: "LaurentPolynomial") -> "LaurentPolynomial":
         """Division by c_a x^{e_a} + c_b x^{e_b}: anchor on the term that
@@ -405,9 +401,7 @@ class LaurentPolynomial:
                     heapq.heappush(heap, (f + step, k2))
             elif prev is not None:
                 del work[k2]
-        out = LaurentPolynomial(self.vars)
-        out.terms = quotient
-        return out
+        return LaurentPolynomial._from_terms(self.vars, quotient)
 
     # -- serialization ----------------------------------------------------
 
@@ -441,20 +435,43 @@ class LaurentPolynomial:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "LaurentPolynomial":
-        p = cls(tuple(obj["vars"]))
-        for t in obj["terms"]:
-            p.terms[tuple(t["exp"])] = _norm_coef(Fraction(t["coef"]))
-        return p
+        return cls._from_terms(tuple(obj["vars"]), {
+            tuple(t["exp"]): _norm_coef(Fraction(t["coef"])) for t in obj["terms"]})
 
     def __repr__(self):
         return f"LaurentPolynomial({self.canonical_str()})"
 
 
-def _poly_sort_key(p: LaurentPolynomial):
-    return tuple(
-        (sum(e), e, (c.numerator, c.denominator) if isinstance(c, Fraction) else (c, 1))
-        for e, c in p.sorted_terms()
-    )
+def _poly_sort_key(p: LaurentPolynomial) -> tuple:
+    """Flat sort key of a polynomial: per term in graded-lex order, its
+    total degree, exponents, numerator and denominator.  Within one
+    context every term takes the same width, so the flat tuple orders
+    polynomials exactly as the per-term tuples would."""
+    key: list = []
+    for e, c in p.sorted_terms():
+        key.append(sum(e))
+        key.extend(e)
+        if type(c) is Fraction:
+            key.append(c.numerator)
+            key.append(c.denominator)
+        else:
+            key.append(c)
+            key.append(1)
+    return tuple(key)
+
+
+def _merge_factor(fmap: dict, key: tuple, poly: LaurentPolynomial, mult: int) -> None:
+    """Add ``mult`` to the multiplicity of the canonical factor ``key``,
+    dropping it when the multiplicity reaches zero."""
+    cur = fmap.get(key)
+    if cur is None:
+        fmap[key] = (poly, mult)
+    else:
+        m = cur[1] + mult
+        if m:
+            fmap[key] = (cur[0], m)
+        else:
+            del fmap[key]
 
 
 class FactoredRational:
@@ -465,9 +482,15 @@ class FactoredRational:
     monomial and the coefficient of the graded-lex smallest term are
     pulled into the unit, so equal factors always merge.  The zero value
     is represented by ``coef == 0``.
+
+    ``_fmap`` maps each canonical factor's sort key to ``(poly, mult)``
+    with ``mult != 0``; it is never mutated after construction, so values
+    may share it.  ``factors`` is the public view: the ``(poly, mult)``
+    pairs sorted by key.  Only the constructor canonicalises; products,
+    powers, inverses and scalings merge the maps of their operands.
     """
 
-    __slots__ = ("vars", "coef", "exps", "factors")
+    __slots__ = ("vars", "coef", "exps", "_fmap")
 
     def __init__(
         self,
@@ -479,35 +502,47 @@ class FactoredRational:
         self.vars = tuple(vars)
         coef = _norm_coef(coef)
         exps = tuple(exps) if exps is not None else (0,) * len(self.vars)
-        merged: dict = {}
+        fmap: dict = {}
         if coef:
             for poly, mult in factors:
                 if mult == 0:
                     continue
-                u_c, u_e, canon = _canonical_factor(poly)
+                u_c, u_e, canon, key = _canonical_factor(poly)
                 if u_c == 0:
                     if mult < 0:
                         raise ZeroDivisionError("zero polynomial in denominator")
                     coef = 0
                     break
-                coef = _norm_coef(coef * _coef_pow(u_c, mult))
-                exps = tuple(x + mult * y for x, y in zip(exps, u_e))
+                if canon is not poly:
+                    coef = _norm_coef(coef * _coef_pow(u_c, mult))
+                    if any(u_e):
+                        exps = tuple(x + mult * y for x, y in zip(exps, u_e))
                 if canon is not None:
-                    key = _poly_sort_key(canon)
-                    if key in merged:
-                        merged[key] = (canon, merged[key][1] + mult)
-                    else:
-                        merged[key] = (canon, mult)
+                    _merge_factor(fmap, key, canon, mult)
         if not coef:
             self.coef = 0
             self.exps = (0,) * len(self.vars)
-            self.factors = ()
+            self._fmap = {}
             return
         self.coef = coef
         self.exps = exps
-        self.factors = tuple(
-            (p, m) for _, (p, m) in sorted(merged.items()) if m != 0
-        )
+        self._fmap = fmap
+
+    @classmethod
+    def _from_map(cls, vars: tuple, coef: Coef, exps: tuple, fmap: dict) -> "FactoredRational":
+        """Wrap a nonzero normalised unit and a map of canonical factors
+        without canonicalising anything."""
+        fr = object.__new__(cls)
+        fr.vars = vars
+        fr.coef = coef
+        fr.exps = exps
+        fr._fmap = fmap
+        return fr
+
+    @property
+    def factors(self) -> tuple:
+        fmap = self._fmap
+        return tuple(fmap[k] for k in sorted(fmap))
 
     # -- constructors ------------------------------------------------------
 
@@ -537,10 +572,10 @@ class FactoredRational:
         return self.coef == 0
 
     def is_monomial(self) -> bool:
-        return not self.factors and self.coef != 0
+        return not self._fmap and self.coef != 0
 
     def is_one(self) -> bool:
-        return self.coef == 1 and not self.factors and not any(self.exps)
+        return self.coef == 1 and not self._fmap and not any(self.exps)
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -552,21 +587,27 @@ class FactoredRational:
         self._check(other)
         if self.is_zero() or other.is_zero():
             return FactoredRational.zero(self.vars)
-        return FactoredRational(
+        a, b = self._fmap, other._fmap
+        if len(a) < len(b):
+            a, b = b, a
+        fmap = dict(a)
+        for key, (p, m) in b.items():
+            _merge_factor(fmap, key, p, m)
+        return FactoredRational._from_map(
             self.vars,
-            self.coef * other.coef,
+            _norm_coef(self.coef * other.coef),
             tuple(x + y for x, y in zip(self.exps, other.exps)),
-            tuple(self.factors) + tuple(other.factors),
+            fmap,
         )
 
     def inverse(self) -> "FactoredRational":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        return FactoredRational(
+        return FactoredRational._from_map(
             self.vars,
             _norm_coef(Fraction(1, 1) / self.coef),
             tuple(-x for x in self.exps),
-            tuple((p, -m) for p, m in self.factors),
+            {k: (p, -m) for k, (p, m) in self._fmap.items()},
         )
 
     def __truediv__(self, other: "FactoredRational") -> "FactoredRational":
@@ -577,22 +618,24 @@ class FactoredRational:
             if n <= 0:
                 raise ZeroDivisionError("0 ** nonpositive")
             return self
-        return FactoredRational(
+        if n == 0:
+            return FactoredRational.one(self.vars)
+        return FactoredRational._from_map(
             self.vars,
             _coef_pow(self.coef, n),
             tuple(n * x for x in self.exps),
-            tuple((p, n * m) for p, m in self.factors),
+            {k: (p, n * m) for k, (p, m) in self._fmap.items()},
         )
 
     def __neg__(self) -> "FactoredRational":
         if self.is_zero():
             return self
-        return FactoredRational(self.vars, -self.coef, self.exps, self.factors)
+        return FactoredRational._from_map(self.vars, -self.coef, self.exps, self._fmap)
 
     def scale(self, c: Coef) -> "FactoredRational":
         if self.is_zero() or c == 0:
             return FactoredRational.zero(self.vars)
-        return FactoredRational(self.vars, self.coef * c, self.exps, self.factors)
+        return FactoredRational._from_map(self.vars, _norm_coef(self.coef * c), self.exps, self._fmap)
 
     def __add__(self, other: "FactoredRational") -> "FactoredRational":
         self._check(other)
@@ -601,18 +644,17 @@ class FactoredRational:
         if other.is_zero():
             return self
         # common denominator by canonical-factor multiset
-        a_f = {_poly_sort_key(p): (p, m) for p, m in self.factors}
-        b_f = {_poly_sort_key(p): (p, m) for p, m in other.factors}
+        a_f, b_f = self._fmap, other._fmap
         den: dict = {}
-        for key in set(a_f) | set(b_f):
+        for key in a_f.keys() | b_f.keys():
             ma = a_f.get(key, (None, 0))[1]
             mb = b_f.get(key, (None, 0))[1]
             m = max(-ma, -mb, 0)
             if m:
                 den[key] = ((a_f.get(key) or b_f.get(key))[0], m)
         # numerators: unit * positive part * (den / own denominator)
-        num_a = self._numerator_against(den, a_f)
-        num_b = other._numerator_against(den, b_f)
+        num_a = self._numerator_against(den)
+        num_b = other._numerator_against(den)
         # unit monomials: pull out the common part, keep the rest in the sum
         e_min = tuple(min(x, y) for x, y in zip(self.exps, other.exps))
         pa = LaurentPolynomial.monomial(self.vars, tuple(x - y for x, y in zip(self.exps, e_min)), self.coef)
@@ -620,13 +662,17 @@ class FactoredRational:
         total = pa * num_a + pb * num_b
         if total.is_zero():
             return FactoredRational.zero(self.vars)
-        factors = [(p, -m) for p, m in den.values()]
-        factors.append((total, 1))
-        return FactoredRational(self.vars, 1, e_min, factors)
+        u_c, u_e, canon, key = _canonical_factor(total)
+        fmap = {k: (p, -m) for k, (p, m) in den.items()}
+        if canon is not None:
+            _merge_factor(fmap, key, canon, 1)
+        return FactoredRational._from_map(
+            self.vars, u_c, tuple(x + y for x, y in zip(e_min, u_e)), fmap)
 
-    def _numerator_against(self, den: dict, own: dict) -> LaurentPolynomial:
+    def _numerator_against(self, den: dict) -> LaurentPolynomial:
+        own = self._fmap
         out = LaurentPolynomial.one(self.vars)
-        for key, (p, m) in own.items():
+        for p, m in own.values():
             if m > 0:
                 out = out * p ** m
         for key, (p, m) in den.items():
@@ -651,7 +697,7 @@ class FactoredRational:
         )
 
     def __hash__(self):
-        return hash((self.vars, self.coef, self.exps, len(self.factors)))
+        return hash((self.vars, self.coef, self.exps, len(self._fmap)))
 
     # -- conversions -----------------------------------------------------------
 
@@ -752,30 +798,51 @@ class FactoredRational:
         return f"FactoredRational({self.canonical_str()})"
 
 
-def _canonical_factor(p: LaurentPolynomial):
-    """Normalize a polynomial factor.
+def _canonical_factor(p: LaurentPolynomial) -> tuple:
+    """Normalize a polynomial factor, once per polynomial.
 
-    Returns ``(unit_coef, unit_exps, canonical)`` with
-    ``p == unit_coef * x^unit_exps * canonical``; ``canonical`` is None
-    when p is a monomial (fully absorbed into the unit), and
-    ``unit_coef == 0`` when p is zero.
+    Returns ``(unit_coef, unit_exps, canonical, key)`` with
+    ``p == unit_coef * x^unit_exps * canonical`` and ``key`` the
+    :func:`_poly_sort_key` of ``canonical``; ``canonical`` and ``key``
+    are None when p is a monomial (fully absorbed into the unit), and
+    ``unit_coef == 0`` when p is zero.  The result is cached in
+    ``p._canon``; a canonical polynomial's own entry is
+    ``(1, zeros, itself, key)``, and a polynomial that is already
+    canonical is its own canonical form.
     """
+    cached = p._canon
+    if cached is not None:
+        return cached
     if p.is_zero():
-        return 0, (0,) * len(p.vars), None
-    if len(p.terms) == 1:
+        cached = (0, (0,) * len(p.vars), None, None)
+    elif len(p.terms) == 1:
         (e, c), = p.terms.items()
-        return c, e, None
-    mins = p.min_exponents()
-    shifted = {tuple(x - y for x, y in zip(e, mins)): c for e, c in p.terms.items()}
-    lead = min(shifted, key=lambda e: (sum(e), e))
-    c0 = shifted[lead]
-    canon = LaurentPolynomial(p.vars)
-    if c0 == 1:
-        canon.terms = shifted
+        cached = (c, e, None, None)
     else:
-        inv = Fraction(1, 1) / c0
-        canon.terms = {e: _norm_coef(c * inv) for e, c in shifted.items()}
-    return c0, mins, canon
+        mins = p.min_exponents()
+        if any(mins):
+            shifted = {tuple(map(sub, e, mins)): c for e, c in p.terms.items()}
+        else:
+            shifted = p.terms
+        c0 = shifted[min(shifted, key=lambda e: (sum(e), e))]
+        if c0 == -1:
+            canon = LaurentPolynomial._from_terms(p.vars, {e: -c for e, c in shifted.items()})
+        elif c0 != 1:
+            inv = Fraction(1, 1) / c0
+            canon = LaurentPolynomial._from_terms(
+                p.vars, {e: _norm_coef(c * inv) for e, c in shifted.items()})
+        elif shifted is p.terms:
+            canon = p
+        else:
+            canon = LaurentPolynomial._from_terms(p.vars, shifted)
+        key = _poly_sort_key(canon)
+        if canon is p:
+            cached = (1, mins, p, key)
+        else:
+            canon._canon = (1, (0,) * len(p.vars), canon, key)
+            cached = (c0, mins, canon, key)
+    p._canon = cached
+    return cached
 
 
 def rational_eq(a: FactoredRational, b: FactoredRational) -> bool:
@@ -788,11 +855,10 @@ def rational_eq(a: FactoredRational, b: FactoredRational) -> bool:
         raise ValueError("variable contexts differ")
     if a.is_zero() or b.is_zero():
         return a.is_zero() and b.is_zero()
-    a_f = {_poly_sort_key(p): (p, m) for p, m in a.factors}
-    b_f = {_poly_sort_key(p): (p, m) for p, m in b.factors}
+    a_f, b_f = a._fmap, b._fmap
     rem_a: list = []
     rem_b: list = []
-    for key in set(a_f) | set(b_f):
+    for key in a_f.keys() | b_f.keys():
         p = (a_f.get(key) or b_f.get(key))[0]
         m = a_f.get(key, (None, 0))[1] - b_f.get(key, (None, 0))[1]
         if m > 0:

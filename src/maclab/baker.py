@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from .algebra import FactoredRational, LaurentPolynomial, rational_eq
 from .macdonald import SymmetricPolynomial
 from .parallel import pmap
-from .qcalc import pochhammer
+from .qcalc import pochhammer_zratio
 from .series import XSeries
 from .tableaux import (
     Partition,
@@ -77,18 +77,6 @@ def _mono(vars, **powers) -> FactoredRational:
     return FactoredRational.monomial(vars, e)
 
 
-def _poch(vars, n_len, qpow=0, spow=0, znum=None, zden=None) -> FactoredRational:
-    """(q^qpow s^spow z_znum / z_zden ; q)_{n_len} over the given context."""
-    e = [0] * len(vars)
-    e[0] = qpow
-    e[1] = spow
-    if znum is not None:
-        e[vars.index(f"z{znum}")] += 1
-    if zden is not None:
-        e[vars.index(f"z{zden}")] -= 1
-    return pochhammer(FactoredRational.monomial(vars, e), n_len)
-
-
 def c_N_recursive(theta: ThetaMatrix, n: int) -> FactoredRational:
     """Coefficient c_N(theta; z; q, s) by the defining recursion: the
     rank-(N-1) value at q-shifted z times a product of four Pochhammer
@@ -116,10 +104,10 @@ def _c_rec(theta: ThetaMatrix, m: int, vars) -> FactoredRational:
             if not ln:
                 continue
             tjm = theta[(j, m)]
-            out = out * _poch(vars, ln, 0, 1, j + 1, i)       # (s z_{j+1}/z_i; q)
-            out = out / _poch(vars, ln, 1, 0, j + 1, i)       # (q z_{j+1}/z_i; q)
-            out = out * _poch(vars, ln, 1 - tjm, -1, j, i)    # (q^{1-theta_{j,m}} z_j / s z_i; q)
-            out = out / _poch(vars, ln, -tjm, 0, j, i)        # (q^{-theta_{j,m}} z_j/z_i; q)
+            out = out * pochhammer_zratio(vars, ln, 0, 1, j + 1, i)       # (s z_{j+1}/z_i; q)
+            out = out / pochhammer_zratio(vars, ln, 1, 0, j + 1, i)       # (q z_{j+1}/z_i; q)
+            out = out * pochhammer_zratio(vars, ln, 1 - tjm, -1, j, i)    # (q^{1-theta_{j,m}} z_j / s z_i; q)
+            out = out / pochhammer_zratio(vars, ln, -tjm, 0, j, i)        # (q^{-theta_{j,m}} z_j/z_i; q)
     return out
 
 
@@ -140,10 +128,10 @@ def c_N_closed(theta: ThetaMatrix, n: int) -> FactoredRational:
                          for a in range(k + 1, nn + 1))
                 e2 = sum(theta[(i, a)] - (theta[(j, a)] if j < a else 0)
                          for a in range(k + 1, nn + 1))
-                out = out * _poch(vars, ln, e1, 1, j + 1, i)
-                out = out / _poch(vars, ln, e1 + 1, 0, j + 1, i)
-                out = out * _poch(vars, ln, -theta[(j, k)] + e2 + 1, -1, j, i)
-                out = out / _poch(vars, ln, -theta[(j, k)] + e2, 0, j, i)
+                out = out * pochhammer_zratio(vars, ln, e1, 1, j + 1, i)
+                out = out / pochhammer_zratio(vars, ln, e1 + 1, 0, j + 1, i)
+                out = out * pochhammer_zratio(vars, ln, -theta[(j, k)] + e2 + 1, -1, j, i)
+                out = out / pochhammer_zratio(vars, ln, -theta[(j, k)] + e2, 0, j, i)
     return out
 
 
@@ -162,10 +150,10 @@ def c_N_closed_alt(theta: ThetaMatrix, n: int) -> FactoredRational:
             a_sum = sum(theta[(i, a)] - (theta[(j, a)] if j < a else 0)
                         for a in range(j + 1, nn + 1))
             out = out * _mono(vars, q=ln, s=-ln)
-            out = out * _poch(vars, ln, 0, 1)                 # (s; q)
-            out = out / _poch(vars, ln, 1, 0)                 # (q; q)
-            out = out * _poch(vars, ln, a_sum, 1, j, i)       # (q^A s z_j/z_i; q)
-            out = out / _poch(vars, ln, a_sum + 1, 0, j, i)   # (q^{1+A} z_j/z_i; q)
+            out = out * pochhammer_zratio(vars, ln, 0, 1)                 # (s; q)
+            out = out / pochhammer_zratio(vars, ln, 1, 0)                 # (q; q)
+            out = out * pochhammer_zratio(vars, ln, a_sum, 1, j, i)       # (q^A s z_j/z_i; q)
+            out = out / pochhammer_zratio(vars, ln, a_sum + 1, 0, j, i)   # (q^{1+A} z_j/z_i; q)
     for k in range(3, nn + 1):
         for l in range(1, k):
             for m in range(l + 1, k):
@@ -174,10 +162,10 @@ def c_N_closed_alt(theta: ThetaMatrix, n: int) -> FactoredRational:
                     continue
                 b_sum = sum(theta[(l, b)] - theta[(m, b)] for b in range(k + 1, nn + 1))
                 out = out * _mono(vars, q=ln, s=-ln)
-                out = out * _poch(vars, ln, b_sum, 1, m, l)
-                out = out / _poch(vars, ln, b_sum + 1, 0, m, l)
-                out = out * _poch(vars, ln, -ln + theta[(m, k)] - b_sum, 1, l, m)
-                out = out / _poch(vars, ln, 1 - ln + theta[(m, k)] - b_sum, 0, l, m)
+                out = out * pochhammer_zratio(vars, ln, b_sum, 1, m, l)
+                out = out / pochhammer_zratio(vars, ln, b_sum + 1, 0, m, l)
+                out = out * pochhammer_zratio(vars, ln, -ln + theta[(m, k)] - b_sum, 1, l, m)
+                out = out / pochhammer_zratio(vars, ln, 1 - ln + theta[(m, k)] - b_sum, 0, l, m)
     return out
 
 

@@ -1,24 +1,38 @@
 """Checksummed on-disk cache for expensive exact results.
 
-Entries are keyed by (operation, parameters, package version); payloads
-are canonical JSON, stored alongside their sha256.  A corrupted entry is
-silently discarded and recomputed.  Because every serialization in the
-package is canonical and reductions are order-fixed, a cache hit is
-byte-identical to recomputation.
+Entries are keyed by (operation, parameters, source hash), where the
+source hash is a sha256 over the package's own Python files, so an entry
+written by other code is never served.  Payloads are canonical JSON,
+stored alongside their sha256.  A corrupted entry is silently discarded
+and recomputed; a failed write only warns.  Because every serialization
+in the package is canonical and reductions are order-fixed, a cache hit
+is byte-identical to recomputation.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
+import tempfile
+import warnings
 from pathlib import Path
 
-from . import __version__
-
-__all__ = ["ResultCache"]
+__all__ = ["ResultCache", "source_hash"]
 
 ENV_VAR = "MACLAB_CACHE_DIR"
+
+
+@functools.cache
+def source_hash() -> str:
+    """sha256 over the package's ``*.py`` files in name order; computed on
+    first use, once per process."""
+    h = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        h.update(path.name.encode() + b"\0")
+        h.update(path.read_bytes())
+    return h.hexdigest()
 
 
 class ResultCache:
@@ -31,7 +45,7 @@ class ResultCache:
             self.directory.mkdir(parents=True, exist_ok=True)
 
     def _path(self, op: str, params: dict) -> Path:
-        key_src = json.dumps({"op": op, "params": params, "version": __version__},
+        key_src = json.dumps({"op": op, "params": params, "source": source_hash()},
                              sort_keys=True, separators=(",", ":"))
         digest = hashlib.sha256(key_src.encode()).hexdigest()[:32]
         return self.directory / f"{op.replace(' ', '_')}-{digest}.json"
@@ -49,7 +63,7 @@ class ResultCache:
             if entry.get("sha256") != hashlib.sha256(blob.encode()).hexdigest():
                 path.unlink(missing_ok=True)
                 return None
-            if entry.get("version") != __version__:
+            if entry.get("source") != source_hash():
                 return None
             return payload
         except (json.JSONDecodeError, KeyError, OSError):
@@ -57,17 +71,26 @@ class ResultCache:
             return None
 
     def put(self, op: str, params: dict, payload) -> None:
+        """Store ``payload``; each writer goes through its own temporary
+        file, and a write that fails is reported as a warning."""
         if not self.enabled:
             return
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         entry = {
-            "version": __version__,
+            "source": source_hash(),
             "op": op,
             "params": params,
             "sha256": hashlib.sha256(blob.encode()).hexdigest(),
             "payload": payload,
         }
         path = self._path(op, params)
-        tmp = path.with_suffix(".tmp")
-        tmp.write_text(json.dumps(entry, sort_keys=True, indent=1))
-        tmp.replace(path)
+        tmp = None
+        try:
+            fd, tmp = tempfile.mkstemp(dir=self.directory, prefix=path.stem + "-", suffix=".tmp")
+            with os.fdopen(fd, "w") as fh:
+                fh.write(json.dumps(entry, sort_keys=True, indent=1))
+            os.replace(tmp, path)
+        except OSError as exc:
+            if tmp is not None:
+                Path(tmp).unlink(missing_ok=True)
+            warnings.warn(f"result cache: could not write {path.name}: {exc}", RuntimeWarning)

@@ -189,7 +189,7 @@ def check_termination(params, workers, exact):
             ctx = BAContext(n, 1, workers=workers)
             try:
                 S = specialize_f_to_P(lam, ctx)
-            except Exception as exc:
+            except ArithmeticError as exc:
                 witnesses.append({"lambda": list(lam), "n": n, "error": str(exc)})
                 continue
             P = macdonald_P(lam, n)

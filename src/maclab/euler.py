@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from itertools import permutations
 
 from .algebra import FactoredRational, LaurentPolynomial, rational_eq
-from .laumon import C_theta, lau_vars
+from .laumon import C_theta, IdentityFails, NotStabilized, lau_vars
 from .macdonald import macdonald_P
 from .qcalc import pochhammer
 from .series import QTSeries, expand, expand_sum
@@ -53,14 +53,6 @@ __all__ = [
     "NotStabilized",
     "IdentityFails",
 ]
-
-
-class NotStabilized(ArithmeticError):
-    pass
-
-
-class IdentityFails(ArithmeticError):
-    pass
 
 
 def glob_vars(n: int) -> tuple:

@@ -20,7 +20,7 @@ from itertools import product as iproduct
 from .algebra import FactoredRational, LaurentPolynomial, rational_eq
 from .baker import ResidualNonzero, c_N_closed
 from .parallel import pmap
-from .qcalc import pochhammer, pochhammer_inf
+from .qcalc import pochhammer, pochhammer_inf, pochhammer_zratio
 from .series import QTSeries, XSeries, expand_sum
 from .tableaux import ThetaMatrix, theta_by_degree, theta_upto_degree
 
@@ -42,11 +42,11 @@ __all__ = [
 
 
 class NotStabilized(ArithmeticError):
-    pass
+    """The last two points of a stabilization schedule disagree."""
 
 
 class IdentityFails(ArithmeticError):
-    pass
+    """A stable series differs from the closed form it should equal."""
 
 
 class SubstitutionMismatch(ArithmeticError):
@@ -69,17 +69,6 @@ class LaumonContext:
         object.__setattr__(self, "vars", lau_vars(self.n))
 
 
-def _poch(vars, n_len, qpow=0, tpow=0, znum=None, zden=None) -> FactoredRational:
-    e = [0] * len(vars)
-    e[0] = qpow
-    e[1] = tpow
-    if znum is not None:
-        e[vars.index(f"z{znum}")] += 1
-    if zden is not None:
-        e[vars.index(f"z{zden}")] -= 1
-    return pochhammer(FactoredRational.monomial(vars, e), n_len)
-
-
 def C_theta(theta: ThetaMatrix, n: int) -> FactoredRational:
     """Tangent-character coefficient of the fixed point indexed by theta:
 
@@ -100,10 +89,10 @@ def C_theta(theta: ThetaMatrix, n: int) -> FactoredRational:
                 continue
             s_sum = sum(theta[(i, a)] - (theta[(j, a)] if j < a else 0)
                         for a in range(j + 1, nn + 1))
-            out = out * _poch(vars, ln, 1, 1)
-            out = out / _poch(vars, ln, 1, 0)
-            out = out * _poch(vars, ln, 1 + s_sum, 1, j, i)
-            out = out / _poch(vars, ln, 1 + s_sum, 0, j, i)
+            out = out * pochhammer_zratio(vars, ln, 1, 1)
+            out = out / pochhammer_zratio(vars, ln, 1, 0)
+            out = out * pochhammer_zratio(vars, ln, 1 + s_sum, 1, j, i)
+            out = out / pochhammer_zratio(vars, ln, 1 + s_sum, 0, j, i)
     for k in range(3, nn + 1):
         for l in range(1, k):
             for m in range(l + 1, k):
@@ -111,10 +100,10 @@ def C_theta(theta: ThetaMatrix, n: int) -> FactoredRational:
                 if not ln:
                     continue
                 b_sum = sum(theta[(l, b)] - theta[(m, b)] for b in range(k + 1, nn + 1))
-                out = out * _poch(vars, ln, 1 + b_sum, 1, m, l)
-                out = out / _poch(vars, ln, 1 + b_sum, 0, m, l)
-                out = out * _poch(vars, ln, 1 - ln + theta[(m, k)] - b_sum, 1, l, m)
-                out = out / _poch(vars, ln, 1 - ln + theta[(m, k)] - b_sum, 0, l, m)
+                out = out * pochhammer_zratio(vars, ln, 1 + b_sum, 1, m, l)
+                out = out / pochhammer_zratio(vars, ln, 1 + b_sum, 0, m, l)
+                out = out * pochhammer_zratio(vars, ln, 1 - ln + theta[(m, k)] - b_sum, 1, l, m)
+                out = out / pochhammer_zratio(vars, ln, 1 - ln + theta[(m, k)] - b_sum, 0, l, m)
     return out
 
 

@@ -14,7 +14,7 @@ from typing import Sequence, Union
 from .algebra import Coef, FactoredRational, LaurentPolynomial
 from .series import QTSeries, XSeries, expand
 
-__all__ = ["QShift", "pochhammer", "pochhammer_inf", "apply_qshift",
+__all__ = ["QShift", "pochhammer", "pochhammer_zratio", "pochhammer_inf", "apply_qshift",
            "UnknownVariable", "NonConvergent"]
 
 
@@ -70,6 +70,20 @@ def pochhammer(p: FactoredRational | LaurentPolynomial, n: int,
         e = tuple(x + (k if i == iq else 0) for i, x in enumerate(p.exps))
         factors.append((one - LaurentPolynomial.monomial(vars, e, p.coef), 1))
     return FactoredRational(vars, 1, None, factors)
+
+
+def pochhammer_zratio(vars: Sequence[str], n: int, qpow: int = 0, xpow: int = 0,
+                      znum: int | None = None, zden: int | None = None) -> FactoredRational:
+    """(q^qpow x^xpow z_znum / z_zden ; q)_n, where q and x are the first
+    two variables of the context and z1, z2, ... name the others."""
+    e = [0] * len(vars)
+    e[0] = qpow
+    e[1] = xpow
+    if znum is not None:
+        e[vars.index(f"z{znum}")] += 1
+    if zden is not None:
+        e[vars.index(f"z{zden}")] -= 1
+    return pochhammer(FactoredRational.monomial(vars, e), n)
 
 
 def pochhammer_inf(p: FactoredRational | LaurentPolynomial, trunc: int,

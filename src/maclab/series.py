@@ -377,7 +377,7 @@ def expand_sum(terms, trunc: int, qt: Sequence[str] = ("q", "t"),
             continue
         try:
             poly = fr.to_laurent()
-        except Exception as exc:
+        except ArithmeticError as exc:
             raise NonPolynomialCoefficient(
                 f"coefficient at (q,t)-degree {key} is not polynomial: "
                 f"{fr.canonical_str()}") from exc

@@ -1,0 +1,163 @@
+"""Differential tests of the algebra layer against sympy.
+
+Small random Laurent polynomials in two or three variables, with small
+integer and Fraction coefficients, are pushed through maclab's exact
+arithmetic and through sympy; the results must agree as values.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+
+sympy = pytest.importorskip("sympy")
+
+from maclab.algebra import (  # noqa: E402
+    ExactDivisionError,
+    FactoredRational,
+    LaurentPolynomial,
+    rational_eq,
+)
+
+CONTEXTS = [("q", "t"), ("q", "t", "z1")]
+SYMBOLS = {v: sympy.Symbol(v) for v in CONTEXTS[-1]}
+
+oracle = settings(max_examples=25, deadline=None,
+                  suppress_health_check=[HealthCheck.too_slow])
+
+coefs = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-2, max_value=2, max_denominator=3),
+)
+nonzero_coefs = coefs.filter(lambda c: c != 0)
+
+
+def exps(vars):
+    return st.tuples(*[st.integers(-2, 2)] * len(vars))
+
+
+def polys(vars, min_terms=0, max_terms=4):
+    return st.dictionaries(exps(vars), nonzero_coefs, min_size=min_terms,
+                           max_size=max_terms).map(lambda t: LaurentPolynomial(vars, t))
+
+
+@st.composite
+def factored(draw, vars, max_factors=3):
+    factors = draw(st.lists(st.tuples(polys(vars, 1, 3), st.integers(-2, 2)),
+                            max_size=max_factors))
+    return FactoredRational(vars, draw(coefs), draw(exps(vars)), factors)
+
+
+contexts = st.sampled_from(CONTEXTS)
+
+
+def rat(c):
+    c = Fraction(c)
+    return sympy.Rational(c.numerator, c.denominator)
+
+
+def mono(vars, e):
+    return sympy.Mul(*[SYMBOLS[v] ** k for v, k in zip(vars, e)])
+
+
+def to_sympy(x):
+    if isinstance(x, LaurentPolynomial):
+        return sympy.Add(*[rat(c) * mono(x.vars, e) for e, c in x.terms.items()])
+    value = rat(x.coef) * mono(x.vars, x.exps)
+    for p, m in x.factors:
+        value *= to_sympy(p) ** m
+    return value
+
+
+def same_poly(a, b):
+    return sympy.expand(a - b) == 0
+
+
+def same_value(a, b):
+    return sympy.cancel(sympy.together(a - b)) == 0
+
+
+# -- Laurent polynomials -----------------------------------------------------
+
+
+@oracle
+@given(st.data())
+def test_ring_operations_match_sympy(data):
+    vars = data.draw(contexts)
+    p, q = data.draw(polys(vars)), data.draw(polys(vars))
+    n = data.draw(st.integers(0, 3))
+    P, Q = to_sympy(p), to_sympy(q)
+    assert same_poly(to_sympy(p + q), P + Q)
+    assert same_poly(to_sympy(p - q), P - Q)
+    assert same_poly(to_sympy(p * q), P * Q)
+    assert same_poly(to_sympy(p ** n), P ** n)
+
+
+@oracle
+@given(st.data())
+def test_divide_exact_recovers_the_cofactor(data):
+    vars = data.draw(contexts)
+    p, q = data.draw(polys(vars)), data.draw(polys(vars, 1))
+    assert (p * q).divide_exact(q) == p
+
+
+@oracle
+@given(st.data())
+def test_divide_exact_agrees_with_sympy_on_divisibility(data):
+    vars = data.draw(contexts)
+    p, q = data.draw(polys(vars, 1, 3)), data.draw(polys(vars, 2, 3))
+    _num, den = sympy.fraction(sympy.cancel(to_sympy(p) / to_sympy(q)))
+    divisible = len(sympy.Add.make_args(sympy.expand(den))) == 1
+    if divisible:
+        assert same_value(to_sympy(p.divide_exact(q)), to_sympy(p) / to_sympy(q))
+    else:
+        with pytest.raises(ExactDivisionError):
+            p.divide_exact(q)
+
+
+# -- factored rationals --------------------------------------------------------
+
+
+@oracle
+@given(st.data())
+def test_factored_arithmetic_matches_sympy(data):
+    vars = data.draw(contexts)
+    a, b = data.draw(factored(vars)), data.draw(factored(vars))
+    n = data.draw(st.integers(-2, 2))
+    A, B = to_sympy(a), to_sympy(b)
+    assert same_value(to_sympy(a * b), A * B)
+    assert same_value(to_sympy(a + b), A + B)
+    assume(not a.is_zero())
+    assert same_value(to_sympy(a.inverse()), 1 / A)
+    assert same_value(to_sympy(a ** n), A ** n)
+
+
+@oracle
+@given(st.data())
+def test_rational_eq_matches_sympy(data):
+    vars = data.draw(contexts)
+    a, b = data.draw(factored(vars)), data.draw(factored(vars))
+    assert rational_eq(a, b) == same_value(to_sympy(a), to_sympy(b))
+    # the same value with every factor multiplied out is still equal
+    num, den = a.num_den()
+    expanded = FactoredRational.from_poly(num) / FactoredRational.from_poly(den)
+    assert rational_eq(a, expanded)
+
+
+@oracle
+@given(st.data())
+def test_merged_product_equals_canonicalised_product(data):
+    vars = data.draw(contexts)
+    a, b = data.draw(factored(vars)), data.draw(factored(vars))
+    assume(not a.is_zero())
+    # b / a shares every factor of a, so the merge must cancel some of them
+    for c in (b, b / a):
+        rebuilt = FactoredRational(
+            vars, a.coef * c.coef, tuple(x + y for x, y in zip(a.exps, c.exps)),
+            a.factors + c.factors)
+        assert a * c == rebuilt
+    assert a * a.inverse() == FactoredRational.one(vars)
+    assert a.inverse() == FactoredRational(
+        vars, Fraction(1) / a.coef, tuple(-x for x in a.exps),
+        [(p, -m) for p, m in a.factors])
