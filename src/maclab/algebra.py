@@ -23,7 +23,7 @@ of already-canonical factors instead of normalising them again.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import sub
+from operator import add, sub
 from typing import Iterable, Mapping, Sequence, Union
 
 Coef = Union[int, Fraction]
@@ -177,13 +177,16 @@ class LaurentPolynomial:
         if len(a) > len(b):
             a, b = b, a
         t: dict = {}
+        get = t.get
+        b_items = b.items()
         for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                s = t.get(e, 0) + ca * cb
+            for eb, cb in b_items:
+                e = tuple(map(add, ea, eb))
+                s = get(e, 0) + ca * cb
                 if s:
                     t[e] = s
-                elif e in t:
+                else:
+                    # ca * cb != 0, so a zero sum cancels an existing term
                     del t[e]
         return LaurentPolynomial._from_terms(self.vars, {e: _norm_coef(c) for e, c in t.items()})
 
@@ -316,10 +319,13 @@ class LaurentPolynomial:
     def divide_exact(self, divisor: "LaurentPolynomial") -> "LaurentPolynomial":
         """Exact division; raises :class:`ExactDivisionError` on remainder.
 
-        Works for Laurent operands: both sides are shifted to honest
-        polynomials, divided by cancelling graded-lex leading terms, and
-        the quotient is shifted back.  Binomial divisors (the only kind
-        produced by the Pochhammer calculus) take a near-linear path.
+        Works for Laurent operands.  A monomial divisor is a shift and a
+        scaling.  A binomial divisor (the only kind produced by the
+        Pochhammer calculus and the Vandermonde factors of
+        :func:`maclab.macdonald.apply_D1N`) takes the linear bucket sweep
+        of :meth:`_divide_binomial`.  Any other divisor: both sides are
+        shifted to honest polynomials, divided by cancelling graded-lex
+        leading terms, and the quotient is shifted back.
         """
         self._check(divisor)
         if divisor.is_zero():
@@ -361,46 +367,49 @@ class LaurentPolynomial:
             self.vars, {tuple(x + y for x, y in zip(e, shift)): c for e, c in q.items()})
 
     def _divide_binomial(self, divisor: "LaurentPolynomial") -> "LaurentPolynomial":
-        """Division by c_a x^{e_a} + c_b x^{e_b}: anchor on the term that
-        is smaller for the functional phi(v) = <v, e_b - e_a>, so the
-        cancellation recursion walks strictly upward in phi."""
-        import heapq
+        """Division by c_a x^{e_a} + c_b x^{e_b} in one upward sweep.
 
+        The terms are named so that the first nonzero component ``i0`` of
+        ``e = e_b - e_a`` is a positive step ``s``.  A dividend term at
+        ``k`` (shifted by ``-e_a``) goes into bucket ``k[i0] // s``; the
+        cancellation pushes it to ``k + e``, which lies in the next
+        bucket, so each bucket is final once the sweep reaches it.  Every
+        live term below the top bucket is a quotient term; a live term in
+        the top bucket is a remainder.
+        """
         (ea, ca), (eb, cb) = divisor.terms.items()
-        e = tuple(x - y for x, y in zip(eb, ea))
-        step = sum(x * x for x in e)
-
-        def phi(k):
-            return sum(x * y for x, y in zip(k, e))
-
-        inv = Fraction(1) / ca
+        e = tuple(map(sub, eb, ea))
+        i0 = next(i for i, x in enumerate(e) if x)
+        if e[i0] < 0:
+            ea, ca, cb = eb, cb, ca
+            e = tuple(-x for x in e)
+        s = e[i0]
+        inv = _norm_coef(Fraction(1) / ca)
         d = _norm_coef(cb * inv)
-        work = {tuple(x - y for x, y in zip(k, ea)): _norm_coef(c * inv)
-                for k, c in self.terms.items()}
-        phis = [phi(k) for k in work]
-        span = (max(phis) - min(phis)) // step + 1
-        max_pops = len(work) * (span + 2) + 16
-        heap = [(phi(k), k) for k in work]
-        heapq.heapify(heap)
+        a0 = ea[i0]
+        lo = (min(k[i0] for k in self.terms) - a0) // s
+        hi = (max(k[i0] for k in self.terms) - a0) // s
+        buckets: list = [{} for _ in range(hi - lo + 1)]
+        shift = any(ea)
+        for k, c in self.terms.items():
+            if shift:
+                k = tuple(map(sub, k, ea))
+            buckets[k[i0] // s - lo][k] = c if inv == 1 else _norm_coef(c * inv)
         quotient: dict = {}
-        while work:
-            if max_pops <= 0:
-                raise ExactDivisionError("binomial division leaves a remainder")
-            max_pops -= 1
-            f, k = heapq.heappop(heap)
-            c = work.pop(k, None)
-            if c is None:
-                continue
-            quotient[k] = c
-            k2 = tuple(x + y for x, y in zip(k, e))
-            prev = work.get(k2)
-            v = _norm_coef((prev if prev is not None else 0) - c * d)
-            if v:
-                work[k2] = v
-                if prev is None:
-                    heapq.heappush(heap, (f + step, k2))
-            elif prev is not None:
-                del work[k2]
+        for cur, nxt in zip(buckets, buckets[1:]):
+            quotient.update(cur)
+            get = nxt.get
+            for k, w in cur.items():
+                k2 = tuple(map(add, k, e))
+                v = get(k2, 0) - d * w
+                if v:
+                    nxt[k2] = _norm_coef(v)
+                else:
+                    # d * w != 0, so a zero result cancels an existing term
+                    del nxt[k2]
+            cur.clear()
+        if buckets[-1]:
+            raise ExactDivisionError("binomial division leaves a remainder")
         return LaurentPolynomial._from_terms(self.vars, quotient)
 
     # -- serialization ----------------------------------------------------
@@ -879,10 +888,14 @@ def rational_eq(a: FactoredRational, b: FactoredRational) -> bool:
 
 def rational_eq_numeric(a: FactoredRational, b: FactoredRational, seed: int = 0) -> bool:
     """Probabilistic preview of value equality at deterministic seeded
-    rational points.  Never used for certification."""
+    rational points.  Never used for certification.
+
+    A point where either side has a pole is skipped; when every point is
+    skipped nothing was compared, and the answer is False."""
     import random
 
     rng = random.Random(10**6 + seed)
+    compared = False
     for _ in range(3):
         point = {}
         for v in a.vars:
@@ -894,4 +907,5 @@ def rational_eq_numeric(a: FactoredRational, b: FactoredRational, seed: int = 0)
             continue
         if va != vb:
             return False
-    return True
+        compared = True
+    return compared

@@ -157,6 +157,17 @@ def test_numeric_preview_agrees_on_equals():
     assert rational_eq_numeric(a, b)
 
 
+def test_numeric_preview_is_false_when_every_point_is_a_pole(monkeypatch):
+    a = frac([ONE - Q * Q], [ONE - Q])
+    b = FactoredRational.from_poly(ONE + Q)
+
+    def pole(self, point):
+        raise ZeroDivisionError("denominator factor vanishes")
+
+    monkeypatch.setattr(FactoredRational, "evaluate", pole)
+    assert not rational_eq_numeric(a, b)
+
+
 def test_expand_product_rule():
     # expand(a*b) == expand(a)*expand(b) below truncation
     a = frac([ONE - Q * T], [ONE - Q])

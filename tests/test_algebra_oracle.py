@@ -19,6 +19,7 @@ from maclab.algebra import (  # noqa: E402
     LaurentPolynomial,
     rational_eq,
 )
+from maclab.series import expand  # noqa: E402
 
 CONTEXTS = [("q", "t"), ("q", "t", "z1")]
 SYMBOLS = {v: sympy.Symbol(v) for v in CONTEXTS[-1]}
@@ -116,6 +117,36 @@ def test_divide_exact_agrees_with_sympy_on_divisibility(data):
             p.divide_exact(q)
 
 
+@st.composite
+def binomials(draw, vars):
+    """c_a x^e_a + c_b x^e_b whose exponent difference has a leading
+    component of -2, -1, 1 or 2: negative leads exercise the orientation,
+    a step of 2 puts two residue classes of chains into each bucket."""
+    n = len(vars)
+    i0 = draw(st.integers(0, n - 1))
+    lead = draw(st.sampled_from((-2, -1, 1, 2)))
+    diff = (0,) * i0 + (lead,) + draw(st.tuples(*[st.integers(-2, 2)] * (n - i0 - 1)))
+    ea = draw(exps(vars))
+    eb = tuple(x + y for x, y in zip(ea, diff))
+    return LaurentPolynomial(vars, {ea: draw(nonzero_coefs), eb: draw(nonzero_coefs)})
+
+
+@oracle
+@given(st.data())
+def test_binomial_division_matches_sympy(data):
+    vars = CONTEXTS[-1]
+    p = data.draw(polys(vars, 1, 12))
+    b = data.draw(binomials(vars))
+    assert (p * b).divide_exact(b) == p
+    # a binomial is not a unit of the Laurent ring, so one extra monomial
+    # leaves a remainder
+    m = LaurentPolynomial.monomial(vars, data.draw(exps(vars)), data.draw(nonzero_coefs))
+    _num, den = sympy.fraction(sympy.cancel(to_sympy(p * b + m) / to_sympy(b)))
+    assert len(sympy.Add.make_args(sympy.expand(den))) > 1
+    with pytest.raises(ExactDivisionError):
+        (p * b + m).divide_exact(b)
+
+
 # -- factored rationals --------------------------------------------------------
 
 
@@ -161,3 +192,43 @@ def test_merged_product_equals_canonicalised_product(data):
     assert a.inverse() == FactoredRational(
         vars, Fraction(1) / a.coef, tuple(-x for x in a.exps),
         [(p, -m) for p, m in a.factors])
+
+
+# -- (q,t)-series expansion -------------------------------------------------------
+
+
+@st.composite
+def unit_denominators(draw, vars):
+    """A factor whose (q,t)-minimal part is one monomial c z^k (z the
+    coefficient variables): its inverse expands as a series in q and t."""
+    lead = (0, 0) + draw(st.tuples(*[st.integers(-1, 1)] * (len(vars) - 2)))
+    tail = draw(st.dictionaries(
+        st.tuples(st.integers(0, 2), st.integers(0, 2),
+                  *[st.integers(-1, 1)] * (len(vars) - 2)).filter(lambda e: e[0] + e[1] > 0),
+        nonzero_coefs, min_size=1, max_size=2))
+    tail[lead] = draw(nonzero_coefs)
+    return LaurentPolynomial(vars, tail)
+
+
+@st.composite
+def unit_factored(draw, vars):
+    # one numerator factor at most: sympy.series slows sharply with more
+    num = draw(st.lists(st.tuples(polys(vars, 1, 3), st.just(1)), max_size=1))
+    den = draw(st.lists(st.tuples(unit_denominators(vars), st.integers(-2, -1)),
+                        min_size=1, max_size=2))
+    return FactoredRational(vars, draw(nonzero_coefs), draw(exps(vars)), num + den)
+
+
+@oracle
+@given(st.data())
+def test_expand_matches_sympy_series(data):
+    vars = data.draw(contexts)
+    fr = data.draw(unit_factored(vars))
+    trunc = data.draw(st.integers(0, 3))
+    series = expand(fr, trunc)
+    q, t, eps = SYMBOLS["q"], SYMBOLS["t"], sympy.Symbol("eps")
+    mine = sympy.Add(*[to_sympy(p) * q ** a * t ** b for (a, b), p in series.coeffs.items()])
+    # grade by total (q,t)-degree: q -> eps q, t -> eps t, expand in eps
+    graded = to_sympy(fr).subs({q: eps * q, t: eps * t}, simultaneous=True)
+    theirs = sympy.series(graded, eps, 0, trunc + 1).removeO().subs(eps, 1)
+    assert same_poly(mine, theirs)

@@ -1,5 +1,7 @@
 """Macdonald polynomials: tableau sum, difference operator, oracle, Pieri."""
 
+import re
+
 import pytest
 
 from maclab.algebra import FactoredRational, LaurentPolynomial, rational_eq
@@ -82,6 +84,19 @@ def test_apply_D1N_rejects_asymmetric():
     y1 = LaurentPolynomial.var(v, "y1")
     with pytest.raises(DenominatorSurvives):
         apply_D1N(y1, 2)
+
+
+@pytest.mark.parametrize("exps, pair", [
+    ((2, 1, 0), "(y1 - y2)"),
+    # symmetric in y1, y2: (y1 - y2) divides, the remainder shows at (y1 - y3)
+    ((1, 1, 0), "(y1 - y3)"),
+])
+def test_apply_D1N_rejects_asymmetric_on_long_chains(exps, pair):
+    # at n = 3 the Vandermonde divisions walk chains of several steps
+    v = mac_vars(3)
+    f = LaurentPolynomial.monomial(v, (0, 0) + exps)
+    with pytest.raises(DenominatorSurvives, match=re.escape(pair)):
+        apply_D1N(f, 3)
 
 
 def test_eigen_identity_small():
