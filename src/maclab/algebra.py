@@ -23,7 +23,7 @@ of already-canonical factors instead of normalising them again.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add, sub
+from operator import add, itemgetter, sub
 from typing import Iterable, Mapping, Sequence, Union
 
 Coef = Union[int, Fraction]
@@ -261,10 +261,13 @@ class LaurentPolynomial:
 
         ``mapping[v] = (coef, exps)`` sends variable ``v`` to
         ``coef * new_vars^exps``.  Unmapped variables must exist in the
-        new context and map to themselves.
+        new context and map to themselves; when no variable is mapped, the
+        call is a re-embedding (:meth:`_reembed`).
         """
         new_vars = tuple(new_vars)
         n_new = len(new_vars)
+        if mapping.keys().isdisjoint(self.vars):
+            return self._reembed(new_vars)
         images = []
         for i, v in enumerate(self.vars):
             if v in mapping:
@@ -295,6 +298,24 @@ class LaurentPolynomial:
             elif key in t:
                 del t[key]
         return LaurentPolynomial._from_terms(new_vars, t)
+
+    def _reembed(self, new_vars: tuple) -> "LaurentPolynomial":
+        """:meth:`transform` when every variable maps to itself: each
+        target slot picks a source exponent or a padded zero, and distinct
+        terms stay distinct."""
+        if new_vars == self.vars:
+            return self
+        pick = [len(self.vars)] * len(new_vars)   # the padded zero
+        for i, v in enumerate(self.vars):
+            pick[new_vars.index(v)] = i
+        zero = (0,)
+        if len(pick) == 1:
+            (j,) = pick
+            return LaurentPolynomial._from_terms(
+                new_vars, {((e + zero)[j],): c for e, c in self.terms.items()})
+        get = itemgetter(*pick)
+        return LaurentPolynomial._from_terms(
+            new_vars, {get(e + zero): c for e, c in self.terms.items()})
 
     def substitute(self, var: str, coef: Coef, exps: Sequence[int]) -> "LaurentPolynomial":
         """Substitute ``var -> coef * self.vars^exps`` within the same context."""

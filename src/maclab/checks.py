@@ -267,7 +267,7 @@ def check_h0(params, workers, exact):
             witnesses.append({"n": n, "WF": WF, "H0": h0v})
     for n in range(2, limit_n + 1):
         w = GLWeight((0,) * (n - 1))
-        H = H_limit(w, h_order, workers=workers)
+        H = H_limit(w, h_order)
         if H != expand(H0_closed(n), h_order):
             witnesses.append({"n": n, "error": "stable series != closed H0"})
     return _status(not witnesses, exact), witnesses
@@ -288,7 +288,7 @@ def check_hp(params, workers, exact):
     for n in range(2, max_n + 1):
         for lv in _dominant_weights(n, max_sum):
             w = GLWeight(lv)
-            H = H_limit(w, order, workers=workers)
+            H = H_limit(w, order)
             S = h_series(w, order)
             if H != S:
                 witnesses.append({"n": n, "weight": list(lv),
@@ -316,7 +316,7 @@ def check_vanishing(params, workers, exact):
         for lv in itertools.product(*([(-1, 0, 1)] * (n - 1))):
             if min(lv) != -1:
                 continue
-            H = H_limit(GLWeight(lv), order, workers=workers)
+            H = H_limit(GLWeight(lv), order)
             if not H.is_zero():
                 witnesses.append({"n": n, "weight": list(lv),
                                   "series": H.canonical_str()})
@@ -332,7 +332,7 @@ def check_chibq(params, workers, exact):
         for lv in weights:
             w = GLWeight(lv)
             a = chi_bQ_closed(w, order)
-            b = chi_bQ_localization(w, order, workers=workers)
+            b = chi_bQ_localization(w, order)
             if a != b:
                 witnesses.append({"n": n, "weight": list(lv),
                                   "diff": _series_diff(a, b)[:3]})

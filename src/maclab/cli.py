@@ -245,8 +245,7 @@ def main(argv=None) -> int:
             params = {"n": args.n, "weight": list(args.weight), "order": args.order,
                       "alpha_max": args.alpha_max}
             return _emit_series(
-                lambda: H_limit(weight, args.order, schedule=schedule,
-                                workers=args.parallelism),
+                lambda: H_limit(weight, args.order, schedule=schedule),
                 args, "global-h", params, cache)
         return _run_named_check(args.check, args)
 

@@ -198,7 +198,7 @@ def _C_glob(theta_key, n: int, w, inverted: bool) -> FactoredRational:
     return out
 
 
-def _localization_terms(alpha, weight: GLWeight, workers: int = 1) -> list:
+def _localization_terms(alpha, weight: GLWeight) -> list:
     """All flattened localization summands for the given degree, as
     factored rationals over the SL context."""
     n = weight.n
@@ -242,11 +242,11 @@ def euler_char_global(alpha, weight: GLWeight) -> FactoredRational:
     return total
 
 
-def euler_char_series(alpha, weight: GLWeight, order: int, workers: int = 1) -> QTSeries:
+def euler_char_series(alpha, weight: GLWeight, order: int) -> QTSeries:
     """(q,t)-expansion of the fixed-degree global character to the given
     order; certifies that all Weyl denominators cancel."""
     terms = _localization_terms(alpha, weight)
-    return expand_sum(terms, order, workers=workers)
+    return expand_sum(terms, order)
 
 
 def weyl_invariance_check(alpha, weight: GLWeight) -> dict:
@@ -269,15 +269,16 @@ def default_h_schedule(n: int, steps: int = 4) -> list:
     return [(k,) * (n - 1) for k in range(1, steps + 1)]
 
 
-def H_limit(weight: GLWeight, order: int, schedule=None, workers: int = 1,
+def H_limit(weight: GLWeight, order: int, schedule=None,
             require_stable: bool = True) -> QTSeries:
     """Stable (q,t)-expansion of the global characters along an
     increasing degree schedule; raises :class:`NotStabilized` when the
-    last two points disagree below the truncation order."""
+    last two points disagree below the truncation order.  Only the last
+    two schedule points are evaluated: the stability test reads no other."""
     n = weight.n
     if schedule is None:
         schedule = default_h_schedule(n)
-    series = [euler_char_series(a, weight, order, workers) for a in schedule]
+    series = [euler_char_series(a, weight, order) for a in schedule[-2:]]
     if len(series) >= 2 and series[-1] != series[-2]:
         if require_stable:
             raise NotStabilized(
@@ -508,8 +509,7 @@ def chi_bQ_closed(weight: GLWeight, order: int) -> QTSeries:
     return base.truncate(order)
 
 
-def chi_bQ_localization(weight: GLWeight, order: int, shell_margin: int = 2,
-                        workers: int = 1) -> QTSeries:
+def chi_bQ_localization(weight: GLWeight, order: int, shell_margin: int = 2) -> QTSeries:
     """The same character from torus fixed points on the arc space:
 
         sum_w z^{w weight} [ sum_theta C_theta(q^{-1}, t, wz) q^{<deg theta, weight>} ]
@@ -562,4 +562,4 @@ def chi_bQ_localization(weight: GLWeight, order: int, shell_margin: int = 2,
                     contributed = True
             shell += 1
             exhausted = 0 if contributed else exhausted + 1
-    return expand_sum(terms, order, workers=workers)
+    return expand_sum(terms, order)

@@ -272,19 +272,19 @@ def local_character(n: int, alpha, order: int, workers: int = 1) -> QTSeries:
     (see :func:`maclab.series.expand_sum`)."""
     thetas = theta_by_degree(n, alpha)
     values = pmap(_c_job, [(th, n) for th in thetas], workers)
-    return expand_sum(values, order, workers=workers)
+    return expand_sum(values, order)
 
 
 def verify_local_limit(n: int, order: int, schedule=None, workers: int = 1,
                        strict: bool = False) -> dict:
     """Stabilization of the fixed-degree characters along an increasing
     schedule in the far sector l_1 >> l_2 >> ... >> 0, and agreement of
-    the stable values with the infinite product."""
+    the stable values with the infinite product.  Only the last two
+    schedule points are evaluated: the stability test reads no other."""
     if schedule is None:
         schedule = default_schedule(n)
-    series = [local_character(n, a, order, workers) for a in schedule]
-    tail = series[-2:]
-    stabilized = len(series) >= 2 and tail[0] == tail[1]
+    series = [local_character(n, a, order, workers) for a in schedule[-2:]]
+    stabilized = len(series) >= 2 and series[0] == series[1]
     limit = J_infinity(n, order)
     matches = series[-1] == limit
     report = {
@@ -294,7 +294,7 @@ def verify_local_limit(n: int, order: int, schedule=None, workers: int = 1,
         "passed": bool(stabilized and matches),
     }
     if not stabilized:
-        report["witness"] = _series_diff(tail[0], tail[1]) if len(series) >= 2 else "short schedule"
+        report["witness"] = _series_diff(series[0], series[1]) if len(series) >= 2 else "short schedule"
         if strict:
             raise NotStabilized(f"last two schedule points disagree: {report['witness']}")
     elif not matches:

@@ -67,6 +67,10 @@ class QTSeries:
     def is_zero(self) -> bool:
         return not self.coeffs
 
+    def is_one(self) -> bool:
+        c0 = self.coeffs.get((0, 0))
+        return len(self.coeffs) == 1 and c0 is not None and c0.is_one()
+
     def min_total(self) -> int:
         return min((a + b for a, b in self.coeffs), default=0)
 
@@ -209,21 +213,74 @@ def _poly_to_qtseries(p: LaurentPolynomial, qt: Sequence[str], trunc: int) -> QT
     iq, it = vars.index(qt[0]), vars.index(qt[1])
     rest_idx = [i for i in range(len(vars)) if i not in (iq, it)]
     coeff_vars = tuple(vars[i] for i in rest_idx)
-    out = QTSeries(qt, coeff_vars, trunc)
+    # (a, b, z) determines e, so every z-exponent lands in its group once
+    groups: dict = {}
     for e, c in p.terms.items():
         a, b = e[iq], e[it]
         if a + b > trunc:
             continue
-        z = tuple(e[i] for i in rest_idx)
-        k = (a, b)
-        cur = out.coeffs.get(k)
-        mono = LaurentPolynomial.monomial(coeff_vars, z, c)
-        out.coeffs[k] = mono if cur is None else cur + mono
-    out.coeffs = {k: p2 for k, p2 in out.coeffs.items() if not p2.is_zero()}
+        g = groups.get((a, b))
+        if g is None:
+            g = groups[(a, b)] = {}
+        g[tuple(e[i] for i in rest_idx)] = c
+    out = QTSeries(qt, coeff_vars, trunc)
+    out.coeffs = {k: LaurentPolynomial._from_terms(coeff_vars, g) for k, g in groups.items()}
     return out
 
 
-def expand_split(fr: FactoredRational, trunc: int, qt: Sequence[str] = ("q", "t")):
+def _classify(p: LaurentPolynomial, iq: int, it: int) -> tuple:
+    """``(pure, lead)`` of a canonical factor for the (q,t)-grading:
+    ``pure`` when it has no (q,t)-content, and ``lead = (coef, exps)``
+    its unique term of minimal (q,t)-degree (None when that is not
+    unique)."""
+    degs = {e: e[iq] + e[it] for e in p.terms}
+    dmin = min(degs.values())
+    minimal = [e for e, d in degs.items() if d == dmin]
+    lead = (p.terms[minimal[0]], minimal[0]) if len(minimal) == 1 else None
+    return max(degs.values()) == 0, lead
+
+
+def _factor_series(memo: dict, key: tuple, p: LaurentPolynomial, m: int, lead,
+                   rel: int, qt: Sequence[str], coeff_vars: tuple) -> QTSeries:
+    """The factor ``p`` to the power ``m`` as a series exact up to total
+    degree ``rel``: a polynomial power for ``m > 0``, and for ``m < 0``
+    the geometric series of 1/(1 + tail/lead) to the power ``-m`` (the
+    leading monomial is taken out by the caller).  Memoised on
+    ``(key, m, rel)``."""
+    mkey = (key, m, rel)
+    out = memo.get(mkey)
+    if out is not None:
+        return out
+    unit = 1 if m > 0 else -1
+    if m != unit:
+        base = _factor_series(memo, key, p, unit, lead, rel, qt, coeff_vars)
+        out = base
+        for _ in range(abs(m) - 1):
+            out = out * base
+            out.trunc = rel
+    elif m > 0:
+        out = _poly_to_qtseries(p, qt, rel)
+    else:
+        # 1/(lead + tail) = lead^-1 * 1/(1 + tail/lead)
+        c0, e0 = lead
+        tail = LaurentPolynomial._from_terms(
+            p.vars, {e: c for e, c in p.terms.items() if e != e0})
+        h = tail.shift(tuple(-x for x in e0)).scale(_norm_coef(Fraction(1) / c0))
+        neg_h = -_poly_to_qtseries(h, qt, rel)
+        out = QTSeries.one(qt, coeff_vars, rel)
+        pw = out
+        for _ in range(rel):
+            pw = pw * neg_h
+            pw.trunc = rel
+            if pw.is_zero():
+                break
+            out = out + pw
+    memo[mkey] = out
+    return out
+
+
+def expand_split(fr: FactoredRational, trunc: int, qt: Sequence[str] = ("q", "t"),
+                 _memo: dict | None = None):
     """Expand ``fr`` as a truncated (q,t)-series, splitting off the part
     that cannot be expanded.
 
@@ -235,79 +292,69 @@ def expand_split(fr: FactoredRational, trunc: int, qt: Sequence[str] = ("q", "t"
 
     Raises :class:`DenominatorNotUnit` for denominator factors whose
     (q,t)-minimal part is neither a monomial nor purely coefficient-side.
+
+    ``_memo`` lets :func:`expand_sum` share factor classifications and
+    factor series between the terms of one sum; it maps a canonical
+    factor key to :func:`_classify`'s result and ``(key, mult, rel)`` to
+    :func:`_factor_series`'s.
     """
     vars = fr.vars
-    if fr.is_zero():
-        return FactoredRational.one(vars), QTSeries(qt, _coeff_vars(vars, qt), trunc)
-    iq, it = vars.index(qt[0]), vars.index(qt[1])
     coeff_vars = _coeff_vars(vars, qt)
+    if fr.is_zero():
+        return FactoredRational.one(vars), QTSeries(qt, coeff_vars, trunc)
+    memo = {} if _memo is None else _memo
+    iq, it = vars.index(qt[0]), vars.index(qt[1])
+    z_idx = [i for i in range(len(vars)) if i not in (iq, it)]
 
-    unit_shift = [fr.exps[iq], fr.exps[it]]
-    unit_zexp = [e for i, e in enumerate(fr.exps) if i not in (iq, it)]
     unit_coef = fr.coef
+    shift_q, shift_t = fr.exps[iq], fr.exps[it]
+    unit_zexp = [fr.exps[i] for i in z_idx]
     rest_factors = []
-    poly_factors = []   # (poly, positive mult)
-    inv_factors = []    # (lead monomial (coef, exps), tail poly, mult>0)
-
-    for p, m in fr.factors:
-        degs = {e: e[iq] + e[it] for e in p.terms}
-        dmin = min(degs.values())
-        minimal = [e for e, d in degs.items() if d == dmin]
-        if max(degs.values()) == 0:
-            # purely coefficient-side factor
-            if m > 0:
-                poly_factors.append((p, m))
-            else:
-                rest_factors.append((p, m))
-            continue
+    # (key, poly, mult, lead), in the fixed order: numerator factors, then
+    # denominator factors, each sorted by key (this order keeps the
+    # partial products small)
+    num_factors = []
+    den_factors = []
+    for key, (p, m) in sorted(fr._fmap.items()):
+        info = memo.get(key)
+        if info is None:
+            info = memo[key] = _classify(p, iq, it)
+        pure, lead = info
         if m > 0:
-            poly_factors.append((p, m))
-            continue
-        if len(minimal) != 1:
+            num_factors.append((key, p, m, None))
+        elif pure:
+            rest_factors.append((p, m))
+        elif lead is None:
             raise DenominatorNotUnit(
-                f"denominator factor has non-monomial minimal part: {p.canonical_str()}"
-            )
-        lead = minimal[0]
-        c0 = p.terms[lead]
-        tail = LaurentPolynomial(vars, {e: c for e, c in p.terms.items() if e != lead})
-        inv_factors.append(((c0, lead), tail, -m))
+                f"denominator factor has non-monomial minimal part: {p.canonical_str()}")
+        else:
+            den_factors.append((key, p, m, lead))
+            c0, e0 = lead
+            unit_coef = _norm_coef(unit_coef * _norm_coef(Fraction(1) / c0) ** -m)
+            shift_q += m * e0[iq]
+            shift_t += m * e0[it]
+            for j, i in enumerate(z_idx):
+                unit_zexp[j] += m * e0[i]
+    # relative order: the unit part, with inverted leading monomials, is
+    # a (q,t)-shift of total degree shift_q + shift_t
+    rel = trunc - shift_q - shift_t
 
-    # total (q,t)-shift of the unit part, including inverted leading monomials
-    shift = unit_shift[0] + unit_shift[1]
-    for (c0, lead), _tail, k in inv_factors:
-        shift -= k * (lead[iq] + lead[it])
-    rel = trunc - shift
-
-    series = QTSeries.one(qt, coeff_vars, rel)
-    for p, m in poly_factors:
-        base = _poly_to_qtseries(p, qt, rel)
-        for _ in range(m):
-            series = series * base
-            series.trunc = rel
-    for (c0, lead), tail, k in inv_factors:
-        # 1/(lead + tail) = lead^-1 * 1/(1 + tail/lead)
-        inv_lead_coef = _norm_coef(Fraction(1) / c0)
-        h = tail.shift(tuple(-x for x in lead)).scale(inv_lead_coef)
-        hs = _poly_to_qtseries(h, qt, rel)
-        geom = QTSeries.one(qt, coeff_vars, rel)
-        pw = QTSeries.one(qt, coeff_vars, rel)
-        for _ in range(rel if rel > 0 else 0):
-            pw = pw * (-hs)
-            pw.trunc = rel
-            if pw.is_zero():
-                break
-            geom = geom + pw
-        for _ in range(k):
-            series = series * geom
-            series.trunc = rel
-        unit_coef = _norm_coef(unit_coef * _norm_coef(Fraction(1) / c0) ** k)
-        unit_shift[0] -= k * lead[iq]
-        unit_shift[1] -= k * lead[it]
-        for j, i2 in enumerate(i for i in range(len(vars)) if i not in (iq, it)):
-            unit_zexp[j] -= k * lead[i2]
+    series = None
+    if rel >= 0:  # below that every series is empty
+        for key, p, m, lead in num_factors + den_factors:
+            f = _factor_series(memo, key, p, m, lead, rel, qt, coeff_vars)
+            if f.is_one():
+                continue
+            if series is None:
+                series = f
+            else:
+                series = series * f
+                series.trunc = rel
+    if series is None:
+        series = QTSeries.one(qt, coeff_vars, rel)
 
     series = series.scale(unit_coef)
-    series = series.shift(unit_shift[0], unit_shift[1])
+    series = series.shift(shift_q, shift_t)
     series.trunc = trunc
     series.coeffs = {k2: v for k2, v in series.coeffs.items() if k2[0] + k2[1] <= trunc}
     if any(unit_zexp):
@@ -337,41 +384,54 @@ class NonPolynomialCoefficient(ArithmeticError):
     polynomial: the poles of the individual terms did not cancel."""
 
 
-def _expand_split_job(args):
-    fr, trunc, qt = args
-    return expand_split(fr, trunc, qt)
-
-
-def expand_sum(terms, trunc: int, qt: Sequence[str] = ("q", "t"),
-               workers: int = 1) -> QTSeries:
+def expand_sum(terms, trunc: int, qt: Sequence[str] = ("q", "t")) -> QTSeries:
     """Expand a finite sum of factored rationals as a (q,t)-series.
 
     Individual terms may carry purely coefficient-side poles (for
     instance Weyl denominators 1 - z_i/z_j); those parts are kept as
     exact rational multipliers per coefficient and must cancel in the
-    total, which is certified by exact division at the end.  The
-    per-term expansions may run on a worker pool; the accumulation is
-    always a sequential fold in input order.
-    """
-    from .parallel import pmap
+    total, which is certified by exact division at the end.
 
+    The terms of a localization sum share a small set of factors, so each
+    distinct factor power is expanded once per call (see
+    :func:`expand_split`).  The fold first adds the coefficient
+    polynomials of all terms with the same (q,t)-degree and the same pole
+    part, then lifts each such group once to a factored rational over its
+    poles and adds the groups.
+    """
     terms = [fr for fr in terms if not fr.is_zero()]
     if not terms:
         raise ValueError("empty sum")
     vars = terms[0].vars
     coeff_vars = _coeff_vars(vars, qt)
-    splits = pmap(_expand_split_job, [(fr, trunc, tuple(qt)) for fr in terms], workers)
-    acc: dict = {}
-    for rest, ser in splits:
+    memo: dict = {}
+    groups: dict = {}   # ((a, b), pole key) -> (rest, coefficient terms)
+    for fr in terms:
+        rest, ser = expand_split(fr, trunc, qt, _memo=memo)
+        pole = tuple(sorted((k, m) for k, (_p, m) in rest._fmap.items()))
         for key, poly in ser.coeffs.items():
-            lifted = FactoredRational.from_poly(poly.transform(vars, {}))
-            contrib = rest * lifted
-            if key in acc:
-                acc[key] = acc[key] + contrib
-            else:
-                acc[key] = contrib
+            g = groups.get((key, pole))
+            if g is None:
+                groups[(key, pole)] = (rest, dict(poly.terms))
+                continue
+            acc_terms = g[1]
+            get = acc_terms.get
+            for e, c in poly.terms.items():
+                s = get(e, 0) + c
+                if s:
+                    acc_terms[e] = _norm_coef(s)
+                else:
+                    del acc_terms[e]
+    acc: dict = {}
+    for (key, _pole), (rest, t) in groups.items():
+        if not t:
+            continue
+        poly = LaurentPolynomial._from_terms(coeff_vars, t).transform(vars, {})
+        contrib = rest * FactoredRational.from_poly(poly)
+        acc[key] = acc[key] + contrib if key in acc else contrib
     out = QTSeries(qt, coeff_vars, trunc)
     drop = {v: (1, (0,) * len(coeff_vars)) for v in qt}
+    qt_idx = [vars.index(v) for v in qt]
     for key, fr in sorted(acc.items()):
         if fr.is_zero():
             continue
@@ -383,7 +443,6 @@ def expand_sum(terms, trunc: int, qt: Sequence[str] = ("q", "t"),
                 f"{fr.canonical_str()}") from exc
         if poly.is_zero():
             continue
-        qt_idx = [vars.index(v) for v in qt]
         if any(e[i] for e in poly.terms for i in qt_idx):
             raise NonPolynomialCoefficient(
                 f"coefficient at {key} still involves the graded variables")

@@ -232,3 +232,24 @@ def test_expand_matches_sympy_series(data):
     graded = to_sympy(fr).subs({q: eps * q, t: eps * t}, simultaneous=True)
     theirs = sympy.series(graded, eps, 0, trunc + 1).removeO().subs(eps, 1)
     assert same_poly(mine, theirs)
+
+
+# -- re-embedding into another context ----------------------------------------------
+
+
+@oracle
+@given(st.data())
+def test_reembedding_matches_the_general_transform(data):
+    vars = data.draw(contexts)
+    p = data.draw(polys(vars))
+    extra = data.draw(st.lists(st.sampled_from(["z2", "z3", "s"]), unique=True))
+    target = tuple(data.draw(st.permutations(list(vars) + extra)))
+    # naming every variable's own image forces the general substitution loop
+    unit = {v: (1, tuple(int(w == v) for w in target)) for v in vars}
+    fast = p.transform(target, {})
+    assert fast.vars == target
+    assert fast == p.transform(target, unit)
+    assert fast.transform(target, {}) is fast
+    # a variable with no place in the target is an error on both paths
+    with pytest.raises(ValueError):
+        p.transform(vars[1:], {})

@@ -111,6 +111,22 @@ def test_H_limit_raises_on_unstable_schedule():
         H_limit(GLWeight((0,)), 2, schedule=[(0,), (1,)])
 
 
+def test_H_limit_evaluates_only_the_last_two_schedule_points(monkeypatch):
+    import maclab.euler
+
+    seen = []
+    real = maclab.euler.euler_char_series
+
+    def spy(alpha, weight, order):
+        seen.append(tuple(alpha))
+        return real(alpha, weight, order)
+
+    monkeypatch.setattr(maclab.euler, "euler_char_series", spy)
+    w = GLWeight((1,))
+    assert H_limit(w, 2) == h_series(w, 2)
+    assert seen == [(3,), (4,)]
+
+
 def test_K_examples():
     one = LaurentPolynomial.one(QT)
     q = LaurentPolynomial.var(QT, "q")

@@ -102,6 +102,23 @@ def test_short_schedule_is_reported_unstable():
     assert rep["witness"]
 
 
+def test_only_the_last_two_schedule_points_are_evaluated(monkeypatch):
+    import maclab.laumon
+
+    seen = []
+    real = maclab.laumon.local_character
+
+    def spy(n, alpha, order, workers=1):
+        seen.append(tuple(alpha))
+        return real(n, alpha, order, workers)
+
+    monkeypatch.setattr(maclab.laumon, "local_character", spy)
+    schedule = [(1,), (2,), (3,), (4,)]
+    rep = verify_local_limit(2, 2, schedule=schedule)
+    assert seen == [(3,), (4,)]
+    assert rep["schedule"] == [[1], [2], [3], [4]] and rep["passed"]
+
+
 def test_strict_mode_raises_on_unstable_schedule():
     import pytest
     from maclab.laumon import NotStabilized

@@ -1,0 +1,92 @@
+"""expand_sum against independent per-term expansions.
+
+expand_sum expands each distinct factor power once per call and reuses it
+across terms, and folds the terms by their pole part; these tests pin
+both to the plain per-term result.
+"""
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from maclab.algebra import FactoredRational, LaurentPolynomial
+from maclab.series import NonPolynomialCoefficient, QTSeries, expand, expand_sum
+
+VARS = ("q", "t", "z1", "z2")
+
+coefs = st.integers(-3, 3).filter(lambda c: c != 0)
+
+
+@st.composite
+def numerators(draw):
+    terms = draw(st.dictionaries(
+        st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(-1, 1), st.integers(-1, 1)),
+        coefs, min_size=1, max_size=4))
+    return LaurentPolynomial(VARS, terms)
+
+
+@st.composite
+def unit_denominators(draw):
+    """A factor with one term c z^k of (q,t)-degree 0 and a tail of
+    positive (q,t)-degree: its inverse expands as a (q,t)-series."""
+    lead = (0, 0) + draw(st.tuples(st.integers(-1, 1), st.integers(-1, 1)))
+    terms = draw(st.dictionaries(
+        st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(-1, 1),
+                  st.integers(-1, 1)).filter(lambda e: e[0] + e[1] > 0),
+        coefs, min_size=1, max_size=2))
+    terms[lead] = draw(coefs)
+    return LaurentPolynomial(VARS, terms)
+
+
+@st.composite
+def shared_factor_sums(draw):
+    """Terms built from one small pool of factors, each with its own unit
+    monomial, so one factor is expanded at several relative orders."""
+    nums = draw(st.lists(numerators(), min_size=1, max_size=2))
+    dens = draw(st.lists(unit_denominators(), min_size=1, max_size=2))
+    terms = []
+    for _ in range(draw(st.integers(1, 5))):
+        factors = [(p, draw(st.integers(0, 2))) for p in nums]
+        factors += [(p, -draw(st.integers(0, 2))) for p in dens]
+        unit = draw(st.tuples(st.integers(-1, 2), st.integers(0, 2),
+                              st.integers(-1, 1), st.integers(-1, 1)))
+        terms.append(FactoredRational(VARS, draw(coefs), unit, factors))
+    return terms
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(shared_factor_sums(), st.integers(0, 3))
+def test_expand_sum_equals_the_sum_of_expansions(terms, trunc):
+    expected = QTSeries.zero(("q", "t"), VARS[2:], trunc)
+    for fr in terms:
+        expected = expected + expand(fr, trunc)
+    assert expand_sum(terms, trunc) == expected
+
+
+W = ("q", "t", "z1")
+
+
+def _poly(terms):
+    return LaurentPolynomial(W, terms)
+
+
+def _pole_pair(z_coef):
+    """1/(1 - z1) and (t (1 - z1^2) - 1 + z_coef z1)/(1 - z1^2): two terms
+    with different z-only denominators, summing to t when z_coef = -1."""
+    a = FactoredRational(W, 1, None, [(_poly({(0, 0, 0): 1, (0, 0, 1): -1}), -1)])
+    num = _poly({(0, 1, 0): 1, (0, 1, 2): -1, (0, 0, 0): -1, (0, 0, 1): z_coef})
+    b = FactoredRational(W, 1, None, [(num, 1), (_poly({(0, 0, 0): 1, (0, 0, 2): -1}), -1)])
+    return [a, b]
+
+
+def test_cancelling_poles_of_different_denominators_give_a_polynomial():
+    a, b = _pole_pair(-1)
+    poles = [[p for p, m in fr.factors if m < 0] for fr in (a, b)]
+    assert poles[0] != poles[1]
+    series = expand_sum([a, b], 2)
+    assert series == QTSeries(("q", "t"), ("z1",), 2, {(0, 1): LaurentPolynomial.one(("z1",))})
+
+
+def test_uncancelled_poles_of_different_denominators_raise():
+    with pytest.raises(NonPolynomialCoefficient):
+        expand_sum(_pole_pair(-2), 2)
