@@ -169,6 +169,24 @@ def _weyl_factor(n: int, w) -> FactoredRational:
 
 _c_cache: dict = {}
 
+# One polynomial object per distinct canonical factor of the _c_cache
+# entries, keyed on (context, factor key).  The C_theta values share
+# most of their factors (at N = 3, 93 distinct factors make up more
+# than 10,000 factor occurrences), so the entries point into this
+# table instead of each keeping its own copies.
+_c_factors: dict = {}
+
+
+def _shared_factors(fr: FactoredRational) -> FactoredRational:
+    """``fr`` with every factor replaced by its object in _c_factors."""
+    if not fr._fmap:
+        return fr
+    fmap = {}
+    for key, (poly, mult) in fr._fmap.items():
+        key, poly = _c_factors.setdefault((fr.vars, key), (key, poly))
+        fmap[key] = (poly, mult)
+    return FactoredRational._from_map(fr.vars, fr.coef, fr.exps, fmap)
+
 
 def _C_glob(theta_key, n: int, w, inverted: bool) -> FactoredRational:
     """C_theta with z -> wz (and optionally q -> 1/q), pushed to the SL
@@ -190,10 +208,11 @@ def _C_glob(theta_key, n: int, w, inverted: bool) -> FactoredRational:
             e = [0] * len(lv)
             e[0] = -1
             base = base.substitute("q", 1, e)
+        base = _shared_factors(base)
         _c_cache[base_key] = base
     gv = glob_vars(n)
     mapping = {f"z{i}": (1, _wslot_exp(n, i, w)) for i in range(1, n + 1)}
-    out = base.transform(gv, mapping)
+    out = _shared_factors(base.transform(gv, mapping))
     _c_cache[key] = out
     return out
 

@@ -176,3 +176,22 @@ def test_chi_bQ():
     s = chi_bQ_closed(w3, 1)
     assert s.coeffs[(0, 0)].constant_coef() == 1
     assert s.coeffs[(0, 1)].constant_coef() == 2   # 3 (from H0) - 1 (from (t;q)_inf)
+
+
+def test_c_glob_entries_share_factor_objects():
+    # the cached C_theta values keep one object per distinct factor and
+    # equal the unshared substitution
+    from maclab import euler
+    from maclab.laumon import C_theta
+    from maclab.tableaux import theta_by_degree
+
+    n, gv = 3, euler.glob_vars(3)
+    seen = {}
+    for w in [(1, 2, 3), (3, 1, 2)]:
+        mapping = {f"z{i}": (1, euler._wslot_exp(n, i, w)) for i in range(1, n + 1)}
+        for th in theta_by_degree(n, (1, 2)):
+            got = euler._C_glob(th.entry_list(), n, w, False)
+            assert got == C_theta(th, n).transform(gv, mapping)
+            for key, (poly, _) in got._fmap.items():
+                assert seen.setdefault(key, poly) is poly
+    assert len(seen) > 1
