@@ -4,8 +4,9 @@ The operands are the ones ``macdonald.apply_D1N`` meets at N = 4 on
 P_(4,1), the largest cleared polynomial of ``eigen``'s default range
 (2672 terms):
 
-* ``__mul__``: the 24-term factor prod_{j != 1} (s y_1 - y_j) times the
-  Vandermonde complement, times T_{q,y_1} P (24 x 2672 terms);
+* ``__mul__``: the one product ``apply_D1N`` builds per call, the
+  24-term factor prod_{j != 1} (s y_1 - y_j) times the Vandermonde
+  complement, times T_{q,y_1} P (24 x 2672 terms);
 * ``divide_exact``: the operator output over the full Vandermonde,
   eps * P * prod_{a<b} (y_a - y_b), divided by its first factor
   y_1 - y_2.

@@ -11,7 +11,9 @@ Subcommands mirror the library layers:
   maclab global verify cordiff|hp|chibq ...
   maclab verify <check> ...                      any registered check
 
-Exit status is 0 iff every requested check PASSED.  Reports printed to
+Exit status is 0 iff every requested check PASSED; a series whose
+stabilization schedule does not settle prints a one-line error to stderr,
+is not cached, and exits 1.  Reports printed to
 stdout are canonical (timing goes to stderr), so outputs are
 byte-identical across parallelism levels and cache states.
 """
@@ -25,6 +27,7 @@ import sys
 from . import __version__
 from .cache import ResultCache
 from .checks import check_names, run_check
+from .laumon import NotStabilized
 from .reports import Status
 
 __all__ = ["main"]
@@ -188,6 +191,14 @@ def _run_named_check(name: str, args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    try:
+        return _dispatch(args)
+    except NotStabilized as exc:
+        print(f"maclab: not stabilized: {exc}", file=sys.stderr)
+        return 1
+
+
+def _dispatch(args) -> int:
     if args.command == "checks":
         from .checks import CHECKS
         for name in check_names():

@@ -18,12 +18,15 @@ P_lambda is sum_i q^{lambda_i} s^{N-i}.
 
 from __future__ import annotations
 
+from itertools import permutations
+from operator import itemgetter
 from typing import Sequence
 
 from .algebra import (
     ExactDivisionError,
     FactoredRational,
     LaurentPolynomial,
+    _norm_coef,
     rational_eq,
 )
 from .parallel import pmap
@@ -111,12 +114,13 @@ class SymmetricPolynomial:
         for p, m in den_factors.values():
             den = den * p ** m
         den_fr = FactoredRational(QS, 1, None, [(p, m) for p, m in den_factors.values()])
-        out = LaurentPolynomial.zero(vars)
+        # distinct partitions give disjoint y-monomials: no term collides
+        terms: dict = {}
         for mu, c in self.mcoeffs.items():
             cleared = (c * den_fr).to_laurent()
             cq = cleared.transform(vars, {})
-            out = out + cq * monomial_symmetric(mu, self.n)
-        return out, den
+            terms.update((cq * monomial_symmetric(mu, self.n)).terms)
+        return LaurentPolynomial._from_terms(vars, terms), den
 
     def to_json_obj(self) -> dict:
         return {
@@ -139,18 +143,9 @@ def monomial_symmetric(mu, n: int) -> LaurentPolynomial:
     mu = Partition(mu)
     if len(mu) > n:
         raise ValueError("partition has more parts than variables")
-    vars = mac_vars(n)
     base = tuple(mu) + (0,) * (n - len(mu))
-    seen = set()
-    out = LaurentPolynomial.zero(vars)
-    from itertools import permutations
-
-    for perm in permutations(base):
-        if perm in seen:
-            continue
-        seen.add(perm)
-        out = out + LaurentPolynomial.monomial(vars, (0, 0) + perm)
-    return out
+    return LaurentPolynomial._from_terms(
+        mac_vars(n), dict.fromkeys(((0, 0) + perm for perm in permutations(base)), 1))
 
 
 def psi_T(theta: ThetaMatrix, lam) -> FactoredRational:
@@ -229,41 +224,67 @@ def eigenvalue(lam, n: int) -> LaurentPolynomial:
 
 
 def apply_D1N(f: LaurentPolynomial, n: int) -> LaurentPolynomial:
-    """The q-difference operator sum_i prod_{j != i} (s y_i - y_j)/(y_i - y_j) T_{q, y_i}.
+    """The q-difference operator sum_i prod_{j != i} (s y_i - y_j)/(y_i - y_j) T_{q, y_i}
+    on a symmetric polynomial f over (q, s, y_1..y_N).
 
-    The input is a polynomial over (q, s, y_1..y_N); all terms are put
-    over the common denominator prod_{j<k} (y_j - y_k), which must divide
-    the result exactly (it does precisely on symmetric inputs)."""
+    With V = prod_{a<b} (y_a - y_b), summand i of V * D f is the
+    transposition (y_1 y_i) of summand 1 with its sign flipped, because f
+    is symmetric:
+
+        V * D f = S_1 - sum_{i >= 2} tau_{1i}(S_1),
+        S_1 = prod_{j >= 2} (s y_1 - y_j) * prod_{2 <= a < b} (y_a - y_b) * T_{q,y_1} f.
+
+    So one q-shift and one product are built, their N - 1 relabelled
+    copies are folded into a single sum, and V is divided out exactly,
+    one factor at a time.
+
+    Raises :class:`DenominatorSurvives` naming ``(y1 - yb)`` when f is not
+    invariant under y_1 <-> y_b (checked for b = 2..N before any product
+    is built), or naming ``(ya - yb)`` when that factor of V leaves a
+    remainder."""
     vars = mac_vars(n)
     if f.vars != vars:
         raise ValueError("input not over the Macdonald context")
+    terms = f.terms
+    swaps = []
+    for b in range(2, n + 1):
+        idx = list(range(len(vars)))
+        idx[2], idx[b + 1] = b + 1, 2   # y1 sits at slot 2, yb at slot b + 1
+        swap = itemgetter(*idx)
+        if any(terms.get(swap(e)) != c for e, c in terms.items()):
+            raise DenominatorSurvives(
+                f"input is not symmetric under y1 <-> y{b}, so the "
+                f"denominator (y1 - y{b}) does not cancel")
+        swaps.append(swap)
 
     def y(i):
         return LaurentPolynomial.var(vars, f"y{i}")
 
-    s_mono = LaurentPolynomial.var(vars, "s")
-    total = LaurentPolynomial.zero(vars)
-    for i in range(1, n + 1):
-        # T_{q,y_i} f
-        e = [0] * len(vars)
-        e[0] = 1
-        e[vars.index(f"y{i}")] = 1
-        tf = f.substitute(f"y{i}", 1, e)
-        # numerator prod_{j != i} (s y_i - y_j)
-        num = LaurentPolynomial.one(vars)
-        for j in range(1, n + 1):
-            if j != i:
-                num = num * (s_mono * y(i) - y(j))
-        # Vandermonde complement: prod over pairs not containing i, with
-        # the sign of prod_{j<i} (y_j - y_i) relative to (y_i - y_j)
-        comp = LaurentPolynomial.one(vars)
-        for a in range(1, n + 1):
-            for b in range(a + 1, n + 1):
-                if a != i and b != i:
-                    comp = comp * (y(a) - y(b))
-        sign = 1 if (i - 1) % 2 == 0 else -1
-        term = num * comp * tf
-        total = total + (term if sign == 1 else -term)
+    shift = [0] * len(vars)
+    shift[0] = shift[2] = 1
+    tf = f.substitute("y1", 1, shift)   # T_{q,y_1} f
+    s_y1 = LaurentPolynomial.var(vars, "s") * y(1)
+    factor = LaurentPolynomial.one(vars)
+    for j in range(2, n + 1):
+        factor = factor * (s_y1 - y(j))
+    for a in range(2, n + 1):
+        for b in range(a + 1, n + 1):
+            factor = factor * (y(a) - y(b))
+    s1 = factor * tf
+    del tf
+    acc = dict(s1.terms)
+    get = acc.get
+    for swap in swaps:
+        for e, c in s1.terms.items():
+            k = swap(e)
+            v = get(k, 0) - c
+            if v:
+                acc[k] = _norm_coef(v)
+            else:
+                # c != 0, so a zero difference cancels an existing term
+                del acc[k]
+    del s1   # freed before the divisions, which need only the folded sum
+    total = LaurentPolynomial._from_terms(vars, acc)
     for a in range(1, n + 1):
         for b in range(a + 1, n + 1):
             try:

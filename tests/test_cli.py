@@ -59,6 +59,17 @@ def test_global_h_series(capsys):
     assert degs == {(0, 0), (1, 0), (2, 0)}
 
 
+def test_global_h_not_stabilized_exits_1(tmp_path, capsys):
+    # weight 2 at order 3 needs more than three schedule points
+    code, out, err = run_cli(capsys, "global", "h", "--n", "2", "--weight", "2",
+                             "--order", "3", "--alpha-max", "3",
+                             "--cache-dir", str(tmp_path))
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and "not stabilized" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_top_level_verify_and_aliases(capsys):
     code, out, _ = run_cli(capsys, "verify", "substitution", "--n", "2",
                            "--degree", "2", "--output", "json", "--no-cache")

@@ -1,8 +1,12 @@
 """Macdonald polynomials: tableau sum, difference operator, oracle, Pieri."""
 
 import re
+from fractions import Fraction
+from itertools import permutations
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from maclab.algebra import FactoredRational, LaurentPolynomial, rational_eq
 from maclab.euler import GLWeight, _zsum, glob_vars, macdonald_in_z
@@ -97,6 +101,75 @@ def test_apply_D1N_rejects_asymmetric_on_long_chains(exps, pair):
     f = LaurentPolynomial.monomial(v, (0, 0) + exps)
     with pytest.raises(DenominatorSurvives, match=re.escape(pair)):
         apply_D1N(f, 3)
+
+
+def apply_D1N_reference(f, n):
+    """The operator by its general formula: all N summands over the full
+    Vandermonde V = prod_{a<b} (y_a - y_b), then V divided out; summand i
+    is prod_{j != i} (s y_i - y_j) times the pairs of V without i, signed
+    by prod_{j<i} (y_j - y_i) relative to (y_i - y_j), times T_{q,y_i} f."""
+    vars = mac_vars(n)
+
+    def y(i):
+        return LaurentPolynomial.var(vars, f"y{i}")
+
+    s_mono = LaurentPolynomial.var(vars, "s")
+    total = LaurentPolynomial.zero(vars)
+    for i in range(1, n + 1):
+        e = [0] * len(vars)
+        e[0] = 1
+        e[vars.index(f"y{i}")] = 1
+        tf = f.substitute(f"y{i}", 1, e)
+        num = LaurentPolynomial.one(vars)
+        for j in range(1, n + 1):
+            if j != i:
+                num = num * (s_mono * y(i) - y(j))
+        comp = LaurentPolynomial.one(vars)
+        for a in range(1, n + 1):
+            for b in range(a + 1, n + 1):
+                if a != i and b != i:
+                    comp = comp * (y(a) - y(b))
+        term = num * comp * tf
+        total = total + (term if (i - 1) % 2 == 0 else -term)
+    for a in range(1, n + 1):
+        for b in range(a + 1, n + 1):
+            total = total.divide_exact(y(a) - y(b))
+    return total
+
+
+@st.composite
+def symmetric_polys(draw):
+    """A few random terms over (q, s, y_1..y_n), n = 1..4, each summed over
+    every permutation of its y-exponents."""
+    n = draw(st.integers(1, 4))
+    coefs = st.one_of(st.integers(-3, 3),
+                      st.fractions(min_value=-2, max_value=2, max_denominator=3))
+    seeds = draw(st.dictionaries(st.tuples(*[st.integers(0, 2)] * (2 + n)),
+                                 coefs.filter(bool), min_size=1, max_size=3))
+    terms: dict = {}
+    for e, c in seeds.items():
+        for perm in permutations(e[2:]):
+            k = e[:2] + perm
+            terms[k] = terms.get(k, 0) + Fraction(c)
+    return n, LaurentPolynomial(mac_vars(n), terms)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(symmetric_polys())
+def test_apply_D1N_matches_general_formula(case):
+    n, f = case
+    assert apply_D1N(f, n) == apply_D1N_reference(f, n)
+
+
+def test_apply_D1N_rejects_asymmetric_input_the_reference_divides():
+    # -q y1^3 + (q^2 + q + 1) y1^2 y2: V divides the general formula's sum,
+    # but the operator is defined on symmetric polynomials only
+    v = mac_vars(2)
+    f = LaurentPolynomial(v, {(1, 0, 3, 0): -1, (2, 0, 2, 1): 1,
+                              (1, 0, 2, 1): 1, (0, 0, 2, 1): 1})
+    assert not apply_D1N_reference(f, 2).is_zero()
+    with pytest.raises(DenominatorSurvives, match=re.escape("(y1 - y2)")):
+        apply_D1N(f, 2)
 
 
 def test_eigen_identity_small():
