@@ -1,0 +1,58 @@
+"""Microbenchmark of the Pochhammer layer: the closed form of ``cn``.
+
+``c_N_closed`` over the theta grid that ``cn`` scans at N = 4 with
+entries 0..1 (64 matrices), each value a product of finite q-Pochhammer
+ratios.  Every value must equal ``c_N_recursive``.
+
+The cold case starts each round from an empty Pochhammer cache, as one
+``cn`` run in a fresh process does; the warm case reuses the cache
+filled by earlier rounds, as a long-lived process does.  Where
+``qcalc.pochhammer`` has no cache the two cases time the same work.
+
+Not part of the test suite.  Run with
+
+    PYTHONPATH=src python -m pytest benchmarks --benchmark-only
+"""
+
+import itertools
+
+import pytest
+
+from maclab import qcalc
+from maclab.algebra import rational_eq
+from maclab.baker import c_N_closed, c_N_recursive
+from maclab.tableaux import ThetaMatrix
+
+N = 4
+MAX_ENTRY = 1
+PAIRS = [(i, j) for i in range(1, N) for j in range(i + 1, N + 1)]
+THETAS = [ThetaMatrix(N, dict(zip(PAIRS, vals)))
+          for vals in itertools.product(range(MAX_ENTRY + 1), repeat=len(PAIRS))]
+
+
+def closed_grid():
+    return [c_N_closed(th, N) for th in THETAS]
+
+
+def clear_cache():
+    cache = getattr(qcalc, "_pochhammer", None)
+    if cache is not None:
+        cache.cache_clear()
+
+
+@pytest.fixture(scope="module")
+def recursive():
+    return [c_N_recursive(th, N) for th in THETAS]
+
+
+def check(values, recursive):
+    assert len(values) == 64
+    assert all(rational_eq(a, b) for a, b in zip(values, recursive))
+
+
+def test_c_N_closed_cn_grid_cold(benchmark, recursive):
+    check(benchmark.pedantic(closed_grid, setup=clear_cache, rounds=10), recursive)
+
+
+def test_c_N_closed_cn_grid_warm(benchmark, recursive):
+    check(benchmark(closed_grid), recursive)

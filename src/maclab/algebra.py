@@ -415,7 +415,11 @@ class LaurentPolynomial:
         for k, c in self.terms.items():
             if shift:
                 k = tuple(map(sub, k, ea))
-            buckets[k[i0] // s - lo][k] = c if inv == 1 else _norm_coef(c * inv)
+            if inv != 1:
+                c = c * inv
+                if type(c) is Fraction and c.denominator == 1:
+                    c = c.numerator
+            buckets[k[i0] // s - lo][k] = c
         quotient: dict = {}
         for cur, nxt in zip(buckets, buckets[1:]):
             quotient.update(cur)
@@ -424,7 +428,8 @@ class LaurentPolynomial:
                 k2 = tuple(map(add, k, e))
                 v = get(k2, 0) - d * w
                 if v:
-                    nxt[k2] = _norm_coef(v)
+                    # _norm_coef inlined: most coefficients are ints
+                    nxt[k2] = v.numerator if type(v) is Fraction and v.denominator == 1 else v
                 else:
                     # d * w != 0, so a zero result cancels an existing term
                     del nxt[k2]
@@ -641,7 +646,25 @@ class FactoredRational:
         )
 
     def __truediv__(self, other: "FactoredRational") -> "FactoredRational":
-        return self * other.inverse()
+        if other.is_zero():
+            raise ZeroDivisionError("division by zero")
+        self._check(other)
+        if self.is_zero():
+            return self
+        fmap = dict(self._fmap)
+        for key, (p, m) in other._fmap.items():
+            _merge_factor(fmap, key, p, -m)
+        a, b = self.coef, other.coef
+        if type(a) is int and type(b) is int and not a % b:
+            coef = a // b
+        else:
+            coef = _norm_coef(Fraction(a) / b)
+        return FactoredRational._from_map(
+            self.vars,
+            coef,
+            tuple(x - y for x, y in zip(self.exps, other.exps)),
+            fmap,
+        )
 
     def __pow__(self, n: int) -> "FactoredRational":
         if self.is_zero():

@@ -221,11 +221,9 @@ def specialize_f_to_P(lam, ctx: BAContext, margin: int = 2) -> SymmetricPolynomi
     pol = set(th.entry_list() for th in enumerate_pol_lambda(lam, n))
     bound = (lam[0] if lam else 0) + margin
     for th in _theta_entries_upto(n, bound):
-        inside = th.entry_list() in pol
-        spec = c_N_closed(th, n).transform(vars, mapping)
-        if inside:
-            continue
-        if not spec.is_zero():
+        if th.entry_list() in pol:
+            continue  # specialised and summed below
+        if not c_N_closed(th, n).transform(vars, mapping).is_zero():
             raise TerminationFailure(
                 f"coefficient at theta={dict(th.entries)} survives specialization")
     coeffs: dict = {}

@@ -9,6 +9,7 @@ modulo the truncation order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence, Union
 
 from .algebra import Coef, FactoredRational, LaurentPolynomial
@@ -52,7 +53,9 @@ def pochhammer(p: FactoredRational | LaurentPolynomial, n: int,
 
     ``p`` must be a monomial (possibly with negative exponents); factors
     (1 - q^k p) with nonpositive exponents are normalized canonically, so
-    e.g. (q^-1; q)_1 is stored as -q^-1 * (1 - q).
+    e.g. (q^-1; q)_1 is stored as -q^-1 * (1 - q).  Results are memoised
+    in a bounded cache and shared between callers, which is safe because
+    factored rationals are immutable.
     """
     if n < 0:
         raise ValueError("Pochhammer length must be nonnegative")
@@ -60,22 +63,34 @@ def pochhammer(p: FactoredRational | LaurentPolynomial, n: int,
         p = FactoredRational.from_poly(p)
     if not (p.is_monomial() or p.is_zero()):
         raise ValueError("Pochhammer base must be a monomial")
-    vars = p.vars
     if p.is_zero():
-        return FactoredRational.one(vars)
+        return FactoredRational.one(p.vars)
+    return _pochhammer(p.vars, p.coef, p.exps, n, qvar)
+
+
+@lru_cache(maxsize=4096)
+def _pochhammer(vars: tuple, coef: Coef, exps: tuple, n: int, qvar: str) -> FactoredRational:
+    """(p; q)_n for the nonzero monomial p = coef x^exps and n >= 0, as
+    the product of the cached (q^k p; q)_1 for k < n: each binomial
+    (1 - q^k p) is built once, and symbols that share it share its
+    polynomial."""
     iq = vars.index(qvar)
-    one = LaurentPolynomial.one(vars)
-    factors = []
+    if n == 1:
+        binomial = LaurentPolynomial.one(vars) - LaurentPolynomial.monomial(vars, exps, coef)
+        return FactoredRational(vars, 1, None, [(binomial, 1)])
+    out = FactoredRational.one(vars)
     for k in range(n):
-        e = tuple(x + (k if i == iq else 0) for i, x in enumerate(p.exps))
-        factors.append((one - LaurentPolynomial.monomial(vars, e, p.coef), 1))
-    return FactoredRational(vars, 1, None, factors)
+        out = out * _pochhammer(vars, coef, exps[:iq] + (exps[iq] + k,) + exps[iq + 1:], 1, qvar)
+    return out
 
 
 def pochhammer_zratio(vars: Sequence[str], n: int, qpow: int = 0, xpow: int = 0,
                       znum: int | None = None, zden: int | None = None) -> FactoredRational:
     """(q^qpow x^xpow z_znum / z_zden ; q)_n, where q and x are the first
     two variables of the context and z1, z2, ... name the others."""
+    if n < 0:
+        raise ValueError("Pochhammer length must be nonnegative")
+    vars = tuple(vars)
     e = [0] * len(vars)
     e[0] = qpow
     e[1] = xpow
@@ -83,7 +98,7 @@ def pochhammer_zratio(vars: Sequence[str], n: int, qpow: int = 0, xpow: int = 0,
         e[vars.index(f"z{znum}")] += 1
     if zden is not None:
         e[vars.index(f"z{zden}")] -= 1
-    return pochhammer(FactoredRational.monomial(vars, e), n)
+    return _pochhammer(vars, 1, tuple(e), n, "q")
 
 
 def pochhammer_inf(p: FactoredRational | LaurentPolynomial, trunc: int,

@@ -194,6 +194,25 @@ def test_merged_product_equals_canonicalised_product(data):
         [(p, -m) for p, m in a.factors])
 
 
+@oracle
+@given(st.data())
+def test_quotient_equals_product_with_inverse(data):
+    vars = data.draw(contexts)
+    a, b = data.draw(factored(vars)), data.draw(factored(vars))
+    zero = FactoredRational.zero(vars)
+    for x in (a, zero):
+        with pytest.raises(ZeroDivisionError):
+            x / zero
+    assume(not b.is_zero())
+    # b / b cancels every factor; a * b / b and a / (a * b) share factors
+    # with the divisor
+    pairs = [(a, b), (b, b), (a * b, b)] + ([] if a.is_zero() else [(a, a * b)])
+    for x, y in pairs:
+        q = x / y
+        assert q == x * y.inverse()
+        assert rational_eq(q, x * y.inverse())
+
+
 # -- (q,t)-series expansion -------------------------------------------------------
 
 

@@ -1,8 +1,13 @@
 """Finite and truncated-infinite Pochhammer symbols, q-shifts."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from maclab import qcalc
 from maclab.algebra import FactoredRational, LaurentPolynomial, rational_eq
+from maclab.baker import ba_vars
+from maclab.checks import run_check
 from maclab.qcalc import NonConvergent, QShift, apply_qshift, pochhammer, pochhammer_inf
 from maclab.series import expand
 
@@ -39,6 +44,88 @@ def test_pochhammer_negative_base_normalizes():
     assert fr.coef == -1
     assert fr.exps == (-1, 0)
     assert len(fr.factors) == 1
+
+
+def pochhammer_reference(p, n, qvar="q"):
+    """The uncached builder: one binomial (1 - q^k p) per k < n, each
+    canonicalised by the constructor."""
+    if isinstance(p, LaurentPolynomial):
+        p = FactoredRational.from_poly(p)
+    vars = p.vars
+    if p.is_zero():
+        return FactoredRational.one(vars)
+    iq = vars.index(qvar)
+    one = LaurentPolynomial.one(vars)
+    factors = []
+    for k in range(n):
+        e = tuple(x + (k if i == iq else 0) for i, x in enumerate(p.exps))
+        factors.append((one - LaurentPolynomial.monomial(vars, e, p.coef), 1))
+    return FactoredRational(vars, 1, None, factors)
+
+
+CONTEXTS = [ba_vars(2), ba_vars(3), ba_vars(4), ("q", "s")]
+base_coefs = st.one_of(
+    st.integers(-3, 3),
+    st.fractions(min_value=-2, max_value=2, max_denominator=3),
+).filter(lambda c: c != 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_pochhammer_matches_uncached_reference(data):
+    # several coefficients on one exponent vector and both q-variables, each
+    # asked twice: the second call is answered from the cache
+    vars = data.draw(st.sampled_from(CONTEXTS))
+    exps = data.draw(st.tuples(*[st.integers(-2, 2)] * len(vars)))
+    coefs = data.draw(st.lists(base_coefs, min_size=1, max_size=3, unique=True))
+    n = data.draw(st.integers(0, 4))
+    as_poly = data.draw(st.booleans())
+    for _ in range(2):
+        for c in coefs:
+            for qvar in ("q", "s"):
+                if as_poly:
+                    p = LaurentPolynomial.monomial(vars, exps, c)
+                else:
+                    p = FactoredRational.monomial(vars, exps, c)
+                got = pochhammer(p, n, qvar)
+                ref = pochhammer_reference(p, n, qvar)
+                assert got == ref
+                assert got.canonical_str() == ref.canonical_str()
+
+
+def test_pochhammer_zratio_matches_reference():
+    vars = ba_vars(3)
+    for n in range(4):
+        got = qcalc.pochhammer_zratio(vars, n, -1, 1, 3, 2)
+        ref = pochhammer_reference(FactoredRational.monomial(vars, (-1, 1, 0, -1, 1)), n)
+        assert got == ref
+
+
+def test_pochhammer_checks_run_before_the_cache():
+    before = qcalc._pochhammer.cache_info()
+    with pytest.raises(ValueError, match="monomial"):
+        pochhammer(FactoredRational.from_poly(ONE - Q), 2)
+    with pytest.raises(ValueError, match="monomial"):
+        pochhammer(ONE + T, 1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        pochhammer(mono(1, 0), -1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        qcalc.pochhammer_zratio(ba_vars(2), -1, 1, 0)
+    assert pochhammer(FactoredRational.zero(V), 3).is_one()
+    assert pochhammer(LaurentPolynomial.zero(V), 3).is_one()
+    after = qcalc._pochhammer.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+def test_pochhammer_cache_is_bounded():
+    assert qcalc._pochhammer.cache_info().maxsize is not None
+
+
+def test_cn_check_is_served_mostly_from_the_cache():
+    before = qcalc._pochhammer.cache_info()
+    assert run_check("cn", max_entry=1, max_n=3).passed
+    after = qcalc._pochhammer.cache_info()
+    assert after.hits - before.hits > after.misses - before.misses
 
 
 def test_pochhammer_inf_examples():
