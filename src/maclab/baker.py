@@ -15,6 +15,7 @@ polynomial P_lambda.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 from .algebra import FactoredRational, LaurentPolynomial, rational_eq
 from .macdonald import SymmetricPolynomial
@@ -51,7 +52,10 @@ class ResidualNonzero(ArithmeticError):
     pass
 
 
+@cache
 def ba_vars(n: int) -> tuple:
+    """The context (q, s, z_1 .. z_N), one shared tuple per rank:
+    cache entries keyed on it then hold no copies of their own."""
     return ("q", "s") + tuple(f"z{i}" for i in range(1, n + 1))
 
 

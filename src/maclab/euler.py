@@ -24,6 +24,7 @@ relative to the usual highest-weight dictionary.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import permutations
 
 from .algebra import FactoredRational, LaurentPolynomial, rational_eq
@@ -55,7 +56,10 @@ __all__ = [
 ]
 
 
+@cache
 def glob_vars(n: int) -> tuple:
+    """The context (q, t, z_1 .. z_{N-1}), one shared tuple per rank:
+    cache entries keyed on it then hold no copies of their own."""
     return ("q", "t") + tuple(f"z{i}" for i in range(1, n))
 
 
@@ -217,31 +221,39 @@ def _C_glob(theta_key, n: int, w, inverted: bool) -> FactoredRational:
     return out
 
 
-def _localization_terms(alpha, weight: GLWeight) -> list:
-    """All flattened localization summands for the given degree, as
-    factored rationals over the SL context."""
+def _weyl_group(n: int) -> list:
+    return sorted(permutations(range(1, n + 1)))
+
+
+def _weyl_images(n: int) -> list:
+    """The maps sigma_w: z_i -> z_{w(i)} over glob_vars(n), one per Weyl
+    element, as :meth:`FactoredRational.transform` mappings (identity
+    slots left out, so w = id maps nothing).  sigma_w carries the w = id
+    localization summands to those of w: it sends ``_wslot_exp(n, i, id)``
+    to ``_wslot_exp(n, i, w)``, hence C_theta(wz), z^{w weight} and the
+    Weyl factor of w are the images of those of id."""
+    return [{f"z{i}": (1, _slot_exp(n, w[i - 1])) for i in range(1, n) if w[i - 1] != i}
+            for w in _weyl_group(n)]
+
+
+def _localization_terms(alpha, weight: GLWeight, w) -> list:
+    """The flattened localization summands of the Weyl element w for the
+    given degree, as factored rationals over the SL context."""
     n = weight.n
     vars = glob_vars(n)
     alpha = tuple(alpha)
-    perms = sorted(permutations(range(1, n + 1)))
-    splittings = []
+    wf = _weyl_factor(n, w)
+    zw = FactoredRational.monomial(vars, weight.z_monomial(w))
+    terms = []
     for gamma in _sub_degrees(alpha):
         beta = tuple(a - g for a, g in zip(alpha, gamma))
-        splittings.append((gamma, beta))
-    jobs = []
-    for w in perms:
-        wf = _weyl_factor(n, w)
-        zw = FactoredRational.monomial(vars, weight.z_monomial(w))
-        for gamma, beta in splittings:
-            qpow = weight.pairing(gamma)
-            pref = zw * FactoredRational.monomial(
-                vars, [qpow] + [0] * (n - 1 + 1)) * wf
-            for thg in theta_by_degree(n, gamma):
-                cg = _C_glob(thg.entry_list(), n, w, True)
-                for thb in theta_by_degree(n, beta):
-                    cb = _C_glob(thb.entry_list(), n, w, False)
-                    jobs.append(pref * cg * cb)
-    return jobs
+        qpow = weight.pairing(gamma)
+        pref = zw * FactoredRational.monomial(vars, [qpow] + [0] * n) * wf
+        cbs = [_C_glob(thb.entry_list(), n, w, False) for thb in theta_by_degree(n, beta)]
+        for thg in theta_by_degree(n, gamma):
+            cg = _C_glob(thg.entry_list(), n, w, True)
+            terms.extend(pref * cg * cb for cb in cbs)
+    return terms
 
 
 def _sub_degrees(alpha):
@@ -253,19 +265,27 @@ def _sub_degrees(alpha):
 
 def euler_char_global(alpha, weight: GLWeight) -> FactoredRational:
     """The fixed-degree global character as one exact rational function
-    (a Laurent polynomial in disguise; the Weyl denominators cancel)."""
-    terms = _localization_terms(alpha, weight)
+    (a Laurent polynomial in disguise; the Weyl denominators cancel).
+    The summands of every Weyl element are built independently."""
     total = FactoredRational.zero(glob_vars(weight.n))
-    for t in terms:
-        total = total + t
+    for w in _weyl_group(weight.n):
+        for t in _localization_terms(alpha, weight, w):
+            total = total + t
     return total
 
 
 def euler_char_series(alpha, weight: GLWeight, order: int) -> QTSeries:
     """(q,t)-expansion of the fixed-degree global character to the given
-    order; certifies that all Weyl denominators cancel."""
-    terms = _localization_terms(alpha, weight)
-    return expand_sum(terms, order)
+    order; certifies that all Weyl denominators cancel.
+
+    Only the w = id summands are built and expanded: the summand of w is
+    their image under sigma_w (:func:`_weyl_images`), a permutation of
+    the coefficient variables that commutes with the expansion, so
+    :func:`expand_sum` folds the w = id terms per (q,t)-degree and adds
+    the sigma_w-images of each fold before certifying the full W-sum."""
+    n = weight.n
+    terms = _localization_terms(alpha, weight, tuple(range(1, n + 1)))
+    return expand_sum(terms, order, images=_weyl_images(n))
 
 
 def weyl_invariance_check(alpha, weight: GLWeight) -> dict:
@@ -528,6 +548,52 @@ def chi_bQ_closed(weight: GLWeight, order: int) -> QTSeries:
     return base.truncate(order)
 
 
+def _arc_terms(weight: GLWeight, order: int, w, shell_margin: int) -> list:
+    """The summands of the Weyl element w in :func:`chi_bQ_localization`
+    that can reach below the order: the theta sum is scanned shell by
+    shell in the total degree and must exhaust itself below the order."""
+    n = weight.n
+    vars = glob_vars(n)
+
+    def poch_trunc(base_exps) -> FactoredRational:
+        """(monomial; q)_inf as a finite product capturing everything
+        below the truncation order."""
+        deg = base_exps[0] + base_exps[1]
+        kmax = max(0, order - deg + 1)
+        return pochhammer(FactoredRational.monomial(vars, base_exps), kmax)
+
+    wf = _weyl_factor(n, w)
+    zw = FactoredRational.monomial(vars, weight.z_monomial(w))
+    inf_part = FactoredRational.one(vars)
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            se = [a - b for a, b in zip(_wslot_exp(n, j, w), _wslot_exp(n, i, w))]
+            num = [1 + se[0], 1 + se[1]] + list(se[2:])
+            den = [1 + se[0], 0 + se[1]] + list(se[2:])
+            inf_part = inf_part * poch_trunc(tuple(num)) / poch_trunc(tuple(den))
+    inf_part = inf_part * (poch_trunc((1, 1) + (0,) * (n - 1))
+                           / poch_trunc((1, 0) + (0,) * (n - 1))) ** (n - 1)
+    base_pref = zw * wf * inf_part
+    terms = []
+    shell = 0
+    exhausted = 0
+    while exhausted < shell_margin:
+        contributed = False
+        for th in theta_upto_degree(n, shell):
+            if th.total_degree() != shell:
+                continue
+            cg = _C_glob(th.entry_list(), n, w, True)
+            qpow = weight.pairing(th.degree_vector())
+            e = [qpow] + [0] * n
+            term = base_pref * cg * FactoredRational.monomial(vars, e)
+            if term.valuation_lb(("q", "t")) <= order:
+                terms.append(term)
+                contributed = True
+        shell += 1
+        exhausted = 0 if contributed else exhausted + 1
+    return terms
+
+
 def chi_bQ_localization(weight: GLWeight, order: int, shell_margin: int = 2) -> QTSeries:
     """The same character from torus fixed points on the arc space:
 
@@ -536,49 +602,12 @@ def chi_bQ_localization(weight: GLWeight, order: int, shell_margin: int = 2) -> 
             * ((qt;q)_inf/(q;q)_inf)^{N-1}
             * prod_{i<j} (1 - t w(z_i/z_j))/(1 - w(z_i/z_j))
 
-    truncated by term valuation; the theta sum is scanned shell by shell
-    in the total degree and must exhaust itself below the order."""
+    truncated by term valuation (see :func:`_arc_terms`).  As in
+    :func:`euler_char_series`, only the w = id summands are built: the
+    valuation bounds and truncation lengths read (q,t)-degrees alone, so
+    the summands kept for w are the sigma_w-images of those kept for id."""
     n = weight.n
-    vars = glob_vars(n)
     if not weight.is_dominant():
         raise ValueError("the arc-space sum converges for dominant weights")
-
-    def poch_trunc(base_exps, count_hint=None) -> FactoredRational:
-        """(monomial; q)_inf as a finite product capturing everything
-        below the truncation order."""
-        deg = base_exps[0] + base_exps[1]
-        kmax = max(0, order - deg + 1)
-        return pochhammer(FactoredRational.monomial(vars, base_exps), kmax)
-
-    perms = sorted(permutations(range(1, n + 1)))
-    terms = []
-    for w in perms:
-        wf = _weyl_factor(n, w)
-        zw = FactoredRational.monomial(vars, weight.z_monomial(w))
-        inf_part = FactoredRational.one(vars)
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                se = [a - b for a, b in zip(_wslot_exp(n, j, w), _wslot_exp(n, i, w))]
-                num = [1 + se[0], 1 + se[1]] + list(se[2:])
-                den = [1 + se[0], 0 + se[1]] + list(se[2:])
-                inf_part = inf_part * poch_trunc(tuple(num)) / poch_trunc(tuple(den))
-        inf_part = inf_part * (poch_trunc((1, 1) + (0,) * (n - 1))
-                               / poch_trunc((1, 0) + (0,) * (n - 1))) ** (n - 1)
-        base_pref = zw * wf * inf_part
-        shell = 0
-        exhausted = 0
-        while exhausted < shell_margin:
-            contributed = False
-            for th in theta_upto_degree(n, shell):
-                if th.total_degree() != shell:
-                    continue
-                cg = _C_glob(th.entry_list(), n, w, True)
-                qpow = weight.pairing(th.degree_vector())
-                e = [qpow] + [0] * n
-                term = base_pref * cg * FactoredRational.monomial(vars, e)
-                if term.valuation_lb(("q", "t")) <= order:
-                    terms.append(term)
-                    contributed = True
-            shell += 1
-            exhausted = 0 if contributed else exhausted + 1
-    return expand_sum(terms, order)
+    terms = _arc_terms(weight, order, tuple(range(1, n + 1)), shell_margin)
+    return expand_sum(terms, order, images=_weyl_images(n))

@@ -15,6 +15,7 @@ explicit product of finite q-Pochhammer ratios.  This module verifies
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import product as iproduct
 
 from .algebra import FactoredRational, LaurentPolynomial, rational_eq
@@ -53,7 +54,10 @@ class SubstitutionMismatch(ArithmeticError):
     """The per-theta coefficient dictionary between the two series fails."""
 
 
+@cache
 def lau_vars(n: int) -> tuple:
+    """The context (q, t, z_1 .. z_N), one shared tuple per rank:
+    cache entries keyed on it then hold no copies of their own."""
     return ("q", "t") + tuple(f"z{i}" for i in range(1, n + 1))
 
 

@@ -384,24 +384,36 @@ class NonPolynomialCoefficient(ArithmeticError):
     polynomial: the poles of the individual terms did not cancel."""
 
 
-def expand_sum(terms, trunc: int, qt: Sequence[str] = ("q", "t")) -> QTSeries:
-    """Expand a finite sum of factored rationals as a (q,t)-series.
+def expand_sum(terms, trunc: int, qt: Sequence[str] = ("q", "t"),
+               images: Sequence[Mapping[str, tuple]] = ({},)) -> QTSeries:
+    """Expand the finite sum ``sum_sigma sigma(sum(terms))`` as a
+    (q,t)-series, sigma running over ``images``.
+
+    Each image is a :meth:`FactoredRational.transform` mapping of the
+    coefficient variables only (for a localization sum, sigma_w: z_i ->
+    z_{w(i)} for every Weyl element w); the default is the identity
+    alone, which sums ``terms`` as given.  Such a map commutes with the
+    (q,t)-expansion, so only ``terms`` are expanded.
 
     Individual terms may carry purely coefficient-side poles (for
     instance Weyl denominators 1 - z_i/z_j); those parts are kept as
     exact rational multipliers per coefficient and must cancel in the
-    total, which is certified by exact division at the end.
+    total over all images, which is certified by exact division at the
+    end.
 
     The terms of a localization sum share a small set of factors, so each
     distinct factor power is expanded once per call (see
     :func:`expand_split`).  The fold first adds the coefficient
     polynomials of all terms with the same (q,t)-degree and the same pole
     part, then lifts each such group once to a factored rational over its
-    poles and adds the groups.
+    poles and adds the groups.  Every image of that per-degree sum is
+    then added before the certification.
     """
     terms = [fr for fr in terms if not fr.is_zero()]
     if not terms:
         raise ValueError("empty sum")
+    if not images or any(v in sigma for sigma in images for v in qt):
+        raise ValueError("images must be maps of the coefficient variables")
     vars = terms[0].vars
     coeff_vars = _coeff_vars(vars, qt)
     memo: dict = {}
@@ -432,7 +444,11 @@ def expand_sum(terms, trunc: int, qt: Sequence[str] = ("q", "t")) -> QTSeries:
     out = QTSeries(qt, coeff_vars, trunc)
     drop = {v: (1, (0,) * len(coeff_vars)) for v in qt}
     qt_idx = [vars.index(v) for v in qt]
-    for key, fr in sorted(acc.items()):
+    for key, fold in sorted(acc.items()):
+        fr = None
+        for sigma in images:
+            img = fold.transform(vars, sigma) if sigma else fold
+            fr = img if fr is None else fr + img
         if fr.is_zero():
             continue
         try:

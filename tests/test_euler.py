@@ -1,8 +1,15 @@
 """Global characters: Weyl sums, stable limits, closed forms, shift operator."""
 
 from fractions import Fraction
+from itertools import permutations
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from maclab import euler
 from maclab.algebra import FactoredRational, LaurentPolynomial, rational_eq
+from maclab.checks import run_check
 from maclab.euler import (
     F_poly,
     GLWeight,
@@ -12,13 +19,15 @@ from maclab.euler import (
     chi_bQ_closed,
     chi_bQ_localization,
     euler_char_global,
+    euler_char_series,
     frakD_K,
     h_equals_p,
     h_series,
     verify_cor_diff,
     weyl_invariance_check,
 )
-from maclab.series import expand
+from maclab.reports import Status
+from maclab.series import expand, expand_sum
 
 QT = ("q", "t")
 
@@ -195,3 +204,65 @@ def test_c_glob_entries_share_factor_objects():
             for key, (poly, _) in got._fmap.items():
                 assert seen.setdefault(key, poly) is poly
     assert len(seen) > 1
+
+
+# -- the Weyl orbit against per-w summands ------------------------------------
+
+
+def _weyl_group(n):
+    return list(permutations(range(1, n + 1)))
+
+
+def _per_w_series(alpha, weight, order):
+    """The reference: the summands of every Weyl element built and
+    expanded on their own, in one expand_sum with identity images."""
+    terms = [t for w in _weyl_group(weight.n)
+             for t in euler._localization_terms(alpha, weight, w)]
+    return expand_sum(terms, order)
+
+
+@st.composite
+def localization_cases(draw):
+    n = draw(st.sampled_from([2, 3]))
+    lv = draw(st.tuples(*[st.integers(-1, 2)] * (n - 1)))
+    alpha = draw(st.tuples(*[st.integers(0, 3)] * (n - 1)))
+    return alpha, GLWeight(lv), draw(st.integers(0, 2))
+
+
+@settings(max_examples=30, deadline=None)
+@given(localization_cases())
+def test_orbit_series_equals_per_w_expansion(case):
+    alpha, weight, order = case
+    assert euler_char_series(alpha, weight, order) == _per_w_series(alpha, weight, order)
+
+
+@pytest.mark.parametrize("lv", [(0,), (1,), (2,), (0, 0), (1, 0), (0, 1)])
+def test_arc_orbit_sum_equals_per_w_expansion(lv):
+    weight, order = GLWeight(lv), 2
+    terms = [t for w in _weyl_group(weight.n)
+             for t in euler._arc_terms(weight, order, w, 2)]
+    assert chi_bQ_localization(weight, order) == expand_sum(terms, order)
+
+
+@pytest.mark.parametrize("alpha, lv", [((2,), (1,)), ((3,), (-1,)), ((1, 1), (1, 0)),
+                                       ((1, 1), (-1, 1))])
+def test_global_character_expands_to_the_orbit_series(alpha, lv):
+    # euler_char_global adds the independently built summands of every w
+    weight = GLWeight(lv)
+    total = euler_char_global(alpha, weight).to_laurent()
+    assert expand(FactoredRational.from_poly(total), 2) == euler_char_series(alpha, weight, 2)
+
+
+@pytest.mark.parametrize("n, broken", [(2, (2, 1)), (3, (2, 3, 1))])
+def test_weyl_check_fails_on_a_broken_w_term(monkeypatch, n, broken):
+    # the check must see each w-term as built, not an image of the w = id term
+    params = {"n": n, "alpha": (1,) * (n - 1), "weight": (1,) + (0,) * (n - 2)}
+    assert run_check("weyl", **params).status == Status.PASSED
+    real = euler._weyl_factor
+
+    def weyl_factor(n, w):
+        f = real(n, w)
+        return f.scale(2) if w == broken else f
+
+    monkeypatch.setattr(euler, "_weyl_factor", weyl_factor)
+    assert run_check("weyl", **params).status == Status.FAILED

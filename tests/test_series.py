@@ -90,3 +90,30 @@ def test_cancelling_poles_of_different_denominators_give_a_polynomial():
 def test_uncancelled_poles_of_different_denominators_raise():
     with pytest.raises(NonPolynomialCoefficient):
         expand_sum(_pole_pair(-2), 2)
+
+
+# z1 <-> z2 over VARS: a map of the coefficient variables only
+SWAP = {"z1": (1, (0, 0, 0, 1)), "z2": (1, (0, 0, 1, 0))}
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(shared_factor_sums(), st.integers(0, 3))
+def test_expand_sum_images_add_the_mapped_terms(terms, trunc):
+    mapped = [fr.transform(VARS, SWAP) for fr in terms]
+    assert expand_sum(terms, trunc, images=[{}, SWAP]) == expand_sum(terms + mapped, trunc)
+
+
+def test_poles_cancel_against_the_image_of_a_term():
+    # 1/(1 - z1/z2) has a pole; added to its image 1/(1 - z2/z1) it is 1
+    lone = FactoredRational(VARS, 1, None,
+                            [(LaurentPolynomial(VARS, {(0, 0, 0, 0): 1, (0, 0, 1, -1): -1}), -1)])
+    with pytest.raises(NonPolynomialCoefficient):
+        expand_sum([lone], 1)
+    assert expand_sum([lone], 1, images=[{}, SWAP]) == QTSeries.one(("q", "t"), VARS[2:], 1)
+
+
+def test_images_of_the_graded_variables_are_refused():
+    lone = FactoredRational.one(VARS)
+    for images in ([], [{}, {"q": (1, (0, 1, 0, 0))}]):
+        with pytest.raises(ValueError):
+            expand_sum([lone], 1, images=images)
