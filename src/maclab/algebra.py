@@ -13,11 +13,11 @@ Everything in this package is built on two value types:
   a multivariate gcd.  Equality of values is decided by cancelling common
   factors and cross-multiplying the rest (:func:`rational_eq`).
 
-Values are immutable after construction and safe to share across worker
-processes.  Nothing writes to a polynomial's ``terms`` once it is built,
-so a factor's canonical form (see :func:`_canonical_factor`) is computed
-once and cached on the polynomial; factored arithmetic then merges maps
-of already-canonical factors instead of normalising them again.
+Values are immutable after construction and safe to share.  Nothing
+writes to a polynomial's ``terms`` once it is built, so a factor's
+canonical form (see :func:`_canonical_factor`) is computed once and
+cached on the polynomial; factored arithmetic then merges maps of
+already-canonical factors instead of normalising them again.
 """
 
 from __future__ import annotations
@@ -803,22 +803,6 @@ class FactoredRational:
     def substitute(self, var: str, coef: Coef, exps: Sequence[int]) -> "FactoredRational":
         return self.transform(self.vars, {var: (coef, tuple(exps))})
 
-    def evaluate(self, point: Mapping[str, Coef]) -> Coef:
-        if self.is_zero():
-            return 0
-        acc = self.coef
-        for v, e in zip(self.vars, self.exps):
-            if e:
-                acc = acc * _coef_pow(point[v], e)
-        for p, m in self.factors:
-            val = p.evaluate(point)
-            if val == 0:
-                if m < 0:
-                    raise ZeroDivisionError(f"denominator factor vanishes at {point}")
-                return 0
-            acc = acc * _coef_pow(val, m)
-        return _norm_coef(acc)
-
     # -- valuation ---------------------------------------------------------------
 
     def valuation_lb(self, subset: Sequence[str]) -> int:
@@ -928,28 +912,3 @@ def rational_eq(a: FactoredRational, b: FactoredRational) -> bool:
     for p, m in rem_b:
         rhs = rhs * p ** m
     return lhs == rhs
-
-
-def rational_eq_numeric(a: FactoredRational, b: FactoredRational, seed: int = 0) -> bool:
-    """Probabilistic preview of value equality at deterministic seeded
-    rational points.  Never used for certification.
-
-    A point where either side has a pole is skipped; when every point is
-    skipped nothing was compared, and the answer is False."""
-    import random
-
-    rng = random.Random(10**6 + seed)
-    compared = False
-    for _ in range(3):
-        point = {}
-        for v in a.vars:
-            point[v] = Fraction(rng.randint(2, 97), rng.randint(2, 97))
-        try:
-            va = a.evaluate(point)
-            vb = b.evaluate(point)
-        except ZeroDivisionError:
-            continue
-        if va != vb:
-            return False
-        compared = True
-    return compared

@@ -19,7 +19,6 @@ from functools import cache
 
 from .algebra import FactoredRational, LaurentPolynomial, rational_eq
 from .macdonald import SymmetricPolynomial
-from .parallel import pmap
 from .qcalc import pochhammer_zratio
 from .series import XSeries
 from .tableaux import (
@@ -61,11 +60,10 @@ def ba_vars(n: int) -> tuple:
 
 @dataclass(frozen=True)
 class BAContext:
-    """Rank, truncation order for the ratio variables, worker count."""
+    """Rank and truncation order for the ratio variables."""
 
     n: int
     truncation: int
-    workers: int = 1
     vars: tuple = field(init=False)
 
     def __post_init__(self):
@@ -173,20 +171,15 @@ def c_N_closed_alt(theta: ThetaMatrix, n: int) -> FactoredRational:
     return out
 
 
-def _closed_job(args):
-    th, n = args
-    return c_N_closed(th, n)
-
-
 def f_N_series(ctx: BAContext) -> XSeries:
     """The ratio-variable part of the eigenfunction series: the
     coefficient of u^alpha is the sum of c_N(theta) over theta matrices
     of u-degree alpha, up to total degree ctx.truncation."""
     n = ctx.n
     thetas = theta_upto_degree(n, ctx.truncation)
-    values = pmap(_closed_job, [(th, n) for th in thetas], ctx.workers)
     out = XSeries(n - 1, ctx.vars, ctx.truncation)
-    for th, v in zip(thetas, values):
+    for th in thetas:
+        v = c_N_closed(th, n)
         k = th.degree_vector()
         cur = out.coeffs.get(k)
         s = v if cur is None else cur + v

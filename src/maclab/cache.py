@@ -58,6 +58,9 @@ class ResultCache:
             return None
         try:
             entry = json.loads(path.read_text())
+            if not isinstance(entry, dict):   # valid JSON, but not an entry
+                path.unlink(missing_ok=True)
+                return None
             payload = entry["payload"]
             blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
             if entry.get("sha256") != hashlib.sha256(blob.encode()).hexdigest():

@@ -4,9 +4,8 @@ Each check runs a mathematical identity at desk scale and returns a
 :class:`~maclab.reports.VerificationReport`.  The same registry backs the
 CLI (``maclab verify <name>``) and the acceptance test suite.
 
-Only exact equality can mark a check PASSED; under
-``equality_mode="probabilistic-preview"`` successful runs report
-PREVIEW_OK instead (seeded rational evaluation, for quick iteration).
+Every identity is decided by exact equality over Q, and only that can
+mark a check PASSED.  Checks run serially in the calling process.
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ from __future__ import annotations
 import itertools
 import time
 
-from .algebra import FactoredRational, LaurentPolynomial, rational_eq, rational_eq_numeric
+from .algebra import FactoredRational, LaurentPolynomial, rational_eq
 from .baker import (
     BAContext,
     ba_vars,
@@ -59,50 +58,43 @@ from .tableaux import ThetaMatrix, partitions_upto
 __all__ = ["CHECKS", "run_check", "check_names"]
 
 
-def _status(ok: bool, exact: bool) -> str:
-    if not ok:
-        return Status.FAILED
-    return Status.PASSED if exact else Status.PREVIEW_OK
+def _status(ok: bool) -> str:
+    return Status.PASSED if ok else Status.FAILED
 
 
-def _eq_fn(exact: bool):
-    return rational_eq if exact else rational_eq_numeric
-
-
-def check_tableau_oracle(params, workers, exact):
+def check_tableau_oracle(params):
     max_size = params.get("max_size", 5)
     max_n = params.get("max_n", 4)
-    eq = _eq_fn(exact)
     witnesses = []
     for n in range(1, max_n + 1):
         for lam in partitions_upto(max_size, n):
-            P = macdonald_P(lam, n, workers=workers)
+            P = macdonald_P(lam, n)
             O = macdonald_P_oracle(lam, n)
             keys = set(P.mcoeffs) | set(O.mcoeffs)
             for mu in sorted(keys):
-                if not eq(P.coefficient(mu), O.coefficient(mu)):
+                if not rational_eq(P.coefficient(mu), O.coefficient(mu)):
                     witnesses.append({
                         "lambda": list(lam), "n": n, "mu": list(mu),
                         "tableau": P.coefficient(mu).canonical_str(),
                         "oracle": O.coefficient(mu).canonical_str(),
                     })
-    return _status(not witnesses, exact), witnesses
+    return _status(not witnesses), witnesses
 
 
-def check_eigen(params, workers, exact):
+def check_eigen(params):
     max_size = params.get("max_size", 5)
     max_n = params.get("max_n", 4)
     witnesses = []
     for n in range(1, max_n + 1):
         vars = mac_vars(n)
         for lam in partitions_upto(max_size, n):
-            P = macdonald_P(lam, n, workers=workers)
+            P = macdonald_P(lam, n)
             poly, _den = P.clear_denominators()
             image = apply_D1N(poly, n)
             ev = eigenvalue(lam, n).transform(vars, {})
             if image != ev * poly:
                 witnesses.append({"lambda": list(lam), "n": n})
-    return _status(not witnesses, exact), witnesses
+    return _status(not witnesses), witnesses
 
 
 def _printed_c2(vars) -> FactoredRational:
@@ -153,40 +145,39 @@ def _printed_c3(vars, t12, t13, t23) -> FactoredRational:
     return out
 
 
-def check_cn(params, workers, exact):
+def check_cn(params):
     max_entry = params.get("max_entry", 2)
     max_n = params.get("max_n", 4)
-    eq = _eq_fn(exact)
     witnesses = []
     for n in range(2, max_n + 1):
         pairs = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
         for vals in itertools.product(range(max_entry + 1), repeat=len(pairs)):
             th = ThetaMatrix(n, dict(zip(pairs, vals)))
             closed = c_N_closed(th, n)
-            if not eq(closed, c_N_recursive(th, n)):
+            if not rational_eq(closed, c_N_recursive(th, n)):
                 witnesses.append({"n": n, "theta": list(vals), "forms": "closed vs recursive"})
-            if not eq(closed, c_N_closed_alt(th, n)):
+            if not rational_eq(closed, c_N_closed_alt(th, n)):
                 witnesses.append({"n": n, "theta": list(vals), "forms": "closed vs rewritten"})
     # printed rank-2 and rank-3 examples
     v2 = ba_vars(2)
     th2 = ThetaMatrix(2, {(1, 2): 1})
-    if not eq(c_N_closed(th2, 2), _printed_c2(v2)):
+    if not rational_eq(c_N_closed(th2, 2), _printed_c2(v2)):
         witnesses.append({"n": 2, "forms": "printed c2"})
     v3 = ba_vars(3)
     for t12, t13, t23 in itertools.product(range(max_entry + 1), repeat=3):
         th3 = ThetaMatrix(3, {(1, 2): t12, (1, 3): t13, (2, 3): t23})
-        if not eq(c_N_closed(th3, 3), _printed_c3(v3, t12, t13, t23)):
+        if not rational_eq(c_N_closed(th3, 3), _printed_c3(v3, t12, t13, t23)):
             witnesses.append({"n": 3, "theta": [t12, t13, t23], "forms": "printed c3"})
-    return _status(not witnesses, exact), witnesses
+    return _status(not witnesses), witnesses
 
 
-def check_termination(params, workers, exact):
+def check_termination(params):
     max_size = params.get("max_size", 4)
     max_n = params.get("max_n", 3)
     witnesses = []
     for n in range(1, max_n + 1):
         for lam in partitions_upto(max_size, n):
-            ctx = BAContext(n, 1, workers=workers)
+            ctx = BAContext(n, 1)
             try:
                 S = specialize_f_to_P(lam, ctx)
             except ArithmeticError as exc:
@@ -195,59 +186,59 @@ def check_termination(params, workers, exact):
             P = macdonald_P(lam, n)
             if not S.equals(P):
                 witnesses.append({"lambda": list(lam), "n": n, "error": "specialization != P"})
-    return _status(not witnesses, exact), witnesses
+    return _status(not witnesses), witnesses
 
 
-def check_dai_ichi(params, workers, exact):
+def check_dai_ichi(params):
     n = params.get("n", 2)
     trunc = params.get("truncation", 2)
-    rep = verify_eigen_equation(BAContext(n, trunc, workers=workers))
+    rep = verify_eigen_equation(BAContext(n, trunc))
     witnesses = [
         {"degree": list(k), "residual": v["witness"]}
         for k, v in rep.items() if isinstance(k, tuple) and not v["zero"]
     ]
-    return _status(rep["all_zero"], exact), witnesses
+    return _status(rep["all_zero"]), witnesses
 
 
-def check_shir(params, workers, exact):
+def check_shir(params):
     n = params.get("n", 2)
     degree = params.get("degree", 3)
-    rep = verify_difference_equation(LaumonContext(n, degree=degree, workers=workers))
+    rep = verify_difference_equation(LaumonContext(n, degree=degree))
     witnesses = [
         {"degree": list(k), "residual": v["witness"]}
         for k, v in rep.items() if isinstance(k, tuple) and not v["zero"]
     ]
-    return _status(rep["all_zero"], exact), witnesses
+    return _status(rep["all_zero"]), witnesses
 
 
-def check_substitution(params, workers, exact):
+def check_substitution(params):
     n = params.get("n", 2)
     degree = params.get("degree", 3)
-    rep = substitution_check(LaumonContext(n, degree=degree, workers=workers))
+    rep = substitution_check(LaumonContext(n, degree=degree))
     witnesses = [{"theta": list(k)} for k, v in rep.items() if isinstance(k, tuple) and not v]
-    return _status(rep["all_match"], exact), witnesses
+    return _status(rep["all_match"]), witnesses
 
 
-def check_junichi(params, workers, exact):
+def check_junichi(params):
     n = params.get("n", 2)
     order = params.get("order", 2)
-    rep = verify_local_limit(n, order, workers=workers)
+    rep = verify_local_limit(n, order)
     if rep["passed"]:
-        return _status(True, exact), []
+        return Status.PASSED, []
     status = Status.NOT_STABILIZED if not rep["stabilized"] else Status.FAILED
     return status, rep.get("witness", [{"error": "mismatch"}])
 
 
-def check_ansum(params, workers, exact):
+def check_ansum(params):
     rank = params.get("rank", 1)
     order = params.get("order", 2)
     rep = an_summation_check(rank, order)
     if rep["passed"]:
-        return _status(True, exact), []
+        return Status.PASSED, []
     return Status.FAILED, rep.get("witness", [{"error": "identity fails"}])
 
 
-def check_h0(params, workers, exact):
+def check_h0(params):
     max_n = params.get("max_n", 4)
     t_order = params.get("t_order", 8)
     h_order = params.get("order", 2)
@@ -270,7 +261,7 @@ def check_h0(params, workers, exact):
         H = H_limit(w, h_order)
         if H != expand(H0_closed(n), h_order):
             witnesses.append({"n": n, "error": "stable series != closed H0"})
-    return _status(not witnesses, exact), witnesses
+    return _status(not witnesses), witnesses
 
 
 def _dominant_weights(n, max_sum):
@@ -280,7 +271,7 @@ def _dominant_weights(n, max_sum):
             yield lv
 
 
-def check_hp(params, workers, exact):
+def check_hp(params):
     max_n = params.get("max_n", 3)
     order = params.get("order", 2)
     max_sum = params.get("max_weight_sum", 2)
@@ -293,10 +284,10 @@ def check_hp(params, workers, exact):
             if H != S:
                 witnesses.append({"n": n, "weight": list(lv),
                                   "diff": _series_diff(H, S)[:3]})
-    return _status(not witnesses, exact), witnesses
+    return _status(not witnesses), witnesses
 
 
-def check_cordiff(params, workers, exact):
+def check_cordiff(params):
     max_n = params.get("max_n", 3)
     max_sum = params.get("max_weight_sum", 2)
     witnesses = []
@@ -305,10 +296,10 @@ def check_cordiff(params, workers, exact):
             rep = verify_cor_diff(GLWeight(lv))
             if not rep["passed"]:
                 witnesses.append({"n": n, "weight": list(lv)})
-    return _status(not witnesses, exact), witnesses
+    return _status(not witnesses), witnesses
 
 
-def check_vanishing(params, workers, exact):
+def check_vanishing(params):
     max_n = params.get("max_n", 3)
     order = params.get("order", 2)
     witnesses = []
@@ -320,10 +311,10 @@ def check_vanishing(params, workers, exact):
             if not H.is_zero():
                 witnesses.append({"n": n, "weight": list(lv),
                                   "series": H.canonical_str()})
-    return _status(not witnesses, exact), witnesses
+    return _status(not witnesses), witnesses
 
 
-def check_chibq(params, workers, exact):
+def check_chibq(params):
     max_n = params.get("max_n", 3)
     order = params.get("order", 2)
     witnesses = []
@@ -336,23 +327,22 @@ def check_chibq(params, workers, exact):
             if a != b:
                 witnesses.append({"n": n, "weight": list(lv),
                                   "diff": _series_diff(a, b)[:3]})
-    return _status(not witnesses, exact), witnesses
+    return _status(not witnesses), witnesses
 
 
-def check_weyl(params, workers, exact):
+def check_weyl(params):
     n = params.get("n", 2)
     alpha = tuple(params.get("alpha", (1,) * (n - 1)))
     weight = GLWeight(tuple(params.get("weight", (0,) * (n - 1))))
     rep = weyl_invariance_check(alpha, weight)
-    return _status(rep["passed"], exact), [] if rep["passed"] else [rep]
+    return _status(rep["passed"]), [] if rep["passed"] else [rep]
 
 
-def check_pieri(params, workers, exact):
+def check_pieri(params):
     """Exact Pieri identity on the weight-indexed Macdonald family."""
     from .euler import glob_vars, macdonald_in_z, _zsum
     max_n = params.get("max_n", 3)
     max_sum = params.get("max_weight_sum", 2)
-    eq = _eq_fn(exact)
     witnesses = []
     for n in range(2, max_n + 1):
         vars = glob_vars(n)
@@ -366,9 +356,9 @@ def check_pieri(params, workers, exact):
                 L = pieri_L(lv, r, n).transform(vars, {})
                 lhs = lhs + L * macdonald_in_z(sh)
             rhs = _zsum(n) * macdonald_in_z(w)
-            if not eq(lhs, rhs):
+            if not rational_eq(lhs, rhs):
                 witnesses.append({"n": n, "weight": list(lv)})
-    return _status(not witnesses, exact), witnesses
+    return _status(not witnesses), witnesses
 
 
 CHECKS = {
@@ -400,20 +390,24 @@ def check_names() -> list:
     return sorted(CHECKS)
 
 
-def run_check(name: str, workers: int = 1, equality_mode: str = "exact",
-              **params) -> VerificationReport:
+def run_check(name: str, workers: int = 1, **params) -> VerificationReport:
+    """Run the check ``name`` on ``params`` and report its verdict.
+
+    ``workers`` is accepted and ignored: every check runs serially.  The
+    benchmark harness (``perfbench/child.py``) and the determinism
+    criterion in ``tests/test_acceptance.py`` still pass it.  It is never
+    part of the report's parameters, which carry the constant
+    ``equality_mode`` "exact" so that canonical bytes stay as they were.
+    """
     name = ALIASES.get(name, name)
     if name not in CHECKS:
         raise KeyError(f"unknown check {name!r}; known: {', '.join(check_names())}")
     fn, _desc = CHECKS[name]
-    exact = equality_mode == "exact"
     t0 = time.monotonic()
-    status, witnesses = fn(params, workers, exact)
-    # worker count is an execution detail: reports must be byte-identical
-    # at any parallelism, so it is not part of the canonical parameters
+    status, witnesses = fn(params)
     return VerificationReport(
         check=name,
-        parameters={**params, "equality_mode": equality_mode},
+        parameters={**params, "equality_mode": "exact"},
         status=status,
         witnesses=witnesses,
         wall_time=time.monotonic() - t0,

@@ -13,9 +13,9 @@ Subcommands mirror the library layers:
 
 Exit status is 0 iff every requested check PASSED; a series whose
 stabilization schedule does not settle prints a one-line error to stderr,
-is not cached, and exits 1.  Reports printed to
-stdout are canonical (timing goes to stderr), so outputs are
-byte-identical across parallelism levels and cache states.
+is not cached, and exits 1.  Everything runs serially in one process.
+Reports printed to stdout are canonical (timing goes to stderr), so
+outputs are byte-identical across reruns and cache states.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from . import __version__
 from .cache import ResultCache
 from .checks import check_names, run_check
 from .laumon import NotStabilized
-from .reports import Status
 
 __all__ = ["main"]
 
@@ -42,12 +41,9 @@ def _int_list(text: str) -> tuple:
 
 def _add_common(p):
     p.add_argument("--output", choices=("text", "json"), default="text")
-    p.add_argument("--parallelism", type=int, default=1, metavar="W")
     p.add_argument("--cache-dir", default=None,
                    help="cache directory (default: $MACLAB_CACHE_DIR)")
     p.add_argument("--no-cache", action="store_true")
-    p.add_argument("--equality-mode", choices=("exact", "probabilistic-preview"),
-                   default="exact")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -180,13 +176,12 @@ def _run_named_check(name: str, args) -> int:
         val = getattr(args, key, None)
         if val is not None:
             params[key] = val
-    report = run_check(name, workers=args.parallelism,
-                       equality_mode=args.equality_mode, **params)
+    report = run_check(name, **params)
     # stdout stays canonical (byte-identical across reruns); timing to stderr
     print(report.canonical_json() if args.output == "json" else report.text())
     if report.wall_time is not None:
         print(f"# wall time {report.wall_time:.2f}s", file=sys.stderr)
-    return 0 if report.status in (Status.PASSED, Status.PREVIEW_OK) else 1
+    return 0 if report.passed else 1
 
 
 def main(argv=None) -> int:
@@ -214,15 +209,12 @@ def _dispatch(args) -> int:
         fn = macdonald_P_oracle if args.oracle else macdonald_P
         op = "macdonald-oracle" if args.oracle else "macdonald"
         params = {"n": args.n, "lambda": list(args.lam)}
-        if args.oracle:
-            return _emit_series(lambda: fn(args.lam, args.n), args, op, params, cache)
-        return _emit_series(lambda: fn(args.lam, args.n, workers=args.parallelism),
-                            args, op, params, cache)
+        return _emit_series(lambda: fn(args.lam, args.n), args, op, params, cache)
 
     if args.command == "baker":
         from .baker import BAContext, f_N_series, specialize_f_to_P
 
-        ctx = BAContext(args.n, args.truncation, workers=args.parallelism)
+        ctx = BAContext(args.n, args.truncation)
         if args.specialize is not None:
             params = {"n": args.n, "lambda": list(args.specialize)}
             return _emit_series(lambda: specialize_f_to_P(args.specialize, ctx),
@@ -234,7 +226,7 @@ def _dispatch(args) -> int:
         if args.subcommand == "j":
             from .laumon import J_series, LaumonContext
 
-            ctx = LaumonContext(args.n, degree=args.degree, workers=args.parallelism)
+            ctx = LaumonContext(args.n, degree=args.degree)
             params = {"n": args.n, "degree": args.degree}
             return _emit_series(lambda: J_series(ctx), args, "laumon-j", params, cache)
         if args.subcommand == "limit":

@@ -20,7 +20,6 @@ from itertools import product as iproduct
 
 from .algebra import FactoredRational, LaurentPolynomial, rational_eq
 from .baker import ResidualNonzero, c_N_closed
-from .parallel import pmap
 from .qcalc import pochhammer, pochhammer_inf, pochhammer_zratio
 from .series import QTSeries, XSeries, expand_sum
 from .tableaux import ThetaMatrix, theta_by_degree, theta_upto_degree
@@ -66,7 +65,6 @@ class LaumonContext:
     n: int
     degree: int = 0       # max total x-degree
     order: int = 0        # max total (q,t)-degree
-    workers: int = 1
     vars: tuple = field(init=False)
 
     def __post_init__(self):
@@ -111,19 +109,14 @@ def C_theta(theta: ThetaMatrix, n: int) -> FactoredRational:
     return out
 
 
-def _c_job(args):
-    th, n = args
-    return C_theta(th, n)
-
-
 def J_series(ctx: LaumonContext) -> XSeries:
     """J truncated at total x-degree ctx.degree; the coefficient of
     x^alpha is the degree-alpha character (a rational function)."""
     n = ctx.n
     thetas = theta_upto_degree(n, ctx.degree)
-    values = pmap(_c_job, [(th, n) for th in thetas], ctx.workers)
     out = XSeries(n - 1, ctx.vars, ctx.degree)
-    for th, v in zip(thetas, values):
+    for th in thetas:
+        v = C_theta(th, n)
         k = th.degree_vector()
         cur = out.coeffs.get(k)
         s = v if cur is None else cur + v
@@ -268,18 +261,16 @@ def J_infinity(n: int, order: int) -> QTSeries:
     return out.truncate(order)
 
 
-def local_character(n: int, alpha, order: int, workers: int = 1) -> QTSeries:
+def local_character(n: int, alpha, order: int) -> QTSeries:
     """(q,t)-expansion of the degree-alpha character sum_theta C_theta.
 
     Individual fixed-point terms can carry z-denominators with no (q,t)
     content; they cancel in the sum, which is certified by exact division
     (see :func:`maclab.series.expand_sum`)."""
-    thetas = theta_by_degree(n, alpha)
-    values = pmap(_c_job, [(th, n) for th in thetas], workers)
-    return expand_sum(values, order)
+    return expand_sum([C_theta(th, n) for th in theta_by_degree(n, alpha)], order)
 
 
-def verify_local_limit(n: int, order: int, schedule=None, workers: int = 1,
+def verify_local_limit(n: int, order: int, schedule=None,
                        strict: bool = False) -> dict:
     """Stabilization of the fixed-degree characters along an increasing
     schedule in the far sector l_1 >> l_2 >> ... >> 0, and agreement of
@@ -287,7 +278,7 @@ def verify_local_limit(n: int, order: int, schedule=None, workers: int = 1,
     schedule points are evaluated: the stability test reads no other."""
     if schedule is None:
         schedule = default_schedule(n)
-    series = [local_character(n, a, order, workers) for a in schedule[-2:]]
+    series = [local_character(n, a, order) for a in schedule[-2:]]
     stabilized = len(series) >= 2 and series[0] == series[1]
     limit = J_infinity(n, order)
     matches = series[-1] == limit

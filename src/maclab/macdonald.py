@@ -29,7 +29,6 @@ from .algebra import (
     _norm_coef,
     rational_eq,
 )
-from .parallel import pmap
 from .qcalc import pochhammer
 from .tableaux import (
     Partition,
@@ -178,27 +177,25 @@ def psi_T(theta: ThetaMatrix, lam) -> FactoredRational:
 _P_memo: dict = {}
 
 
-def macdonald_P(lam, n: int, workers: int = 1) -> SymmetricPolynomial:
+def macdonald_P(lam, n: int) -> SymmetricPolynomial:
     """P_lambda by the tableau sum: the m_mu coefficient is the sum of
     psi_T over the theta matrices whose strip-size vector equals mu.
 
-    Values are memoized per worker count (results are identical at any
-    parallelism; the key keeps repeated-parallelism runs honest)."""
+    Values are memoized per (lambda, N)."""
     lam = Partition(lam)
     if len(lam) > n:
         raise ValueError("partition has more parts than variables")
-    memo_key = (lam, n, workers)
+    memo_key = (lam, n)
     hit = _P_memo.get(memo_key)
     if hit is not None:
         return hit
-    thetas = enumerate_pol_lambda(lam, n)
-    psis = pmap(_psi_job, [(th, lam) for th in thetas], workers)
     coeffs: dict = {}
-    for th, psi in zip(thetas, psis):
+    for th in enumerate_pol_lambda(lam, n):
         w = strip_sizes(th, lam)
         if list(w) != sorted(w, reverse=True):
             continue  # only the dominant rearrangement carries the m-coefficient
         mu = Partition(w)
+        psi = psi_T(th, lam)
         if mu in coeffs:
             coeffs[mu] = coeffs[mu] + psi
         else:
@@ -206,11 +203,6 @@ def macdonald_P(lam, n: int, workers: int = 1) -> SymmetricPolynomial:
     out = SymmetricPolynomial(n, coeffs)
     _P_memo[memo_key] = out
     return out
-
-
-def _psi_job(args):
-    th, lam = args
-    return psi_T(th, lam)
 
 
 def eigenvalue(lam, n: int) -> LaurentPolynomial:
@@ -385,14 +377,6 @@ def _partitions_of(size: int, max_len: int) -> list:
 
     rec(size, size, [])
     return out
-
-
-def apply_D1N_sym(f: SymmetricPolynomial) -> tuple:
-    """Apply the difference operator to a symmetric polynomial given in
-    the m-basis.  Returns (poly, den): the operator image times den, as a
-    cleared Laurent polynomial, together with the (q, s) denominator."""
-    poly, den = f.clear_denominators()
-    return apply_D1N(poly, f.n), den
 
 
 def pieri_L(lvec: Sequence[int], r: int, n: int) -> FactoredRational:

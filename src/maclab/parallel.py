@@ -1,8 +1,9 @@
 """Deterministic worker-pool map.
 
-Parallelism only affects where the per-item work happens: results come
-back in submission order and every reduction in the package folds them
-sequentially, so outputs are identical at any worker count.
+Nothing in the package calls :func:`pmap`: every check runs serially.
+The module stays only because the benchmark harness under ``perfbench/``
+imports it by name and traces ``parallel.pmap``; it goes once the
+harness no longer does.
 """
 
 from __future__ import annotations

@@ -2,25 +2,24 @@
 
 A report records the check name, its parameters, a status and, on
 failure, at least one witness (the offending coefficient index together
-with the expected and actual values).  The canonical JSON form excludes
-wall time so that reruns (at any parallelism) are byte-identical; timing
-is carried separately.
+with the expected and actual values).  The status is PASSED only when
+every identity held in exact equality.  The canonical JSON form excludes
+wall time so that reruns are byte-identical; timing is carried
+separately.
 """
 
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 
-__all__ = ["VerificationReport", "Status", "timed_report"]
+__all__ = ["VerificationReport", "Status"]
 
 
 class Status:
     PASSED = "PASSED"
     FAILED = "FAILED"
     NOT_STABILIZED = "NOT_STABILIZED"
-    PREVIEW_OK = "PREVIEW_OK"   # probabilistic preview success; never a pass
 
 
 @dataclass
@@ -59,10 +58,3 @@ class VerificationReport:
             line += f"\n    witness: {w}"
         return line
 
-
-def timed_report(check: str, parameters: dict, fn) -> VerificationReport:
-    """Run ``fn`` (returning (status, witnesses)) under a wall clock."""
-    t0 = time.monotonic()
-    status, witnesses = fn()
-    return VerificationReport(check, parameters, status, witnesses,
-                              wall_time=time.monotonic() - t0)

@@ -129,13 +129,6 @@ class QTSeries:
             out.coeffs = {k: p.scale(c) for k, p in self.coeffs.items()}
         return out
 
-    def scale_poly(self, p: LaurentPolynomial) -> "QTSeries":
-        out = QTSeries(self.qt, self.coeff_vars, self.trunc)
-        if not p.is_zero():
-            out.coeffs = {k: q * p for k, q in self.coeffs.items()}
-            out.coeffs = {k: q for k, q in out.coeffs.items() if not q.is_zero()}
-        return out
-
     def shift(self, da: int, db: int) -> "QTSeries":
         """Multiply by q^da * t^db (adjusting the accuracy bound)."""
         out = QTSeries(self.qt, self.coeff_vars, self.trunc + da + db)

@@ -3,9 +3,13 @@
 Every criterion runs through the same registry as ``maclab verify`` with
 its pinned parameter range and exact (zero-tolerance) equality.  Each
 test prints one pass/fail line; run with ``pytest -v -s`` to see them.
-The final criterion reruns everything at parallelism 8 and compares the
-canonical report bytes against the parallelism-1 runs.
+The final criterion reruns everything with ``workers=8`` (which
+``run_check`` ignores: checks run serially) and compares the canonical
+report bytes against the first runs.  A last test pins the canonical
+bytes of every criterion to one sha256.
 """
+
+import hashlib
 
 import pytest
 
@@ -80,3 +84,15 @@ def test_criterion_12_determinism():
     verdict = "PASSED" if not mismatches else "FAILED"
     print(f"criterion 12 [{TITLES[12]}]: {verdict}")
     assert not mismatches, mismatches
+
+
+# sha256 over the canonical report lines of criteria 1-11, in order
+CANONICAL_SHA256 = "41958a080ac97911c9a1b697b8dbebd2667e3ca652fe10170d23f8829a06a0d2"
+
+
+def test_canonical_bytes_are_pinned():
+    h = hashlib.sha256()
+    for crit in sorted(CRITERIA):
+        for r in reports_for(crit, 1):
+            h.update(r.canonical_json().encode() + b"\n")
+    assert h.hexdigest() == CANONICAL_SHA256

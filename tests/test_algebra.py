@@ -12,7 +12,6 @@ from maclab.algebra import (
     FactoredRational,
     LaurentPolynomial,
     rational_eq,
-    rational_eq_numeric,
 )
 from maclab.series import expand, expand_split
 
@@ -149,23 +148,6 @@ def test_add_cancels_to_zero():
 def test_to_laurent_divides_out_denominator():
     fr = frac([ONE - Q * Q * T * T], [ONE - Q * T])
     assert fr.to_laurent() == ONE + Q * T
-
-
-def test_numeric_preview_agrees_on_equals():
-    a = frac([ONE - Q * Q], [ONE - Q])
-    b = FactoredRational.from_poly(ONE + Q)
-    assert rational_eq_numeric(a, b)
-
-
-def test_numeric_preview_is_false_when_every_point_is_a_pole(monkeypatch):
-    a = frac([ONE - Q * Q], [ONE - Q])
-    b = FactoredRational.from_poly(ONE + Q)
-
-    def pole(self, point):
-        raise ZeroDivisionError("denominator factor vanishes")
-
-    monkeypatch.setattr(FactoredRational, "evaluate", pole)
-    assert not rational_eq_numeric(a, b)
 
 
 def test_expand_product_rule():

@@ -59,3 +59,15 @@ def test_failed_write_warns_and_cli_output_is_unchanged(tmp_path, monkeypatch, c
     assert code == 0
     assert capsys.readouterr().out == expected
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("text", ["[1, 2]", "null"])
+def test_entry_that_is_not_an_object_is_recomputed(tmp_path, capsys, text):
+    args = (*MACDONALD, "--cache-dir", str(tmp_path))
+    assert main(list(args)) == 0
+    cold = capsys.readouterr().out
+    (entry,) = tmp_path.glob("*.json")
+    entry.write_text(text)
+    assert main(list(args)) == 0
+    assert capsys.readouterr().out == cold
+    assert entry.read_text() != text

@@ -80,14 +80,6 @@ def test_top_level_verify_and_aliases(capsys):
     assert json.loads(out)["check"] == "shir"
 
 
-def test_preview_mode_never_passes(capsys):
-    code, out, _ = run_cli(capsys, "verify", "cn", "--max-n", "2", "--max-entry", "1",
-                           "--equality-mode", "probabilistic-preview",
-                           "--output", "json", "--no-cache")
-    assert code == 0
-    assert json.loads(out)["status"] == "PREVIEW_OK"
-
-
 def test_cache_transparency(tmp_path, capsys):
     args = ("global", "h", "--n", "2", "--weight", "1", "--order", "1",
             "--output", "json", "--cache-dir", str(tmp_path))
@@ -108,14 +100,6 @@ def test_cache_corruption_recovers(tmp_path, capsys):
     entry.write_text(entry.read_text().replace('"coef":"1"', '"coef":"2"', 1))
     _, healed, _ = run_cli(capsys, *args)
     assert healed == cold
-
-
-def test_parallelism_byte_identical(capsys):
-    base = ("verify", "junichi", "--n", "2", "--order", "2",
-            "--output", "json", "--no-cache")
-    _, a, _ = run_cli(capsys, *base, "--parallelism", "1")
-    _, b, _ = run_cli(capsys, *base, "--parallelism", "8")
-    assert a == b
 
 
 def test_checks_listing(capsys):

@@ -108,9 +108,9 @@ def test_only_the_last_two_schedule_points_are_evaluated(monkeypatch):
     seen = []
     real = maclab.laumon.local_character
 
-    def spy(n, alpha, order, workers=1):
+    def spy(n, alpha, order):
         seen.append(tuple(alpha))
-        return real(n, alpha, order, workers)
+        return real(n, alpha, order)
 
     monkeypatch.setattr(maclab.laumon, "local_character", spy)
     schedule = [(1,), (2,), (3,), (4,)]
