@@ -44,9 +44,8 @@ from .laumon import (
     _series_diff,
 )
 from .macdonald import (
-    apply_D1N,
+    eigen_residual,
     eigenvalue,
-    mac_vars,
     macdonald_P,
     macdonald_P_oracle,
     pieri_L,
@@ -82,17 +81,17 @@ def check_tableau_oracle(params):
 
 
 def check_eigen(params):
+    """D P_lambda == ev_lambda * P_lambda for |lambda| <= max_size,
+    N <= max_n, decided on the bialternant form of the operator from
+    P's m-expansion (:func:`~maclab.macdonald.eigen_residual`).  That
+    form of D shares no operator code with ``apply_D1N``, which the
+    oracle of ``tableau-oracle`` uses, so the two checks test each other."""
     max_size = params.get("max_size", 5)
     max_n = params.get("max_n", 4)
     witnesses = []
     for n in range(1, max_n + 1):
-        vars = mac_vars(n)
         for lam in partitions_upto(max_size, n):
-            P = macdonald_P(lam, n)
-            poly, _den = P.clear_denominators()
-            image = apply_D1N(poly, n)
-            ev = eigenvalue(lam, n).transform(vars, {})
-            if image != ev * poly:
+            if eigen_residual(macdonald_P(lam, n), eigenvalue(lam, n)):
                 witnesses.append({"lambda": list(lam), "n": n})
     return _status(not witnesses), witnesses
 
@@ -394,8 +393,7 @@ def run_check(name: str, workers: int = 1, **params) -> VerificationReport:
     """Run the check ``name`` on ``params`` and report its verdict.
 
     ``workers`` is accepted and ignored: every check runs serially.  The
-    benchmark harness (``perfbench/child.py``) and the determinism
-    criterion in ``tests/test_acceptance.py`` still pass it.  It is never
+    benchmark harness (``perfbench/child.py``) still passes it.  It is never
     part of the report's parameters, which carry the constant
     ``equality_mode`` "exact" so that canonical bytes stay as they were.
     """

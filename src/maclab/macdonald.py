@@ -7,6 +7,10 @@ Two independent constructions are provided and test each other:
 * :func:`macdonald_P_oracle` -- the triangular eigen-solve for the
   q-difference operator in the monomial basis.
 
+The oracle applies the operator through :func:`apply_D1N`; the eigen
+identity for P is decided by :func:`eigen_residual`, on the bialternant
+form of the same operator, without expanding P in y.
+
 The Macdonald parameter is called ``s`` here (the variable pair is
 (q, s)); the geometric modules substitute s -> q*t or s -> t explicitly
 where needed.
@@ -18,8 +22,8 @@ P_lambda is sum_i q^{lambda_i} s^{N-i}.
 
 from __future__ import annotations
 
-from itertools import permutations
-from operator import itemgetter
+from itertools import combinations, permutations
+from operator import add, gt, itemgetter
 from typing import Sequence
 
 from .algebra import (
@@ -46,6 +50,7 @@ __all__ = [
     "psi_T",
     "macdonald_P",
     "apply_D1N",
+    "eigen_residual",
     "macdonald_P_oracle",
     "pieri_L",
     "eigenvalue",
@@ -99,27 +104,30 @@ class SymmetricPolynomial:
         keys = set(self.mcoeffs) | set(other.mcoeffs)
         return all(rational_eq(self.coefficient(mu), other.coefficient(mu)) for mu in keys)
 
-    def clear_denominators(self):
-        """Return (poly, den) with  value == poly / den:  ``poly`` is a
-        Laurent polynomial over (q, s, y_1..y_N) and ``den`` one over (q, s)."""
-        vars = mac_vars(self.n)
+    def cleared_mcoeffs(self):
+        """Return (cleared, den) with  coefficient(mu) == cleared[mu] / den:
+        ``den`` is the least common multiple of the denominators, kept
+        factored, and every ``cleared`` value is a Laurent polynomial over
+        (q, s)."""
         den_factors: dict = {}
         for c in self.mcoeffs.values():
             for p, m in c.factors:
                 if m < 0:
                     key = p.canonical_str()
                     den_factors[key] = (p, max(den_factors.get(key, (p, 0))[1], -m))
-        den = LaurentPolynomial.one(QS)
-        for p, m in den_factors.values():
-            den = den * p ** m
-        den_fr = FactoredRational(QS, 1, None, [(p, m) for p, m in den_factors.values()])
+        den = FactoredRational(QS, 1, None, list(den_factors.values()))
+        return {mu: (c * den).to_laurent() for mu, c in self.mcoeffs.items()}, den
+
+    def clear_denominators(self):
+        """Return (poly, den) with  value == poly / den:  ``poly`` is a
+        Laurent polynomial over (q, s, y_1..y_N) and ``den`` one over (q, s)."""
+        vars = mac_vars(self.n)
+        cleared, den = self.cleared_mcoeffs()
         # distinct partitions give disjoint y-monomials: no term collides
         terms: dict = {}
-        for mu, c in self.mcoeffs.items():
-            cleared = (c * den_fr).to_laurent()
-            cq = cleared.transform(vars, {})
-            terms.update((cq * monomial_symmetric(mu, self.n)).terms)
-        return LaurentPolynomial._from_terms(vars, terms), den
+        for mu, c in cleared.items():
+            terms.update((c.transform(vars, {}) * monomial_symmetric(mu, self.n)).terms)
+        return LaurentPolynomial._from_terms(vars, terms), den.to_laurent()
 
     def to_json_obj(self) -> dict:
         return {
@@ -215,9 +223,76 @@ def eigenvalue(lam, n: int) -> LaurentPolynomial:
     return out
 
 
+def eigen_residual(P: SymmetricPolynomial, ev: LaurentPolynomial) -> dict:
+    """The coefficients of V * (D - ev) P at strictly decreasing exponents,
+    read off P's m-expansion without expanding P in y.
+
+    With delta = (N-1, ..., 0) and V = a_delta = prod_{a<b} (y_a - y_b),
+    the operator D of :func:`apply_D1N` has the bialternant form
+    (Macdonald, *Symmetric Functions and Hall Polynomials*, ch. VI §3)
+
+        V * D = sum_{w in S_N} eps(w) y^{w delta} sum_i s^{(w delta)_i} T_{q,y_i},
+
+    so, for P = sum_mu c_mu m_mu and beta running over the distinct
+    rearrangements of each mu padded to length N,
+
+        V * (D - ev) P = sum_{mu, beta, w} eps(w) c_mu
+                         (sum_i q^{beta_i} s^{(w delta)_i} - ev) y^{beta + w delta}.
+
+    P is symmetric and D commutes with S_N, so this polynomial is
+    antisymmetric, hence zero iff its coefficients at strictly decreasing
+    exponents are; and V != 0.  The c_mu are taken with their common
+    denominator cleared (:meth:`SymmetricPolynomial.cleared_mcoeffs`).
+
+    Returns the nonzero coefficients as ``{k: Laurent polynomial over
+    (q, s)}``: empty iff D P == ev * P."""
+    if ev.vars != QS:
+        raise ValueError("eigenvalue not over (q, s)")
+    n = P.n
+    # eps(w) is the parity of the ascending pairs of w delta
+    stairs = [(wd, -1 if sum(a < b for a, b in combinations(wd, 2)) % 2 else 1)
+              for wd in permutations(range(n - 1, -1, -1))]
+    cleared, _den = P.cleared_mcoeffs()
+    acc: dict = {}   # k -> {(q-exponent, s-exponent): coefficient}
+    for mu, c in cleared.items():
+        # sum over the (beta, w) with beta + w delta = k of the signed weight
+        weights: dict = {}
+        base = tuple(mu) + (0,) * (n - len(mu))
+        for beta in dict.fromkeys(permutations(base)):
+            for wd, sign in stairs:
+                k = tuple(map(add, beta, wd))
+                if not all(map(gt, k, k[1:])):
+                    continue
+                wk = weights.setdefault(k, {})
+                for e in zip(beta, wd):
+                    wk[e] = wk.get(e, 0) + sign
+                for e, cv in ev.terms.items():
+                    wk[e] = wk.get(e, 0) - sign * cv
+        c_items = c.terms.items()
+        for k, wk in weights.items():
+            ak = acc.setdefault(k, {})
+            for (a, b), w in wk.items():
+                if not w:
+                    continue
+                for (ca, cb), cv in c_items:
+                    e = (ca + a, cb + b)
+                    v = ak.get(e, 0) + w * cv
+                    if v:
+                        ak[e] = v
+                    else:
+                        # w * cv != 0, so a zero sum cancels an existing term
+                        del ak[e]
+    return {k: LaurentPolynomial._from_terms(QS, {e: _norm_coef(v) for e, v in ak.items()})
+            for k, ak in acc.items() if ak}
+
+
 def apply_D1N(f: LaurentPolynomial, n: int) -> LaurentPolynomial:
     """The q-difference operator sum_i prod_{j != i} (s y_i - y_j)/(y_i - y_j) T_{q, y_i}
     on a symmetric polynomial f over (q, s, y_1..y_N).
+
+    It builds the operator images of the m_mu for the eigen-solve oracle
+    (:func:`macdonald_P_oracle`).  The ``eigen`` check does not expand in
+    y at all: it uses the bialternant form in :func:`eigen_residual`.
 
     With V = prod_{a<b} (y_a - y_b), summand i of V * D f is the
     transposition (y_1 y_i) of summand 1 with its sign flipped, because f

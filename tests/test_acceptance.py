@@ -3,16 +3,17 @@
 Every criterion runs through the same registry as ``maclab verify`` with
 its pinned parameter range and exact (zero-tolerance) equality.  Each
 test prints one pass/fail line; run with ``pytest -v -s`` to see them.
-The final criterion reruns everything with ``workers=8`` (which
-``run_check`` ignores: checks run serially) and compares the canonical
-report bytes against the first runs.  A last test pins the canonical
-bytes of every criterion to one sha256.
+The final criterion clears every memo table and the Pochhammer cache,
+reruns everything cold and compares the canonical report bytes against
+the first runs.  A last test pins the canonical bytes of every criterion
+to one sha256.
 """
 
 import hashlib
 
 import pytest
 
+from maclab import euler, macdonald, qcalc
 from maclab.checks import run_check
 from maclab.reports import Status
 
@@ -43,24 +44,24 @@ TITLES = {
     9: "shift-operator eigen identity, exact (Sum l_i <= 2, N<=3)",
     10: "stable character vanishes for nondominant twists (order 2)",
     11: "arc-space closed formula vs truncated localization (order 2)",
-    12: "byte-identical reports at parallelism 1 and 8",
+    12: "byte-identical reports from warm and cold memo tables",
 }
 
 _memo: dict = {}
 
 
-def reports_for(crit: int, workers: int):
+def reports_for(crit: int):
     out = []
     for name, params in CRITERIA[crit]:
-        key = (name, tuple(sorted(params.items())), workers)
+        key = (name, tuple(sorted(params.items())))
         if key not in _memo:
-            _memo[key] = run_check(name, workers=workers, **params)
+            _memo[key] = run_check(name, **params)
         out.append(_memo[key])
     return out
 
 
 def _run(crit: int):
-    reports = reports_for(crit, workers=1)
+    reports = reports_for(crit)
     ok = all(r.status == Status.PASSED for r in reports)
     verdict = "PASSED" if ok else "FAILED"
     print(f"criterion {crit:2d} [{TITLES[crit]}]: {verdict}")
@@ -73,14 +74,23 @@ def test_criterion(crit):
     _run(crit)
 
 
+def _clear_memo_tables():
+    macdonald._P_memo.clear()
+    macdonald._action_memo.clear()
+    euler._c_cache.clear()
+    euler._c_factors.clear()
+    euler._mz_memo.clear()
+    qcalc._pochhammer.cache_clear()
+
+
 def test_criterion_12_determinism():
+    first = {crit: reports_for(crit) for crit in sorted(CRITERIA)}
+    _clear_memo_tables()
     mismatches = []
     for crit in sorted(CRITERIA):
-        serial = reports_for(crit, workers=1)
-        parallel = reports_for(crit, workers=8)
-        for a, b in zip(serial, parallel):
-            if a.canonical_json() != b.canonical_json():
-                mismatches.append((crit, a.check))
+        for (name, params), a in zip(CRITERIA[crit], first[crit]):
+            if a.canonical_json() != run_check(name, **params).canonical_json():
+                mismatches.append((crit, name))
     verdict = "PASSED" if not mismatches else "FAILED"
     print(f"criterion 12 [{TITLES[12]}]: {verdict}")
     assert not mismatches, mismatches
@@ -93,6 +103,6 @@ CANONICAL_SHA256 = "41958a080ac97911c9a1b697b8dbebd2667e3ca652fe10170d23f8829a06
 def test_canonical_bytes_are_pinned():
     h = hashlib.sha256()
     for crit in sorted(CRITERIA):
-        for r in reports_for(crit, 1):
+        for r in reports_for(crit):
             h.update(r.canonical_json().encode() + b"\n")
     assert h.hexdigest() == CANONICAL_SHA256

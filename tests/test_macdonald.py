@@ -8,11 +8,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import maclab.checks
 from maclab.algebra import FactoredRational, LaurentPolynomial, rational_eq
+from maclab.checks import run_check
 from maclab.euler import GLWeight, _zsum, glob_vars, macdonald_in_z
 from maclab.macdonald import (
     DenominatorSurvives,
+    SymmetricPolynomial,
     apply_D1N,
+    eigen_residual,
     eigenvalue,
     mac_vars,
     macdonald_P,
@@ -21,6 +25,7 @@ from maclab.macdonald import (
     pieri_L,
     psi_T,
 )
+from maclab.reports import Status
 from maclab.tableaux import (
     ThetaMatrix,
     dominates,
@@ -172,12 +177,102 @@ def test_apply_D1N_rejects_asymmetric_input_the_reference_divides():
         apply_D1N(f, 2)
 
 
+def eigen_holds_reference(P, ev):
+    """The eigen identity through the y-expansion: D applied to P with its
+    denominators cleared, compared with ev times the same polynomial."""
+    n = P.n
+    poly, _den = P.clear_denominators()
+    return apply_D1N(poly, n) == ev.transform(mac_vars(n), {}) * poly
+
+
+CRITERION_2 = [(lam, n) for n in range(1, 5) for lam in partitions_upto(5, n)]
+
+
 def test_eigen_identity_small():
-    for (lam, n) in [((1,), 2), ((2,), 2), ((2, 1), 3), ((1, 1, 1), 3)]:
+    # the whole range of criterion 2, by both routes to the operator
+    for (lam, n) in CRITERION_2:
+        P, ev = macdonald_P(lam, n), eigenvalue(lam, n)
+        assert eigen_holds_reference(P, ev), (lam, n)
+        assert eigen_residual(P, ev) == {}, (lam, n)
+
+
+@pytest.mark.parametrize("shift", [Q, -S], ids=["ev+q", "ev-s"])
+def test_eigen_residual_rejects_a_wrong_eigenvalue(shift):
+    for (lam, n) in CRITERION_2:
+        P, ev = macdonald_P(lam, n), eigenvalue(lam, n) + shift
+        assert not eigen_holds_reference(P, ev), (lam, n)
+        assert eigen_residual(P, ev), (lam, n)
+
+
+def test_eigen_residual_refuses_an_eigenvalue_over_y():
+    ev = eigenvalue((2, 1), 3).transform(mac_vars(3), {})
+    with pytest.raises(ValueError):
+        eigen_residual(macdonald_P((2, 1), 3), ev)
+
+
+def test_eigen_residual_rejects_a_perturbed_coefficient():
+    # one m-coefficient times q: no longer an eigenfunction unless that
+    # coefficient is all of P
+    q = FactoredRational.from_poly(Q)
+    for (lam, n) in CRITERION_2:
+        P, ev = macdonald_P(lam, n), eigenvalue(lam, n)
+        for mu, c in P.mcoeffs.items():
+            bad = SymmetricPolynomial(n, {**P.mcoeffs, mu: c * q})
+            holds = len(P.mcoeffs) == 1
+            assert eigen_holds_reference(bad, ev) == holds, (lam, n, mu)
+            assert (eigen_residual(bad, ev) == {}) == holds, (lam, n, mu)
+
+
+@st.composite
+def m_expansions(draw):
+    """n = 1..3, up to three partitions of size <= 3, each with a small
+    polynomial coefficient over (q, s), and an arbitrary 'eigenvalue'."""
+    n = draw(st.integers(1, 3))
+    polys = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                            st.integers(-2, 2).filter(bool), min_size=1, max_size=3)
+    coeffs = draw(st.dictionaries(st.sampled_from(partitions_upto(3, n)),
+                                  polys, min_size=1, max_size=3))
+    P = SymmetricPolynomial(n, {mu: FactoredRational.from_poly(LaurentPolynomial(QS, t))
+                                for mu, t in coeffs.items()})
+    return P, LaurentPolynomial(QS, draw(polys))
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(m_expansions())
+def test_eigen_residual_is_the_bialternant_of_the_operator_image(case):
+    # V * (D - ev) P through apply_D1N, read at strictly decreasing exponents
+    P, ev = case
+    n = P.n
+    vars = mac_vars(n)
+    poly, den = P.clear_denominators()
+    assert den.is_one()
+    vandermonde = LaurentPolynomial.one(vars)
+    for a in range(1, n + 1):
+        for b in range(a + 1, n + 1):
+            vandermonde = vandermonde * (LaurentPolynomial.var(vars, f"y{a}")
+                                         - LaurentPolynomial.var(vars, f"y{b}"))
+    image = (apply_D1N(poly, n) - ev.transform(vars, {}) * poly) * vandermonde
+    expected: dict = {}
+    for e, c in image.terms.items():
+        k = e[2:]
+        if all(a > b for a, b in zip(k, k[1:])):
+            expected[k] = expected.get(k, LaurentPolynomial.zero(QS)) \
+                + LaurentPolynomial.monomial(QS, e[:2], c)
+    assert eigen_residual(P, ev) == {k: p for k, p in expected.items() if not p.is_zero()}
+
+
+def test_eigen_check_reports_a_perturbed_P(monkeypatch):
+    def perturbed(lam, n):
         P = macdonald_P(lam, n)
-        poly, _den = P.clear_denominators()
-        ev = eigenvalue(lam, n).transform(mac_vars(n), {})
-        assert apply_D1N(poly, n) == ev * poly, (lam, n)
+        if (tuple(lam), n) != ((2, 1), 3):
+            return P
+        c = P.coefficient((1, 1, 1))
+        return SymmetricPolynomial(n, {**P.mcoeffs, (1, 1, 1): c * FactoredRational.from_poly(Q)})
+
+    monkeypatch.setattr(maclab.checks, "macdonald_P", perturbed)
+    rep = run_check("eigen", max_size=3, max_n=3)
+    assert rep.status == Status.FAILED
+    assert rep.witnesses == [{"lambda": [2, 1], "n": 3}]
 
 
 def test_oracle_equals_tableau_sum_small():
