@@ -6,8 +6,11 @@ and the largest single sum the ``hp`` check folds.  Two cases:
 
 * ``expand_sum`` over the summands of every Weyl element, each built on
   its own: the per-w reference;
-* ``euler_char_series``, which builds and expands the w = id summands
-  only and adds their Weyl images; it must equal the reference.
+* ``euler_char_series``, which convolves the per-degree J-pieces of the
+  w = id part, multiplies by the Weyl factor once and adds the Weyl
+  images; it must equal the reference.  After the first round it reads
+  every J-piece from its cache, as ``H_limit`` does across weights and
+  schedule points.
 
 Not part of the test suite.  Run with
 

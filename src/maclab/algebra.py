@@ -783,22 +783,32 @@ class FactoredRational:
         """Monomial substitution (see :meth:`LaurentPolynomial.transform`).
 
         A numerator factor may collapse to zero (making the value zero); a
-        denominator factor collapsing to zero raises ``ZeroDivisionError``.
-        """
+        denominator factor collapsing to zero raises ``ZeroDivisionError``;
+        the first collapsing factor in key order decides.  The canonical image
+        of each factor comes from a bounded memo (:func:`_factor_image`)."""
         new_vars = tuple(new_vars)
         if self.is_zero():
             return FactoredRational.zero(new_vars)
         unit = LaurentPolynomial.monomial(self.vars, self.exps, self.coef).transform(new_vars, mapping)
-        (e, c), = unit.terms.items()
-        factors = []
-        for p, m in self.factors:
-            q = p.transform(new_vars, mapping)
-            if q.is_zero():
+        (exps, coef), = unit.terms.items()
+        mkey = (self.vars, new_vars,
+                tuple(sorted((v, (c, tuple(e))) for v, (c, e) in mapping.items())))
+        own = self._fmap
+        fmap: dict = {}
+        for key in sorted(own):
+            p, m = own[key]
+            u_c, u_e, canon, ckey = _factor_image(mkey, key, p, mapping)
+            if u_c == 0:
                 if m < 0:
                     raise ZeroDivisionError("denominator factor vanished under substitution")
                 return FactoredRational.zero(new_vars)
-            factors.append((q, m))
-        return FactoredRational(new_vars, c, e, factors)
+            if u_c != 1:
+                coef = _norm_coef(coef * _coef_pow(u_c, m))
+            if any(u_e):
+                exps = tuple(x + m * y for x, y in zip(exps, u_e))
+            if canon is not None:
+                _merge_factor(fmap, ckey, canon, m)
+        return FactoredRational._from_map(new_vars, coef, exps, fmap)
 
     def substitute(self, var: str, coef: Coef, exps: Sequence[int]) -> "FactoredRational":
         return self.transform(self.vars, {var: (coef, tuple(exps))})
@@ -880,6 +890,29 @@ def _canonical_factor(p: LaurentPolynomial) -> tuple:
             cached = (c0, mins, canon, key)
     p._canon = cached
     return cached
+
+
+# (source vars, new vars, mapping) and a canonical factor key -> the
+# _canonical_factor of that factor's image.  Few distinct pairs recur
+# many times (q-shifts of the same binomials in the coefficient
+# recursions, Weyl images of the same denominators); cleared whole when
+# it reaches the cap, so it stays bounded in a long-lived process.
+_factor_images: dict = {}
+_FACTOR_IMAGES_MAX = 4096
+
+
+def _factor_image(mkey: tuple, key: tuple, p: LaurentPolynomial, mapping: Mapping) -> tuple:
+    """``_canonical_factor(p.transform(new_vars, mapping))`` for the
+    canonical factor ``p`` with key ``key``, memoised on ``(mkey, key)``;
+    ``mkey`` is ``(p.vars, new_vars, mapping as sorted items)``."""
+    memo_key = (mkey, key)
+    image = _factor_images.get(memo_key)
+    if image is None:
+        if len(_factor_images) >= _FACTOR_IMAGES_MAX:
+            _factor_images.clear()
+        image = _canonical_factor(p.transform(mkey[1], mapping))
+        _factor_images[memo_key] = image
+    return image
 
 
 def rational_eq(a: FactoredRational, b: FactoredRational) -> bool:

@@ -24,14 +24,23 @@ relative to the usual highest-weight dictionary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from itertools import permutations
 
 from .algebra import FactoredRational, LaurentPolynomial, rational_eq
 from .laumon import C_theta, IdentityFails, NotStabilized, lau_vars
 from .macdonald import macdonald_P
 from .qcalc import pochhammer
-from .series import QTSeries, expand, expand_sum
+from .series import (
+    QTSeries,
+    certify_sum,
+    expand,
+    expand_sum,
+    fold_split,
+    split_expand,
+    split_mul,
+    split_sum,
+)
 from .tableaux import Partition, theta_by_degree, theta_upto_degree
 
 __all__ = [
@@ -180,6 +189,18 @@ _c_cache: dict = {}
 # table instead of each keeping its own copies.
 _c_factors: dict = {}
 
+# Both tables are cleared together when _c_cache reaches this many
+# entries (every acceptance range stays below 300), so a long-lived
+# process keeps them bounded.
+_C_CACHE_MAX = 4096
+
+
+def _c_store(key, value: FactoredRational) -> None:
+    if len(_c_cache) >= _C_CACHE_MAX:
+        _c_cache.clear()
+        _c_factors.clear()
+    _c_cache[key] = value
+
 
 def _shared_factors(fr: FactoredRational) -> FactoredRational:
     """``fr`` with every factor replaced by its object in _c_factors."""
@@ -213,11 +234,11 @@ def _C_glob(theta_key, n: int, w, inverted: bool) -> FactoredRational:
             e[0] = -1
             base = base.substitute("q", 1, e)
         base = _shared_factors(base)
-        _c_cache[base_key] = base
+        _c_store(base_key, base)
     gv = glob_vars(n)
     mapping = {f"z{i}": (1, _wslot_exp(n, i, w)) for i in range(1, n + 1)}
     out = _shared_factors(base.transform(gv, mapping))
-    _c_cache[key] = out
+    _c_store(key, out)
     return out
 
 
@@ -274,18 +295,77 @@ def euler_char_global(alpha, weight: GLWeight) -> FactoredRational:
     return total
 
 
+def _j_values(n: int, degree: tuple, inverted: bool) -> list:
+    """C_theta(q^{-1} if inverted else q, t, z) at w = id over the fixed
+    points theta of the given degree."""
+    ident = tuple(range(1, n + 1))
+    return [_C_glob(th.entry_list(), n, ident, inverted) for th in theta_by_degree(n, degree)]
+
+
+@lru_cache(maxsize=1024)
+def _j_valuation(n: int, degree: tuple, inverted: bool) -> int:
+    """A lower bound of the total (q,t)-degree of every term of the
+    degree-``degree`` J-piece: the least ``valuation_lb`` of its values."""
+    return min(c.valuation_lb(("q", "t")) for c in _j_values(n, degree, inverted))
+
+
+@lru_cache(maxsize=1024)
+def _j_piece(n: int, degree: tuple, inverted: bool, trunc: int) -> tuple:
+    """The degree-``degree`` piece of the J-function at w = id, the sum
+    of :func:`_j_values`, as a split series (:func:`split_expand`) exact
+    up to total (q,t)-degree ``trunc``.
+
+    Kept in a bounded cache shared by every weight, schedule point and
+    order that asks for the same truncation; its series are never
+    mutated."""
+    return split_expand(_j_values(n, degree, inverted), trunc)
+
+
 def euler_char_series(alpha, weight: GLWeight, order: int) -> QTSeries:
     """(q,t)-expansion of the fixed-degree global character to the given
     order; certifies that all Weyl denominators cancel.
 
-    Only the w = id summands are built and expanded: the summand of w is
-    their image under sigma_w (:func:`_weyl_images`), a permutation of
-    the coefficient variables that commutes with the expansion, so
-    :func:`expand_sum` folds the w = id terms per (q,t)-degree and adds
-    the sigma_w-images of each fold before certifying the full W-sum."""
+    The w = id part of the localization sum is a convolution of
+    J-pieces (:func:`_j_piece`):
+
+        z^{weight} prod_{i<j} (1 - t z_j/z_i)/(1 - z_j/z_i)
+            * sum_{gamma + beta = alpha} q^{<gamma, weight>} J_gamma(q^{-1}) J_beta(q)
+
+    Each piece is one split series, a sum of (q,t)-series with
+    coefficient-side pole parts, so a splitting gamma + beta takes one
+    series product per pair of pole parts instead of one expansion per
+    pair of fixed points.  The valuation bounds of the two pieces
+    (:func:`_j_valuation`) decide how far each must be expanded for the
+    product to be exact below the order, and skip the splittings whose
+    terms all lie beyond it; :func:`split_mul` checks every product
+    against the degree it must reach.  The Weyl-factor product then
+    multiplies the whole convolution once.  Its fold per (q,t)-degree
+    and pole part goes to :func:`certify_sum`, which adds the images
+    under sigma_w (:func:`_weyl_images`) of the w = id sum, a
+    permutation of the coefficient variables that commutes with the
+    expansion, and certifies the full W-sum."""
     n = weight.n
-    terms = _localization_terms(alpha, weight, tuple(range(1, n + 1)))
-    return expand_sum(terms, order, images=_weyl_images(n))
+    ident = tuple(range(1, n + 1))
+    vars = glob_vars(n)
+    alpha = tuple(alpha)
+    conv = []
+    for gamma in _sub_degrees(alpha):
+        beta = tuple(a - g for a, g in zip(alpha, gamma))
+        qpow = weight.pairing(gamma)
+        need = order - qpow
+        v_gamma, v_beta = _j_valuation(n, gamma, True), _j_valuation(n, beta, False)
+        if v_gamma + v_beta > need:
+            continue
+        j_gamma = _j_piece(n, gamma, True, need - v_beta)
+        j_beta = _j_piece(n, beta, False, need - v_gamma)
+        conv.extend((rest, s.shift(qpow, 0)) for rest, s in split_mul(j_gamma, j_beta, need))
+    conv = split_sum(conv)
+    base = FactoredRational.monomial(vars, weight.z_monomial(ident)) * _weyl_factor(n, ident)
+    low = min((s.min_total() for _rest, s in conv if s.coeffs), default=0)
+    groups: dict = {}
+    for rest, s in split_mul(conv, split_expand([base], order - min(0, low)), order):
+        fold_split(groups, rest, s)
+    return certify_sum(groups, vars, order, images=_weyl_images(n))
 
 
 def weyl_invariance_check(alpha, weight: GLWeight) -> dict:

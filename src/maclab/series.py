@@ -15,6 +15,13 @@ base context; coefficients stay factored and are never expanded eagerly.
 (q,t)-grading) into a :class:`QTSeries`; :func:`expand_split` additionally
 tolerates purely-z denominator factors, returning them unexpanded as a
 rational multiplier.
+
+A split series is a finite sum of such pairs ``(rest, series)``, one per
+pole part ``rest`` (:func:`split_expand`, :func:`split_sum`); two split
+series multiply pairwise (:func:`split_mul`).  :func:`expand_sum` sums
+the expansions of many terms in two stages: :func:`fold_split` adds them
+per (q,t)-degree and pole part, and :func:`certify_sum` certifies that
+the poles cancel in the total.
 """
 
 from __future__ import annotations
@@ -30,7 +37,8 @@ from .algebra import (
     _norm_coef,
 )
 
-__all__ = ["QTSeries", "XSeries", "expand", "expand_split"]
+__all__ = ["QTSeries", "XSeries", "expand", "expand_split", "split_expand", "split_mul",
+           "split_sum", "fold_split", "certify_sum", "InsufficientTruncation"]
 
 
 class QTSeries:
@@ -377,56 +385,109 @@ class NonPolynomialCoefficient(ArithmeticError):
     polynomial: the poles of the individual terms did not cancel."""
 
 
-def expand_sum(terms, trunc: int, qt: Sequence[str] = ("q", "t"),
-               images: Sequence[Mapping[str, tuple]] = ({},)) -> QTSeries:
-    """Expand the finite sum ``sum_sigma sigma(sum(terms))`` as a
-    (q,t)-series, sigma running over ``images``.
+class InsufficientTruncation(ArithmeticError):
+    """A product of truncated series is not exact up to the order asked
+    for: a factor was expanded to too low a degree for the valuation of
+    the other."""
 
-    Each image is a :meth:`FactoredRational.transform` mapping of the
-    coefficient variables only (for a localization sum, sigma_w: z_i ->
-    z_{w(i)} for every Weyl element w); the default is the identity
-    alone, which sums ``terms`` as given.  Such a map commutes with the
-    (q,t)-expansion, so only ``terms`` are expanded.
 
-    Individual terms may carry purely coefficient-side poles (for
-    instance Weyl denominators 1 - z_i/z_j); those parts are kept as
-    exact rational multipliers per coefficient and must cancel in the
-    total over all images, which is certified by exact division at the
-    end.
+def _pole_key(rest: FactoredRational) -> tuple:
+    """The pole part of an :func:`expand_split` ``rest`` as a hashable key."""
+    return tuple(sorted((k, m) for k, (_p, m) in rest._fmap.items()))
 
-    The terms of a localization sum share a small set of factors, so each
-    distinct factor power is expanded once per call (see
-    :func:`expand_split`).  The fold first adds the coefficient
-    polynomials of all terms with the same (q,t)-degree and the same pole
-    part, then lifts each such group once to a factored rational over its
-    poles and adds the groups.  Every image of that per-degree sum is
-    then added before the certification.
+
+def split_sum(pairs) -> tuple:
+    """Add the ``(rest, series)`` pairs of a split series that share a
+    pole part.
+
+    A split series is a finite sum of ``rest * series`` with ``rest`` a
+    purely coefficient-side denominator (see :func:`expand_split`); it is
+    given as a sequence of such pairs.  The result has one pair per pole
+    part.  Its series are new objects or the given ones, never mutated.
     """
-    terms = [fr for fr in terms if not fr.is_zero()]
-    if not terms:
-        raise ValueError("empty sum")
+    parts: dict = {}
+    for rest, ser in pairs:
+        pole = _pole_key(rest)
+        part = parts.get(pole)
+        parts[pole] = (rest, ser) if part is None else (part[0], part[1] + ser)
+    return tuple(parts.values())
+
+
+def split_expand(terms, trunc: int, qt: Sequence[str] = ("q", "t")) -> tuple:
+    """``sum(terms)`` as a split series exact up to total degree
+    ``trunc``: the :func:`expand_split` pairs of the terms, added per pole
+    part.  Each distinct factor power is expanded once per call."""
+    memo: dict = {}
+    return split_sum(expand_split(fr, trunc, qt, _memo=memo) for fr in terms)
+
+
+def _valuation(s: QTSeries) -> int:
+    """Lowest total degree of ``s``; an empty series is zero up to its
+    truncation, so its valuation exceeds it."""
+    return s.min_total() if s.coeffs else s.trunc + 1
+
+
+def split_mul(a, b, order: int) -> list:
+    """The product of two split series, exact up to total degree
+    ``order``: (r1, s1) * (r2, s2) = (r1 r2, s1 s2) over every pair.
+
+    Each factor is cut to the degrees the product reads below the order,
+    so every product series has truncation ``order``.  Pairs whose
+    valuations add up beyond the order contribute nothing and are left
+    out.  Raises :class:`InsufficientTruncation` when a product is not
+    exact up to the order.
+    """
+    out = []
+    for r1, s1 in a:
+        v1 = _valuation(s1)
+        for r2, s2 in b:
+            v2 = _valuation(s2)
+            exact = min(s1.trunc + v2, s2.trunc + v1)
+            if exact < order:
+                raise InsufficientTruncation(
+                    f"product exact up to degree {exact}, not {order}")
+            if v1 + v2 <= order:
+                out.append((r1 * r2, s1.truncate(order - v2) * s2.truncate(order - v1)))
+    return out
+
+
+def fold_split(groups: dict, rest: FactoredRational, series: QTSeries) -> None:
+    """The fold stage of :func:`expand_sum`: add the coefficient
+    polynomials of ``rest * series`` into ``groups``, keyed on
+    ((q,t)-degree, pole part) and holding ``(rest, coefficient terms)``."""
+    pole = _pole_key(rest)
+    for key, poly in series.coeffs.items():
+        g = groups.get((key, pole))
+        if g is None:
+            groups[(key, pole)] = (rest, dict(poly.terms))
+            continue
+        acc_terms = g[1]
+        get = acc_terms.get
+        for e, c in poly.terms.items():
+            s = get(e, 0) + c
+            if s:
+                acc_terms[e] = _norm_coef(s)
+            else:
+                del acc_terms[e]
+
+
+def certify_sum(groups: dict, vars: Sequence[str], trunc: int,
+                qt: Sequence[str] = ("q", "t"),
+                images: Sequence[Mapping[str, tuple]] = ({},)) -> QTSeries:
+    """The certify stage of :func:`expand_sum`: lift each group of
+    :func:`fold_split` to a factored rational over its poles, add the
+    groups per (q,t)-degree, add the images of each such sum, and certify
+    that the total is a Laurent polynomial in the coefficient variables.
+
+    ``vars`` is the context of the summed terms; every folded series must
+    be exact up to total degree ``trunc`` and hold no coefficient beyond
+    it.  Raises :class:`NonPolynomialCoefficient` when the poles do not
+    cancel.
+    """
     if not images or any(v in sigma for sigma in images for v in qt):
         raise ValueError("images must be maps of the coefficient variables")
-    vars = terms[0].vars
+    vars = tuple(vars)
     coeff_vars = _coeff_vars(vars, qt)
-    memo: dict = {}
-    groups: dict = {}   # ((a, b), pole key) -> (rest, coefficient terms)
-    for fr in terms:
-        rest, ser = expand_split(fr, trunc, qt, _memo=memo)
-        pole = tuple(sorted((k, m) for k, (_p, m) in rest._fmap.items()))
-        for key, poly in ser.coeffs.items():
-            g = groups.get((key, pole))
-            if g is None:
-                groups[(key, pole)] = (rest, dict(poly.terms))
-                continue
-            acc_terms = g[1]
-            get = acc_terms.get
-            for e, c in poly.terms.items():
-                s = get(e, 0) + c
-                if s:
-                    acc_terms[e] = _norm_coef(s)
-                else:
-                    del acc_terms[e]
     acc: dict = {}
     for (key, _pole), (rest, t) in groups.items():
         if not t:
@@ -457,6 +518,43 @@ def expand_sum(terms, trunc: int, qt: Sequence[str] = ("q", "t"),
                 f"coefficient at {key} still involves the graded variables")
         out.coeffs[key] = poly.transform(coeff_vars, drop)
     return out
+
+
+def expand_sum(terms, trunc: int, qt: Sequence[str] = ("q", "t"),
+               images: Sequence[Mapping[str, tuple]] = ({},)) -> QTSeries:
+    """Expand the finite sum ``sum_sigma sigma(sum(terms))`` as a
+    (q,t)-series, sigma running over ``images``.
+
+    Each image is a :meth:`FactoredRational.transform` mapping of the
+    coefficient variables only (for a localization sum, sigma_w: z_i ->
+    z_{w(i)} for every Weyl element w); the default is the identity
+    alone, which sums ``terms`` as given.  Such a map commutes with the
+    (q,t)-expansion, so only ``terms`` are expanded.
+
+    Individual terms may carry purely coefficient-side poles (for
+    instance Weyl denominators 1 - z_i/z_j); those parts are kept as
+    exact rational multipliers per coefficient and must cancel in the
+    total over all images, which is certified by exact division at the
+    end.
+
+    The terms of a localization sum share a small set of factors, so each
+    distinct factor power is expanded once per call (see
+    :func:`expand_split`).  The fold (:func:`fold_split`) first adds the
+    coefficient polynomials of all terms with the same (q,t)-degree and
+    the same pole part; the certification (:func:`certify_sum`) then
+    lifts each such group once to a factored rational over its poles,
+    adds the groups and every image of their per-degree sum, and
+    certifies the total.
+    """
+    terms = [fr for fr in terms if not fr.is_zero()]
+    if not terms:
+        raise ValueError("empty sum")
+    memo: dict = {}
+    groups: dict = {}   # ((a, b), pole key) -> (rest, coefficient terms)
+    for fr in terms:
+        rest, ser = expand_split(fr, trunc, qt, _memo=memo)
+        fold_split(groups, rest, ser)
+    return certify_sum(groups, terms[0].vars, trunc, qt, images)
 
 
 class XSeries:

@@ -3,17 +3,17 @@
 Every criterion runs through the same registry as ``maclab verify`` with
 its pinned parameter range and exact (zero-tolerance) equality.  Each
 test prints one pass/fail line; run with ``pytest -v -s`` to see them.
-The final criterion clears every memo table and the Pochhammer cache,
-reruns everything cold and compares the canonical report bytes against
-the first runs.  A last test pins the canonical bytes of every criterion
-to one sha256.
+The final criterion clears every memo table, the Pochhammer cache, the
+J-piece caches and the factor-image memo, reruns everything cold and
+compares the canonical report bytes against the first runs.  A last
+test pins the canonical bytes of every criterion to one sha256.
 """
 
 import hashlib
 
 import pytest
 
-from maclab import euler, macdonald, qcalc
+from maclab import algebra, euler, macdonald, qcalc
 from maclab.checks import run_check
 from maclab.reports import Status
 
@@ -80,7 +80,10 @@ def _clear_memo_tables():
     euler._c_cache.clear()
     euler._c_factors.clear()
     euler._mz_memo.clear()
+    euler._j_piece.cache_clear()
+    euler._j_valuation.cache_clear()
     qcalc._pochhammer.cache_clear()
+    algebra._factor_images.clear()
 
 
 def test_criterion_12_determinism():

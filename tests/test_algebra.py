@@ -157,3 +157,88 @@ def test_expand_product_rule():
     lhs = expand(a * b, 3)
     rhs = (expand(a, 3) * expand(b, 3)).truncate(3)
     assert lhs == rhs
+
+
+# -- substitution against the uncached reference ---------------------------------
+
+V3 = ("q", "t", "z")
+
+
+def transform_reference(fr, new_vars, mapping):
+    """:meth:`FactoredRational.transform` without the factor-image memo:
+    every factor is mapped through :meth:`LaurentPolynomial.transform`
+    and the constructor canonicalises the images again."""
+    new_vars = tuple(new_vars)
+    if fr.is_zero():
+        return FactoredRational.zero(new_vars)
+    unit = LaurentPolynomial.monomial(fr.vars, fr.exps, fr.coef).transform(new_vars, mapping)
+    (e, c), = unit.terms.items()
+    factors = []
+    for p, m in fr.factors:
+        image = p.transform(new_vars, mapping)
+        if image.is_zero():
+            if m < 0:
+                raise ZeroDivisionError("denominator factor vanished under substitution")
+            return FactoredRational.zero(new_vars)
+        factors.append((image, m))
+    return FactoredRational(new_vars, c, e, factors)
+
+
+exps3 = st.tuples(st.integers(-1, 1), st.integers(-1, 1), st.integers(-1, 1))
+coefs3 = st.sampled_from([1, -1, 2, Fraction(1, 2)])
+
+
+@st.composite
+def factored3(draw):
+    """Factored rationals over V3; 1 - q and 1 + t are drawn often, so
+    that mappings to constants make factors vanish."""
+    pool = [LaurentPolynomial(V3, {(0, 0, 0): 1, (1, 0, 0): -1}),
+            LaurentPolynomial(V3, {(0, 0, 0): 1, (0, 1, 0): 1})]
+    random = st.dictionaries(exps3, coefs3, min_size=2, max_size=3).map(
+        lambda t: LaurentPolynomial(V3, t))
+    polys = st.one_of(st.sampled_from(pool), random)
+    factors = draw(st.lists(st.tuples(polys, st.integers(-2, 2)), max_size=4))
+    return FactoredRational(V3, draw(coefs3), draw(exps3), factors)
+
+
+@st.composite
+def mappings3(draw):
+    """A target context (V3 itself, or V3 with one more variable) and a
+    monomial map of some variables of V3; a variable may go to a
+    constant, which makes 1 - q or 1 + t vanish."""
+    new_vars = draw(st.sampled_from([V3, V3 + ("w",)]))
+    width = len(new_vars)
+    image = st.tuples(coefs3, st.tuples(*[st.integers(-1, 1)] * width))
+    const = st.tuples(st.sampled_from([1, -1]), st.just((0,) * width))
+    mapping = draw(st.dictionaries(st.sampled_from(V3), st.one_of(const, image), max_size=3))
+    return new_vars, mapping
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except ZeroDivisionError:
+        return ZeroDivisionError
+
+
+@settings(max_examples=150, deadline=None)
+@given(factored3(), mappings3())
+def test_transform_equals_the_uncached_reference(fr, case):
+    new_vars, mapping = case
+    expected = _outcome(lambda: transform_reference(fr, new_vars, mapping))
+    for _ in range(2):   # the second call reads every image from the memo
+        assert _outcome(lambda: fr.transform(new_vars, mapping)) == expected
+
+
+@pytest.mark.parametrize("m_q, m_t", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+@pytest.mark.parametrize("mapping", [{"q": (1, (0, 0, 0))}, {"t": (-1, (0, 0, 0))},
+                                     {"q": (1, (0, 0, 0)), "t": (-1, (0, 0, 0))}])
+def test_transform_collapses_as_the_reference(m_q, m_t, mapping):
+    # (1 - q)^m_q (1 + t)^m_t with q -> 1 and/or t -> -1: a vanishing
+    # numerator gives zero, a vanishing denominator raises, and when both
+    # vanish the first factor in key order decides
+    one_minus_q = LaurentPolynomial(V3, {(0, 0, 0): 1, (1, 0, 0): -1})
+    one_plus_t = LaurentPolynomial(V3, {(0, 0, 0): 1, (0, 1, 0): 1})
+    fr = FactoredRational(V3, 3, (1, 0, -1), [(one_minus_q, m_q), (one_plus_t, m_t)])
+    expected = _outcome(lambda: transform_reference(fr, V3, mapping))
+    assert _outcome(lambda: fr.transform(V3, mapping)) == expected

@@ -1,7 +1,7 @@
 """Global characters: Weyl sums, stable limits, closed forms, shift operator."""
 
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -206,6 +206,30 @@ def test_c_glob_entries_share_factor_objects():
     assert len(seen) > 1
 
 
+def test_c_cache_stays_bounded_past_its_cap(monkeypatch):
+    # a loop over more C values than the cap: both tables stay bounded,
+    # _c_factors holds only factors of live entries, values are unchanged
+    from maclab.laumon import C_theta
+    from maclab.tableaux import theta_by_degree
+
+    monkeypatch.setattr(euler, "_C_CACHE_MAX", 5)
+    monkeypatch.setattr(euler, "_c_cache", {})
+    monkeypatch.setattr(euler, "_c_factors", {})
+    n, gv = 3, euler.glob_vars(3)
+    seen = 0
+    for w in [(1, 2, 3), (2, 1, 3)]:
+        mapping = {f"z{i}": (1, euler._wslot_exp(n, i, w)) for i in range(1, n + 1)}
+        for alpha in [(1, 1), (1, 2), (2, 2)]:
+            for th in theta_by_degree(n, alpha):
+                got = euler._C_glob(th.entry_list(), n, w, False)
+                assert got == C_theta(th, n).transform(gv, mapping)
+                seen += 1
+                assert len(euler._c_cache) <= 5
+                live = {(fr.vars, key) for fr in euler._c_cache.values() for key in fr._fmap}
+                assert set(euler._c_factors) <= live
+    assert seen > 5
+
+
 # -- the Weyl orbit against per-w summands ------------------------------------
 
 
@@ -234,6 +258,38 @@ def localization_cases(draw):
 def test_orbit_series_equals_per_w_expansion(case):
     alpha, weight, order = case
     assert euler_char_series(alpha, weight, order) == _per_w_series(alpha, weight, order)
+
+
+def _orbit_series(alpha, weight, order):
+    """The expansion that the J-piece convolution replaced: every w = id
+    summand built as one product and expanded, the Weyl images added by
+    expand_sum."""
+    n = weight.n
+    terms = euler._localization_terms(alpha, weight, tuple(range(1, n + 1)))
+    return expand_sum(terms, order, images=euler._weyl_images(n))
+
+
+# (weight, alpha) -> the orbit expansion to order 2; it is exact below
+# order 2, so its truncations are the expansions to orders 0 and 1
+_orbit_reference: dict = {}
+
+
+@pytest.mark.parametrize("cache", ["cold", "warm"])
+@pytest.mark.parametrize("lv", [lv for n in (2, 3) for lv in product(range(-1, 3), repeat=n - 1)],
+                         ids=str)
+def test_convolution_equals_orbit_expansion_on_a_grid(lv, cache):
+    # alpha_i in 0..3 and order 0..2; "cold" empties the J-piece caches
+    # before every call, "warm" reuses what the earlier calls left there
+    weight = GLWeight(lv)
+    for alpha in product(range(4), repeat=len(lv)):
+        if (lv, alpha) not in _orbit_reference:
+            _orbit_reference[(lv, alpha)] = _orbit_series(alpha, weight, 2)
+        for order in range(3):
+            if cache == "cold":
+                euler._j_piece.cache_clear()
+                euler._j_valuation.cache_clear()
+            expected = _orbit_reference[(lv, alpha)].truncate(order)
+            assert euler_char_series(alpha, weight, order) == expected, (alpha, order)
 
 
 @pytest.mark.parametrize("lv", [(0,), (1,), (2,), (0, 0), (1, 0), (0, 1)])

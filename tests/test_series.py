@@ -1,16 +1,27 @@
-"""expand_sum against independent per-term expansions.
+"""expand_sum and split-series products against independent per-term
+expansions.
 
 expand_sum expands each distinct factor power once per call and reuses it
 across terms, and folds the terms by their pole part; these tests pin
-both to the plain per-term result.
+both to the plain per-term result.  A split series keeps the purely
+coefficient-side poles of its terms as separate multipliers; its product
+is pinned to the expansion of the factored product.
 """
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from maclab.algebra import FactoredRational, LaurentPolynomial
-from maclab.series import NonPolynomialCoefficient, QTSeries, expand, expand_sum
+from maclab.series import (
+    InsufficientTruncation,
+    NonPolynomialCoefficient,
+    QTSeries,
+    expand,
+    expand_sum,
+    split_expand,
+    split_mul,
+)
 
 VARS = ("q", "t", "z1", "z2")
 
@@ -117,3 +128,66 @@ def test_images_of_the_graded_variables_are_refused():
     for images in ([], [{}, {"q": (1, (0, 1, 0, 0))}]):
         with pytest.raises(ValueError):
             expand_sum([lone], 1, images=images)
+
+
+# -- split series ---------------------------------------------------------------
+
+# purely coefficient-side binomials over VARS: the pole parts of split series
+POLES = [LaurentPolynomial(VARS, {(0, 0, 0, 0): 1, (0, 0, 1, 0): -1}),
+         LaurentPolynomial(VARS, {(0, 0, 0, 0): 1, (0, 0, 1, -1): -1})]
+
+
+@st.composite
+def poled_sums(draw):
+    """One to three terms sharing a numerator and a unit denominator,
+    each with its own unit monomial and at most one simple pole from
+    POLES."""
+    num, den = draw(numerators()), draw(unit_denominators())
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        factors = [(num, draw(st.integers(0, 1))), (den, -draw(st.integers(0, 1)))]
+        pole = draw(st.sampled_from([None] + POLES))
+        if pole is not None:
+            factors.append((pole, -1))
+        unit = draw(st.tuples(st.integers(-1, 1), st.integers(0, 1),
+                              st.integers(-1, 1), st.integers(-1, 1)))
+        terms.append(FactoredRational(VARS, draw(coefs), unit, factors))
+    return terms
+
+
+def _valuation_lb(terms):
+    return min(fr.valuation_lb(("q", "t")) for fr in terms)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(poled_sums(), poled_sums(), st.integers(0, 2))
+def test_split_product_equals_the_expansion_of_the_product(a_terms, b_terms, order):
+    # each factor is expanded just far enough for the other's valuation
+    # bound, as euler_char_series expands its J-pieces
+    va, vb = _valuation_lb(a_terms), _valuation_lb(b_terms)
+    assume(va + vb <= order)
+    a = split_expand(a_terms, order - vb)
+    b = split_expand(b_terms, order - va)
+    # D clears every pole of a product, so both sides expand as series
+    clear = FactoredRational(VARS, 1, None, [(p, 2) for p in POLES])
+    got = QTSeries.zero(("q", "t"), VARS[2:], order)
+    for rest, series in split_mul(a, b, order):
+        assert series.trunc == order
+        # clear * rest is a z-polynomial: exact at any truncation
+        got = got + (expand(clear * rest, order + 4) * series).truncate(order)
+    expected = QTSeries.zero(("q", "t"), VARS[2:], order)
+    for x in a_terms:
+        for y in b_terms:
+            expected = expected + expand(clear * x * y, order)
+    assert got == expected
+
+
+def test_split_product_below_the_order_raises():
+    # two series exact up to degree 0 with valuation 0: their product is
+    # exact up to degree 0 only
+    q = LaurentPolynomial.var(VARS, "q")
+    fr = FactoredRational(VARS, 1, None, [(LaurentPolynomial.one(VARS) - q, -1)])
+    a = split_expand([fr], 0)
+    assert split_mul(a, a, 0)
+    with pytest.raises(InsufficientTruncation):
+        split_mul(a, a, 1)
