@@ -895,10 +895,11 @@ def _canonical_factor(p: LaurentPolynomial) -> tuple:
 # (source vars, new vars, mapping) and a canonical factor key -> the
 # _canonical_factor of that factor's image.  Few distinct pairs recur
 # many times (q-shifts of the same binomials in the coefficient
-# recursions, Weyl images of the same denominators); cleared whole when
-# it reaches the cap, so it stays bounded in a long-lived process.
+# recursions, Weyl images of the same denominators).  An entry holds
+# about 1 KB; the memo is cleared whole when it reaches the cap, so it
+# stays bounded in a long-lived process.
 _factor_images: dict = {}
-_FACTOR_IMAGES_MAX = 4096
+_FACTOR_IMAGES_MAX = 1024
 
 
 def _factor_image(mkey: tuple, key: tuple, p: LaurentPolynomial, mapping: Mapping) -> tuple:
