@@ -232,11 +232,14 @@ def test_transform_equals_the_uncached_reference(fr, case):
 
 @pytest.mark.parametrize("m_q, m_t", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
 @pytest.mark.parametrize("mapping", [{"q": (1, (0, 0, 0))}, {"t": (-1, (0, 0, 0))},
-                                     {"q": (1, (0, 0, 0)), "t": (-1, (0, 0, 0))}])
+                                     {"q": (1, (0, 0, 0)), "t": (-1, (0, 0, 0))},
+                                     {"q": (1, (-1, 0, 0)), "t": (2, (0, -1, 1))}])
 def test_transform_collapses_as_the_reference(m_q, m_t, mapping):
     # (1 - q)^m_q (1 + t)^m_t with q -> 1 and/or t -> -1: a vanishing
     # numerator gives zero, a vanishing denominator raises, and when both
-    # vanish the first factor in key order decides
+    # vanish the first factor in key order decides.  q -> 1/q and
+    # t -> 2z/t move the leading term, so the images' units (-1 and 2)
+    # go to the coefficient
     one_minus_q = LaurentPolynomial(V3, {(0, 0, 0): 1, (1, 0, 0): -1})
     one_plus_t = LaurentPolynomial(V3, {(0, 0, 0): 1, (0, 1, 0): 1})
     fr = FactoredRational(V3, 3, (1, 0, -1), [(one_minus_q, m_q), (one_plus_t, m_t)])
