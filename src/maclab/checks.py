@@ -13,6 +13,7 @@ from __future__ import annotations
 import itertools
 import time
 
+from . import algebra
 from .algebra import FactoredRational, LaurentPolynomial, rational_eq
 from .baker import (
     BAContext,
@@ -396,13 +397,21 @@ def run_check(name: str, workers: int = 1, **params) -> VerificationReport:
     benchmark harness (``perfbench/child.py``) still passes it.  It is never
     part of the report's parameters, which carry the constant
     ``equality_mode`` "exact" so that canonical bytes stay as they were.
+
+    The factor-image memo of :meth:`FactoredRational.transform` is
+    emptied when the check ends: its images pay off within one check,
+    and a process that runs many checks would otherwise keep about 1 KB
+    for each.
     """
     name = ALIASES.get(name, name)
     if name not in CHECKS:
         raise KeyError(f"unknown check {name!r}; known: {', '.join(check_names())}")
     fn, _desc = CHECKS[name]
     t0 = time.monotonic()
-    status, witnesses = fn(params)
+    try:
+        status, witnesses = fn(params)
+    finally:
+        algebra._factor_images.clear()
     return VerificationReport(
         check=name,
         parameters={**params, "equality_mode": "exact"},

@@ -245,3 +245,19 @@ def test_transform_collapses_as_the_reference(m_q, m_t, mapping):
     fr = FactoredRational(V3, 3, (1, 0, -1), [(one_minus_q, m_q), (one_plus_t, m_t)])
     expected = _outcome(lambda: transform_reference(fr, V3, mapping))
     assert _outcome(lambda: fr.transform(V3, mapping)) == expected
+
+
+def test_factor_image_memo_is_bounded_and_emptied_by_run_check(monkeypatch):
+    from maclab import algebra
+    from maclab.checks import run_check
+    from maclab.reports import Status
+
+    monkeypatch.setattr(algebra, "_FACTOR_IMAGES_MAX", 3)
+    one_minus_q = LaurentPolynomial(V3, {(0, 0, 0): 1, (1, 0, 0): -1})
+    fr = FactoredRational(V3, 1, None, [(one_minus_q, 1)])
+    for k in range(1, 8):
+        mapping = {"q": (1, (k, 0, 0))}
+        assert fr.transform(V3, mapping) == transform_reference(fr, V3, mapping)
+        assert 1 <= len(algebra._factor_images) <= 3
+    assert run_check("cn", max_entry=1, max_n=2).status == Status.PASSED
+    assert not algebra._factor_images
