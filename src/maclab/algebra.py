@@ -897,9 +897,16 @@ def _canonical_factor(p: LaurentPolynomial) -> tuple:
 # many times (q-shifts of the same binomials in the coefficient
 # recursions, Weyl images of the same denominators).  An entry holds
 # about 1 KB; the memo is cleared whole when it reaches the cap, so it
-# stays bounded in a long-lived process.
+# stays bounded in a long-lived process, and by clear_factor_images.
 _factor_images: dict = {}
 _FACTOR_IMAGES_MAX = 1024
+
+
+def clear_factor_images() -> None:
+    """Empty the factor-image memo of :meth:`FactoredRational.transform`.
+    Its images pay off within one computation; ``checks.run_check``
+    empties it when a check ends."""
+    _factor_images.clear()
 
 
 def _factor_image(mkey: tuple, key: tuple, p: LaurentPolynomial, mapping: Mapping) -> tuple:

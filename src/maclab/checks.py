@@ -13,8 +13,7 @@ from __future__ import annotations
 import itertools
 import time
 
-from . import algebra
-from .algebra import FactoredRational, LaurentPolynomial, rational_eq
+from .algebra import FactoredRational, LaurentPolynomial, clear_factor_images, rational_eq
 from .baker import (
     BAContext,
     ba_vars,
@@ -32,6 +31,7 @@ from .euler import (
     F_poly,
     chi_bQ_closed,
     chi_bQ_localization,
+    clear_j_pieces,
     h_series,
     verify_cor_diff,
     weyl_invariance_check,
@@ -398,10 +398,10 @@ def run_check(name: str, workers: int = 1, **params) -> VerificationReport:
     part of the report's parameters, which carry the constant
     ``equality_mode`` "exact" so that canonical bytes stay as they were.
 
-    The factor-image memo of :meth:`FactoredRational.transform` is
-    emptied when the check ends: its images pay off within one check,
-    and a process that runs many checks would otherwise keep about 1 KB
-    for each.
+    The factor-image memo of :meth:`FactoredRational.transform` and the
+    J-piece caches of :func:`~maclab.euler.euler_char_series` are
+    emptied when the check ends: their entries pay off within one check,
+    and a process that runs many checks would otherwise keep them.
     """
     name = ALIASES.get(name, name)
     if name not in CHECKS:
@@ -411,7 +411,8 @@ def run_check(name: str, workers: int = 1, **params) -> VerificationReport:
     try:
         status, witnesses = fn(params)
     finally:
-        algebra._factor_images.clear()
+        clear_factor_images()
+        clear_j_pieces()
     return VerificationReport(
         check=name,
         parameters={**params, "equality_mode": "exact"},

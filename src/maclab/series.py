@@ -413,12 +413,12 @@ def split_sum(pairs) -> tuple:
     return tuple(parts.values())
 
 
-def split_expand(terms, trunc: int, qt: Sequence[str] = ("q", "t")) -> tuple:
-    """``sum(terms)`` as a split series exact up to total degree
-    ``trunc``: the :func:`expand_split` pairs of the terms, added per pole
-    part.  Each distinct factor power is expanded once per call."""
+def split_expand(terms, trunc: int) -> tuple:
+    """``sum(terms)`` as a split series in q and t exact up to total
+    degree ``trunc``: the :func:`expand_split` pairs of the terms, added
+    per pole part.  Each distinct factor power is expanded once per call."""
     memo: dict = {}
-    return split_sum(expand_split(fr, trunc, qt, _memo=memo) for fr in terms)
+    return split_sum(expand_split(fr, trunc, _memo=memo) for fr in terms)
 
 
 def _valuation(s: QTSeries) -> int:

@@ -80,10 +80,9 @@ def _clear_memo_tables():
     euler._c_cache.clear()
     euler._c_factors.clear()
     euler._mz_memo.clear()
-    euler._j_piece.cache_clear()
-    euler._j_valuation.cache_clear()
+    euler.clear_j_pieces()
     qcalc._pochhammer.cache_clear()
-    algebra._factor_images.clear()
+    algebra.clear_factor_images()
 
 
 def test_criterion_12_determinism():

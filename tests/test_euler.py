@@ -286,10 +286,17 @@ def test_convolution_equals_orbit_expansion_on_a_grid(lv, cache):
             _orbit_reference[(lv, alpha)] = _orbit_series(alpha, weight, 2)
         for order in range(3):
             if cache == "cold":
-                euler._j_piece.cache_clear()
-                euler._j_valuation.cache_clear()
+                euler.clear_j_pieces()
             expected = _orbit_reference[(lv, alpha)].truncate(order)
             assert euler_char_series(alpha, weight, order) == expected, (alpha, order)
+
+
+def test_run_check_empties_the_j_piece_caches():
+    H_limit(GLWeight((1,)), 1)
+    assert euler._j_piece.cache_info().currsize > 0
+    assert run_check("hp", max_n=2, order=1, max_weight_sum=1).status == Status.PASSED
+    assert euler._j_piece.cache_info().currsize == 0
+    assert euler._j_valuation.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("lv", [(0,), (1,), (2,), (0, 0), (1, 0), (0, 1)])
