@@ -9,8 +9,8 @@ and the largest single sum the ``hp`` check folds.  Two cases:
 * ``euler_char_series``, which convolves the per-degree J-pieces of the
   w = id part, multiplies by the Weyl factor once and adds the Weyl
   images; it must equal the reference.  After the first round it reads
-  every J-piece from its cache, as ``H_limit`` does across weights and
-  schedule points.
+  every J-piece from its cache, as ``H_limit`` does across the weights
+  and schedule points of one check (about 60% of its lookups hit).
 
 Not part of the test suite.  Run with
 
