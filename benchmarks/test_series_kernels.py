@@ -2,27 +2,39 @@
 
 The global character at N = 3, degree alpha = (4, 4), weight (1, 0), to
 (q,t)-order 2: the last schedule point of ``H_limit`` for that weight,
-and the largest single sum the ``hp`` check folds.  Two cases:
+and the largest single sum the ``hp`` check folds.  Four cases:
 
 * ``expand_sum`` over the summands of every Weyl element, each built on
   its own: the per-w reference;
 * ``euler_char_series``, which convolves the per-degree J-pieces of the
-  w = id part, multiplies by the Weyl factor once and adds the Weyl
-  images; it must equal the reference.  After the first round it reads
-  every J-piece from its cache, as ``H_limit`` does across the weights
-  and schedule points of one check (about 60% of its lookups hit).
+  w = id part, multiplies by the Weyl factor once and certifies the sum
+  over the Weyl group; it must equal the reference.  After the first
+  round it reads every J-piece from its cache, as ``H_limit`` does
+  across the weights and schedule points of one check (about 60% of its
+  lookups hit);
+* the certification alone, on the groups that ``euler_char_series``
+  folds: by the image loop of ``tests/weyl_reference.py`` (six images,
+  each added with ``FactoredRational.__add__``) and by the one-pass
+  antisymmetriser of ``certify_sum(..., weyl=True)``.  Both must give
+  the series above.
 
 Not part of the test suite.  Run with
 
     PYTHONPATH=src python -m pytest benchmarks --benchmark-only
 """
 
+import sys
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
+from maclab import euler
 from maclab.euler import GLWeight, _localization_terms, euler_char_series
-from maclab.series import expand_sum
+from maclab.series import certify_sum, expand_sum
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from weyl_reference import _certify_by_images, weyl_images  # noqa: E402
 
 ALPHA = (4, 4)
 WEIGHT = GLWeight((1, 0))
@@ -48,3 +60,33 @@ def test_expand_sum_hp_localization(benchmark, terms, per_w):
 
 def test_euler_char_series_hp_orbit(benchmark, per_w):
     assert benchmark(euler_char_series, ALPHA, WEIGHT, ORDER) == per_w
+
+
+@pytest.fixture(scope="module")
+def folded():
+    """The groups, context and order that euler_char_series certifies."""
+    seen = []
+    real = euler.certify_sum
+
+    def certify(*args, **kwargs):
+        seen.append(args)
+        return real(*args, **kwargs)
+
+    euler.certify_sum = certify
+    try:
+        euler_char_series(ALPHA, WEIGHT, ORDER)
+    finally:
+        euler.certify_sum = real
+    (args,) = seen
+    return args
+
+
+def test_certify_hp_groups_by_images(benchmark, folded, per_w):
+    groups, vars, trunc = folded
+    images = weyl_images(WEIGHT.n)
+    assert benchmark(_certify_by_images, groups, vars, trunc, images=images) == per_w
+
+
+def test_certify_hp_groups_antisymmetrised(benchmark, folded, per_w):
+    groups, vars, trunc = folded
+    assert benchmark(certify_sum, groups, vars, trunc, weyl=True) == per_w

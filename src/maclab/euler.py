@@ -246,17 +246,6 @@ def _weyl_group(n: int) -> list:
     return sorted(permutations(range(1, n + 1)))
 
 
-def _weyl_images(n: int) -> list:
-    """The maps sigma_w: z_i -> z_{w(i)} over glob_vars(n), one per Weyl
-    element, as :meth:`FactoredRational.transform` mappings (identity
-    slots left out, so w = id maps nothing).  sigma_w carries the w = id
-    localization summands to those of w: it sends ``_wslot_exp(n, i, id)``
-    to ``_wslot_exp(n, i, w)``, hence C_theta(wz), z^{w weight} and the
-    Weyl factor of w are the images of those of id."""
-    return [{f"z{i}": (1, _slot_exp(n, w[i - 1])) for i in range(1, n) if w[i - 1] != i}
-            for w in _weyl_group(n)]
-
-
 def _localization_terms(alpha, weight: GLWeight, w) -> list:
     """The flattened localization summands of the Weyl element w for the
     given degree, as factored rationals over the SL context."""
@@ -349,11 +338,13 @@ def euler_char_series(alpha, weight: GLWeight, order: int) -> QTSeries:
     product to be exact below the order, and skip the splittings whose
     terms all lie beyond it; :func:`split_mul` checks every product
     against the degree it must reach.  The Weyl-factor product then
-    multiplies the whole convolution once.  Its fold per (q,t)-degree
-    and pole part goes to :func:`certify_sum`, which adds the images
-    under sigma_w (:func:`_weyl_images`) of the w = id sum, a
-    permutation of the coefficient variables that commutes with the
-    expansion, and certifies the full W-sum."""
+    multiplies the whole convolution once.  The images sigma_w:
+    z_i -> z_{w(i)} of the w = id sum are the summands of the other Weyl
+    elements, and they commute with the expansion, so the fold per
+    (q,t)-degree and pole part goes to :func:`certify_sum` with ``weyl``:
+    it antisymmetrises each degree's sum against a power of the
+    Vandermonde product in one pass and certifies the full W-sum by
+    exact division, with no image built."""
     n = weight.n
     ident = tuple(range(1, n + 1))
     vars = glob_vars(n)
@@ -375,7 +366,7 @@ def euler_char_series(alpha, weight: GLWeight, order: int) -> QTSeries:
     groups: dict = {}
     for rest, s in split_mul(conv, split_expand([base], order - min(0, low)), order):
         fold_split(groups, rest, s)
-    return certify_sum(groups, vars, order, images=_weyl_images(n))
+    return certify_sum(groups, vars, order, weyl=True)
 
 
 def weyl_invariance_check(alpha, weight: GLWeight) -> dict:
@@ -695,9 +686,11 @@ def chi_bQ_localization(weight: GLWeight, order: int, shell_margin: int = 2) -> 
     truncated by term valuation (see :func:`_arc_terms`).  As in
     :func:`euler_char_series`, only the w = id summands are built: the
     valuation bounds and truncation lengths read (q,t)-degrees alone, so
-    the summands kept for w are the sigma_w-images of those kept for id."""
+    the summands kept for w are the sigma_w-images of those kept for id,
+    and :func:`expand_sum` with ``weyl`` certifies their sum over W in
+    one antisymmetrisation pass (see :func:`certify_sum`)."""
     n = weight.n
     if not weight.is_dominant():
         raise ValueError("the arc-space sum converges for dominant weights")
     terms = _arc_terms(weight, order, tuple(range(1, n + 1)), shell_margin)
-    return expand_sum(terms, order, images=_weyl_images(n))
+    return expand_sum(terms, order, weyl=True)

@@ -21,12 +21,17 @@ pole part ``rest`` (:func:`split_expand`, :func:`split_sum`); two split
 series multiply pairwise (:func:`split_mul`).  :func:`expand_sum` sums
 the expansions of many terms in two stages: :func:`fold_split` adds them
 per (q,t)-degree and pole part, and :func:`certify_sum` certifies that
-the poles cancel in the total.
+the poles cancel in the total, or in the total over the Weyl group
+S_N of the coefficient variables' permutations, which it computes in one
+antisymmetrisation pass.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
+from itertools import permutations
+from operator import add, sub
 from typing import Callable, Mapping, Sequence
 
 from .algebra import (
@@ -472,22 +477,54 @@ def fold_split(groups: dict, rest: FactoredRational, series: QTSeries) -> None:
 
 
 def certify_sum(groups: dict, vars: Sequence[str], trunc: int,
-                qt: Sequence[str] = ("q", "t"),
-                images: Sequence[Mapping[str, tuple]] = ({},)) -> QTSeries:
-    """The certify stage of :func:`expand_sum`: lift each group of
-    :func:`fold_split` to a factored rational over its poles, add the
-    groups per (q,t)-degree, add the images of each such sum, and certify
-    that the total is a Laurent polynomial in the coefficient variables.
+                 qt: Sequence[str] = ("q", "t"), weyl: bool = False) -> QTSeries:
+    """The certify stage of :func:`expand_sum`: add the groups of
+    :func:`fold_split` per (q,t)-degree and certify that each such sum
+    is a Laurent polynomial in the coefficient variables.
+
+    Without ``weyl``, each group is lifted to a factored rational over
+    its poles, the groups of one degree are added, and the sum is
+    divided out exactly.  With ``weyl``, the coefficient variables are
+    the SL(N) torus coordinates z_1 .. z_{N-1} (z_N = (z_1 ... z_{N-1})^-1)
+    and the certified value at each degree is the sum over W = S_N of
+    the images sigma_w (z_i -> z_{w(i)}) of the groups' sum.  No image
+    is built: one pass over the groups' terms gives that sum as A / V^m,
+    A a sum of alternants and V the Vandermonde product
+    (:func:`_alternant_sum`), and A is divided exactly by each binomial
+    z_i - z_j of V, m times.  A zero A is certified with no division.
 
     ``vars`` is the context of the summed terms; every folded series must
     be exact up to total degree ``trunc`` and hold no coefficient beyond
     it.  Raises :class:`NonPolynomialCoefficient` when the poles do not
-    cancel.
+    cancel, and (with ``weyl``) :class:`NonRootPole` when a pole part is
+    not a product of root binomials.
     """
-    if not images or any(v in sigma for sigma in images for v in qt):
-        raise ValueError("images must be maps of the coefficient variables")
     vars = tuple(vars)
     coeff_vars = _coeff_vars(vars, qt)
+    out = QTSeries(qt, coeff_vars, trunc)
+    if weyl:
+        parts: dict = {}
+        for (key, _pole), (rest, t) in groups.items():
+            if t:
+                parts.setdefault(key, []).append((rest, t))
+        binomials = _sl_weyl(coeff_vars)[3]
+        poles: dict = {}
+        products: dict = {}
+        for key, group in sorted(parts.items()):
+            poly, m = _alternant_sum(group, vars, coeff_vars, poles, products)
+            if poly.is_zero():
+                continue   # certified with no division
+            try:
+                for _ in range(m):
+                    for binomial in binomials:
+                        poly = poly.divide_exact(binomial)
+            except ArithmeticError as exc:
+                raise NonPolynomialCoefficient(
+                    f"coefficient at (q,t)-degree {key} of the Weyl-group sum is not "
+                    f"polynomial: its alternants are not divisible by the Vandermonde "
+                    f"product to the power {m}") from exc
+            out.coeffs[key] = poly
+        return out
     acc: dict = {}
     for (key, _pole), (rest, t) in groups.items():
         if not t:
@@ -495,14 +532,9 @@ def certify_sum(groups: dict, vars: Sequence[str], trunc: int,
         poly = LaurentPolynomial._from_terms(coeff_vars, t).transform(vars, {})
         contrib = rest * FactoredRational.from_poly(poly)
         acc[key] = acc[key] + contrib if key in acc else contrib
-    out = QTSeries(qt, coeff_vars, trunc)
     drop = {v: (1, (0,) * len(coeff_vars)) for v in qt}
     qt_idx = [vars.index(v) for v in qt]
-    for key, fold in sorted(acc.items()):
-        fr = None
-        for sigma in images:
-            img = fold.transform(vars, sigma) if sigma else fold
-            fr = img if fr is None else fr + img
+    for key, fr in sorted(acc.items()):
         if fr.is_zero():
             continue
         try:
@@ -520,31 +552,172 @@ def certify_sum(groups: dict, vars: Sequence[str], trunc: int,
     return out
 
 
-def expand_sum(terms, trunc: int, qt: Sequence[str] = ("q", "t"),
-               images: Sequence[Mapping[str, tuple]] = ({},)) -> QTSeries:
-    """Expand the finite sum ``sum_sigma sigma(sum(terms))`` as a
-    (q,t)-series, sigma running over ``images``.
+class NonRootPole(ValueError):
+    """A pole part of a Weyl-group sum is not a product of root binomials
+    z_i - z_j (up to a unit) in the denominator, so no power of the
+    Vandermonde product clears it."""
 
-    Each image is a :meth:`FactoredRational.transform` mapping of the
-    coefficient variables only (for a localization sum, sigma_w: z_i ->
-    z_{w(i)} for every Weyl element w); the default is the identity
-    alone, which sums ``terms`` as given.  Such a map commutes with the
-    (q,t)-expansion, so only ``terms`` are expanded.
+
+@cache
+def _sl_weyl(coeff_vars: tuple) -> tuple:
+    """The SL(N) data of a Weyl-group sum over the torus coordinates
+    ``coeff_vars`` = (z_1 .. z_{N-1}), z_N = (z_1 ... z_{N-1})^-1:
+
+    * ``slots``: the exponent vectors of z_1 .. z_N;
+    * ``roots``: each vector slots[i] - slots[j] (i != j) mapped to (i, j);
+    * ``pairs``: the positive roots (i, j), i < j, in order;
+    * ``binomials``: z_i - z_j for each positive root, in the same order;
+    * ``perms``: every w in S_N as (w(0) .. w(N-1), sign of w)."""
+    n = len(coeff_vars) + 1
+    slots = [tuple(int(i == k) for k in range(n - 1)) for i in range(n - 1)]
+    slots.append((-1,) * (n - 1))
+    roots = {tuple(map(sub, slots[i], slots[j])): (i, j)
+             for i in range(n) for j in range(n) if i != j}
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    binomials = [LaurentPolynomial(coeff_vars, {slots[i]: 1, slots[j]: -1}) for i, j in pairs]
+    perms = [(w, (-1) ** sum(w[i] > w[j] for i, j in pairs)) for w in permutations(range(n))]
+    return slots, roots, pairs, binomials, perms
+
+
+def _root_poles(rest: FactoredRational, vars: tuple, coeff_vars: tuple) -> tuple:
+    """The pole part ``rest`` as ``(coef, shift, mult)``: rest is
+    coef z^shift / prod_{i<j} (z_i - z_j)^mult[k] over the positive roots
+    (i, j), k their index, in the SL coordinates ``coeff_vars``.  Raises
+    :class:`NonRootPole` unless every factor is a root binomial
+    u z^k (z_i - z_j) in the denominator."""
+    slots, roots, pairs, _binomials, _perms = _sl_weyl(coeff_vars)
+    z_idx = [k for k, v in enumerate(vars) if v in coeff_vars]
+    graded = [k for k in range(len(vars)) if k not in z_idx]
+    if any(rest.exps[k] for k in graded):
+        raise NonRootPole(f"pole part has a unit in the graded variables: {rest.canonical_str()}")
+    coef = rest.coef
+    shift = [rest.exps[k] for k in z_idx]
+    mult = [0] * len(pairs)
+    for p, k in rest._fmap.values():
+        root = None
+        if k < 0 and len(p.terms) == 2:
+            (e1, c1), (e2, c2) = p.terms.items()
+            if c1 + c2 == 0 and not any(e1[x] or e2[x] for x in graded):
+                z1 = tuple(e1[x] for x in z_idx)
+                root = roots.get(tuple(map(sub, z1, (e2[x] for x in z_idx))))
+        if root is None:
+            raise NonRootPole(
+                f"pole factor ({p.canonical_str()})^{k} is not a root binomial in the denominator")
+        # p = c1 z^(z1 - slot_i) (z_i - z_j), and z_i - z_j = -(z_j - z_i)
+        i, j = root
+        u = c1 if i < j else -c1
+        coef = _norm_coef(coef * _norm_coef(Fraction(1) / u) ** -k)
+        shift = [s + k * (a - b) for s, a, b in zip(shift, z1, slots[i])]
+        mult[pairs.index((min(i, j), max(i, j)))] -= k
+    return coef, tuple(shift), tuple(mult)
+
+
+def _root_product(exps: tuple, coeff_vars: tuple, products: dict) -> LaurentPolynomial:
+    """prod_{i<j} (z_i - z_j)^exps[k] over the positive roots, memoised in
+    ``products`` on ``exps``."""
+    out = products.get(exps)
+    if out is None:
+        out = LaurentPolynomial.one(coeff_vars)
+        for binomial, e in zip(_sl_weyl(coeff_vars)[3], exps):
+            if e:
+                out = out * binomial ** e
+        products[exps] = out
+    return out
+
+
+def _alternant_sum(group: list, vars: tuple, coeff_vars: tuple,
+                   poles: dict, products: dict) -> tuple:
+    """``(A, m)`` with A / V^m the sum over W of the images sigma_w of
+    the sum of rest * poly over the ``(rest, poly terms)`` pairs of
+    ``group``, V = prod_{i<j} (z_i - z_j) over ``coeff_vars`` (SL
+    coordinates, see :func:`certify_sum`) and A a sum of alternants.
+
+    sigma_w(V) = sign(w) V.  For an odd m at least the largest pole
+    multiplicity and D = V^m, the sum is N / D with N = sum poly * (D /
+    rest), and sum_w sigma_w(N / D) = (sum_w sign(w) sigma_w(N)) / D.
+    N is built over the least common multiple L of the pole parts
+    (:func:`_root_poles`, kept in ``poles`` per pole part), as
+    (sum poly * (L / rest)) * (D / L); the root products come from
+    ``products``.  For a monomial z^e, read as the GL exponent (e, 0),
+    sum_w sign(w) sigma_w(z^e) is sign(pi) a_mu, where mu sorts e into
+    decreasing order by pi and a_mu is the alternant
+    sum_w sign(w) z^{w mu}, or 0 when e repeats an entry (Macdonald,
+    Symmetric Functions and Hall Polynomials, ch. I §3).  One pass over
+    the terms of N gives every alternant's coefficient."""
+    _slots, _roots, pairs, _binomials, perms = _sl_weyl(coeff_vars)
+    n = len(coeff_vars) + 1
+    infos = []
+    for rest, _t in group:
+        key = _pole_key(rest)
+        info = poles.get(key)
+        if info is None:
+            info = poles[key] = _root_poles(rest, vars, coeff_vars)
+        infos.append(info)
+    lcm = tuple(map(max, zip(*(mult for _c, _s, mult in infos))))
+    m = max(lcm, default=1) | 1
+    acc: dict = {}
+    get = acc.get
+    for (coef, shift, mult), (_rest, t) in zip(infos, group):
+        cof = _root_product(tuple(map(sub, lcm, mult)), coeff_vars, products)
+        cof_items = cof.shift(shift).scale(coef).terms.items()
+        for e1, c1 in t.items():
+            for e2, c2 in cof_items:
+                e = tuple(map(add, e1, e2))
+                s = get(e, 0) + c1 * c2
+                if s:
+                    acc[e] = s
+                else:
+                    del acc[e]
+    top = _root_product(tuple(m - x for x in lcm), coeff_vars, products)
+    num = LaurentPolynomial._from_terms(coeff_vars, acc) * top
+    alt: dict = {}
+    for e, c in num.terms.items():
+        full = e + (0,)
+        sign = 1
+        for i, j in pairs:
+            a, b = full[i], full[j]
+            if a == b:
+                break
+            if a < b:
+                sign = -sign
+        else:
+            mu = sorted(full, reverse=True)
+            low = mu[-1]
+            mu = tuple(x - low for x in mu)
+            alt[mu] = alt.get(mu, 0) + sign * c
+    terms: dict = {}
+    for mu, c in alt.items():
+        if not c:
+            continue
+        c = _norm_coef(c)
+        for w, sign in perms:
+            img = [0] * n
+            for i, x in enumerate(mu):
+                img[w[i]] = x
+            low = img[-1]
+            terms[tuple(x - low for x in img[:-1])] = c if sign > 0 else -c
+    return LaurentPolynomial._from_terms(coeff_vars, terms), m
+
+
+def expand_sum(terms, trunc: int, qt: Sequence[str] = ("q", "t"),
+               weyl: bool = False) -> QTSeries:
+    """Expand the finite sum ``sum(terms)`` as a (q,t)-series, or with
+    ``weyl`` the sum over the Weyl group W = S_N of its images sigma_w:
+    z_i -> z_{w(i)}, the coefficient variables being the SL(N) torus
+    coordinates (see :func:`certify_sum`).  A localization sum then
+    needs its w = id summands only.
 
     Individual terms may carry purely coefficient-side poles (for
     instance Weyl denominators 1 - z_i/z_j); those parts are kept as
     exact rational multipliers per coefficient and must cancel in the
-    total over all images, which is certified by exact division at the
-    end.
+    total, which is certified by exact division at the end.
 
     The terms of a localization sum share a small set of factors, so each
     distinct factor power is expanded once per call (see
     :func:`expand_split`).  The fold (:func:`fold_split`) first adds the
     coefficient polynomials of all terms with the same (q,t)-degree and
     the same pole part; the certification (:func:`certify_sum`) then
-    lifts each such group once to a factored rational over its poles,
-    adds the groups and every image of their per-degree sum, and
-    certifies the total.
+    adds the groups of each degree and certifies their sum.
     """
     terms = [fr for fr in terms if not fr.is_zero()]
     if not terms:
@@ -554,7 +727,7 @@ def expand_sum(terms, trunc: int, qt: Sequence[str] = ("q", "t"),
     for fr in terms:
         rest, ser = expand_split(fr, trunc, qt, _memo=memo)
         fold_split(groups, rest, ser)
-    return certify_sum(groups, terms[0].vars, trunc, qt, images)
+    return certify_sum(groups, terms[0].vars, trunc, qt, weyl)
 
 
 class XSeries:

@@ -25,3 +25,38 @@ def test_check_termination_propagates_non_arithmetic_errors(monkeypatch):
     monkeypatch.setattr(maclab.checks, "specialize_f_to_P", _boom)
     with pytest.raises(TypeError, match="injected bug"):
         run_check("termination", max_size=1, max_n=1)
+
+
+def test_check_hp_propagates_an_uncancelled_weyl_pole(monkeypatch):
+    # a broken Weyl-group sum is a bug, not a witness: run_check raises
+    from maclab import euler
+    from maclab.series import NonPolynomialCoefficient
+    from weyl_reference import plant_uncancelled_pole
+
+    real = euler.certify_sum
+
+    def certify(groups, *args, **kwargs):
+        if any(m < -1 for rest, _t in groups.values() for _p, m in rest.factors):
+            groups = plant_uncancelled_pole(groups, "missing")
+        return real(groups, *args, **kwargs)
+
+    monkeypatch.setattr(euler, "certify_sum", certify)
+    with pytest.raises(NonPolynomialCoefficient):
+        run_check("hp", max_n=3, order=2, max_weight_sum=1)
+
+
+def test_check_hp_propagates_a_pole_that_is_no_root(monkeypatch):
+    # at N = 2 the root is z1/z2 = z1^2 over (q, t, z1); a Weyl factor
+    # with the pole 1 - z1 instead cannot be certified
+    from maclab import euler
+    from maclab.series import NonRootPole
+
+    def weyl_factor(n, w):
+        v = euler.glob_vars(n)
+        one, z1 = LaurentPolynomial.one(v), LaurentPolynomial.var(v, "z1")
+        return FactoredRational(v, 1, None, [(one - LaurentPolynomial.var(v, "t") * z1, 1),
+                                             (one - z1, -1)])
+
+    monkeypatch.setattr(euler, "_weyl_factor", weyl_factor)
+    with pytest.raises(NonRootPole):
+        run_check("hp", max_n=2, order=1, max_weight_sum=1)

@@ -27,7 +27,13 @@ from maclab.euler import (
     weyl_invariance_check,
 )
 from maclab.reports import Status
-from maclab.series import expand, expand_sum
+from maclab.series import NonPolynomialCoefficient, certify_sum, expand, expand_sum
+from weyl_reference import (
+    _certify_by_images,
+    expand_by_images,
+    plant_uncancelled_pole,
+    weyl_images,
+)
 
 QT = ("q", "t")
 
@@ -261,12 +267,12 @@ def test_orbit_series_equals_per_w_expansion(case):
 
 
 def _orbit_series(alpha, weight, order):
-    """The expansion that the J-piece convolution replaced: every w = id
-    summand built as one product and expanded, the Weyl images added by
-    expand_sum."""
+    """The expansion that the J-piece convolution and the antisymmetriser
+    replaced: every w = id summand built as one product and expanded, the
+    Weyl images added one by one by the reference certification."""
     n = weight.n
     terms = euler._localization_terms(alpha, weight, tuple(range(1, n + 1)))
-    return expand_sum(terms, order, images=euler._weyl_images(n))
+    return expand_by_images(terms, order, weyl_images(n))
 
 
 # (weight, alpha) -> the orbit expansion to order 2; it is exact below
@@ -302,9 +308,52 @@ def test_run_check_empties_the_j_piece_caches():
 @pytest.mark.parametrize("lv", [(0,), (1,), (2,), (0, 0), (1, 0), (0, 1)])
 def test_arc_orbit_sum_equals_per_w_expansion(lv):
     weight, order = GLWeight(lv), 2
-    terms = [t for w in _weyl_group(weight.n)
+    n = weight.n
+    terms = [t for w in _weyl_group(n)
              for t in euler._arc_terms(weight, order, w, 2)]
-    assert chi_bQ_localization(weight, order) == expand_sum(terms, order)
+    got = chi_bQ_localization(weight, order)
+    assert got == expand_sum(terms, order)
+    ident_terms = euler._arc_terms(weight, order, tuple(range(1, n + 1)), 2)
+    assert got == expand_by_images(ident_terms, order, weyl_images(n))
+
+
+def _folded_groups(monkeypatch, alpha, weight, order):
+    """The groups, context and order that euler_char_series certifies."""
+    seen = []
+    real = euler.certify_sum
+
+    def certify(*args, **kwargs):
+        seen.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(euler, "certify_sum", certify)
+    series = euler_char_series(alpha, weight, order)
+    monkeypatch.setattr(euler, "certify_sum", real)
+    (args,) = seen
+    return series, args
+
+
+@pytest.mark.parametrize("alpha, lv, order", [
+    ((1, 1, 1), (0, 0, 0), 2), ((1, 1, 1), (1, 0, 0), 2), ((2, 2, 2), (0, 0, 1), 1),
+    ((2, 1, 1), (-1, 1, 0), 2), ((1, 2, 1), (0, -1, 1), 2)])
+def test_antisymmetriser_equals_the_image_loop_at_rank_4(monkeypatch, alpha, lv, order):
+    # the last two weights are nondominant: their sums vanish
+    series, (groups, vars, trunc) = _folded_groups(monkeypatch, alpha, GLWeight(lv), order)
+    assert series == _certify_by_images(groups, vars, trunc, images=weyl_images(4))
+    assert series.is_zero() == (min(lv) < 0)
+
+
+@pytest.mark.parametrize("how", ["missing", "perturbed"])
+def test_a_planted_uncancelled_pole_raises(monkeypatch, how):
+    # the sum of the other images cannot hide a double pole whose w = id
+    # group is broken: both certifications refuse it
+    _series, (groups, vars, trunc) = _folded_groups(monkeypatch, (2, 2), GLWeight((1, 0)), 2)
+    assert certify_sum(groups, vars, trunc, weyl=True) == _series
+    broken = plant_uncancelled_pole(groups, how)
+    with pytest.raises(NonPolynomialCoefficient):
+        certify_sum(broken, vars, trunc, weyl=True)
+    with pytest.raises(NonPolynomialCoefficient):
+        _certify_by_images(broken, vars, trunc, images=weyl_images(3))
 
 
 @pytest.mark.parametrize("alpha, lv", [((2,), (1,)), ((3,), (-1,)), ((1, 1), (1, 0)),

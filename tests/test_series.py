@@ -3,7 +3,9 @@ expansions.
 
 expand_sum expands each distinct factor power once per call and reuses it
 across terms, and folds the terms by their pole part; these tests pin
-both to the plain per-term result.  A split series keeps the purely
+both to the plain per-term result.  Its Weyl-group sum (``weyl=True``)
+is pinned to the sum of the mapped terms and to the image loop it
+replaced (``tests/weyl_reference.py``).  A split series keeps the purely
 coefficient-side poles of its terms as separate multipliers; its product
 is pinned to the expansion of the factored product.
 """
@@ -16,12 +18,14 @@ from maclab.algebra import FactoredRational, LaurentPolynomial
 from maclab.series import (
     InsufficientTruncation,
     NonPolynomialCoefficient,
+    NonRootPole,
     QTSeries,
     expand,
     expand_sum,
     split_expand,
     split_mul,
 )
+from weyl_reference import expand_by_images, weyl_images
 
 VARS = ("q", "t", "z1", "z2")
 
@@ -103,31 +107,84 @@ def test_uncancelled_poles_of_different_denominators_raise():
         expand_sum(_pole_pair(-2), 2)
 
 
-# z1 <-> z2 over VARS: a map of the coefficient variables only
-SWAP = {"z1": (1, (0, 0, 0, 1)), "z2": (1, (0, 0, 1, 0))}
+# VARS is the SL(3) context (q, t, z1, z2), with z3 = (z1 z2)^-1; the Weyl
+# switch sums over the six images sigma_w: z_i -> z_{w(i)}
+IMAGES = weyl_images(3)
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(shared_factor_sums(), st.integers(0, 3))
 def test_expand_sum_images_add_the_mapped_terms(terms, trunc):
-    mapped = [fr.transform(VARS, SWAP) for fr in terms]
-    assert expand_sum(terms, trunc, images=[{}, SWAP]) == expand_sum(terms + mapped, trunc)
+    mapped = [fr.transform(VARS, sigma) for sigma in IMAGES[1:] for fr in terms]
+    assert expand_sum(terms, trunc, weyl=True) == expand_sum(terms + mapped, trunc)
 
 
 def test_poles_cancel_against_the_image_of_a_term():
-    # 1/(1 - z1/z2) has a pole; added to its image 1/(1 - z2/z1) it is 1
+    # 1/(1 - z1/z2) has a pole; its six images pair up as
+    # 1/(1 - z_i/z_j) + 1/(1 - z_j/z_i) = 1 over the three positive roots
     lone = FactoredRational(VARS, 1, None,
                             [(LaurentPolynomial(VARS, {(0, 0, 0, 0): 1, (0, 0, 1, -1): -1}), -1)])
     with pytest.raises(NonPolynomialCoefficient):
         expand_sum([lone], 1)
-    assert expand_sum([lone], 1, images=[{}, SWAP]) == QTSeries.one(("q", "t"), VARS[2:], 1)
+    three = QTSeries(("q", "t"), VARS[2:], 1, {(0, 0): LaurentPolynomial.const(VARS[2:], 3)})
+    assert expand_sum([lone], 1, weyl=True) == three
+    assert expand_by_images([lone], 1, IMAGES) == three
 
 
-def test_images_of_the_graded_variables_are_refused():
-    lone = FactoredRational.one(VARS)
-    for images in ([], [{}, {"q": (1, (0, 1, 0, 0))}]):
-        with pytest.raises(ValueError):
-            expand_sum([lone], 1, images=images)
+# the root binomials 1 - z_i/z_j (i < j) over VARS: z1/z2, z1/z3, z2/z3
+ROOTS = [LaurentPolynomial(VARS, {(0, 0, 0, 0): 1, e: -1})
+         for e in [(0, 0, 1, -1), (0, 0, 2, 1), (0, 0, 1, 2)]]
+
+
+@st.composite
+def root_poled_sums(draw):
+    """One to three terms, each with a numerator, a unit denominator and
+    root-binomial poles of multiplicity 1 or 2."""
+    num, den = draw(numerators()), draw(unit_denominators())
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        factors = [(num, draw(st.integers(0, 1))), (den, -draw(st.integers(0, 1)))]
+        factors += [(p, -draw(st.integers(0, 2))) for p in ROOTS]
+        unit = draw(st.tuples(st.integers(-1, 1), st.integers(0, 1),
+                              st.integers(-1, 1), st.integers(-1, 1)))
+        terms.append(FactoredRational(VARS, draw(coefs), unit, factors))
+    return terms
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except NonPolynomialCoefficient:
+        return NonPolynomialCoefficient
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(root_poled_sums(), st.integers(0, 2))
+def test_antisymmetriser_agrees_with_the_image_loop(terms, trunc):
+    # equal series, or both find uncancelled poles (double poles rarely
+    # cancel); simple poles always cancel over W
+    got = _outcome(expand_sum, terms, trunc, ("q", "t"), True)
+    assert got == _outcome(expand_by_images, terms, trunc, IMAGES)
+    if all(m >= -1 for fr in terms for _p, m in fr.factors):
+        assert got is not NonPolynomialCoefficient
+
+
+def test_a_pole_that_is_no_root_binomial_raises():
+    # 1 - z1 is no root of SL(3) (the roots are z_i/z_j); 1 - z1^2/z2^2
+    # is the square of one times 1 + z1/z2; (1 - z1/z2) in a numerator
+    # and the unit of an inverted root are fine
+    one = LaurentPolynomial.one(VARS)
+    z1 = LaurentPolynomial.var(VARS, "z1")
+    ratio = LaurentPolynomial.monomial(VARS, (0, 0, 1, -1))
+    for bad in (one - z1, one - ratio * ratio):
+        term = FactoredRational(VARS, 1, None, [(bad, -1)])
+        with pytest.raises(NonRootPole):
+            expand_sum([term], 1, weyl=True)
+    ok = FactoredRational(VARS, 1, None, [(one - ratio, 1), (ratio - one, -2)])
+    assert expand_sum([ok], 1, weyl=True) == expand_by_images([ok], 1, IMAGES)
+    # the error is no ArithmeticError, so no handler that turns failed
+    # arithmetic into a witness can catch it
+    assert not issubclass(NonRootPole, ArithmeticError)
 
 
 # -- split series ---------------------------------------------------------------
