@@ -477,7 +477,7 @@ def fold_split(groups: dict, rest: FactoredRational, series: QTSeries) -> None:
 
 
 def certify_sum(groups: dict, vars: Sequence[str], trunc: int,
-                 qt: Sequence[str] = ("q", "t"), weyl: bool = False) -> QTSeries:
+                qt: Sequence[str] = ("q", "t"), weyl: bool = False) -> QTSeries:
     """The certify stage of :func:`expand_sum`: add the groups of
     :func:`fold_split` per (q,t)-degree and certify that each such sum
     is a Laurent polynomial in the coefficient variables.
@@ -580,26 +580,23 @@ def _sl_weyl(coeff_vars: tuple) -> tuple:
 
 
 def _root_poles(rest: FactoredRational, vars: tuple, coeff_vars: tuple) -> tuple:
-    """The pole part ``rest`` as ``(coef, shift, mult)``: rest is
+    """The pole part ``rest`` of an :func:`expand_split` pair (unit 1,
+    factors purely in ``coeff_vars``) as ``(coef, shift, mult)``: rest is
     coef z^shift / prod_{i<j} (z_i - z_j)^mult[k] over the positive roots
     (i, j), k their index, in the SL coordinates ``coeff_vars``.  Raises
     :class:`NonRootPole` unless every factor is a root binomial
     u z^k (z_i - z_j) in the denominator."""
     slots, roots, pairs, _binomials, _perms = _sl_weyl(coeff_vars)
     z_idx = [k for k, v in enumerate(vars) if v in coeff_vars]
-    graded = [k for k in range(len(vars)) if k not in z_idx]
-    if any(rest.exps[k] for k in graded):
-        raise NonRootPole(f"pole part has a unit in the graded variables: {rest.canonical_str()}")
-    coef = rest.coef
-    shift = [rest.exps[k] for k in z_idx]
+    coef = 1
+    shift = [0] * len(coeff_vars)
     mult = [0] * len(pairs)
     for p, k in rest._fmap.values():
         root = None
         if k < 0 and len(p.terms) == 2:
             (e1, c1), (e2, c2) = p.terms.items()
-            if c1 + c2 == 0 and not any(e1[x] or e2[x] for x in graded):
-                z1 = tuple(e1[x] for x in z_idx)
-                root = roots.get(tuple(map(sub, z1, (e2[x] for x in z_idx))))
+            z1, z2 = (tuple(e[x] for x in z_idx) for e in (e1, e2))
+            root = roots.get(tuple(map(sub, z1, z2))) if c1 + c2 == 0 else None
         if root is None:
             raise NonRootPole(
                 f"pole factor ({p.canonical_str()})^{k} is not a root binomial in the denominator")

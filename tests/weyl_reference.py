@@ -15,7 +15,7 @@ from typing import Mapping, Sequence
 
 from maclab.algebra import FactoredRational, LaurentPolynomial
 from maclab.euler import _slot_exp
-from maclab.series import NonPolynomialCoefficient, QTSeries, fold_split, expand_split
+from maclab.series import NonPolynomialCoefficient, QTSeries, expand_split, fold_split
 
 
 def weyl_images(n: int) -> list:
