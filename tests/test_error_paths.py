@@ -4,9 +4,11 @@ handlers around exact computations catch only ArithmeticError."""
 import pytest
 
 import maclab.checks
+from maclab import euler
 from maclab.algebra import FactoredRational, LaurentPolynomial
 from maclab.checks import run_check
-from maclab.series import expand_sum
+from maclab.series import NonPolynomialCoefficient, NonRootPole, expand_sum
+from weyl_reference import plant_uncancelled_pole
 
 
 def _boom(*args, **kwargs):
@@ -29,10 +31,6 @@ def test_check_termination_propagates_non_arithmetic_errors(monkeypatch):
 
 def test_check_hp_propagates_an_uncancelled_weyl_pole(monkeypatch):
     # a broken Weyl-group sum is a bug, not a witness: run_check raises
-    from maclab import euler
-    from maclab.series import NonPolynomialCoefficient
-    from weyl_reference import plant_uncancelled_pole
-
     real = euler.certify_sum
 
     def certify(groups, *args, **kwargs):
@@ -48,9 +46,6 @@ def test_check_hp_propagates_an_uncancelled_weyl_pole(monkeypatch):
 def test_check_hp_propagates_a_pole_that_is_no_root(monkeypatch):
     # at N = 2 the root is z1/z2 = z1^2 over (q, t, z1); a Weyl factor
     # with the pole 1 - z1 instead cannot be certified
-    from maclab import euler
-    from maclab.series import NonRootPole
-
     def weyl_factor(n, w):
         v = euler.glob_vars(n)
         one, z1 = LaurentPolynomial.one(v), LaurentPolynomial.var(v, "z1")

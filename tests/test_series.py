@@ -161,8 +161,8 @@ def _outcome(fn, *args):
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(root_poled_sums(), st.integers(0, 2))
 def test_antisymmetriser_agrees_with_the_image_loop(terms, trunc):
-    # equal series, or both find uncancelled poles (double poles rarely
-    # cancel); simple poles always cancel over W
+    # equal series, or both find uncancelled poles, as about half the
+    # sums with a double pole do; simple poles always cancel over W
     got = _outcome(expand_sum, terms, trunc, ("q", "t"), True)
     assert got == _outcome(expand_by_images, terms, trunc, IMAGES)
     if all(m >= -1 for fr in terms for _p, m in fr.factors):

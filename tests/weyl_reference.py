@@ -10,20 +10,23 @@ serves sums over a subgroup.  ``plant_uncancelled_pole`` breaks a folded
 Weyl-group sum for the error-path tests.
 """
 
-from itertools import permutations
 from typing import Mapping, Sequence
 
 from maclab.algebra import FactoredRational, LaurentPolynomial
-from maclab.euler import _slot_exp
+from maclab.euler import _slot_exp, _weyl_group
 from maclab.series import NonPolynomialCoefficient, QTSeries, expand_split, fold_split
 
 
 def weyl_images(n: int) -> list:
     """The maps sigma_w: z_i -> z_{w(i)} over ``glob_vars(n)``, one per
     Weyl element, as ``FactoredRational.transform`` mappings (identity
-    slots left out, so w = id maps nothing)."""
+    slots left out, so w = id maps nothing).  sigma_w carries the w = id
+    localization summands to those of w: it sends
+    ``euler._wslot_exp(n, i, id)`` to ``euler._wslot_exp(n, i, w)``, hence
+    C_theta(wz), z^{w weight} and the Weyl factor of w are the images of
+    those of id."""
     return [{f"z{i}": (1, _slot_exp(n, w[i - 1])) for i in range(1, n) if w[i - 1] != i}
-            for w in sorted(permutations(range(1, n + 1)))]
+            for w in _weyl_group(n)]
 
 
 def _certify_by_images(groups: dict, vars: Sequence[str], trunc: int,
