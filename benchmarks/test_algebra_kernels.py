@@ -1,8 +1,8 @@
-"""Microbenchmarks of the two LaurentPolynomial kernels behind the eigen check.
+"""Microbenchmarks of the algebra kernels behind criterion 1.
 
-The operands are the ones ``macdonald.apply_D1N`` meets at N = 4 on
-P_(4,1), the largest cleared polynomial of ``eigen``'s default range
-(2672 terms):
+Two LaurentPolynomial kernels behind the eigen check, on the operands
+``macdonald.apply_D1N`` meets at N = 4 on P_(4,1), the largest cleared
+polynomial of ``eigen``'s default range (2672 terms):
 
 * ``__mul__``: the one product ``apply_D1N`` builds per call, the
   24-term factor prod_{j != 1} (s y_1 - y_j) times the Vandermonde
@@ -11,15 +11,27 @@ P_(4,1), the largest cleared polynomial of ``eigen``'s default range
   eps * P * prod_{a<b} (y_a - y_b), divided by its first factor
   y_1 - y_2.
 
+Two kernels of ``tableau-oracle``'s coefficient comparison, tableau
+formula against eigen-solve oracle, at N = 4 and mu = (2,1,1,1):
+
+* ``rational_eq`` at lambda = (5), the comparison with the largest
+  cross-multiplied expansion for |lambda| <= 5, N <= 4 (714 terms over
+  both sides);
+* ``__mul__`` at lambda = (4,1): the 68-term tableau numerator, a
+  canonical factor with Fraction coefficients, times the oracle's
+  expanded denominator, the product that comparison cross-multiplies.
+
 Not part of the test suite.  Run with
 
     PYTHONPATH=src python -m pytest benchmarks --benchmark-only
 """
 
+from fractions import Fraction
+
 import pytest
 
-from maclab.algebra import LaurentPolynomial
-from maclab.macdonald import eigenvalue, mac_vars, macdonald_P
+from maclab.algebra import LaurentPolynomial, rational_eq
+from maclab.macdonald import eigenvalue, mac_vars, macdonald_P, macdonald_P_oracle
 
 N = 4
 LAM = (4, 1)
@@ -61,3 +73,25 @@ def test_divide_vandermonde_binomial(benchmark, operands):
     _factor, _shifted, dividend, divisor = operands
     quotient = benchmark(dividend.divide_exact, divisor)
     assert quotient * divisor == dividend
+
+
+MU = (2, 1, 1, 1)
+
+
+def _coefficients(lam):
+    return macdonald_P(lam, N).coefficient(MU), macdonald_P_oracle(lam, N).coefficient(MU)
+
+
+def test_rational_eq_largest_tableau_comparison(benchmark):
+    tableau, oracle = _coefficients((5,))
+    assert benchmark(rational_eq, tableau, oracle)
+
+
+def test_mul_fraction_factor(benchmark):
+    tableau, oracle = _coefficients((4, 1))
+    (factor, _m), = [(p, m) for p, m in tableau.factors if m > 0]
+    assert len(factor.terms) == 68
+    assert any(type(c) is Fraction for c in factor.terms.values())
+    _num, den = oracle.num_den()
+    product = benchmark(factor.__mul__, den)
+    assert product.divide_exact(den) == factor

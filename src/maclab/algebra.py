@@ -3,15 +3,22 @@
 Everything in this package is built on two value types:
 
 * :class:`LaurentPolynomial` -- a sparse Laurent polynomial over a fixed,
-  ordered tuple of variable names, with exact rational coefficients
-  (plain ``int`` where the denominator is 1, ``fractions.Fraction``
-  otherwise).  No floating point anywhere.
+  ordered tuple of variable names, with exact rational coefficients.  No
+  floating point anywhere.  Every stored coefficient is nonzero: a plain
+  ``int`` where its denominator is 1, a ``fractions.Fraction`` otherwise.
 
 * :class:`FactoredRational` -- a unit monomial times a multiset of
   polynomial factors with integer multiplicities.  Products of binomials
   such as q-Pochhammer symbols stay factored; nothing is ever reduced by
   a multivariate gcd.  Equality of values is decided by cancelling common
   factors and cross-multiplying the rest (:func:`rational_eq`).
+
+Every polynomial product is expanded over the integers (:func:`_expand`):
+each operand is cleared once by the lcm of its denominators, the term
+products run on ``int``s, and each output coefficient is divided once by
+the product of those lcms.  :func:`rational_eq` compares two integer
+expansions and their denominators, with no ``Fraction``: a canonical
+factor leads with coefficient 1, so equal values have equal denominators.
 
 Values are immutable after construction and safe to share.  Nothing
 writes to a polynomial's ``terms`` once it is built, so a factor's
@@ -23,6 +30,7 @@ already-canonical factors instead of normalising them again.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from operator import add, itemgetter, sub
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -59,8 +67,53 @@ def _coef_pow(c: Coef, e: int) -> Coef:
     return _norm_coef(Fraction(c) ** e)
 
 
-def _coef_str(c: Coef) -> str:
-    return str(c)
+def _cleared(terms: dict) -> tuple:
+    """``(int_terms, d)`` with ``terms == int_terms / d`` and ``d`` the lcm
+    of the coefficient denominators; all-``int`` terms come back as is."""
+    if Fraction not in set(map(type, terms.values())):
+        return terms, 1
+    d = lcm(*[c.denominator for c in terms.values()])
+    return {e: c.numerator * (d // c.denominator) for e, c in terms.items()}, d
+
+
+def _mul_terms(a: dict, b: dict) -> dict:
+    """The product of two term maps with ``int`` coefficients, as a new map."""
+    if len(a) > len(b):
+        a, b = b, a
+    t: dict = {}
+    get = t.get
+    b_items = b.items()
+    for ea, ca in a.items():
+        for eb, cb in b_items:
+            e = tuple(map(add, ea, eb))
+            s = get(e, 0) + ca * cb
+            if s:
+                t[e] = s
+            else:
+                # ca * cb != 0, so a zero sum cancels an existing term
+                del t[e]
+    return t
+
+
+def _expand(coef: Coef, exps: tuple, factors: Iterable[tuple]) -> tuple:
+    """``coef * x^exps * prod p^m`` over the ``(p, m)`` in ``factors``
+    (all ``m > 0``), multiplied out over the integers: ``(terms, d)``
+    with ``int`` coefficients, whose value is ``terms / d``."""
+    t = {exps: coef.numerator} if coef else {}
+    d = coef.denominator
+    for p, m in factors:
+        pt, pd = _cleared(p.terms)
+        for _ in range(m):
+            t = _mul_terms(t, pt)
+        d *= pd ** m
+    return t, d
+
+
+def _over(vars: tuple, terms: dict, d: int) -> "LaurentPolynomial":
+    """The polynomial ``terms / d`` of ``int`` terms, kept as is when d is 1."""
+    if d != 1:
+        terms = {e: c // d if not c % d else Fraction(c, d) for e, c in terms.items()}
+    return LaurentPolynomial._from_terms(vars, terms)
 
 
 class LaurentPolynomial:
@@ -80,12 +133,16 @@ class LaurentPolynomial:
 
     def __init__(self, vars: Sequence[str], terms: Mapping[tuple, Coef] | None = None):
         self.vars = tuple(vars)
+        n = len(self.vars)
         t = {}
         if terms:
             for e, c in terms.items():
+                e = tuple(e)
+                if len(e) != n:
+                    raise ValueError(f"exponent vector {e} does not fit the context {self.vars}")
                 c = _norm_coef(c)
                 if c:
-                    t[tuple(e)] = c
+                    t[e] = c
         self.terms = t
         self._canon = None
 
@@ -115,8 +172,11 @@ class LaurentPolynomial:
 
     @classmethod
     def monomial(cls, vars: Sequence[str], exps: Sequence[int], c: Coef = 1) -> "LaurentPolynomial":
+        vars, exps = tuple(vars), tuple(exps)
+        if len(exps) != len(vars):
+            raise ValueError(f"exponent vector {exps} does not fit the context {vars}")
         c = _norm_coef(c)
-        return cls._from_terms(tuple(vars), {tuple(exps): c} if c else {})
+        return cls._from_terms(vars, {exps: c} if c else {})
 
     @classmethod
     def var(cls, vars: Sequence[str], name: str, power: int = 1) -> "LaurentPolynomial":
@@ -134,16 +194,13 @@ class LaurentPolynomial:
         z = (0,) * len(self.vars)
         return len(self.terms) == 1 and self.terms.get(z) == 1
 
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
-
     def constant_coef(self) -> Coef:
         return self.terms.get((0,) * len(self.vars), 0)
 
     # -- arithmetic ----------------------------------------------------
 
     def _check(self, other: "LaurentPolynomial"):
-        if self.vars != other.vars:
+        if self.vars is not other.vars and self.vars != other.vars:
             raise ValueError(f"variable contexts differ: {self.vars} vs {other.vars}")
 
     def __add__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
@@ -161,34 +218,13 @@ class LaurentPolynomial:
         return LaurentPolynomial._from_terms(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        self._check(other)
-        t = dict(self.terms)
-        for e, c in other.terms.items():
-            s = t.get(e, 0) - c
-            if s:
-                t[e] = _norm_coef(s)
-            elif e in t:
-                del t[e]
-        return LaurentPolynomial._from_terms(self.vars, t)
+        return self + (-other)
 
     def __mul__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
         self._check(other)
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        t: dict = {}
-        get = t.get
-        b_items = b.items()
-        for ea, ca in a.items():
-            for eb, cb in b_items:
-                e = tuple(map(add, ea, eb))
-                s = get(e, 0) + ca * cb
-                if s:
-                    t[e] = s
-                else:
-                    # ca * cb != 0, so a zero sum cancels an existing term
-                    del t[e]
-        return LaurentPolynomial._from_terms(self.vars, {e: _norm_coef(c) for e, c in t.items()})
+        a, da = _cleared(self.terms)
+        b, db = _cleared(other.terms)
+        return _over(self.vars, _mul_terms(a, b), da * db)
 
     def scale(self, c: Coef) -> "LaurentPolynomial":
         c = _norm_coef(c)
@@ -204,14 +240,7 @@ class LaurentPolynomial:
     def __pow__(self, n: int) -> "LaurentPolynomial":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = LaurentPolynomial.one(self.vars)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return _over(self.vars, *_expand(1, (0,) * len(self.vars), [(self, n)]))
 
     def __eq__(self, other) -> bool:
         return (
@@ -454,17 +483,14 @@ class LaurentPolynomial:
                 for v, k in zip(self.vars, e)
                 if k
             )
-            if mono:
-                parts.append(f"({_coef_str(c)})*{mono}")
-            else:
-                parts.append(f"({_coef_str(c)})")
+            parts.append(f"({c})*{mono}" if mono else f"({c})")
         return " + ".join(parts)
 
     def to_json_obj(self) -> dict:
         return {
             "vars": list(self.vars),
             "terms": [
-                {"exp": list(e), "coef": _coef_str(c)} for e, c in self.sorted_terms()
+                {"exp": list(e), "coef": str(c)} for e, c in self.sorted_terms()
             ],
         }
 
@@ -534,12 +560,16 @@ class FactoredRational:
         exps: Sequence[int] | None = None,
         factors: Iterable[tuple] = (),
     ):
-        self.vars = tuple(vars)
+        self.vars = vars = tuple(vars)
         coef = _norm_coef(coef)
-        exps = tuple(exps) if exps is not None else (0,) * len(self.vars)
+        exps = tuple(exps) if exps is not None else (0,) * len(vars)
+        if len(exps) != len(vars):
+            raise ValueError(f"exponent vector {exps} does not fit the context {vars}")
         fmap: dict = {}
         if coef:
             for poly, mult in factors:
+                if poly.vars is not vars and poly.vars != vars:
+                    raise ValueError(f"factor over {poly.vars} in the context {vars}")
                 if mult == 0:
                     continue
                 u_c, u_e, canon, key = _canonical_factor(poly)
@@ -555,13 +585,8 @@ class FactoredRational:
                 if canon is not None:
                     _merge_factor(fmap, key, canon, mult)
         if not coef:
-            self.coef = 0
-            self.exps = (0,) * len(self.vars)
-            self._fmap = {}
-            return
-        self.coef = coef
-        self.exps = exps
-        self._fmap = fmap
+            coef, exps, fmap = 0, (0,) * len(vars), {}
+        self.coef, self.exps, self._fmap = coef, exps, fmap
 
     @classmethod
     def _from_map(cls, vars: tuple, coef: Coef, exps: tuple, fmap: dict) -> "FactoredRational":
@@ -590,10 +615,6 @@ class FactoredRational:
         return cls(vars, 0)
 
     @classmethod
-    def const(cls, vars: Sequence[str], c: Coef) -> "FactoredRational":
-        return cls(vars, c)
-
-    @classmethod
     def monomial(cls, vars: Sequence[str], exps: Sequence[int], c: Coef = 1) -> "FactoredRational":
         return cls(vars, c, exps)
 
@@ -615,7 +636,7 @@ class FactoredRational:
     # -- arithmetic -----------------------------------------------------------
 
     def _check(self, other: "FactoredRational"):
-        if self.vars != other.vars:
+        if self.vars is not other.vars and self.vars != other.vars:
             raise ValueError("variable contexts differ")
 
     def __mul__(self, other: "FactoredRational") -> "FactoredRational":
@@ -628,12 +649,8 @@ class FactoredRational:
         fmap = dict(a)
         for key, (p, m) in b.items():
             _merge_factor(fmap, key, p, m)
-        return FactoredRational._from_map(
-            self.vars,
-            _norm_coef(self.coef * other.coef),
-            tuple(x + y for x, y in zip(self.exps, other.exps)),
-            fmap,
-        )
+        return FactoredRational._from_map(self.vars, _norm_coef(self.coef * other.coef),
+                                          tuple(map(add, self.exps, other.exps)), fmap)
 
     def inverse(self) -> "FactoredRational":
         if self.is_zero():
@@ -659,12 +676,8 @@ class FactoredRational:
             coef = a // b
         else:
             coef = _norm_coef(Fraction(a) / b)
-        return FactoredRational._from_map(
-            self.vars,
-            coef,
-            tuple(x - y for x, y in zip(self.exps, other.exps)),
-            fmap,
-        )
+        return FactoredRational._from_map(self.vars, coef,
+                                          tuple(map(sub, self.exps, other.exps)), fmap)
 
     def __pow__(self, n: int) -> "FactoredRational":
         if self.is_zero():
@@ -705,14 +718,14 @@ class FactoredRational:
             m = max(-ma, -mb, 0)
             if m:
                 den[key] = ((a_f.get(key) or b_f.get(key))[0], m)
-        # numerators: unit * positive part * (den / own denominator)
-        num_a = self._numerator_against(den)
-        num_b = other._numerator_against(den)
-        # unit monomials: pull out the common part, keep the rest in the sum
-        e_min = tuple(min(x, y) for x, y in zip(self.exps, other.exps))
-        pa = LaurentPolynomial.monomial(self.vars, tuple(x - y for x, y in zip(self.exps, e_min)), self.coef)
-        pb = LaurentPolynomial.monomial(self.vars, tuple(x - y for x, y in zip(other.exps, e_min)), other.coef)
-        total = pa * num_a + pb * num_b
+        # numerators: unit * positive part * (den / own denominator); the
+        # unit monomials' common part is pulled out, the rest is summed
+        e_min = tuple(map(min, self.exps, other.exps))
+        ta, da = _expand(self.coef, tuple(map(sub, self.exps, e_min)),
+                         self._numerator_against(den))
+        tb, db = _expand(other.coef, tuple(map(sub, other.exps, e_min)),
+                         other._numerator_against(den))
+        total = _over(self.vars, ta, da) + _over(self.vars, tb, db)
         if total.is_zero():
             return FactoredRational.zero(self.vars)
         u_c, u_e, canon, key = _canonical_factor(total)
@@ -722,17 +735,15 @@ class FactoredRational:
         return FactoredRational._from_map(
             self.vars, u_c, tuple(x + y for x, y in zip(e_min, u_e)), fmap)
 
-    def _numerator_against(self, den: dict) -> LaurentPolynomial:
+    def _numerator_against(self, den: dict) -> list:
+        """The factors ``(p, m > 0)`` of this value's numerator over the
+        common denominator ``den``."""
         own = self._fmap
-        out = LaurentPolynomial.one(self.vars)
-        for p, m in own.values():
-            if m > 0:
-                out = out * p ** m
+        out = [(p, m) for p, m in own.values() if m > 0]
         for key, (p, m) in den.items():
-            own_m = own.get(key, (None, 0))[1]
-            extra = m - max(-own_m, 0)
+            extra = m - max(-own.get(key, (None, 0))[1], 0)
             if extra:
-                out = out * p ** extra
+                out.append((p, extra))
         return out
 
     def __sub__(self, other: "FactoredRational") -> "FactoredRational":
@@ -757,22 +768,16 @@ class FactoredRational:
     def num_den(self) -> tuple[LaurentPolynomial, LaurentPolynomial]:
         """Expand into (numerator, denominator); unit goes to the numerator,
         so the numerator may be a Laurent polynomial."""
-        num = LaurentPolynomial.monomial(self.vars, self.exps, self.coef)
-        den = LaurentPolynomial.one(self.vars)
-        for p, m in self.factors:
-            if m > 0:
-                num = num * p ** m
-            else:
-                den = den * p ** (-m)
-        return num, den
+        factors = self._fmap.values()
+        num = _expand(self.coef, self.exps, [(p, m) for p, m in factors if m > 0])
+        den = _expand(1, (0,) * len(self.vars), [(p, -m) for p, m in factors if m < 0])
+        return _over(self.vars, *num), _over(self.vars, *den)
 
     def to_laurent(self) -> LaurentPolynomial:
         """Exact conversion to a Laurent polynomial (the denominator must
         divide the numerator exactly)."""
-        num = LaurentPolynomial.monomial(self.vars, self.exps, self.coef)
-        for p, m in self.factors:
-            if m > 0:
-                num = num * p ** m
+        num = _over(self.vars, *_expand(
+            self.coef, self.exps, [(p, m) for p, m in self._fmap.values() if m > 0]))
         for p, m in self.factors:
             if m < 0:
                 for _ in range(-m):
@@ -927,10 +932,10 @@ def rational_eq(a: FactoredRational, b: FactoredRational) -> bool:
     """Certified value equality of two factored rationals.
 
     Common canonical factors are cancelled first; the remaining parts are
-    cross-multiplied and compared as fully expanded Laurent polynomials.
+    cross-multiplied, expanded over the integers and compared together
+    with their denominators.
     """
-    if a.vars != b.vars:
-        raise ValueError("variable contexts differ")
+    a._check(b)
     if a.is_zero() or b.is_zero():
         return a.is_zero() and b.is_zero()
     a_f, b_f = a._fmap, b._fmap
@@ -943,13 +948,8 @@ def rational_eq(a: FactoredRational, b: FactoredRational) -> bool:
             rem_a.append((p, m))
         elif m < 0:
             rem_b.append((p, -m))
-    if not rem_a and not rem_b:
-        return a.coef == b.coef and a.exps == b.exps
-    # cross-multiply the uncancelled parts and compare expansions
-    lhs = LaurentPolynomial.monomial(a.vars, a.exps, a.coef)
-    rhs = LaurentPolynomial.monomial(b.vars, b.exps, b.coef)
-    for p, m in rem_a:
-        lhs = lhs * p ** m
-    for p, m in rem_b:
-        rhs = rhs * p ** m
-    return lhs == rhs
+    lhs, dl = _expand(a.coef, a.exps, rem_a)
+    rhs, dr = _expand(b.coef, b.exps, rem_b)
+    # lhs * dr == rhs * dl; a canonical factor cleared by its lcm has
+    # content 1, so by Gauss's lemma equal values have dl == dr
+    return dl == dr and lhs == rhs

@@ -1,0 +1,86 @@
+"""The per-term ``Fraction`` product that multiplied polynomials before
+``maclab.algebra`` expanded products over the integers, kept as its
+reference.
+
+``mul`` is the old ``LaurentPolynomial.__mul__``: every term pair
+multiplies exact rational coefficients, and a last pass collapses
+denominator-1 ``Fraction``s to ``int``.  ``num_den``, ``to_laurent`` and
+``rational_eq`` multiply out factor powers with it, one polynomial
+product per factor power, as the old ``FactoredRational`` methods did;
+``rational_eq`` cross-multiplies the uncancelled parts and compares the
+two expansions as polynomials.
+"""
+
+from fractions import Fraction
+from operator import add
+
+from maclab.algebra import FactoredRational, LaurentPolynomial
+
+
+def _norm(c):
+    if type(c) is Fraction and c.denominator == 1:
+        return c.numerator
+    return c
+
+
+def mul(p: LaurentPolynomial, q: LaurentPolynomial) -> LaurentPolynomial:
+    if p.vars != q.vars:
+        raise ValueError("variable contexts differ")
+    a, b = p.terms, q.terms
+    if len(a) > len(b):
+        a, b = b, a
+    t: dict = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(map(add, ea, eb))
+            s = t.get(e, 0) + ca * cb
+            if s:
+                t[e] = s
+            else:
+                del t[e]
+    return LaurentPolynomial._from_terms(p.vars, {e: _norm(c) for e, c in t.items()})
+
+
+def power(p: LaurentPolynomial, n: int) -> LaurentPolynomial:
+    out = LaurentPolynomial.one(p.vars)
+    for _ in range(n):
+        out = mul(out, p)
+    return out
+
+
+def _expand(vars, coef, exps, factors) -> LaurentPolynomial:
+    out = LaurentPolynomial.monomial(vars, exps, coef)
+    for p, m in factors:
+        out = mul(out, power(p, m))
+    return out
+
+
+def num_den(x: FactoredRational) -> tuple:
+    num = _expand(x.vars, x.coef, x.exps, [(p, m) for p, m in x.factors if m > 0])
+    den = _expand(x.vars, 1, (0,) * len(x.vars), [(p, -m) for p, m in x.factors if m < 0])
+    return num, den
+
+
+def to_laurent(x: FactoredRational) -> LaurentPolynomial:
+    num, _den = num_den(x)
+    for p, m in x.factors:
+        for _ in range(-m):
+            num = num.divide_exact(p)
+    return num
+
+
+def rational_eq(a: FactoredRational, b: FactoredRational) -> bool:
+    if a.vars != b.vars:
+        raise ValueError("variable contexts differ")
+    if a.is_zero() or b.is_zero():
+        return a.is_zero() and b.is_zero()
+    a_f, b_f = a._fmap, b._fmap
+    rem_a, rem_b = [], []
+    for key in a_f.keys() | b_f.keys():
+        p = (a_f.get(key) or b_f.get(key))[0]
+        m = a_f.get(key, (None, 0))[1] - b_f.get(key, (None, 0))[1]
+        if m > 0:
+            rem_a.append((p, m))
+        elif m < 0:
+            rem_b.append((p, -m))
+    return _expand(a.vars, a.coef, a.exps, rem_a) == _expand(b.vars, b.coef, b.exps, rem_b)

@@ -2,7 +2,10 @@
 
 Small random Laurent polynomials in two or three variables, with small
 integer and Fraction coefficients, are pushed through maclab's exact
-arithmetic and through sympy; the results must agree as values.
+arithmetic and through sympy; the results must agree as values.  The
+integer products are also checked against the per-term ``Fraction``
+product they replaced (``tests/algebra_reference.py``), coefficient
+types included.
 """
 
 from fractions import Fraction
@@ -20,6 +23,7 @@ from maclab.algebra import (  # noqa: E402
     rational_eq,
 )
 from maclab.series import expand  # noqa: E402
+import algebra_reference as ref  # noqa: E402
 
 CONTEXTS = [("q", "t"), ("q", "t", "z1")]
 SYMBOLS = {v: sympy.Symbol(v) for v in CONTEXTS[-1]}
@@ -38,8 +42,8 @@ def exps(vars):
     return st.tuples(*[st.integers(-2, 2)] * len(vars))
 
 
-def polys(vars, min_terms=0, max_terms=4):
-    return st.dictionaries(exps(vars), nonzero_coefs, min_size=min_terms,
+def polys(vars, min_terms=0, max_terms=4, coefs=nonzero_coefs):
+    return st.dictionaries(exps(vars), coefs, min_size=min_terms,
                            max_size=max_terms).map(lambda t: LaurentPolynomial(vars, t))
 
 
@@ -272,3 +276,80 @@ def test_reembedding_matches_the_general_transform(data):
     # a variable with no place in the target is an error on both paths
     with pytest.raises(ValueError):
         p.transform(vars[1:], {})
+
+
+# -- integer products against the per-term Fraction product ----------------------
+
+
+def same_terms(p, q):
+    """Equal polynomials whose equal coefficients also have equal types."""
+    return p == q and all(type(c) is type(q.terms[e]) for e, c in p.terms.items())
+
+
+@st.composite
+def integral_pairs(draw, vars):
+    """Two polynomials with Fraction coefficients whose product has none:
+    n/d * P times d*k/n * Q for integer P, Q."""
+    n, d = draw(st.integers(1, 5)), draw(st.integers(2, 5))
+    ints = st.integers(-3, 3).filter(bool)
+    k = draw(ints)
+    p, q = draw(polys(vars, 1, coefs=ints)), draw(polys(vars, 1, coefs=ints))
+    return p.scale(Fraction(n, d)), q.scale(Fraction(d * k, n))
+
+
+@oracle
+@given(st.data())
+def test_product_matches_the_fraction_reference(data):
+    vars = data.draw(contexts)
+    p, q = data.draw(polys(vars)), data.draw(polys(vars))
+    # (p + q)(p - q): the cross terms cancel to zero
+    for a, b in [(p, q), (p + q, p - q), (p, p)]:
+        assert same_terms(a * b, ref.mul(a, b))
+    assert same_terms(p ** 3, ref.power(p, 3))
+    a, b = data.draw(integral_pairs(vars))
+    assert all(type(c) is int for c in (a * b).terms.values())
+    assert same_terms(a * b, ref.mul(a, b))
+
+
+def outcome(f, x):
+    try:
+        return f(x)
+    except ExactDivisionError:
+        return "inexact"
+
+
+@oracle
+@given(st.data())
+def test_expansions_match_the_fraction_reference(data):
+    vars = data.draw(contexts)
+    a = data.draw(factored(vars))
+    for mine, theirs in zip(a.num_den(), ref.num_den(a)):
+        assert same_terms(mine, theirs)
+    got, want = outcome(FactoredRational.to_laurent, a), outcome(ref.to_laurent, a)
+    assert got == want
+    if got != "inexact":
+        assert same_terms(got, want)
+    # a quotient that divides exactly, with Fraction coefficients that
+    # come out integral
+    p, q = data.draw(integral_pairs(vars))
+    exact = FactoredRational(vars, data.draw(nonzero_coefs), data.draw(exps(vars)),
+                             [(p * q, 1), (q, -1)])
+    assert same_terms(exact.to_laurent(), ref.to_laurent(exact))
+
+
+@oracle
+@given(st.data())
+def test_rational_eq_matches_the_fraction_reference(data):
+    vars = data.draw(contexts)
+    a, b = data.draw(factored(vars)), data.draw(factored(vars))
+    assert rational_eq(a, b) == ref.rational_eq(a, b)
+    # equal values over different factor multisets take the expanded path
+    num, den = a.num_den()
+    expanded = FactoredRational.from_poly(num) / FactoredRational.from_poly(den)
+    for x, y in [(a, expanded), (a + b, expanded + b), (a * b, expanded * b)]:
+        assert rational_eq(x, y) is ref.rational_eq(x, y) is True
+    # the same integer expansion over another denominator is another value
+    assume(not a.is_zero())
+    x = a.scale(Fraction(1, a.coef.numerator))
+    for y in (x.scale(Fraction(1, 2)), expanded.scale(Fraction(1, 2 * a.coef.numerator))):
+        assert rational_eq(x, y) is ref.rational_eq(x, y) is False

@@ -55,3 +55,22 @@ def test_check_hp_propagates_a_pole_that_is_no_root(monkeypatch):
     monkeypatch.setattr(euler, "_weyl_factor", weyl_factor)
     with pytest.raises(NonRootPole):
         run_check("hp", max_n=2, order=1, max_weight_sum=1)
+
+
+def test_constructors_reject_an_exponent_vector_that_does_not_fit():
+    v = ("q", "s")
+    with pytest.raises(ValueError):
+        LaurentPolynomial(v, {(1, 2, 3): 1})
+    with pytest.raises(ValueError):
+        LaurentPolynomial.monomial(v, (1,))
+    with pytest.raises(ValueError):
+        FactoredRational(v, 1, (1, 2, 3))
+
+
+def test_factored_rational_rejects_a_factor_from_another_context():
+    qt = ("q", "t")
+    factor = LaurentPolynomial.one(qt) + LaurentPolynomial.var(qt, "q")
+    with pytest.raises(ValueError):
+        FactoredRational(("q", "s"), 1, None, [(factor, 1)])
+    # an equal context held in another sequence is the same context
+    assert FactoredRational(list(qt), 1, None, [(factor, 1)]) == FactoredRational.from_poly(factor)
