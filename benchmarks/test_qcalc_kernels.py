@@ -1,8 +1,13 @@
-"""Microbenchmark of the Pochhammer layer: the closed form of ``cn``.
+"""Microbenchmarks of the Pochhammer layer: the coefficient forms of
+``cn`` and the scan of ``termination``.
 
 ``c_N_closed`` over the theta grid that ``cn`` scans at N = 4 with
 entries 0..1 (64 matrices), each value a product of finite q-Pochhammer
-ratios.  Every value must equal ``c_N_recursive``.
+ratios.  Every value must equal ``c_N_recursive``.  The same grid is
+timed for all three forms together (closed, recursive, rewritten), as
+``cn`` builds them, and the termination scan is timed at the range of
+the benchmark's ``termination`` case (|lambda| <= 3, N <= 3): one pass
+over each rank's theta grid, each result equal to P_lambda.
 
 The cold case starts each round from an empty Pochhammer cache, as one
 ``cn`` run in a fresh process does; the warm case reuses the cache
@@ -20,8 +25,9 @@ import pytest
 
 from maclab import qcalc
 from maclab.algebra import rational_eq
-from maclab.baker import c_N_closed, c_N_recursive
-from maclab.tableaux import ThetaMatrix
+from maclab.baker import c_N_closed, c_N_closed_alt, c_N_recursive, specialize_each
+from maclab.macdonald import macdonald_P
+from maclab.tableaux import ThetaMatrix, partitions_upto
 
 N = 4
 MAX_ENTRY = 1
@@ -56,3 +62,30 @@ def test_c_N_closed_cn_grid_cold(benchmark, recursive):
 
 def test_c_N_closed_cn_grid_warm(benchmark, recursive):
     check(benchmark(closed_grid), recursive)
+
+
+def three_forms():
+    return [(c_N_closed(th, N), c_N_recursive(th, N), c_N_closed_alt(th, N)) for th in THETAS]
+
+
+def test_c_N_three_forms_cn_grid(benchmark):
+    values = benchmark(three_forms)
+    assert len(values) == 64
+    assert all(rational_eq(a, b) and rational_eq(a, c) for a, b, c in values)
+
+
+TERMINATION_SIZE = 3
+TERMINATION_N = 3
+
+
+def termination_scan():
+    return {n: specialize_each(partitions_upto(TERMINATION_SIZE, n), n)
+            for n in range(1, TERMINATION_N + 1)}
+
+
+def test_termination_scan(benchmark):
+    results = benchmark(termination_scan)
+    for n, specialized in results.items():
+        lams = partitions_upto(TERMINATION_SIZE, n)
+        assert len(specialized) == len(lams)
+        assert all(S.equals(macdonald_P(lam, n)) for lam, S in zip(lams, specialized))

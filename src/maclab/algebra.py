@@ -652,32 +652,50 @@ class FactoredRational:
         return FactoredRational._from_map(self.vars, _norm_coef(self.coef * other.coef),
                                           tuple(map(add, self.exps, other.exps)), fmap)
 
+    @classmethod
+    def product(cls, vars: tuple, num: Iterable["FactoredRational"],
+                den: Iterable["FactoredRational"] = ()) -> "FactoredRational":
+        """``prod(num) / prod(den)`` over the context ``vars``, equal under
+        ``==`` to the chain of binary products and quotients: every
+        operand's factor map is merged into one dict, so no partial
+        product is built.  A zero in ``den`` raises ``ZeroDivisionError``,
+        also when ``num`` holds a zero; the empty product is one.  ``*``
+        keeps a merge of its own, which is faster for two operands."""
+        polys: dict = {}
+        mults: dict = {}
+        get = mults.get
+        top = bottom = 1
+        up, down = [], []
+        for sign, operands, rows in ((1, num, up), (-1, den, down)):
+            for fr in operands:
+                if fr.vars is not vars and fr.vars != vars:
+                    raise ValueError("variable contexts differ")
+                if sign > 0:
+                    top *= fr.coef
+                elif fr.coef:
+                    bottom *= fr.coef
+                else:
+                    raise ZeroDivisionError("division by zero")
+                rows.append(fr.exps)
+                fmap = fr._fmap
+                polys.update(fmap)
+                for key, pm in fmap.items():
+                    mults[key] = get(key, 0) + sign * pm[1]
+        if not top:
+            return cls.zero(vars)
+        zero = (0,) * len(vars)
+        exps = tuple(map(sub, map(sum, zip(zero, *up)), map(sum, zip(zero, *down))))
+        if type(top) is int and type(bottom) is int and not top % bottom:
+            coef = top // bottom
+        else:
+            coef = _norm_coef(Fraction(top) / bottom)
+        return cls._from_map(vars, coef, exps, {k: (polys[k][0], m) for k, m in mults.items() if m})
+
     def inverse(self) -> "FactoredRational":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of zero")
-        return FactoredRational._from_map(
-            self.vars,
-            _norm_coef(Fraction(1, 1) / self.coef),
-            tuple(-x for x in self.exps),
-            {k: (p, -m) for k, (p, m) in self._fmap.items()},
-        )
+        return FactoredRational.product(self.vars, (), (self,))
 
     def __truediv__(self, other: "FactoredRational") -> "FactoredRational":
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero")
-        self._check(other)
-        if self.is_zero():
-            return self
-        fmap = dict(self._fmap)
-        for key, (p, m) in other._fmap.items():
-            _merge_factor(fmap, key, p, -m)
-        a, b = self.coef, other.coef
-        if type(a) is int and type(b) is int and not a % b:
-            coef = a // b
-        else:
-            coef = _norm_coef(Fraction(a) / b)
-        return FactoredRational._from_map(self.vars, coef,
-                                          tuple(map(sub, self.exps, other.exps)), fmap)
+        return FactoredRational.product(self.vars, (self,), (other,))
 
     def __pow__(self, n: int) -> "FactoredRational":
         if self.is_zero():
@@ -790,7 +808,8 @@ class FactoredRational:
         A numerator factor may collapse to zero (making the value zero); a
         denominator factor collapsing to zero raises ``ZeroDivisionError``;
         the first collapsing factor in key order decides.  The canonical image
-        of each factor comes from a bounded memo (:func:`_factor_image`)."""
+        of each factor comes from a bounded memo, keyed once per call on the
+        substitution (:func:`_image_table`) and then on the factor."""
         new_vars = tuple(new_vars)
         if self.is_zero():
             return FactoredRational.zero(new_vars)
@@ -798,11 +817,16 @@ class FactoredRational:
         (exps, coef), = unit.terms.items()
         mkey = (self.vars, new_vars,
                 tuple(sorted((v, (c, tuple(e))) for v, (c, e) in mapping.items())))
+        images = _factor_images.get(mkey, {})
         own = self._fmap
         fmap: dict = {}
         for key in sorted(own):
             p, m = own[key]
-            u_c, u_e, canon, ckey = _factor_image(mkey, key, p, mapping)
+            image = images.get(key)
+            if image is None:
+                images = _image_table(mkey)
+                image = images[key] = _canonical_factor(p.transform(new_vars, mapping))
+            u_c, u_e, canon, ckey = image
             if u_c == 0:
                 if m < 0:
                     raise ZeroDivisionError("denominator factor vanished under substitution")
@@ -897,11 +921,11 @@ def _canonical_factor(p: LaurentPolynomial) -> tuple:
     return cached
 
 
-# (source vars, new vars, mapping) and a canonical factor key -> the
-# _canonical_factor of that factor's image.  Few distinct pairs recur
+# (source vars, new vars, mapping) -> {canonical factor key -> the
+# _canonical_factor of that factor's image}.  Few distinct pairs recur
 # many times (q-shifts of the same binomials in the coefficient
-# recursions, Weyl images of the same denominators).  An entry holds
-# about 1 KB; the memo is cleared whole when it reaches the cap, so it
+# recursions, Weyl images of the same denominators).  An image holds
+# about 1 KB; the memo is cleared whole when it holds the cap, so it
 # stays bounded in a long-lived process, and by clear_factor_images.
 _factor_images: dict = {}
 _FACTOR_IMAGES_MAX = 1024
@@ -914,18 +938,12 @@ def clear_factor_images() -> None:
     _factor_images.clear()
 
 
-def _factor_image(mkey: tuple, key: tuple, p: LaurentPolynomial, mapping: Mapping) -> tuple:
-    """``_canonical_factor(p.transform(new_vars, mapping))`` for the
-    canonical factor ``p`` with key ``key``, memoised on ``(mkey, key)``;
-    ``mkey`` is ``(p.vars, new_vars, mapping as sorted items)``."""
-    memo_key = (mkey, key)
-    image = _factor_images.get(memo_key)
-    if image is None:
-        if len(_factor_images) >= _FACTOR_IMAGES_MAX:
-            _factor_images.clear()
-        image = _canonical_factor(p.transform(mkey[1], mapping))
-        _factor_images[memo_key] = image
-    return image
+def _image_table(mkey: tuple) -> dict:
+    """The factor-image table of the substitution ``mkey``, kept in the
+    memo; the memo is emptied first when it holds the cap."""
+    if sum(map(len, _factor_images.values())) >= _FACTOR_IMAGES_MAX:
+        _factor_images.clear()
+    return _factor_images.setdefault(mkey, {})
 
 
 def rational_eq(a: FactoredRational, b: FactoredRational) -> bool:

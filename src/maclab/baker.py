@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cache
+from itertools import product
 
 from .algebra import FactoredRational, LaurentPolynomial, rational_eq
 from .macdonald import SymmetricPolynomial
@@ -37,6 +38,7 @@ __all__ = [
     "c_N_closed_alt",
     "f_N_series",
     "specialize_f_to_P",
+    "specialize_each",
     "verify_eigen_equation",
     "TerminationFailure",
     "ResidualNonzero",
@@ -72,13 +74,6 @@ class BAContext:
         object.__setattr__(self, "vars", ba_vars(self.n))
 
 
-def _mono(vars, **powers) -> FactoredRational:
-    e = [0] * len(vars)
-    for name, p in powers.items():
-        e[vars.index(name)] += p
-    return FactoredRational.monomial(vars, e)
-
-
 def c_N_recursive(theta: ThetaMatrix, n: int) -> FactoredRational:
     """Coefficient c_N(theta; z; q, s) by the defining recursion: the
     rank-(N-1) value at q-shifted z times a product of four Pochhammer
@@ -97,20 +92,20 @@ def _c_rec(theta: ThetaMatrix, m: int, vars) -> FactoredRational:
         if sh:
             e = [0] * len(vars)
             e[0] = -sh
-            e[vars.index(f"z{i}")] = 1
+            e[i + 1] = 1
             sub = sub.substitute(f"z{i}", 1, e)
-    out = sub
+    num, den = [sub], []
     for i in range(1, m):
         for j in range(i, m):
             ln = theta[(i, m)]
             if not ln:
                 continue
             tjm = theta[(j, m)]
-            out = out * pochhammer_zratio(vars, ln, 0, 1, j + 1, i)       # (s z_{j+1}/z_i; q)
-            out = out / pochhammer_zratio(vars, ln, 1, 0, j + 1, i)       # (q z_{j+1}/z_i; q)
-            out = out * pochhammer_zratio(vars, ln, 1 - tjm, -1, j, i)    # (q^{1-theta_{j,m}} z_j / s z_i; q)
-            out = out / pochhammer_zratio(vars, ln, -tjm, 0, j, i)        # (q^{-theta_{j,m}} z_j/z_i; q)
-    return out
+            num.append(pochhammer_zratio(vars, ln, 0, 1, j + 1, i))       # (s z_{j+1}/z_i; q)
+            den.append(pochhammer_zratio(vars, ln, 1, 0, j + 1, i))       # (q z_{j+1}/z_i; q)
+            num.append(pochhammer_zratio(vars, ln, 1 - tjm, -1, j, i))    # (q^{1-theta_{j,m}} z_j / s z_i; q)
+            den.append(pochhammer_zratio(vars, ln, -tjm, 0, j, i))        # (q^{-theta_{j,m}} z_j/z_i; q)
+    return FactoredRational.product(vars, num, den)
 
 
 def c_N_closed(theta: ThetaMatrix, n: int) -> FactoredRational:
@@ -119,7 +114,7 @@ def c_N_closed(theta: ThetaMatrix, n: int) -> FactoredRational:
     sum_{a>k} (theta_{ia} - theta_{j+1,a}) and sum_{a>k} (theta_{ia} - theta_{ja})."""
     vars = ba_vars(n)
     nn = theta.n
-    out = FactoredRational.one(vars)
+    num, den = [], []
     for k in range(2, nn + 1):
         for i in range(1, k):
             for j in range(i, k):
@@ -130,11 +125,11 @@ def c_N_closed(theta: ThetaMatrix, n: int) -> FactoredRational:
                          for a in range(k + 1, nn + 1))
                 e2 = sum(theta[(i, a)] - (theta[(j, a)] if j < a else 0)
                          for a in range(k + 1, nn + 1))
-                out = out * pochhammer_zratio(vars, ln, e1, 1, j + 1, i)
-                out = out / pochhammer_zratio(vars, ln, e1 + 1, 0, j + 1, i)
-                out = out * pochhammer_zratio(vars, ln, -theta[(j, k)] + e2 + 1, -1, j, i)
-                out = out / pochhammer_zratio(vars, ln, -theta[(j, k)] + e2, 0, j, i)
-    return out
+                num.append(pochhammer_zratio(vars, ln, e1, 1, j + 1, i))
+                den.append(pochhammer_zratio(vars, ln, e1 + 1, 0, j + 1, i))
+                num.append(pochhammer_zratio(vars, ln, -theta[(j, k)] + e2 + 1, -1, j, i))
+                den.append(pochhammer_zratio(vars, ln, -theta[(j, k)] + e2, 0, j, i))
+    return FactoredRational.product(vars, num, den)
 
 
 def c_N_closed_alt(theta: ThetaMatrix, n: int) -> FactoredRational:
@@ -143,7 +138,7 @@ def c_N_closed_alt(theta: ThetaMatrix, n: int) -> FactoredRational:
     guard against a silent transcription error in either display)."""
     vars = ba_vars(n)
     nn = theta.n
-    out = FactoredRational.one(vars)
+    num, den = [], []
     for i in range(1, nn + 1):
         for j in range(i + 1, nn + 1):
             ln = theta[(i, j)]
@@ -151,11 +146,11 @@ def c_N_closed_alt(theta: ThetaMatrix, n: int) -> FactoredRational:
                 continue
             a_sum = sum(theta[(i, a)] - (theta[(j, a)] if j < a else 0)
                         for a in range(j + 1, nn + 1))
-            out = out * _mono(vars, q=ln, s=-ln)
-            out = out * pochhammer_zratio(vars, ln, 0, 1)                 # (s; q)
-            out = out / pochhammer_zratio(vars, ln, 1, 0)                 # (q; q)
-            out = out * pochhammer_zratio(vars, ln, a_sum, 1, j, i)       # (q^A s z_j/z_i; q)
-            out = out / pochhammer_zratio(vars, ln, a_sum + 1, 0, j, i)   # (q^{1+A} z_j/z_i; q)
+            num.append(FactoredRational.monomial(vars, (ln, -ln) + (0,) * n))
+            num.append(pochhammer_zratio(vars, ln, 0, 1))                 # (s; q)
+            den.append(pochhammer_zratio(vars, ln, 1, 0))                 # (q; q)
+            num.append(pochhammer_zratio(vars, ln, a_sum, 1, j, i))       # (q^A s z_j/z_i; q)
+            den.append(pochhammer_zratio(vars, ln, a_sum + 1, 0, j, i))   # (q^{1+A} z_j/z_i; q)
     for k in range(3, nn + 1):
         for l in range(1, k):
             for m in range(l + 1, k):
@@ -163,23 +158,27 @@ def c_N_closed_alt(theta: ThetaMatrix, n: int) -> FactoredRational:
                 if not ln:
                     continue
                 b_sum = sum(theta[(l, b)] - theta[(m, b)] for b in range(k + 1, nn + 1))
-                out = out * _mono(vars, q=ln, s=-ln)
-                out = out * pochhammer_zratio(vars, ln, b_sum, 1, m, l)
-                out = out / pochhammer_zratio(vars, ln, b_sum + 1, 0, m, l)
-                out = out * pochhammer_zratio(vars, ln, -ln + theta[(m, k)] - b_sum, 1, l, m)
-                out = out / pochhammer_zratio(vars, ln, 1 - ln + theta[(m, k)] - b_sum, 0, l, m)
-    return out
+                num.append(FactoredRational.monomial(vars, (ln, -ln) + (0,) * n))
+                num.append(pochhammer_zratio(vars, ln, b_sum, 1, m, l))
+                den.append(pochhammer_zratio(vars, ln, b_sum + 1, 0, m, l))
+                num.append(pochhammer_zratio(vars, ln, -ln + theta[(m, k)] - b_sum, 1, l, m))
+                den.append(pochhammer_zratio(vars, ln, 1 - ln + theta[(m, k)] - b_sum, 0, l, m))
+    return FactoredRational.product(vars, num, den)
 
 
 def f_N_series(ctx: BAContext) -> XSeries:
     """The ratio-variable part of the eigenfunction series: the
     coefficient of u^alpha is the sum of c_N(theta) over theta matrices
     of u-degree alpha, up to total degree ctx.truncation."""
-    n = ctx.n
-    thetas = theta_upto_degree(n, ctx.truncation)
-    out = XSeries(n - 1, ctx.vars, ctx.truncation)
-    for th in thetas:
-        v = c_N_closed(th, n)
+    return theta_series(c_N_closed, ctx.n, ctx.vars, ctx.truncation)
+
+
+def theta_series(coef, n: int, vars: tuple, trunc: int) -> XSeries:
+    """sum of coef(theta, n) x^{degree vector of theta} over the theta
+    matrices of total x-degree <= trunc, in N - 1 ratio variables."""
+    out = XSeries(n - 1, vars, trunc)
+    for th in theta_upto_degree(n, trunc):
+        v = coef(th, n)
         k = th.degree_vector()
         cur = out.coeffs.get(k)
         s = v if cur is None else cur + v
@@ -192,48 +191,78 @@ def f_N_series(ctx: BAContext) -> XSeries:
 
 def _z_specialization(lam, n: int) -> dict:
     """Mapping z_i -> s^{N-i} q^{lambda_i} over (q, s)."""
-    lam = Partition(lam)
-    full = list(lam) + [0] * (n - len(lam))
-    vars = ba_vars(n)
-    mapping = {}
-    for i in range(1, n + 1):
-        e = [0] * len(vars)
-        e[0] = full[i - 1]
-        e[1] = n - i
-        mapping[f"z{i}"] = (1, tuple(e))
-    return mapping
+    full = list(Partition(lam)) + [0] * n
+    return {f"z{i}": (1, (full[i - 1], n - i) + (0,) * n) for i in range(1, n + 1)}
 
 
 def specialize_f_to_P(lam, ctx: BAContext, margin: int = 2) -> SymmetricPolynomial:
-    """Specialize z_i = s^{N-i} q^{lambda_i}.
+    """Specialize z_i = s^{N-i} q^{lambda_i}: the one-partition case of
+    :func:`specialize_each`, raising the error that stopped it."""
+    (out,) = specialize_each([lam], ctx.n, margin)
+    if isinstance(out, ArithmeticError):
+        raise out
+    return out
 
-    Checks termination: every c_N(theta) with theta outside the
-    shape-lambda polytope (entries scanned up to lambda_1 + margin) must
-    vanish, and the surviving finite sum is returned as a symmetric
-    polynomial in the m-basis (it equals P_lambda)."""
-    lam = Partition(lam)
-    n = ctx.n
-    vars = ctx.vars
-    mapping = _z_specialization(lam, n)
-    pol = set(th.entry_list() for th in enumerate_pol_lambda(lam, n))
-    bound = (lam[0] if lam else 0) + margin
-    for th in _theta_entries_upto(n, bound):
-        if th.entry_list() in pol:
-            continue  # specialised and summed below
-        if not c_N_closed(th, n).transform(vars, mapping).is_zero():
+
+def specialize_each(lams, n: int, margin: int = 2) -> list:
+    """Specialize the rank-n series at z_i = s^{N-i} q^{lambda_i} for each
+    lambda in ``lams``, in one scan of the theta grid up to the largest
+    bound.  Every c_N(theta) with theta outside the shape-lambda polytope
+    and entries up to lambda_1 + margin must vanish; the polytope's
+    values sum to P_lambda in the m-basis.  Each c_N(theta) is built once
+    and specialized for every lambda whose bound covers theta, in the
+    order of that lambda's own scan.  Returns per lambda the polynomial,
+    or the ``ArithmeticError`` that stopped it: the first one outside the
+    polytope, else the first one inside."""
+    vars = ba_vars(n)
+    scans = [_Scan(Partition(lam), n, margin) for lam in lams]
+    for th in _theta_entries_upto(n, max((scan.bound for scan in scans), default=-1)):
+        top, c = max(th.entries.values(), default=0), None
+        for scan in scans:
+            if scan.error is None and top <= scan.bound:
+                try:
+                    if c is None:
+                        c = c_N_closed(th, n)
+                    scan.take(th, c.transform(vars, scan.mapping))
+                except ArithmeticError as exc:
+                    scan.fail(th, exc)
+    return [scan.error or scan.inside_error or scan.total() for scan in scans]
+
+
+class _Scan:
+    """One partition's part of :func:`specialize_each`.  The polytope is
+    enumerated in the scan's lexicographic order, so ``inside`` holds its
+    values in polytope order."""
+
+    def __init__(self, lam: tuple, n: int, margin: int):
+        self.lam, self.n = lam, n
+        self.mapping = _z_specialization(lam, n)
+        self.bound = (lam[0] if lam else 0) + margin
+        self.pol = {th.entry_list() for th in enumerate_pol_lambda(lam, n)}
+        self.inside = []
+        self.error = self.inside_error = None
+
+    def take(self, th: ThetaMatrix, spec: FactoredRational) -> None:
+        if th.entry_list() in self.pol:
+            self.inside.append((th, _drop_z(spec, self.n)))
+        elif not spec.is_zero():
             raise TerminationFailure(
                 f"coefficient at theta={dict(th.entries)} survives specialization")
-    coeffs: dict = {}
-    for th in enumerate_pol_lambda(lam, n):
-        spec = c_N_closed(th, n).transform(vars, mapping)
-        # the surviving coefficient is a function of (q, s) only
-        qs_spec = _drop_z(spec, n)
-        w = strip_sizes(th, lam)
-        if list(w) != sorted(w, reverse=True):
-            continue
-        mu = Partition(w)
-        coeffs[mu] = coeffs[mu] + qs_spec if mu in coeffs else qs_spec
-    return SymmetricPolynomial(n, coeffs)
+
+    def fail(self, th: ThetaMatrix, exc: ArithmeticError) -> None:
+        if th.entry_list() not in self.pol:
+            self.error = exc
+        elif self.inside_error is None:
+            self.inside_error = exc
+
+    def total(self) -> SymmetricPolynomial:
+        coeffs: dict = {}
+        for th, v in self.inside:
+            w = strip_sizes(th, self.lam)
+            if list(w) == sorted(w, reverse=True):
+                mu = Partition(w)
+                coeffs[mu] = coeffs[mu] + v if mu in coeffs else v
+        return SymmetricPolynomial(self.n, coeffs)
 
 
 def _drop_z(fr: FactoredRational, n: int) -> FactoredRational:
@@ -242,18 +271,11 @@ def _drop_z(fr: FactoredRational, n: int) -> FactoredRational:
 
 
 def _theta_entries_upto(n: int, bound: int):
+    """Every theta with entries 0..bound, in lexicographic order of the
+    row-major entry list."""
     pairs = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
-
-    def rec(idx, acc):
-        if idx == len(pairs):
-            yield ThetaMatrix(n, {p: v for p, v in zip(pairs, acc) if v})
-            return
-        for v in range(bound + 1):
-            acc.append(v)
-            yield from rec(idx + 1, acc)
-            acc.pop()
-
-    yield from rec(0, [])
+    for vals in product(range(bound + 1), repeat=len(pairs)):
+        yield ThetaMatrix(n, dict(zip(pairs, vals)))
 
 
 def _shift_coef(k: tuple, i: int, vars) -> FactoredRational:
@@ -296,29 +318,34 @@ def verify_eigen_equation(ctx: BAContext, strict: bool = False) -> dict:
     residual raises :class:`ResidualNonzero` with its multi-index.
     """
     n, trunc = ctx.n, ctx.truncation
-    vars = ctx.vars
-    g = f_N_series(ctx)
-    total = XSeries(n - 1, vars, trunc)
-    for i in range(1, n + 1):
-        shifted = g.map_coeffs(lambda k, c, i=i: c * _shift_coef(k, i, vars))
-        coeff = _operator_coefficient(i, n, trunc, vars)
-        e = [0] * len(vars)
-        e[1] = i - n
-        e[vars.index(f"z{i}")] = 1
-        scale = FactoredRational.monomial(vars, e)
-        total = total + (coeff * shifted).scale(scale)
+    return operator_residual(f_N_series(ctx), lambda i: _operator_coefficient(i, n, trunc, ctx.vars),
+                             lambda i: i - n, strict, "ratio-degree")
+
+
+def operator_residual(g: XSeries, coefficient, twist, strict: bool, label: str) -> dict:
+    """The residual of sum_i v^{twist(i)} z_i A_i(x) T_i g - (z_1 + ... + z_N) g,
+    with v the second base variable, A_i = coefficient(i) and T_i the
+    shift x_{i-1} -> q x_{i-1}, x_i -> q^{-1} x_i, degree by degree: the
+    report maps each x-degree to whether its residual is zero, and
+    ``all_zero`` to the verdict.  Under ``strict`` a surviving residual
+    raises :class:`ResidualNonzero`, naming its ``label`` and degree."""
+    n, vars = g.n + 1, g.base_vars
+    total = XSeries(n - 1, vars, g.trunc)
     zsum = LaurentPolynomial.zero(vars)
     for i in range(1, n + 1):
+        shifted = g.map_coeffs(lambda k, c, i=i: c * _shift_coef(k, i, vars))
         e = [0] * len(vars)
+        e[1] = twist(i)
         e[vars.index(f"z{i}")] = 1
-        zsum = zsum + LaurentPolynomial.monomial(vars, e)
+        total = total + (coefficient(i) * shifted).scale(FactoredRational.monomial(vars, e))
+        zsum = zsum + LaurentPolynomial.var(vars, f"z{i}")
     residual = total - g.scale(FactoredRational.from_poly(zsum))
     report = {}
     for alpha in sorted(set(list(residual.coeffs) + [(0,) * (n - 1)])):
         c = residual.coeffs.get(alpha)
         ok = c is None or c.is_zero() or rational_eq(c, FactoredRational.zero(vars))
         if not ok and strict:
-            raise ResidualNonzero(f"residual at ratio-degree {alpha}: {c.canonical_str()}")
+            raise ResidualNonzero(f"residual at {label} {alpha}: {c.canonical_str()}")
         report[alpha] = {"zero": bool(ok),
                          "witness": None if ok else c.canonical_str()}
     report["all_zero"] = all(v["zero"] for k, v in report.items() if isinstance(k, tuple))

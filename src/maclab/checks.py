@@ -20,7 +20,7 @@ from .baker import (
     c_N_closed,
     c_N_closed_alt,
     c_N_recursive,
-    specialize_f_to_P,
+    specialize_each,
     verify_eigen_equation,
 )
 from .euler import (
@@ -121,7 +121,7 @@ def _printed_c3(vars, t12, t13, t23) -> FactoredRational:
     recursion; the spelled-out source display shows it inverted, which
     contradicts the recursion and every downstream identity).
     """
-    from .qcalc import pochhammer
+    from .qcalc import pochhammer as poch
 
     def mono(qp=0, sp=0, **kw):
         e = [0] * len(vars)
@@ -129,9 +129,6 @@ def _printed_c3(vars, t12, t13, t23) -> FactoredRational:
         for k, v in kw.items():
             e[vars.index(k)] += v
         return FactoredRational.monomial(vars, e)
-
-    def poch(base, ln):
-        return pochhammer(base, ln)
 
     out = FactoredRational.one(vars)
     out = out * poch(mono(t13 - t23, 1, z2=1, z1=-1), t12) / poch(mono(t13 - t23 + 1, 0, z2=1, z1=-1), t12)
@@ -176,15 +173,11 @@ def check_termination(params):
     max_n = params.get("max_n", 3)
     witnesses = []
     for n in range(1, max_n + 1):
-        for lam in partitions_upto(max_size, n):
-            ctx = BAContext(n, 1)
-            try:
-                S = specialize_f_to_P(lam, ctx)
-            except ArithmeticError as exc:
-                witnesses.append({"lambda": list(lam), "n": n, "error": str(exc)})
-                continue
-            P = macdonald_P(lam, n)
-            if not S.equals(P):
+        lams = partitions_upto(max_size, n)
+        for lam, S in zip(lams, specialize_each(lams, n)):
+            if isinstance(S, ArithmeticError):
+                witnesses.append({"lambda": list(lam), "n": n, "error": str(S)})
+            elif not S.equals(macdonald_P(lam, n)):
                 witnesses.append({"lambda": list(lam), "n": n, "error": "specialization != P"})
     return _status(not witnesses), witnesses
 

@@ -13,7 +13,10 @@ Subcommands mirror the library layers:
 
 Exit status is 0 iff every requested check PASSED; a series whose
 stabilization schedule does not settle prints a one-line error to stderr,
-is not cached, and exits 1.  Everything runs serially in one process.
+is not cached, and exits 1.  A partition argument that is not weakly
+decreasing and nonnegative, or has more than N parts, prints a one-line
+error to stderr and exits 2 before anything is computed or cached.
+Everything runs serially in one process.
 Reports printed to stdout are canonical (timing goes to stderr), so
 outputs are byte-identical across reruns and cache states.
 """
@@ -28,6 +31,7 @@ from . import __version__
 from .cache import ResultCache
 from .checks import check_names, run_check
 from .laumon import NotStabilized
+from .tableaux import Partition
 
 __all__ = ["main"]
 
@@ -184,8 +188,25 @@ def _run_named_check(name: str, args) -> int:
     return 0 if report.passed else 1
 
 
+def _partition_error(args) -> str | None:
+    """Why a partition argument is not a partition with at most N parts,
+    or None when every one is."""
+    for flag, lam in (("--lambda", getattr(args, "lam", None)),
+                      ("--specialize", getattr(args, "specialize", None))):
+        try:
+            if lam is not None and len(Partition(lam)) > args.n:
+                return f"argument {flag}: {len(Partition(lam))} parts, more than --n {args.n}"
+        except ValueError as exc:
+            return f"argument {flag}: {exc}"
+    return None
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    error = _partition_error(args)
+    if error is not None:
+        print(f"maclab {args.command}: error: {error}", file=sys.stderr)
+        return 2
     try:
         return _dispatch(args)
     except NotStabilized as exc:

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 from functools import cache
 from itertools import product as iproduct
 
-from .algebra import FactoredRational, LaurentPolynomial, rational_eq
-from .baker import ResidualNonzero, c_N_closed
+from .algebra import FactoredRational, rational_eq
+from .baker import c_N_closed, operator_residual, theta_series
 from .qcalc import pochhammer, pochhammer_inf, pochhammer_zratio
 from .series import QTSeries, XSeries, expand_sum
 from .tableaux import ThetaMatrix, theta_by_degree, theta_upto_degree
@@ -83,7 +83,7 @@ def C_theta(theta: ThetaMatrix, n: int) -> FactoredRational:
     """
     vars = lau_vars(n)
     nn = theta.n
-    out = FactoredRational.one(vars)
+    num, den = [], []
     for i in range(1, nn + 1):
         for j in range(i + 1, nn + 1):
             ln = theta[(i, j)]
@@ -91,10 +91,10 @@ def C_theta(theta: ThetaMatrix, n: int) -> FactoredRational:
                 continue
             s_sum = sum(theta[(i, a)] - (theta[(j, a)] if j < a else 0)
                         for a in range(j + 1, nn + 1))
-            out = out * pochhammer_zratio(vars, ln, 1, 1)
-            out = out / pochhammer_zratio(vars, ln, 1, 0)
-            out = out * pochhammer_zratio(vars, ln, 1 + s_sum, 1, j, i)
-            out = out / pochhammer_zratio(vars, ln, 1 + s_sum, 0, j, i)
+            num.append(pochhammer_zratio(vars, ln, 1, 1))
+            den.append(pochhammer_zratio(vars, ln, 1, 0))
+            num.append(pochhammer_zratio(vars, ln, 1 + s_sum, 1, j, i))
+            den.append(pochhammer_zratio(vars, ln, 1 + s_sum, 0, j, i))
     for k in range(3, nn + 1):
         for l in range(1, k):
             for m in range(l + 1, k):
@@ -102,29 +102,17 @@ def C_theta(theta: ThetaMatrix, n: int) -> FactoredRational:
                 if not ln:
                     continue
                 b_sum = sum(theta[(l, b)] - theta[(m, b)] for b in range(k + 1, nn + 1))
-                out = out * pochhammer_zratio(vars, ln, 1 + b_sum, 1, m, l)
-                out = out / pochhammer_zratio(vars, ln, 1 + b_sum, 0, m, l)
-                out = out * pochhammer_zratio(vars, ln, 1 - ln + theta[(m, k)] - b_sum, 1, l, m)
-                out = out / pochhammer_zratio(vars, ln, 1 - ln + theta[(m, k)] - b_sum, 0, l, m)
-    return out
+                num.append(pochhammer_zratio(vars, ln, 1 + b_sum, 1, m, l))
+                den.append(pochhammer_zratio(vars, ln, 1 + b_sum, 0, m, l))
+                num.append(pochhammer_zratio(vars, ln, 1 - ln + theta[(m, k)] - b_sum, 1, l, m))
+                den.append(pochhammer_zratio(vars, ln, 1 - ln + theta[(m, k)] - b_sum, 0, l, m))
+    return FactoredRational.product(vars, num, den)
 
 
 def J_series(ctx: LaumonContext) -> XSeries:
     """J truncated at total x-degree ctx.degree; the coefficient of
     x^alpha is the degree-alpha character (a rational function)."""
-    n = ctx.n
-    thetas = theta_upto_degree(n, ctx.degree)
-    out = XSeries(n - 1, ctx.vars, ctx.degree)
-    for th in thetas:
-        v = C_theta(th, n)
-        k = th.degree_vector()
-        cur = out.coeffs.get(k)
-        s = v if cur is None else cur + v
-        if s.is_zero():
-            out.coeffs.pop(k, None)
-        else:
-            out.coeffs[k] = s
-    return out
+    return theta_series(C_theta, ctx.n, ctx.vars, ctx.degree)
 
 
 def _sd_coefficient(i: int, n: int, trunc: int, vars) -> XSeries:
@@ -164,41 +152,8 @@ def verify_difference_equation(ctx: LaumonContext, strict: bool = False) -> dict
     T_{i,q^{-1}} substitutes x_{i-1} -> q x_{i-1}, x_i -> q^{-1} x_i.
     """
     n, trunc = ctx.n, ctx.degree
-    vars = ctx.vars
-    J = J_series(ctx)
-    total = XSeries(n - 1, vars, trunc)
-    for i in range(1, n + 1):
-
-        def tshift(k, c, i=i):
-            power = 0
-            if i >= 2:
-                power += k[i - 2]
-            if i <= n - 1:
-                power -= k[i - 1]
-            e = [0] * len(vars)
-            e[0] = power
-            return c * FactoredRational.monomial(vars, e)
-
-        shifted = J.map_coeffs(tshift)
-        coeff = _sd_coefficient(i, n, trunc, vars)
-        e = [0] * len(vars)
-        e[vars.index(f"z{i}")] = 1
-        total = total + (coeff * shifted).scale(FactoredRational.monomial(vars, e))
-    zsum = LaurentPolynomial.zero(vars)
-    for i in range(1, n + 1):
-        e = [0] * len(vars)
-        e[vars.index(f"z{i}")] = 1
-        zsum = zsum + LaurentPolynomial.monomial(vars, e)
-    residual = total - J.scale(FactoredRational.from_poly(zsum))
-    report = {}
-    for alpha in sorted(set(list(residual.coeffs) + [(0,) * (n - 1)])):
-        c = residual.coeffs.get(alpha)
-        ok = c is None or c.is_zero() or rational_eq(c, FactoredRational.zero(vars))
-        if not ok and strict:
-            raise ResidualNonzero(f"residual at x-degree {alpha}: {c.canonical_str()}")
-        report[alpha] = {"zero": bool(ok), "witness": None if ok else c.canonical_str()}
-    report["all_zero"] = all(v["zero"] for k, v in report.items() if isinstance(k, tuple))
-    return report
+    return operator_residual(J_series(ctx), lambda i: _sd_coefficient(i, n, trunc, ctx.vars),
+                             lambda i: 0, strict, "x-degree")
 
 
 def substitution_check(ctx: LaumonContext, strict: bool = False) -> dict:

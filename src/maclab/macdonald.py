@@ -166,7 +166,7 @@ def psi_T(theta: ThetaMatrix, lam) -> FactoredRational:
     def mono(qe: int, se: int) -> FactoredRational:
         return FactoredRational.monomial(QS, (qe, se))
 
-    out = FactoredRational.one(QS)
+    num, den = [], []
     for k in range(1, n + 1):
         cur, prev = rows[k], rows[k - 1]
         for i in range(1, k):
@@ -174,12 +174,11 @@ def psi_T(theta: ThetaMatrix, lam) -> FactoredRational:
                 m = theta[(i, k)]
                 if m == 0:
                     continue
-                num1 = pochhammer(mono(-cur[i - 1] + prev[j - 1] + 1, i - j - 1), m)
-                den1 = pochhammer(mono(-cur[i - 1] + prev[j - 1], i - j), m)
-                num2 = pochhammer(mono(-cur[i - 1] + cur[j], i - j), m)
-                den2 = pochhammer(mono(-cur[i - 1] + cur[j] + 1, i - j - 1), m)
-                out = out * num1 * num2 / (den1 * den2)
-    return out
+                num.append(pochhammer(mono(-cur[i - 1] + prev[j - 1] + 1, i - j - 1), m))
+                den.append(pochhammer(mono(-cur[i - 1] + prev[j - 1], i - j), m))
+                num.append(pochhammer(mono(-cur[i - 1] + cur[j], i - j), m))
+                den.append(pochhammer(mono(-cur[i - 1] + cur[j] + 1, i - j - 1), m))
+    return FactoredRational.product(QS, num, den)
 
 
 _P_memo: dict = {}

@@ -78,27 +78,26 @@ def _pochhammer(vars: tuple, coef: Coef, exps: tuple, n: int, qvar: str) -> Fact
     if n == 1:
         binomial = LaurentPolynomial.one(vars) - LaurentPolynomial.monomial(vars, exps, coef)
         return FactoredRational(vars, 1, None, [(binomial, 1)])
-    out = FactoredRational.one(vars)
-    for k in range(n):
-        out = out * _pochhammer(vars, coef, exps[:iq] + (exps[iq] + k,) + exps[iq + 1:], 1, qvar)
-    return out
+    return FactoredRational.product(vars, [
+        _pochhammer(vars, coef, exps[:iq] + (exps[iq] + k,) + exps[iq + 1:], 1, qvar)
+        for k in range(n)])
 
 
 def pochhammer_zratio(vars: Sequence[str], n: int, qpow: int = 0, xpow: int = 0,
                       znum: int | None = None, zden: int | None = None) -> FactoredRational:
-    """(q^qpow x^xpow z_znum / z_zden ; q)_n, where q and x are the first
-    two variables of the context and z1, z2, ... name the others."""
+    """(q^qpow x^xpow z_znum / z_zden ; q)_n over the context
+    (q, x, z1, z2, ...): z_k sits at index k + 1, so no variable name is
+    looked up."""
     if n < 0:
         raise ValueError("Pochhammer length must be nonnegative")
-    vars = tuple(vars)
     e = [0] * len(vars)
     e[0] = qpow
     e[1] = xpow
     if znum is not None:
-        e[vars.index(f"z{znum}")] += 1
+        e[znum + 1] += 1
     if zden is not None:
-        e[vars.index(f"z{zden}")] -= 1
-    return _pochhammer(vars, 1, tuple(e), n, "q")
+        e[zden + 1] -= 1
+    return _pochhammer(tuple(vars), 1, tuple(e), n, "q")
 
 
 def pochhammer_inf(p: FactoredRational | LaurentPolynomial, trunc: int,

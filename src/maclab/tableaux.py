@@ -23,7 +23,6 @@ __all__ = [
     "theta_to_tableau",
     "tableau_to_theta",
     "strip_sizes",
-    "count_ssyt",
     "dominates",
     "partitions_upto",
     "theta_by_degree",
@@ -243,37 +242,6 @@ def strip_sizes(theta: ThetaMatrix, lam: Sequence[int]) -> tuple:
         s -= sum(theta[(i, b)] for b in range(i + 1, n + 1))
         out.append(s)
     return tuple(out)
-
-
-def count_ssyt(lam: Sequence[int], n: int) -> int:
-    """Number of column-strict tableaux of shape lambda with entries in
-    {1..N}, by direct cell-by-cell backtracking (independent oracle)."""
-    lam = Partition(lam)
-    if not lam:
-        return 1
-    rows = len(lam)
-    grid = [[0] * lam[r] for r in range(rows)]
-    count = 0
-    cells = [(r, c) for r in range(rows) for c in range(lam[r])]
-
-    def rec(pos):
-        nonlocal count
-        if pos == len(cells):
-            count += 1
-            return
-        r, c = cells[pos]
-        lo = 1
-        if c > 0:
-            lo = max(lo, grid[r][c - 1])       # rows weakly increase
-        if r > 0:
-            lo = max(lo, grid[r - 1][c] + 1)   # columns strictly increase
-        for v in range(lo, n + 1):
-            grid[r][c] = v
-            rec(pos + 1)
-        grid[r][c] = 0
-
-    rec(0)
-    return count
 
 
 def dominates(lam: Sequence[int], mu: Sequence[int]) -> bool:

@@ -5,7 +5,8 @@ integer and Fraction coefficients, are pushed through maclab's exact
 arithmetic and through sympy; the results must agree as values.  The
 integer products are also checked against the per-term ``Fraction``
 product they replaced (``tests/algebra_reference.py``), coefficient
-types included.
+types included.  The n-ary product is checked against the chain of
+binary ``*`` and ``/`` (``tests/coefficient_reference.py``).
 """
 
 from fractions import Fraction
@@ -24,6 +25,7 @@ from maclab.algebra import (  # noqa: E402
 )
 from maclab.series import expand  # noqa: E402
 import algebra_reference as ref  # noqa: E402
+from coefficient_reference import product_reference  # noqa: E402
 
 CONTEXTS = [("q", "t"), ("q", "t", "z1")]
 SYMBOLS = {v: sympy.Symbol(v) for v in CONTEXTS[-1]}
@@ -215,6 +217,25 @@ def test_quotient_equals_product_with_inverse(data):
         q = x / y
         assert q == x * y.inverse()
         assert rational_eq(q, x * y.inverse())
+
+
+@oracle
+@given(st.data())
+def test_n_ary_product_equals_the_chain(data):
+    vars = data.draw(contexts)
+    num = data.draw(st.lists(factored(vars), max_size=4))
+    den = data.draw(st.lists(factored(vars).filter(lambda x: not x.is_zero()), max_size=4))
+    # a quotient of a drawn value by itself cancels every factor pair
+    den += data.draw(st.lists(st.sampled_from(num), max_size=2)) if num else []
+    if any(x.is_zero() for x in den):
+        with pytest.raises(ZeroDivisionError):
+            FactoredRational.product(vars, num, den)
+        return
+    got = FactoredRational.product(vars, num, den)
+    want = product_reference(vars, num, den)
+    assert got == want
+    assert rational_eq(got, want)
+    assert type(got.coef) is type(want.coef)
 
 
 # -- (q,t)-series expansion -------------------------------------------------------

@@ -16,8 +16,12 @@ from maclab.baker import (
     specialize_f_to_P,
     verify_eigen_equation,
 )
+from maclab import baker
+from maclab.checks import run_check
 from maclab.macdonald import macdonald_P
-from maclab.tableaux import ThetaMatrix
+from maclab.reports import Status
+from maclab.tableaux import ThetaMatrix, partitions_upto
+import coefficient_reference as ref
 
 
 def mono(vars, **kw):
@@ -95,6 +99,109 @@ def test_specialization_support_is_polytope():
     # every theta outside the polytope dies; checked inside the call
     ctx = BAContext(3, 1)
     specialize_f_to_P((2, 1), ctx, margin=3)
+
+
+def test_specialization_equals_the_per_partition_scan():
+    for n in range(1, 4):
+        for lam in partitions_upto(4, n):
+            got = specialize_f_to_P(lam, BAContext(n, 1))
+            want = ref.specialize_reference(lam, n)
+            assert got.mcoeffs == want.mcoeffs, (lam, n)
+
+
+def _plant(monkeypatch, planted):
+    """Replace ``baker.c_N_closed`` by the real one except at the
+    (n, entry list) keys of ``planted``, whose values it gives instead."""
+    real = baker.c_N_closed
+
+    def c_N_closed(th, n):
+        value = planted.get((n, th.entry_list()))
+        return real(th, n) if value is None else value(real(th, n))
+
+    monkeypatch.setattr(baker, "c_N_closed", c_N_closed)
+
+
+def _witnesses(max_size, max_n):
+    return run_check("termination", max_size=max_size, max_n=max_n).witnesses
+
+
+def test_a_planted_surviving_theta_gives_the_reference_witnesses(monkeypatch):
+    one = FactoredRational.one(ba_vars(3))
+    # (2, 0, 1) lies outside every rank-3 polytope but that of (2, 1),
+    # where its strip sizes are not dominant; the zero matrix is dominant
+    # in every polytope, so doubling its value spoils every sum
+    _plant(monkeypatch, {(3, (2, 0, 1)): lambda c: one, (3, (0, 0, 0)): lambda c: c + c})
+    got = _witnesses(3, 3)
+    assert got == ref.termination_witnesses_reference(3, 3)
+    survives = "coefficient at theta={(1, 2): 2, (2, 3): 1} survives specialization"
+    assert got == [{"lambda": list(lam), "n": 3,
+                    "error": "specialization != P" if lam == (2, 1) else survives}
+                   for lam in partitions_upto(3, 3)]
+
+
+def _over_z1_minus_s_q2(c):
+    # a denominator z1 - s q^2, which vanishes at n = 2 exactly when lambda_1 = 2
+    v = ba_vars(2)
+    return c / FactoredRational.from_poly(mono(v, z1=1) - mono(v, s=1, q=2))
+
+
+def test_an_arithmetic_error_stays_the_witness_of_its_partition(monkeypatch):
+    # (1,) lies inside the polytopes of (1,), (2,), (3,) and (2, 1)
+    _plant(monkeypatch, {(2, (1,)): _over_z1_minus_s_q2})
+    got = _witnesses(3, 2)
+    assert got == ref.termination_witnesses_reference(3, 2)
+    vanished = "denominator factor vanished under substitution"
+    # the other partitions are still checked: (3,) sees a changed sum,
+    # and (1,) passes, its strip sizes at (1,) not being dominant
+    assert got == [{"lambda": [2], "n": 2, "error": vanished},
+                   {"lambda": [3], "n": 2, "error": "specialization != P"},
+                   {"lambda": [2, 1], "n": 2, "error": vanished}]
+
+
+class _RaisesOnTransform:
+    def transform(self, *args):
+        raise ArithmeticError("planted error")
+
+
+def test_the_first_error_inside_the_polytope_is_the_witness(monkeypatch):
+    # (1,) and (2,) both lie inside the polytope of (2,) and both fail there
+    _plant(monkeypatch, {(2, (1,)): _over_z1_minus_s_q2,
+                         (2, (2,)): lambda c: _RaisesOnTransform()})
+    got = _witnesses(3, 2)
+    assert got == ref.termination_witnesses_reference(3, 2)
+    errors = {tuple(w["lambda"]): w["error"] for w in got}
+    assert errors[(2,)] == "denominator factor vanished under substitution"
+    assert errors[(3,)] == "planted error"
+
+
+def test_a_scan_failure_takes_precedence_over_an_error_inside(monkeypatch):
+    # for (2,) and (2, 1) the error inside at (1,) comes first in the
+    # scan and the survivor (3,) outside their polytopes after it: the
+    # survivor is reported
+    one = FactoredRational.one(ba_vars(2))
+    _plant(monkeypatch, {(2, (1,)): _over_z1_minus_s_q2, (2, (3,)): lambda c: one})
+    got = _witnesses(3, 2)
+    assert got == ref.termination_witnesses_reference(3, 2)
+    survives = "coefficient at theta={(1, 2): 3} survives specialization"
+    assert {tuple(w["lambda"]): w["error"] for w in got} == {
+        (1,): survives, (2,): survives, (1, 1): survives, (3,): "specialization != P",
+        (2, 1): survives}
+
+
+@pytest.mark.parametrize("max_size, builds", [(3, 223), (4, 351)])
+def test_termination_builds_each_coefficient_once(monkeypatch, max_size, builds):
+    # rank 3 scans 0..max_size + 2 in each of its three entries, rank 2 in
+    # its one, and rank 1 has the empty matrix only
+    real = baker.c_N_closed
+    calls = []
+
+    def c_N_closed(th, n):
+        calls.append((n, th.entry_list()))
+        return real(th, n)
+
+    monkeypatch.setattr(baker, "c_N_closed", c_N_closed)
+    assert run_check("termination", max_size=max_size, max_n=3).status == Status.PASSED
+    assert len(calls) == len(set(calls)) == builds == 1 + (max_size + 3) + (max_size + 3) ** 3
 
 
 def test_eigen_equation_residuals_vanish():

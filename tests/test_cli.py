@@ -116,3 +116,26 @@ def test_report_invariants():
     r = VerificationReport("x", {"n": 2}, Status.PASSED, wall_time=1.0)
     assert "wall" not in r.canonical_json()
     assert json.loads(r.canonical_json())["parameters"] == {"n": 2}
+
+
+@pytest.mark.parametrize("argv", [
+    ("macdonald", "--n", "2", "--lambda", "1,1,1"),
+    ("macdonald", "--n", "2", "--lambda", "1,2"),
+    ("macdonald", "--n", "2", "--lambda", "2,-1", "--oracle"),
+    ("baker", "--n", "2", "--truncation", "1", "--specialize", "1,1,1"),
+    ("baker", "--n", "3", "--truncation", "1", "--specialize", "0,1"),
+])
+def test_invalid_partition_is_a_one_line_error(tmp_path, capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith(f"maclab {argv[0]}: error: argument --")
+    assert not list(tmp_path.iterdir())
+
+
+def test_trailing_zeros_still_make_a_partition(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "macdonald", "--n", "2", "--lambda", "2,1,0",
+                             "--cache-dir", str(tmp_path))
+    assert code == 0
+    assert out == "m[2, 1]: 1\n"

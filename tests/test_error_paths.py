@@ -24,7 +24,7 @@ def test_expand_sum_propagates_non_arithmetic_errors(monkeypatch):
 
 
 def test_check_termination_propagates_non_arithmetic_errors(monkeypatch):
-    monkeypatch.setattr(maclab.checks, "specialize_f_to_P", _boom)
+    monkeypatch.setattr(maclab.checks, "specialize_each", _boom)
     with pytest.raises(TypeError, match="injected bug"):
         run_check("termination", max_size=1, max_n=1)
 

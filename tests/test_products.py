@@ -1,0 +1,114 @@
+"""The n-ary product of factored rationals and the coefficient builders
+that use it, against the chained ``*``/``/`` references of
+``tests/coefficient_reference.py``."""
+
+import itertools
+
+import pytest
+
+from maclab.algebra import FactoredRational, LaurentPolynomial, rational_eq
+from maclab.baker import ba_vars, c_N_closed, c_N_closed_alt, c_N_recursive
+from maclab.laumon import C_theta
+from maclab.macdonald import psi_T
+from maclab.tableaux import ThetaMatrix, enumerate_pol_lambda, partitions_upto, theta_upto_degree
+import coefficient_reference as ref
+
+V = ("q", "t")
+ONE = LaurentPolynomial.one(V)
+Q = LaurentPolynomial.var(V, "q")
+T = LaurentPolynomial.var(V, "t")
+A = FactoredRational(V, 2, (1, 0), [(ONE - Q, 1), (ONE + T, -1)])
+B = FactoredRational(V, -3, (0, -2), [(ONE - Q * T, 2)])
+C = FactoredRational(V, 1, (0, 1), [(ONE + T, 1), (ONE - Q, -2)])
+
+
+def same(got, want):
+    return got == want and rational_eq(got, want) and type(got.coef) is type(want.coef)
+
+
+@pytest.mark.parametrize("num, den", [
+    ([A, B], [C]), ([A], [B, C]), ([], [A]), ([A, B, C], []), ([B, B], [A, A]),
+])
+def test_product_equals_the_chain(num, den):
+    assert same(FactoredRational.product(V, num, den), ref.product_reference(V, num, den))
+
+
+def test_a_zero_operand_gives_zero():
+    zero = FactoredRational.zero(V)
+    got = FactoredRational.product(V, [A, zero, B], [C])
+    assert got.is_zero() and got == FactoredRational.zero(V)
+    assert got == ref.product_reference(V, [A, zero, B], [C])
+
+
+def test_a_zero_divisor_raises_as_division_does():
+    zero = FactoredRational.zero(V)
+    for num in ([A], [FactoredRational.zero(V)]):
+        with pytest.raises(ZeroDivisionError):
+            ref.product_reference(V, num, [B, zero])
+        with pytest.raises(ZeroDivisionError):
+            FactoredRational.product(V, num, [B, zero])
+
+
+def test_mixed_contexts_raise():
+    other = FactoredRational.one(("q", "s"))
+    with pytest.raises(ValueError):
+        ref.product_reference(V, [A, other])
+    with pytest.raises(ValueError):
+        FactoredRational.product(V, [A, other])
+    with pytest.raises(ValueError):
+        FactoredRational.product(V, [A], [other])
+
+
+def test_a_cancelling_factor_pair_drops_out_of_the_map():
+    got = FactoredRational.product(V, [A, B], [A])
+    assert same(got, B)
+    assert got._fmap.keys() == B._fmap.keys()
+    assert FactoredRational.product(V, [A], [A]).is_one()
+    # (1 + t) is a denominator of A and a numerator of C
+    assert FactoredRational.product(V, [A, C]).factors == ((ONE - Q, -1),)
+
+
+def test_the_empty_product_is_one():
+    assert same(FactoredRational.product(V, []), FactoredRational.one(V))
+    assert same(FactoredRational.product(V, [], []), ref.product_reference(V, [], []))
+
+
+def test_integral_and_fractional_coefficients_keep_their_type():
+    two = FactoredRational.monomial(V, (0, 0), 2)
+    six = FactoredRational.monomial(V, (0, 0), 6)
+    assert type(FactoredRational.product(V, [six], [two]).coef) is int
+    assert same(FactoredRational.product(V, [two], [six]), ref.product_reference(V, [two], [six]))
+
+
+def _thetas(n, max_entry):
+    pairs = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
+    for vals in itertools.product(range(max_entry + 1), repeat=len(pairs)):
+        yield ThetaMatrix(n, dict(zip(pairs, vals)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_c_N_forms_equal_their_chains(n):
+    for th in _thetas(n, 2):
+        assert same(c_N_closed(th, n), ref.c_N_closed_reference(th, n)), th.entries
+        assert same(c_N_closed_alt(th, n), ref.c_N_closed_alt_reference(th, n)), th.entries
+        assert same(c_N_recursive(th, n), ref.c_N_recursive_reference(th, n)), th.entries
+
+
+def test_psi_T_equals_its_chain_over_the_tableau_oracle_range():
+    for n in range(1, 5):
+        for lam in partitions_upto(5, n):
+            for th in enumerate_pol_lambda(lam, n):
+                assert same(psi_T(th, lam), ref.psi_T_reference(th, lam)), (lam, th.entries)
+
+
+def test_C_theta_equals_its_chain():
+    thetas = theta_upto_degree(3, 4)
+    assert len(thetas) > 20
+    for th in thetas:
+        assert same(C_theta(th, 3), ref.C_theta_reference(th, 3)), th.entries
+
+
+def test_c_N_closed_keeps_the_shared_context():
+    # the builders pass ba_vars(n) itself, and the product keeps that tuple
+    th = ThetaMatrix(3, {(1, 2): 1, (2, 3): 2})
+    assert c_N_closed(th, 3).vars is ba_vars(3)

@@ -6,7 +6,6 @@ from maclab.tableaux import (
     NotATableau,
     Partition,
     ThetaMatrix,
-    count_ssyt,
     dominates,
     enumerate_pol_lambda,
     is_horizontal_strip,
@@ -17,6 +16,37 @@ from maclab.tableaux import (
     theta_to_tableau,
     theta_upto_degree,
 )
+
+
+def count_ssyt(lam, n: int) -> int:
+    """Number of column-strict tableaux of shape lambda with entries in
+    {1..N}, by direct cell-by-cell backtracking (independent oracle)."""
+    lam = Partition(lam)
+    if not lam:
+        return 1
+    rows = len(lam)
+    grid = [[0] * lam[r] for r in range(rows)]
+    count = 0
+    cells = [(r, c) for r in range(rows) for c in range(lam[r])]
+
+    def rec(pos):
+        nonlocal count
+        if pos == len(cells):
+            count += 1
+            return
+        r, c = cells[pos]
+        lo = 1
+        if c > 0:
+            lo = max(lo, grid[r][c - 1])       # rows weakly increase
+        if r > 0:
+            lo = max(lo, grid[r - 1][c] + 1)   # columns strictly increase
+        for v in range(lo, n + 1):
+            grid[r][c] = v
+            rec(pos + 1)
+        grid[r][c] = 0
+
+    rec(0)
+    return count
 
 
 def test_partition_normalization():
