@@ -9,10 +9,10 @@ timed for all three forms together (closed, recursive, rewritten), as
 the benchmark's ``termination`` case (|lambda| <= 3, N <= 3): one pass
 over each rank's theta grid, each result equal to P_lambda.
 
-The cold case starts each round from an empty Pochhammer cache, as one
-``cn`` run in a fresh process does; the warm case reuses the cache
-filled by earlier rounds, as a long-lived process does.  Where
-``qcalc.pochhammer`` has no cache the two cases time the same work.
+The cold case starts each round with every memo table empty
+(``memo.clear_all()``), as one ``cn`` run in a fresh process does; the
+warm case reuses the Pochhammer table filled by earlier rounds, as a
+long-lived process does.
 
 Not part of the test suite.  Run with
 
@@ -23,7 +23,7 @@ import itertools
 
 import pytest
 
-from maclab import qcalc
+from maclab import memo
 from maclab.algebra import rational_eq
 from maclab.baker import c_N_closed, c_N_closed_alt, c_N_recursive, specialize_each
 from maclab.macdonald import macdonald_P
@@ -41,9 +41,7 @@ def closed_grid():
 
 
 def clear_cache():
-    cache = getattr(qcalc, "_pochhammer", None)
-    if cache is not None:
-        cache.cache_clear()
+    memo.clear_all()
 
 
 @pytest.fixture(scope="module")

@@ -34,6 +34,8 @@ from math import lcm
 from operator import add, itemgetter, sub
 from typing import Iterable, Mapping, Sequence, Union
 
+from . import memo
+
 Coef = Union[int, Fraction]
 
 __all__ = [
@@ -808,24 +810,31 @@ class FactoredRational:
         A numerator factor may collapse to zero (making the value zero); a
         denominator factor collapsing to zero raises ``ZeroDivisionError``;
         the first collapsing factor in key order decides.  The canonical image
-        of each factor comes from a bounded memo, keyed once per call on the
-        substitution (:func:`_image_table`) and then on the factor."""
+        of each factor comes from the check-scoped memo ``_factor_images``,
+        keyed on the substitution and the factor."""
         new_vars = tuple(new_vars)
         if self.is_zero():
             return FactoredRational.zero(new_vars)
-        unit = LaurentPolynomial.monomial(self.vars, self.exps, self.coef).transform(new_vars, mapping)
-        (exps, coef), = unit.terms.items()
+        coef, exps = self.coef, [0] * len(new_vars)
+        for v, e in zip(self.vars, self.exps):
+            if v not in mapping:
+                exps[new_vars.index(v)] += e
+            elif e:
+                c, image = mapping[v]
+                if c != 1:
+                    coef = _norm_coef(coef * _coef_pow(c, e))
+                exps = [x + e * y for x, y in zip(exps, image)]
+        exps = tuple(exps)
         mkey = (self.vars, new_vars,
                 tuple(sorted((v, (c, tuple(e))) for v, (c, e) in mapping.items())))
-        images = _factor_images.get(mkey, {})
         own = self._fmap
         fmap: dict = {}
         for key in sorted(own):
             p, m = own[key]
-            image = images.get(key)
+            image = _factor_images.lookup((mkey, key))
             if image is None:
-                images = _image_table(mkey)
-                image = images[key] = _canonical_factor(p.transform(new_vars, mapping))
+                image = _factor_images.store(
+                    (mkey, key), _canonical_factor(p.transform(new_vars, mapping)))
             u_c, u_e, canon, ckey = image
             if u_c == 0:
                 if m < 0:
@@ -921,29 +930,12 @@ def _canonical_factor(p: LaurentPolynomial) -> tuple:
     return cached
 
 
-# (source vars, new vars, mapping) -> {canonical factor key -> the
-# _canonical_factor of that factor's image}.  Few distinct pairs recur
+# ((source vars, new vars, mapping), canonical factor key) -> the
+# _canonical_factor of that factor's image.  Few distinct pairs recur
 # many times (q-shifts of the same binomials in the coefficient
 # recursions, Weyl images of the same denominators).  An image holds
-# about 1 KB; the memo is cleared whole when it holds the cap, so it
-# stays bounded in a long-lived process, and by clear_factor_images.
-_factor_images: dict = {}
-_FACTOR_IMAGES_MAX = 1024
-
-
-def clear_factor_images() -> None:
-    """Empty the factor-image memo of :meth:`FactoredRational.transform`.
-    Its images pay off within one computation; ``checks.run_check``
-    empties it when a check ends."""
-    _factor_images.clear()
-
-
-def _image_table(mkey: tuple) -> dict:
-    """The factor-image table of the substitution ``mkey``, kept in the
-    memo; the memo is emptied first when it holds the cap."""
-    if sum(map(len, _factor_images.values())) >= _FACTOR_IMAGES_MAX:
-        _factor_images.clear()
-    return _factor_images.setdefault(mkey, {})
+# about 1 KB.
+_factor_images = memo.Table("algebra._factor_images", "check", 1024)
 
 
 def rational_eq(a: FactoredRational, b: FactoredRational) -> bool:

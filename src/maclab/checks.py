@@ -13,7 +13,8 @@ from __future__ import annotations
 import itertools
 import time
 
-from .algebra import FactoredRational, LaurentPolynomial, clear_factor_images, rational_eq
+from . import memo
+from .algebra import FactoredRational, LaurentPolynomial, rational_eq
 from .baker import (
     BAContext,
     ba_vars,
@@ -31,7 +32,6 @@ from .euler import (
     F_poly,
     chi_bQ_closed,
     chi_bQ_localization,
-    clear_j_pieces,
     h_series,
     verify_cor_diff,
     weyl_invariance_check,
@@ -391,10 +391,9 @@ def run_check(name: str, workers: int = 1, **params) -> VerificationReport:
     part of the report's parameters, which carry the constant
     ``equality_mode`` "exact" so that canonical bytes stay as they were.
 
-    The factor-image memo of :meth:`FactoredRational.transform` and the
-    J-piece caches of :func:`~maclab.euler.euler_char_series` are
-    emptied when the check ends: their entries pay off within one check,
-    and a process that runs many checks would otherwise keep them.
+    The memo tables of scope "check" (:mod:`~maclab.memo`) are emptied
+    when the check ends; tables of scope "process", such as the
+    Macdonald polynomials, stay warm for the next check.
     """
     name = ALIASES.get(name, name)
     if name not in CHECKS:
@@ -404,8 +403,7 @@ def run_check(name: str, workers: int = 1, **params) -> VerificationReport:
     try:
         status, witnesses = fn(params)
     finally:
-        clear_factor_images()
-        clear_j_pieces()
+        memo.clear("check")
     return VerificationReport(
         check=name,
         parameters={**params, "equality_mode": "exact"},

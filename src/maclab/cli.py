@@ -13,9 +13,9 @@ Subcommands mirror the library layers:
 
 Exit status is 0 iff every requested check PASSED; a series whose
 stabilization schedule does not settle prints a one-line error to stderr,
-is not cached, and exits 1.  A partition argument that is not weakly
-decreasing and nonnegative, or has more than N parts, prints a one-line
-error to stderr and exits 2 before anything is computed or cached.
+is not cached, and exits 1.  An out-of-range argument (a partition, a
+``--weight`` length, an ``--alpha-max``) prints a one-line error to
+stderr and exits 2 before anything is computed or cached.
 Everything runs serially in one process.
 Reports printed to stdout are canonical (timing goes to stderr), so
 outputs are byte-identical across reruns and cache states.
@@ -188,9 +188,10 @@ def _run_named_check(name: str, args) -> int:
     return 0 if report.passed else 1
 
 
-def _partition_error(args) -> str | None:
-    """Why a partition argument is not a partition with at most N parts,
-    or None when every one is."""
+def _argument_error(args) -> str | None:
+    """Why an argument is out of range: a partition argument that is not
+    a partition with at most N parts, a ``--weight`` without N-1 entries
+    or an ``--alpha-max`` below 1; None when all are in range."""
     for flag, lam in (("--lambda", getattr(args, "lam", None)),
                       ("--specialize", getattr(args, "specialize", None))):
         try:
@@ -198,12 +199,17 @@ def _partition_error(args) -> str | None:
                 return f"argument {flag}: {len(Partition(lam))} parts, more than --n {args.n}"
         except ValueError as exc:
             return f"argument {flag}: {exc}"
+    weight = getattr(args, "weight", None)
+    if weight is not None and len(weight) != args.n - 1:
+        return f"argument --weight: {len(weight)} entries, --n {args.n} needs {args.n - 1}"
+    if getattr(args, "alpha_max", 1) < 1:
+        return f"argument --alpha-max: {args.alpha_max}, must be at least 1"
     return None
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    error = _partition_error(args)
+    error = _argument_error(args)
     if error is not None:
         print(f"maclab {args.command}: error: {error}", file=sys.stderr)
         return 2
@@ -263,8 +269,6 @@ def _dispatch(args) -> int:
             from .euler import GLWeight, H_limit
 
             weight = GLWeight(args.weight)
-            if weight.n != args.n:
-                raise SystemExit("--weight must have N-1 entries")
             schedule = [(k,) * (args.n - 1) for k in range(1, args.alpha_max + 1)]
             params = {"n": args.n, "weight": list(args.weight), "order": args.order,
                       "alpha_max": args.alpha_max}

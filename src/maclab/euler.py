@@ -24,9 +24,10 @@ relative to the usual highest-weight dictionary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, lru_cache
-from itertools import permutations
+from functools import cache
+from itertools import permutations, product
 
+from . import memo
 from .algebra import FactoredRational, LaurentPolynomial, rational_eq
 from .laumon import C_theta, IdentityFails, NotStabilized, lau_vars
 from .macdonald import macdonald_P
@@ -41,7 +42,7 @@ from .series import (
     split_mul,
     split_sum,
 )
-from .tableaux import Partition, theta_by_degree, theta_upto_degree
+from .tableaux import Partition, ThetaMatrix, theta_by_degree, theta_upto_degree
 
 __all__ = [
     "GLWeight",
@@ -180,26 +181,14 @@ def _weyl_factor(n: int, w) -> FactoredRational:
     return FactoredRational(vars, 1, None, factors)
 
 
-_c_cache: dict = {}
-
 # One polynomial object per distinct canonical factor of the _c_cache
 # entries, keyed on (context, factor key).  The C_theta values share
 # most of their factors (at N = 3, 93 distinct factors make up more
 # than 10,000 factor occurrences), so the entries point into this
-# table instead of each keeping its own copies.
-_c_factors: dict = {}
-
-# Both tables are cleared together when _c_cache reaches this many
-# entries (every acceptance range stays below 300), so a long-lived
-# process keeps them bounded.
-_C_CACHE_MAX = 4096
-
-
-def _c_store(key, value: FactoredRational) -> None:
-    if len(_c_cache) >= _C_CACHE_MAX:
-        _c_cache.clear()
-        _c_factors.clear()
-    _c_cache[key] = value
+# table instead of each keeping its own copies; emptying _c_cache
+# empties it too.  Every acceptance range stays below 300 entries.
+_c_factors = memo.Table("euler._c_factors", "process", 4096)
+_c_cache = memo.Table("euler._c_cache", "process", 4096, also=(_c_factors,))
 
 
 def _shared_factors(fr: FactoredRational) -> FactoredRational:
@@ -208,7 +197,10 @@ def _shared_factors(fr: FactoredRational) -> FactoredRational:
         return fr
     fmap = {}
     for key, (poly, mult) in fr._fmap.items():
-        key, poly = _c_factors.setdefault((fr.vars, key), (key, poly))
+        shared = _c_factors.lookup((fr.vars, key))
+        if shared is None:
+            shared = _c_factors.store((fr.vars, key), (key, poly))
+        key, poly = shared
         fmap[key] = (poly, mult)
     return FactoredRational._from_map(fr.vars, fr.coef, fr.exps, fmap)
 
@@ -217,14 +209,12 @@ def _C_glob(theta_key, n: int, w, inverted: bool) -> FactoredRational:
     """C_theta with z -> wz (and optionally q -> 1/q), pushed to the SL
     context."""
     key = (theta_key, n, w, inverted)
-    hit = _c_cache.get(key)
+    hit = _c_cache.lookup(key)
     if hit is not None:
         return hit
     base_key = (theta_key, n, inverted)
-    base = _c_cache.get(base_key)
+    base = _c_cache.lookup(base_key)
     if base is None:
-        from .tableaux import ThetaMatrix
-
         pairs = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
         th = ThetaMatrix(n, dict(zip(pairs, theta_key)))
         base = C_theta(th, n)
@@ -233,13 +223,10 @@ def _C_glob(theta_key, n: int, w, inverted: bool) -> FactoredRational:
             e = [0] * len(lv)
             e[0] = -1
             base = base.substitute("q", 1, e)
-        base = _shared_factors(base)
-        _c_store(base_key, base)
+        base = _c_cache.store(base_key, _shared_factors(base))
     gv = glob_vars(n)
     mapping = {f"z{i}": (1, _wslot_exp(n, i, w)) for i in range(1, n + 1)}
-    out = _shared_factors(base.transform(gv, mapping))
-    _c_store(key, out)
-    return out
+    return _c_cache.store(key, _shared_factors(base.transform(gv, mapping)))
 
 
 def _weyl_group(n: int) -> list:
@@ -255,7 +242,7 @@ def _localization_terms(alpha, weight: GLWeight, w) -> list:
     wf = _weyl_factor(n, w)
     zw = FactoredRational.monomial(vars, weight.z_monomial(w))
     terms = []
-    for gamma in _sub_degrees(alpha):
+    for gamma in product(*(range(a + 1) for a in alpha)):
         beta = tuple(a - g for a, g in zip(alpha, gamma))
         qpow = weight.pairing(gamma)
         pref = zw * FactoredRational.monomial(vars, [qpow] + [0] * n) * wf
@@ -264,13 +251,6 @@ def _localization_terms(alpha, weight: GLWeight, w) -> list:
             cg = _C_glob(thg.entry_list(), n, w, True)
             terms.extend(pref * cg * cb for cb in cbs)
     return terms
-
-
-def _sub_degrees(alpha):
-    out = [()]
-    for a in alpha:
-        out = [g + (i,) for g in out for i in range(a + 1)]
-    return out
 
 
 def euler_char_global(alpha, weight: GLWeight) -> FactoredRational:
@@ -291,14 +271,14 @@ def _j_values(n: int, degree: tuple, inverted: bool) -> list:
     return [_C_glob(th.entry_list(), n, ident, inverted) for th in theta_by_degree(n, degree)]
 
 
-@lru_cache(maxsize=1024)
+@memo.cached("check", 1024)
 def _j_valuation(n: int, degree: tuple, inverted: bool) -> int:
     """A lower bound of the total (q,t)-degree of every term of the
     degree-``degree`` J-piece: the least ``valuation_lb`` of its values."""
     return min(c.valuation_lb(("q", "t")) for c in _j_values(n, degree, inverted))
 
 
-@lru_cache(maxsize=1024)
+@memo.cached("check", 1024)
 def _j_piece(n: int, degree: tuple, inverted: bool, trunc: int) -> tuple:
     """The degree-``degree`` piece of the J-function at w = id, the sum
     of :func:`_j_values`, as a split series (:func:`split_expand`) exact
@@ -310,14 +290,6 @@ def _j_piece(n: int, degree: tuple, inverted: bool, trunc: int) -> tuple:
     ``hp`` at n <= 3, weight sum <= 1, and 70 of 112 in ``vanishing``;
     without the cache these checks take 20-35% longer."""
     return split_expand(_j_values(n, degree, inverted), trunc)
-
-
-def clear_j_pieces() -> None:
-    """Empty the caches of :func:`_j_piece` and :func:`_j_valuation`.
-    Their pieces pay off within one check; ``checks.run_check`` empties
-    them when a check ends."""
-    _j_piece.cache_clear()
-    _j_valuation.cache_clear()
 
 
 def euler_char_series(alpha, weight: GLWeight, order: int) -> QTSeries:
@@ -350,7 +322,7 @@ def euler_char_series(alpha, weight: GLWeight, order: int) -> QTSeries:
     vars = glob_vars(n)
     alpha = tuple(alpha)
     conv = []
-    for gamma in _sub_degrees(alpha):
+    for gamma in product(*(range(a + 1) for a in alpha)):
         beta = tuple(a - g for a, g in zip(alpha, gamma))
         qpow = weight.pairing(gamma)
         need = order - qpow
@@ -385,24 +357,21 @@ def weyl_invariance_check(alpha, weight: GLWeight) -> dict:
     return {"alpha": list(alpha), "weight": list(weight.lvec), "passed": bool(ok)}
 
 
-def default_h_schedule(n: int, steps: int = 4) -> list:
-    return [(k,) * (n - 1) for k in range(1, steps + 1)]
-
-
-def H_limit(weight: GLWeight, order: int, schedule=None,
-            require_stable: bool = True) -> QTSeries:
+def H_limit(weight: GLWeight, order: int, schedule=None) -> QTSeries:
     """Stable (q,t)-expansion of the global characters along an
-    increasing degree schedule; raises :class:`NotStabilized` when the
-    last two points disagree below the truncation order.  Only the last
-    two schedule points are evaluated: the stability test reads no other."""
-    n = weight.n
+    increasing degree schedule, (1, .., 1) to (4, .., 4) by default;
+    raises :class:`NotStabilized` when the last two points disagree below
+    the truncation order, and ``ValueError`` on an empty schedule.  Only
+    the last two schedule points are evaluated: the stability test reads
+    no other."""
     if schedule is None:
-        schedule = default_h_schedule(n)
+        schedule = [(k,) * (weight.n - 1) for k in range(1, 5)]
+    if not schedule:
+        raise ValueError("H_limit needs a nonempty degree schedule")
     series = [euler_char_series(a, weight, order) for a in schedule[-2:]]
     if len(series) >= 2 and series[-1] != series[-2]:
-        if require_stable:
-            raise NotStabilized(
-                f"characters at {schedule[-2]} and {schedule[-1]} disagree below order {order}")
+        raise NotStabilized(
+            f"characters at {schedule[-2]} and {schedule[-1]} disagree below order {order}")
     return series[-1]
 
 
@@ -522,16 +491,11 @@ def hp_prefactor(weight: GLWeight) -> FactoredRational:
     return out
 
 
-_mz_memo: dict = {}
-
-
+@memo.cached("process", 256)
 def macdonald_in_z(weight: GLWeight) -> FactoredRational:
     """P_{partition(weight)}(z_1..z_N; q, t) on the SL torus, as a single
     factored rational over glob_vars."""
     n = weight.n
-    hit = _mz_memo.get((weight.lvec, n))
-    if hit is not None:
-        return hit
     vars = glob_vars(n)
     P = macdonald_P(weight.partition(), n)
     total = FactoredRational.zero(vars)
@@ -548,8 +512,10 @@ def macdonald_in_z(weight: GLWeight) -> FactoredRational:
                     e = [a + k * b for a, b in zip(e, se)]
             mpoly = mpoly + LaurentPolynomial.monomial(vars, tuple(e))
         total = total + cc * FactoredRational.from_poly(mpoly)
-    _mz_memo[(weight.lvec, n)] = total
     return total
+
+
+_mz_memo = macdonald_in_z.table
 
 
 def h_equals_p(weight: GLWeight):

@@ -254,13 +254,10 @@ def verify_local_limit(n: int, order: int, schedule=None,
     return report
 
 
-def default_schedule(n: int, steps: int = 4) -> list:
+def default_schedule(n: int) -> list:
     """Increasing degrees deep in the stabilization sector: the k-th point
-    is (2^{N-2} k, ..., 2k, k)."""
-    out = []
-    for k in range(1, steps + 1):
-        out.append(tuple(k * 2 ** (n - 1 - i) for i in range(1, n)))
-    return out
+    is (2^{N-2} k, ..., 2k, k), k = 1..4."""
+    return [tuple(k * 2 ** (n - 1 - i) for i in range(1, n)) for k in range(1, 5)]
 
 
 def _series_diff(a: QTSeries, b: QTSeries) -> list:

@@ -26,6 +26,7 @@ from itertools import combinations, permutations
 from operator import add, gt, itemgetter
 from typing import Sequence
 
+from . import memo
 from .algebra import (
     ExactDivisionError,
     FactoredRational,
@@ -39,6 +40,7 @@ from .tableaux import (
     ThetaMatrix,
     dominates,
     enumerate_pol_lambda,
+    partitions_of,
     strip_sizes,
     theta_to_tableau,
 )
@@ -181,19 +183,18 @@ def psi_T(theta: ThetaMatrix, lam) -> FactoredRational:
     return FactoredRational.product(QS, num, den)
 
 
-_P_memo: dict = {}
+_P_memo = memo.Table("macdonald._P_memo", "process", 256)
 
 
 def macdonald_P(lam, n: int) -> SymmetricPolynomial:
     """P_lambda by the tableau sum: the m_mu coefficient is the sum of
     psi_T over the theta matrices whose strip-size vector equals mu.
 
-    Values are memoized per (lambda, N)."""
+    Values are memoized per (lambda, N) for the whole process."""
     lam = Partition(lam)
     if len(lam) > n:
         raise ValueError("partition has more parts than variables")
-    memo_key = (lam, n)
-    hit = _P_memo.get(memo_key)
+    hit = _P_memo.lookup((lam, n))
     if hit is not None:
         return hit
     coeffs: dict = {}
@@ -207,9 +208,7 @@ def macdonald_P(lam, n: int) -> SymmetricPolynomial:
             coeffs[mu] = coeffs[mu] + psi
         else:
             coeffs[mu] = psi
-    out = SymmetricPolynomial(n, coeffs)
-    _P_memo[memo_key] = out
-    return out
+    return _P_memo.store((lam, n), SymmetricPolynomial(n, coeffs))
 
 
 def eigenvalue(lam, n: int) -> LaurentPolynomial:
@@ -388,9 +387,8 @@ def macdonald_P_oracle(lam, n: int) -> SymmetricPolynomial:
         raise ValueError("partition has more parts than variables")
     if not lam:
         return SymmetricPolynomial(n, {(): FactoredRational.one(QS)})
-    basis = [mu for mu in _partitions_of(sum(lam), n) if dominates(lam, mu)]
-    # dominance-compatible total order, most dominant first
-    basis.sort(key=lambda mu: _psums(mu, n), reverse=True)
+    # reverse-lex order is dominance-compatible: most dominant first
+    basis = [mu for mu in partitions_of(sum(lam), n) if dominates(lam, mu)]
     action = {mu: _d1n_m_action(mu, n) for mu in basis}
     e_lam = eigenvalue(lam, n)
     u: dict = {lam: FactoredRational.one(QS)}
@@ -412,45 +410,13 @@ def macdonald_P_oracle(lam, n: int) -> SymmetricPolynomial:
     return SymmetricPolynomial(n, u)
 
 
-_action_memo: dict = {}
-
-
+@memo.cached("process", 256)
 def _d1n_m_action(mu, n: int) -> dict:
     """m-expansion of the operator image of m_mu (memoized)."""
-    key = (mu, n)
-    hit = _action_memo.get(key)
-    if hit is None:
-        hit = m_expansion(apply_D1N(monomial_symmetric(mu, n), n), n)
-        _action_memo[key] = hit
-    return hit
+    return m_expansion(apply_D1N(monomial_symmetric(mu, n), n), n)
 
 
-def _psums(mu, n):
-    full = list(mu) + [0] * (n - len(mu))
-    s = 0
-    out = []
-    for x in full:
-        s += x
-        out.append(s)
-    return tuple(out)
-
-
-def _partitions_of(size: int, max_len: int) -> list:
-    out: list = []
-
-    def rec(remaining, max_part, prefix):
-        if remaining == 0:
-            out.append(tuple(prefix))
-            return
-        if len(prefix) == max_len:
-            return
-        for p in range(min(remaining, max_part), 0, -1):
-            prefix.append(p)
-            rec(remaining - p, p, prefix)
-            prefix.pop()
-
-    rec(size, size, [])
-    return out
+_action_memo = _d1n_m_action.table
 
 
 def pieri_L(lvec: Sequence[int], r: int, n: int) -> FactoredRational:

@@ -9,9 +9,9 @@ modulo the truncation order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence, Union
 
+from . import memo
 from .algebra import Coef, FactoredRational, LaurentPolynomial
 from .series import QTSeries, XSeries, expand
 
@@ -54,8 +54,8 @@ def pochhammer(p: FactoredRational | LaurentPolynomial, n: int,
     ``p`` must be a monomial (possibly with negative exponents); factors
     (1 - q^k p) with nonpositive exponents are normalized canonically, so
     e.g. (q^-1; q)_1 is stored as -q^-1 * (1 - q).  Results are memoised
-    in a bounded cache and shared between callers, which is safe because
-    factored rationals are immutable.
+    in a process-scoped :mod:`~maclab.memo` table and shared between
+    callers, which is safe because factored rationals are immutable.
     """
     if n < 0:
         raise ValueError("Pochhammer length must be nonnegative")
@@ -68,7 +68,7 @@ def pochhammer(p: FactoredRational | LaurentPolynomial, n: int,
     return _pochhammer(p.vars, p.coef, p.exps, n, qvar)
 
 
-@lru_cache(maxsize=4096)
+@memo.cached("process", 4096)
 def _pochhammer(vars: tuple, coef: Coef, exps: tuple, n: int, qvar: str) -> FactoredRational:
     """(p; q)_n for the nonzero monomial p = coef x^exps and n >= 0, as
     the product of the cached (q^k p; q)_1 for k < n: each binomial

@@ -49,11 +49,9 @@ class VerificationReport:
     def canonical_json(self) -> str:
         return json.dumps(self.canonical_obj(), sort_keys=True, separators=(",", ":"))
 
-    def text(self, include_time: bool = False) -> str:
+    def text(self) -> str:
         params = " ".join(f"{k}={v}" for k, v in sorted(self.parameters.items()))
         line = f"[{self.status}] {self.check} ({params})"
-        if include_time and self.wall_time is not None:
-            line += f"  {self.wall_time:.2f}s"
         for w in self.witnesses[:5]:
             line += f"\n    witness: {w}"
         return line

@@ -12,6 +12,7 @@ and the chain of partitions is recovered by lambda^{(j)}_i = sum_{k<=j} theta_{i
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Iterator, Sequence
 
 __all__ = [
@@ -24,6 +25,7 @@ __all__ = [
     "tableau_to_theta",
     "strip_sizes",
     "dominates",
+    "partitions_of",
     "partitions_upto",
     "theta_by_degree",
     "theta_upto_degree",
@@ -259,29 +261,30 @@ def dominates(lam: Sequence[int], mu: Sequence[int]) -> bool:
     return True
 
 
+def partitions_of(size: int, max_len: int) -> list:
+    """All partitions of ``size`` with at most ``max_len`` parts, in
+    reverse-lex order."""
+    out: list = []
+
+    def rec(remaining, max_part, prefix):
+        if remaining == 0:
+            out.append(tuple(prefix))
+            return
+        if len(prefix) == max_len:
+            return
+        for p in range(min(remaining, max_part), 0, -1):
+            prefix.append(p)
+            rec(remaining - p, p, prefix)
+            prefix.pop()
+
+    rec(size, size, [])
+    return out
+
+
 def partitions_upto(max_size: int, max_len: int) -> list:
     """All partitions with |lambda| <= max_size and at most max_len parts,
     ordered by (size, reverse-lex)."""
-    acc = []
-    for size in range(0, max_size + 1):
-        batch: list = []
-
-        def rec(remaining, max_part, prefix):
-            if remaining == 0:
-                batch.append(tuple(prefix))
-                return
-            if len(prefix) == max_len:
-                return
-            for p in range(min(remaining, max_part), 0, -1):
-                prefix.append(p)
-                rec(remaining - p, p, prefix)
-                prefix.pop()
-
-        rec(size, size, [])
-        if size == 0:
-            batch = [()]
-        acc.extend(sorted(batch, reverse=True))
-    return acc
+    return [mu for size in range(max_size + 1) for mu in partitions_of(size, max_len)]
 
 
 def theta_by_degree(n: int, alpha: Sequence[int]) -> list:
@@ -315,18 +318,8 @@ def theta_upto_degree(n: int, max_degree: int) -> list:
     """All theta in M^(N) with total x-degree <= max_degree, ordered by
     (degree vector, entries)."""
     out = []
-    for total in range(max_degree + 1):
-        for alpha in _compositions(total, n - 1):
+    for alpha in product(range(max_degree + 1), repeat=n - 1):
+        if sum(alpha) <= max_degree:
             out.extend(theta_by_degree(n, alpha))
     out.sort(key=lambda th: (th.total_degree(), th.degree_vector(), th.entry_list()))
     return out
-
-
-def _compositions(total: int, k: int) -> Iterator[tuple]:
-    if k == 0:
-        if total == 0:
-            yield ()
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, k - 1):
-            yield (first,) + rest

@@ -3,17 +3,17 @@
 Every criterion runs through the same registry as ``maclab verify`` with
 its pinned parameter range and exact (zero-tolerance) equality.  Each
 test prints one pass/fail line; run with ``pytest -v -s`` to see them.
-The final criterion clears every memo table, the Pochhammer cache, the
-J-piece caches and the factor-image memo, reruns everything cold and
-compares the canonical report bytes against the first runs.  A last
-test pins the canonical bytes of every criterion to one sha256.
+The final criterion empties every memo table (``memo.clear_all()``),
+reruns everything cold and compares the canonical report bytes against
+the first runs.  A last test pins the canonical bytes of every criterion
+to one sha256.
 """
 
 import hashlib
 
 import pytest
 
-from maclab import algebra, euler, macdonald, qcalc
+from maclab import memo
 from maclab.checks import run_check
 from maclab.reports import Status
 
@@ -74,20 +74,9 @@ def test_criterion(crit):
     _run(crit)
 
 
-def _clear_memo_tables():
-    macdonald._P_memo.clear()
-    macdonald._action_memo.clear()
-    euler._c_cache.clear()
-    euler._c_factors.clear()
-    euler._mz_memo.clear()
-    euler.clear_j_pieces()
-    qcalc._pochhammer.cache_clear()
-    algebra.clear_factor_images()
-
-
 def test_criterion_12_determinism():
     first = {crit: reports_for(crit) for crit in sorted(CRITERIA)}
-    _clear_memo_tables()
+    memo.clear_all()
     mismatches = []
     for crit in sorted(CRITERIA):
         for (name, params), a in zip(CRITERIA[crit], first[crit]):

@@ -252,7 +252,7 @@ def test_factor_image_memo_is_bounded_and_emptied_by_run_check(monkeypatch):
     from maclab.checks import run_check
     from maclab.reports import Status
 
-    monkeypatch.setattr(algebra, "_FACTOR_IMAGES_MAX", 3)
+    monkeypatch.setattr(algebra._factor_images, "cap", 3)
     one_minus_q = LaurentPolynomial(V3, {(0, 0, 0): 1, (1, 0, 0): -1})
     fr = FactoredRational(V3, 1, None, [(one_minus_q, 1)])
     for k in range(1, 8):

@@ -35,3 +35,17 @@ def test_perfbench_imports_exist():
     assert "checks" in modules
     for name in modules:
         importlib.import_module(f"maclab.{name}")
+
+
+def test_perfbench_memo_tables_exist():
+    """``perfbench/tracer.py::MEMOS`` names the memo tables whose
+    ``len()`` the tracer reports as ``*.size``; a table that is renamed
+    or loses ``len()`` fails here instead of dropping the metric."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    (value,) = [node.value for node in tree.body
+                if isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "MEMOS" for t in node.targets)]
+    memos = ast.literal_eval(value)
+    assert memos
+    for module, table in memos:
+        assert len(getattr(importlib.import_module(f"maclab.{module}"), table)) >= 0

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maclab import euler
+from maclab import euler, memo
 from maclab.algebra import FactoredRational, LaurentPolynomial, rational_eq
 from maclab.checks import run_check
 from maclab.euler import (
@@ -124,6 +124,8 @@ def test_H_limit_raises_on_unstable_schedule():
 
     with pytest.raises(NotStabilized):
         H_limit(GLWeight((0,)), 2, schedule=[(0,), (1,)])
+    with pytest.raises(ValueError, match="nonempty"):
+        H_limit(GLWeight((1, 0)), 1, schedule=[])
 
 
 def test_H_limit_evaluates_only_the_last_two_schedule_points(monkeypatch):
@@ -212,30 +214,6 @@ def test_c_glob_entries_share_factor_objects():
     assert len(seen) > 1
 
 
-def test_c_cache_stays_bounded_past_its_cap(monkeypatch):
-    # a loop over more C values than the cap: both tables stay bounded,
-    # _c_factors holds only factors of live entries, values are unchanged
-    from maclab.laumon import C_theta
-    from maclab.tableaux import theta_by_degree
-
-    monkeypatch.setattr(euler, "_C_CACHE_MAX", 5)
-    monkeypatch.setattr(euler, "_c_cache", {})
-    monkeypatch.setattr(euler, "_c_factors", {})
-    n, gv = 3, euler.glob_vars(3)
-    seen = 0
-    for w in [(1, 2, 3), (2, 1, 3)]:
-        mapping = {f"z{i}": (1, euler._wslot_exp(n, i, w)) for i in range(1, n + 1)}
-        for alpha in [(1, 1), (1, 2), (2, 2)]:
-            for th in theta_by_degree(n, alpha):
-                got = euler._C_glob(th.entry_list(), n, w, False)
-                assert got == C_theta(th, n).transform(gv, mapping)
-                seen += 1
-                assert len(euler._c_cache) <= 5
-                live = {(fr.vars, key) for fr in euler._c_cache.values() for key in fr._fmap}
-                assert set(euler._c_factors) <= live
-    assert seen > 5
-
-
 # -- the Weyl orbit against per-w summands ------------------------------------
 
 
@@ -284,25 +262,31 @@ _orbit_reference: dict = {}
 @pytest.mark.parametrize("lv", [lv for n in (2, 3) for lv in product(range(-1, 3), repeat=n - 1)],
                          ids=str)
 def test_convolution_equals_orbit_expansion_on_a_grid(lv, cache):
-    # alpha_i in 0..3 and order 0..2; "cold" empties the J-piece caches
-    # before every call, "warm" reuses what the earlier calls left there
+    # alpha_i in 0..3 and order 0..2; "cold" empties the check-scoped memo
+    # tables (the J-pieces among them) before every call, "warm" reuses
+    # what the earlier calls left there
     weight = GLWeight(lv)
     for alpha in product(range(4), repeat=len(lv)):
         if (lv, alpha) not in _orbit_reference:
             _orbit_reference[(lv, alpha)] = _orbit_series(alpha, weight, 2)
         for order in range(3):
             if cache == "cold":
-                euler.clear_j_pieces()
+                memo.clear("check")
             expected = _orbit_reference[(lv, alpha)].truncate(order)
             assert euler_char_series(alpha, weight, order) == expected, (alpha, order)
 
 
 def test_run_check_empties_the_j_piece_caches():
+    # the J-piece tables have scope "check"; the C_theta values they are
+    # built from have scope "process" and stay for the next check
     H_limit(GLWeight((1,)), 1)
-    assert euler._j_piece.cache_info().currsize > 0
+    assert euler._j_piece.table.scope == euler._j_valuation.table.scope == "check"
+    assert len(euler._j_piece.table) > 0
     assert run_check("hp", max_n=2, order=1, max_weight_sum=1).status == Status.PASSED
-    assert euler._j_piece.cache_info().currsize == 0
-    assert euler._j_valuation.cache_info().currsize == 0
+    assert len(euler._j_piece.table) == 0
+    assert len(euler._j_valuation.table) == 0
+    assert all(not table for table in memo.tables if table.scope == "check")
+    assert len(euler._c_cache) > 0
 
 
 @pytest.mark.parametrize("lv", [(0,), (1,), (2,), (0, 0), (1, 0), (0, 1)])

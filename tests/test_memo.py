@@ -1,0 +1,138 @@
+"""The memo registry: every module-level memo of the package is a
+registered :class:`maclab.memo.Table` with a scope and a cap, and each
+table stays bounded with its values unchanged past its cap."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import maclab
+from maclab import euler, macdonald, memo
+from maclab.algebra import rational_eq
+from maclab.euler import GLWeight, macdonald_in_z
+from maclab.laumon import C_theta
+from maclab.macdonald import macdonald_P, macdonald_P_oracle
+from maclab.tableaux import partitions_upto, theta_by_degree
+
+# the rank-keyed context helpers: one entry per rank or per process
+RANK_KEYED = {"maclab.baker.ba_vars", "maclab.euler.glob_vars", "maclab.laumon.lau_vars",
+              "maclab.series._sl_weyl", "maclab.cache.source_hash"}
+
+# module-level dicts that are filled once at import and never written
+CONSTANT_DICTS = {"maclab.checks.CHECKS", "maclab.checks.ALIASES"}
+
+# every memo table of the package and its scope
+TABLES = {
+    "algebra._factor_images": "check",
+    "euler._j_piece": "check",
+    "euler._j_valuation": "check",
+    "qcalc._pochhammer": "process",
+    "euler._c_cache": "process",
+    "euler._c_factors": "process",
+    "euler.macdonald_in_z": "process",
+    "macdonald._P_memo": "process",
+    "macdonald._d1n_m_action": "process",
+}
+
+
+def unregistered_memos() -> list:
+    """The module-level dicts, ``lru_cache``/``cache`` functions and
+    memoised functions of every ``maclab`` module that are neither a
+    registered table nor allowed above, as ``module.name``."""
+    registered = {id(table) for table in memo.tables}
+    out = []
+    for info in pkgutil.iter_modules(maclab.__path__):
+        module = importlib.import_module(f"maclab.{info.name}")
+        for name, value in vars(module).items():
+            where = f"{module.__name__}.{name}"
+            if isinstance(value, dict) and not name.startswith("__"):
+                if id(value) not in registered and where not in CONSTANT_DICTS:
+                    out.append(where)
+            elif hasattr(value, "cache_info"):
+                if f"{value.__module__}.{value.__qualname__}" not in RANK_KEYED:
+                    out.append(where)
+            elif hasattr(value, "table") and id(value.table) not in registered:
+                out.append(where)
+    return out
+
+
+def test_every_memo_is_a_registered_table_with_a_cap():
+    assert unregistered_memos() == []
+    assert {table.name: table.scope for table in memo.tables} == TABLES
+    for table in memo.tables:
+        assert isinstance(table.cap, int) and table.cap > 0, table.name
+
+
+def test_clear_empties_one_scope_and_clear_all_every_table():
+    euler.H_limit(GLWeight((1,)), 1)
+    assert euler._j_piece.table and euler._c_cache
+    memo.clear("check")
+    assert all(not t for t in memo.tables if t.scope == "check")
+    assert euler._c_cache
+    memo.clear_all()
+    assert all(not t for t in memo.tables)
+    with pytest.raises(ValueError, match="scope"):
+        memo.clear("checks")
+
+
+# -- bounded past the cap ------------------------------------------------------
+
+def _c_theta_cases():
+    # C_theta at two Weyl elements against the unshared substitution
+    n, gv = 3, euler.glob_vars(3)
+    for w in [(1, 2, 3), (2, 1, 3)]:
+        mapping = {f"z{i}": (1, euler._wslot_exp(n, i, w)) for i in range(1, n + 1)}
+        for alpha in [(1, 1), (1, 2), (2, 2)]:
+            for th in theta_by_degree(n, alpha):
+                yield ((lambda th=th, w=w: euler._C_glob(th.entry_list(), n, w, False)),
+                       C_theta(th, n).transform(gv, mapping))
+
+
+def _macdonald_cases():
+    # the tableau sum against the eigen-solve oracle
+    for n in (2, 3):
+        for lam in partitions_upto(3, n):
+            yield (lambda lam=lam, n=n: macdonald_P(lam, n)), macdonald_P_oracle(lam, n)
+
+
+def _action_cases():
+    # the operator images against the uncached function
+    for n in (2, 3):
+        for mu in partitions_upto(3, n):
+            yield ((lambda mu=mu, n=n: macdonald._d1n_m_action(mu, n)),
+                   macdonald._d1n_m_action.__wrapped__(mu, n))
+
+
+def _mz_cases():
+    # P in z against the value computed before the cap was lowered
+    for lv in [(0,), (1,), (2,), (0, 0), (1, 0), (0, 1)]:
+        weight = GLWeight(lv)
+        yield (lambda weight=weight: macdonald_in_z(weight)), macdonald_in_z(weight)
+
+
+CASES = {
+    "euler._c_cache": (euler._c_cache, _c_theta_cases, lambda a, b: a == b),
+    "macdonald._P_memo": (macdonald._P_memo, _macdonald_cases, lambda a, b: a.equals(b)),
+    "macdonald._action_memo": (macdonald._action_memo, _action_cases, lambda a, b: a == b),
+    "euler._mz_memo": (euler._mz_memo, _mz_cases, rational_eq),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_memo_table_stays_bounded_past_its_cap(monkeypatch, name):
+    # a loop over more keys than a cap of 3, twice: the table stays
+    # bounded and every value, recomputed after the table emptied
+    # itself, is unchanged; _c_factors holds only factors of live
+    # _c_cache entries
+    table, cases, same = CASES[name]
+    cases = list(cases())
+    assert len(cases) > 3
+    table.clear()
+    monkeypatch.setattr(table, "cap", 3)
+    for _ in range(2):
+        for call, expected in cases:
+            assert same(call(), expected)
+            assert 1 <= len(table) <= 3
+            live = {(fr.vars, key) for fr in euler._c_cache.values() for key in fr._fmap}
+            assert set(euler._c_factors) <= live

@@ -102,7 +102,8 @@ def test_pochhammer_zratio_matches_reference():
 
 
 def test_pochhammer_checks_run_before_the_cache():
-    before = qcalc._pochhammer.cache_info()
+    table = qcalc._pochhammer.table
+    before = (table.hits, table.misses)
     with pytest.raises(ValueError, match="monomial"):
         pochhammer(FactoredRational.from_poly(ONE - Q), 2)
     with pytest.raises(ValueError, match="monomial"):
@@ -113,19 +114,25 @@ def test_pochhammer_checks_run_before_the_cache():
         qcalc.pochhammer_zratio(ba_vars(2), -1, 1, 0)
     assert pochhammer(FactoredRational.zero(V), 3).is_one()
     assert pochhammer(LaurentPolynomial.zero(V), 3).is_one()
-    after = qcalc._pochhammer.cache_info()
-    assert (after.hits, after.misses) == (before.hits, before.misses)
+    assert (table.hits, table.misses) == before
 
 
-def test_pochhammer_cache_is_bounded():
-    assert qcalc._pochhammer.cache_info().maxsize is not None
+def test_pochhammer_cache_is_bounded(monkeypatch):
+    # past a cap of 3 the table empties itself and values are unchanged
+    table = qcalc._pochhammer.table
+    assert table.scope == "process"
+    table.clear()
+    monkeypatch.setattr(table, "cap", 3)
+    for n in range(1, 6):
+        assert pochhammer(mono(1, 1), n) == pochhammer_reference(mono(1, 1), n)
+        assert 1 <= len(table) <= 3
 
 
 def test_cn_check_is_served_mostly_from_the_cache():
-    before = qcalc._pochhammer.cache_info()
+    table = qcalc._pochhammer.table
+    hits, misses = table.hits, table.misses
     assert run_check("cn", max_entry=1, max_n=3).passed
-    after = qcalc._pochhammer.cache_info()
-    assert after.hits - before.hits > after.misses - before.misses
+    assert table.hits - hits > table.misses - misses
 
 
 def test_pochhammer_inf_examples():
