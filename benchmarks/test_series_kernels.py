@@ -1,4 +1,5 @@
-"""Microbenchmarks of the series layer: one localization sum of ``hp``.
+"""Microbenchmarks of the series layer: one localization sum of ``hp``
+and one arc-space sum of ``chibq``.
 
 The global character at N = 3, degree alpha = (4, 4), weight (1, 0), to
 (q,t)-order 2: the last schedule point of ``H_limit`` for that weight,
@@ -15,8 +16,12 @@ and the largest single sum the ``hp`` check folds.  Four cases:
 * the certification alone, on the groups that ``euler_char_series``
   folds: by the image loop of ``tests/weyl_reference.py`` (six images,
   each added with ``FactoredRational.__add__``) and by the one-pass
-  antisymmetriser of ``certify_sum(..., weyl=True)``.  Both must give
-  the series above.
+  antisymmetriser ``certify_weyl_sum``.  Both must give the series
+  above.
+
+A fifth case times ``chi_bQ_localization`` at N = 3, weight (1, 0),
+order 3, one order past the ``chibq`` acceptance range, and checks it
+against ``chi_bQ_closed``.
 
 Not part of the test suite.  Run with
 
@@ -30,8 +35,14 @@ from pathlib import Path
 import pytest
 
 from maclab import euler
-from maclab.euler import GLWeight, _localization_terms, euler_char_series
-from maclab.series import certify_sum, expand_sum
+from maclab.euler import (
+    GLWeight,
+    _localization_terms,
+    chi_bQ_closed,
+    chi_bQ_localization,
+    euler_char_series,
+)
+from maclab.series import certify_weyl_sum, expand_sum
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
 from weyl_reference import _certify_by_images, weyl_images  # noqa: E402
@@ -66,17 +77,17 @@ def test_euler_char_series_hp_orbit(benchmark, per_w):
 def folded():
     """The groups, context and order that euler_char_series certifies."""
     seen = []
-    real = euler.certify_sum
+    real = euler.certify_weyl_sum
 
     def certify(*args, **kwargs):
         seen.append(args)
         return real(*args, **kwargs)
 
-    euler.certify_sum = certify
+    euler.certify_weyl_sum = certify
     try:
         euler_char_series(ALPHA, WEIGHT, ORDER)
     finally:
-        euler.certify_sum = real
+        euler.certify_weyl_sum = real
     (args,) = seen
     return args
 
@@ -89,4 +100,8 @@ def test_certify_hp_groups_by_images(benchmark, folded, per_w):
 
 def test_certify_hp_groups_antisymmetrised(benchmark, folded, per_w):
     groups, vars, trunc = folded
-    assert benchmark(certify_sum, groups, vars, trunc, weyl=True) == per_w
+    assert benchmark(certify_weyl_sum, groups, vars, trunc) == per_w
+
+
+def test_chi_bQ_localization_past_the_chibq_range(benchmark):
+    assert benchmark(chi_bQ_localization, WEIGHT, 3) == chi_bQ_closed(WEIGHT, 3)

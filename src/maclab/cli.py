@@ -14,7 +14,8 @@ Subcommands mirror the library layers:
 Exit status is 0 iff every requested check PASSED; a series whose
 stabilization schedule does not settle prints a one-line error to stderr,
 is not cached, and exits 1.  An out-of-range argument (a partition, a
-``--weight`` length, an ``--alpha-max``) prints a one-line error to
+``--weight`` length, an ``--alpha-max``, an ``--n`` below 1, a negative
+``--order``, ``--degree`` or ``--truncation``) prints a one-line error to
 stderr and exits 2 before anything is computed or cached.
 Everything runs serially in one process.
 Reports printed to stdout are canonical (timing goes to stderr), so
@@ -189,9 +190,15 @@ def _run_named_check(name: str, args) -> int:
 
 
 def _argument_error(args) -> str | None:
-    """Why an argument is out of range: a partition argument that is not
-    a partition with at most N parts, a ``--weight`` without N-1 entries
-    or an ``--alpha-max`` below 1; None when all are in range."""
+    """Why an argument is out of range: an ``--n`` or ``--alpha-max``
+    below 1, a negative ``--order``, ``--degree`` or ``--truncation``, a
+    partition argument that is not a partition with at most N parts or a
+    ``--weight`` without N-1 entries; None when all are in range."""
+    for flag, least in (("n", 1), ("order", 0), ("degree", 0), ("truncation", 0),
+                        ("alpha_max", 1)):
+        value = getattr(args, flag, None)
+        if value is not None and value < least:
+            return f"argument --{flag.replace('_', '-')}: {value}, must be at least {least}"
     for flag, lam in (("--lambda", getattr(args, "lam", None)),
                       ("--specialize", getattr(args, "specialize", None))):
         try:
@@ -202,8 +209,6 @@ def _argument_error(args) -> str | None:
     weight = getattr(args, "weight", None)
     if weight is not None and len(weight) != args.n - 1:
         return f"argument --weight: {len(weight)} entries, --n {args.n} needs {args.n - 1}"
-    if getattr(args, "alpha_max", 1) < 1:
-        return f"argument --alpha-max: {args.alpha_max}, must be at least 1"
     return None
 
 

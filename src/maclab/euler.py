@@ -29,20 +29,20 @@ from itertools import permutations, product
 
 from . import memo
 from .algebra import FactoredRational, LaurentPolynomial, rational_eq
-from .laumon import C_theta, IdentityFails, NotStabilized, lau_vars
+from .laumon import C_theta, IdentityFails, NotStabilized
 from .macdonald import macdonald_P
 from .qcalc import pochhammer
 from .series import (
+    InsufficientTruncation,
     QTSeries,
-    certify_sum,
+    certify_weyl_sum,
     expand,
-    expand_sum,
     fold_split,
     split_expand,
     split_mul,
     split_sum,
 )
-from .tableaux import Partition, ThetaMatrix, theta_by_degree, theta_upto_degree
+from .tableaux import Partition, ThetaMatrix, theta_by_degree
 
 __all__ = [
     "GLWeight",
@@ -207,26 +207,20 @@ def _shared_factors(fr: FactoredRational) -> FactoredRational:
 
 def _C_glob(theta_key, n: int, w, inverted: bool) -> FactoredRational:
     """C_theta with z -> wz (and optionally q -> 1/q), pushed to the SL
-    context."""
+    context by one substitution."""
     key = (theta_key, n, w, inverted)
     hit = _c_cache.lookup(key)
     if hit is not None:
         return hit
-    base_key = (theta_key, n, inverted)
-    base = _c_cache.lookup(base_key)
+    base = _c_cache.lookup((theta_key, n))
     if base is None:
         pairs = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
         th = ThetaMatrix(n, dict(zip(pairs, theta_key)))
-        base = C_theta(th, n)
-        if inverted:
-            lv = lau_vars(n)
-            e = [0] * len(lv)
-            e[0] = -1
-            base = base.substitute("q", 1, e)
-        base = _c_cache.store(base_key, _shared_factors(base))
-    gv = glob_vars(n)
+        base = _c_cache.store((theta_key, n), _shared_factors(C_theta(th, n)))
     mapping = {f"z{i}": (1, _wslot_exp(n, i, w)) for i in range(1, n + 1)}
-    return _c_cache.store(key, _shared_factors(base.transform(gv, mapping)))
+    if inverted:
+        mapping["q"] = (1, (-1,) + (0,) * n)
+    return _c_cache.store(key, _shared_factors(base.transform(glob_vars(n), mapping)))
 
 
 def _weyl_group(n: int) -> list:
@@ -273,8 +267,8 @@ def _j_values(n: int, degree: tuple, inverted: bool) -> list:
 
 @memo.cached("check", 1024)
 def _j_valuation(n: int, degree: tuple, inverted: bool) -> int:
-    """A lower bound of the total (q,t)-degree of every term of the
-    degree-``degree`` J-piece: the least ``valuation_lb`` of its values."""
+    """A lower bound of the total (q,t)-degree of every term of the J-piece:
+    the least ``valuation_lb`` of its values, >= max(degree) when inverted."""
     return min(c.valuation_lb(("q", "t")) for c in _j_values(n, degree, inverted))
 
 
@@ -290,6 +284,20 @@ def _j_piece(n: int, degree: tuple, inverted: bool, trunc: int) -> tuple:
     ``hp`` at n <= 3, weight sum <= 1, and 70 of 112 in ``vanishing``;
     without the cache these checks take 20-35% longer."""
     return split_expand(_j_values(n, degree, inverted), trunc)
+
+
+def _weyl_orbit_sum(pieces, prefactor: FactoredRational, order: int) -> QTSeries:
+    """The sum over W of the images sigma_w: z_i -> z_{w(i)} of
+    ``prefactor`` times the split series ``pieces``, each series exact up
+    to the order minus the prefactor's valuation.  The images commute
+    with the expansion, so the products' folded w = id groups go to
+    :func:`certify_weyl_sum`, which builds no image."""
+    pieces = split_sum(pieces)
+    low = min((s.min_total() for _rest, s in pieces if s.coeffs), default=0)
+    groups: dict = {}
+    for rest, s in split_mul(pieces, split_expand([prefactor], order - min(0, low)), order):
+        fold_split(groups, rest, s)
+    return certify_weyl_sum(groups, prefactor.vars, order)
 
 
 def euler_char_series(alpha, weight: GLWeight, order: int) -> QTSeries:
@@ -309,17 +317,11 @@ def euler_char_series(alpha, weight: GLWeight, order: int) -> QTSeries:
     (:func:`_j_valuation`) decide how far each must be expanded for the
     product to be exact below the order, and skip the splittings whose
     terms all lie beyond it; :func:`split_mul` checks every product
-    against the degree it must reach.  The Weyl-factor product then
-    multiplies the whole convolution once.  The images sigma_w:
-    z_i -> z_{w(i)} of the w = id sum are the summands of the other Weyl
-    elements, and they commute with the expansion, so the fold per
-    (q,t)-degree and pole part goes to :func:`certify_sum` with ``weyl``:
-    it antisymmetrises each degree's sum against a power of the
-    Vandermonde product in one pass and certifies the full W-sum by
-    exact division, with no image built."""
+    against the degree it must reach.  :func:`_weyl_orbit_sum` then
+    multiplies the whole convolution by the prefactor z^{weight} times
+    the Weyl factor once and certifies the sum over W."""
     n = weight.n
     ident = tuple(range(1, n + 1))
-    vars = glob_vars(n)
     alpha = tuple(alpha)
     conv = []
     for gamma in product(*(range(a + 1) for a in alpha)):
@@ -332,13 +334,8 @@ def euler_char_series(alpha, weight: GLWeight, order: int) -> QTSeries:
         j_gamma = _j_piece(n, gamma, True, need - v_beta)
         j_beta = _j_piece(n, beta, False, need - v_gamma)
         conv.extend((rest, s.shift(qpow, 0)) for rest, s in split_mul(j_gamma, j_beta, need))
-    conv = split_sum(conv)
-    base = FactoredRational.monomial(vars, weight.z_monomial(ident)) * _weyl_factor(n, ident)
-    low = min((s.min_total() for _rest, s in conv if s.coeffs), default=0)
-    groups: dict = {}
-    for rest, s in split_mul(conv, split_expand([base], order - min(0, low)), order):
-        fold_split(groups, rest, s)
-    return certify_sum(groups, vars, order, weyl=True)
+    base = FactoredRational.monomial(glob_vars(n), weight.z_monomial(ident)) * _weyl_factor(n, ident)
+    return _weyl_orbit_sum(conv, base, order)
 
 
 def weyl_invariance_check(alpha, weight: GLWeight) -> dict:
@@ -595,68 +592,63 @@ def chi_bQ_closed(weight: GLWeight, order: int) -> QTSeries:
     return base.truncate(order)
 
 
-def _arc_terms(weight: GLWeight, order: int, w, shell_margin: int) -> list:
-    """The summands of the Weyl element w in :func:`chi_bQ_localization`
-    that can reach below the order: the theta sum is scanned shell by
-    shell in the total degree and must exhaust itself below the order."""
-    n = weight.n
-    vars = glob_vars(n)
-
-    def poch_trunc(base_exps) -> FactoredRational:
-        """(monomial; q)_inf as a finite product capturing everything
-        below the truncation order."""
-        deg = base_exps[0] + base_exps[1]
-        kmax = max(0, order - deg + 1)
-        return pochhammer(FactoredRational.monomial(vars, base_exps), kmax)
-
-    wf = _weyl_factor(n, w)
-    zw = FactoredRational.monomial(vars, weight.z_monomial(w))
-    inf_part = FactoredRational.one(vars)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            se = [a - b for a, b in zip(_wslot_exp(n, j, w), _wslot_exp(n, i, w))]
-            num = [1 + se[0], 1 + se[1]] + list(se[2:])
-            den = [1 + se[0], 0 + se[1]] + list(se[2:])
-            inf_part = inf_part * poch_trunc(tuple(num)) / poch_trunc(tuple(den))
-    inf_part = inf_part * (poch_trunc((1, 1) + (0,) * (n - 1))
-                           / poch_trunc((1, 0) + (0,) * (n - 1))) ** (n - 1)
-    base_pref = zw * wf * inf_part
-    terms = []
-    shell = 0
-    exhausted = 0
-    while exhausted < shell_margin:
-        contributed = False
-        for th in theta_upto_degree(n, shell):
-            if th.total_degree() != shell:
-                continue
-            cg = _C_glob(th.entry_list(), n, w, True)
-            qpow = weight.pairing(th.degree_vector())
-            e = [qpow] + [0] * n
-            term = base_pref * cg * FactoredRational.monomial(vars, e)
-            if term.valuation_lb(("q", "t")) <= order:
-                terms.append(term)
-                contributed = True
-        shell += 1
-        exhausted = 0 if contributed else exhausted + 1
-    return terms
-
-
-def chi_bQ_localization(weight: GLWeight, order: int, shell_margin: int = 2) -> QTSeries:
+def chi_bQ_localization(weight: GLWeight, order: int) -> QTSeries:
     """The same character from torus fixed points on the arc space:
 
-        sum_w z^{w weight} [ sum_theta C_theta(q^{-1}, t, wz) q^{<deg theta, weight>} ]
+        sum_w z^{w weight} [ sum_d q^{<d, weight>} J_d(q^{-1}, t, wz) ]
             * prod_{i<j} (q t z_{w(j)}/z_{w(i)};q)_inf / (q z_{w(j)}/z_{w(i)};q)_inf
             * ((qt;q)_inf/(q;q)_inf)^{N-1}
             * prod_{i<j} (1 - t w(z_i/z_j))/(1 - w(z_i/z_j))
 
-    truncated by term valuation (see :func:`_arc_terms`).  As in
-    :func:`euler_char_series`, only the w = id summands are built: the
-    valuation bounds and truncation lengths read (q,t)-degrees alone, so
-    the summands kept for w are the sigma_w-images of those kept for id,
-    and :func:`expand_sum` with ``weyl`` certifies their sum over W in
-    one antisymmetrisation pass (see :func:`certify_sum`)."""
+    over the degree vectors d, J_d the J-piece of degree d
+    (:func:`_j_piece`).  The w = id prefactor (every factor but the
+    pieces, each (x;q)_inf cut to its factors below the order) is
+    built once; :func:`_weyl_orbit_sum` multiplies the shifted pieces by
+    it and certifies the sum over W.
+
+    Cutoff.  Under q -> q^{-1} the factors of C_theta
+    (:func:`maclab.laumon.C_theta`) pair into ratios
+    (1 - q^{-c} t x)/(1 - q^{-c} x), x a z-monomial or 1, whose
+    ``valuation_lb`` (least total (q,t)-degree of the numerator minus
+    that of the denominator) is min(0, 1 - c) - min(0, -c): 1 when
+    c >= 1 and 0 when c <= 0.  The entry l = theta_ij contributes
+    (qt;q)_l/(q;q)_l, whose l ratios have c = 1 + k >= 1, k < l.
+    ``valuation_lb`` adds over the factors of a product and z -> wz moves
+    no (q,t)-degree, so valuation_lb(C_theta(q^{-1})) >= size(theta), the
+    sum of its entries.  Each d_k = sum_{i <= k < j} theta_ij sums
+    entries of theta, so size(theta) >= max(d) >= ceil(|d| / (N-1)); and
+    <d, weight> >= 0 for a dominant weight.  Every term of the degree-d
+    summand thus has total degree at least max(d) + <d, weight> + v, v
+    the prefactor's ``valuation_lb``.  With need = order - v, a d with
+    max(d) + <d, weight> > need adds nothing below the order and is
+    skipped unbuilt; so is every d with ceil(|d| / (N-1)) > need, and
+    the sum runs over the box max(d) <= need alone.  A piece whose values
+    fall below the bound, _j_valuation < max(d), raises
+    :class:`InsufficientTruncation`; one whose _j_valuation puts it past
+    the order is not expanded."""
     n = weight.n
     if not weight.is_dominant():
         raise ValueError("the arc-space sum converges for dominant weights")
-    terms = _arc_terms(weight, order, tuple(range(1, n + 1)), shell_margin)
-    return expand_sum(terms, order, weyl=True)
+    vars = glob_vars(n)
+    ident = tuple(range(1, n + 1))
+    prefactor = FactoredRational.monomial(vars, weight.z_monomial(ident)) * _weyl_factor(n, ident)
+    roots = [[a - b for a, b in zip(_wslot_exp(n, j, ident), _wslot_exp(n, i, ident))][2:]
+             for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    for z in roots + [[0] * (n - 1)] * (n - 1):
+        # (q t z; q)_inf / (q z; q)_inf, cut where its factors pass the order
+        num = pochhammer(FactoredRational.monomial(vars, [1, 1] + z), max(0, order - 1))
+        den = pochhammer(FactoredRational.monomial(vars, [1, 0] + z), max(0, order))
+        prefactor = prefactor * num / den
+    need = order - prefactor.valuation_lb(("q", "t"))
+    pieces = []
+    for d in product(range(need + 1), repeat=n - 1):
+        qpow = weight.pairing(d)
+        if max(d) + qpow > need:
+            continue
+        v_d = _j_valuation(n, d, True)
+        if v_d < max(d):
+            raise InsufficientTruncation(
+                f"the inverted J-piece of degree {d} has valuation below {max(d)}")
+        if v_d + qpow <= need:
+            pieces.extend((rest, s.shift(qpow, 0)) for rest, s in _j_piece(n, d, True, need - qpow))
+    return _weyl_orbit_sum(pieces, prefactor, order)

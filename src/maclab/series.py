@@ -18,12 +18,12 @@ rational multiplier.
 
 A split series is a finite sum of such pairs ``(rest, series)``, one per
 pole part ``rest`` (:func:`split_expand`, :func:`split_sum`); two split
-series multiply pairwise (:func:`split_mul`).  :func:`expand_sum` sums
-the expansions of many terms in two stages: :func:`fold_split` adds them
-per (q,t)-degree and pole part, and :func:`certify_sum` certifies that
-the poles cancel in the total, or in the total over the Weyl group
-S_N of the coefficient variables' permutations, which it computes in one
-antisymmetrisation pass.
+series multiply pairwise (:func:`split_mul`).  A sum of many terms is
+folded per (q,t)-degree and pole part (:func:`fold_split`), then
+certified: :func:`expand_sum` certifies its total with
+:func:`certify_sum`, and :func:`certify_weyl_sum` certifies the total
+over the Weyl group S_N of the coefficient variables' permutations from
+the w = id groups, in one antisymmetrisation pass.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .algebra import (
 )
 
 __all__ = ["QTSeries", "XSeries", "expand", "expand_split", "split_expand", "split_mul",
-           "split_sum", "fold_split", "certify_sum", "InsufficientTruncation"]
+           "split_sum", "fold_split", "certify_sum", "certify_weyl_sum", "InsufficientTruncation"]
 
 
 class QTSeries:
@@ -477,54 +477,21 @@ def fold_split(groups: dict, rest: FactoredRational, series: QTSeries) -> None:
 
 
 def certify_sum(groups: dict, vars: Sequence[str], trunc: int,
-                qt: Sequence[str] = ("q", "t"), weyl: bool = False) -> QTSeries:
+                qt: Sequence[str] = ("q", "t")) -> QTSeries:
     """The certify stage of :func:`expand_sum`: add the groups of
     :func:`fold_split` per (q,t)-degree and certify that each such sum
     is a Laurent polynomial in the coefficient variables.
 
-    Without ``weyl``, each group is lifted to a factored rational over
-    its poles, the groups of one degree are added, and the sum is
-    divided out exactly.  With ``weyl``, the coefficient variables are
-    the SL(N) torus coordinates z_1 .. z_{N-1} (z_N = (z_1 ... z_{N-1})^-1)
-    and the certified value at each degree is the sum over W = S_N of
-    the images sigma_w (z_i -> z_{w(i)}) of the groups' sum.  No image
-    is built: one pass over the groups' terms gives that sum as A / V^m,
-    A a sum of alternants and V the Vandermonde product
-    (:func:`_alternant_sum`), and A is divided exactly by each binomial
-    z_i - z_j of V, m times.  A zero A is certified with no division.
-
+    Each group is lifted to a factored rational over its poles, the
+    groups of one degree are added, and the sum is divided out exactly.
     ``vars`` is the context of the summed terms; every folded series must
     be exact up to total degree ``trunc`` and hold no coefficient beyond
     it.  Raises :class:`NonPolynomialCoefficient` when the poles do not
-    cancel, and (with ``weyl``) :class:`NonRootPole` when a pole part is
-    not a product of root binomials.
+    cancel.
     """
     vars = tuple(vars)
     coeff_vars = _coeff_vars(vars, qt)
     out = QTSeries(qt, coeff_vars, trunc)
-    if weyl:
-        parts: dict = {}
-        for (key, _pole), (rest, t) in groups.items():
-            if t:
-                parts.setdefault(key, []).append((rest, t))
-        binomials = _sl_weyl(coeff_vars)[3]
-        poles: dict = {}
-        products: dict = {}
-        for key, group in sorted(parts.items()):
-            poly, m = _alternant_sum(group, vars, coeff_vars, poles, products)
-            if poly.is_zero():
-                continue   # certified with no division
-            try:
-                for _ in range(m):
-                    for binomial in binomials:
-                        poly = poly.divide_exact(binomial)
-            except ArithmeticError as exc:
-                raise NonPolynomialCoefficient(
-                    f"coefficient at (q,t)-degree {key} of the Weyl-group sum is not "
-                    f"polynomial: its alternants are not divisible by the Vandermonde "
-                    f"product to the power {m}") from exc
-            out.coeffs[key] = poly
-        return out
     acc: dict = {}
     for (key, _pole), (rest, t) in groups.items():
         if not t:
@@ -549,6 +516,44 @@ def certify_sum(groups: dict, vars: Sequence[str], trunc: int,
             raise NonPolynomialCoefficient(
                 f"coefficient at {key} still involves the graded variables")
         out.coeffs[key] = poly.transform(coeff_vars, drop)
+    return out
+
+
+def certify_weyl_sum(groups: dict, vars: Sequence[str], trunc: int) -> QTSeries:
+    """The certify stage of a Weyl-group sum over the SL(N) torus
+    coordinates z_1 .. z_{N-1}, z_N = (z_1 ... z_{N-1})^-1: per
+    (q,t)-degree, the sum over W = S_N of the images sigma_w
+    (z_i -> z_{w(i)}) of the :func:`fold_split` groups' sum, certified
+    with no image built.  One pass over the terms gives that sum as
+    A / V^m, A a sum of alternants and V the Vandermonde product
+    (:func:`_alternant_sum`); A is divided exactly by each z_i - z_j of
+    V, m times.  Raises :class:`NonPolynomialCoefficient` when the poles
+    do not cancel and :class:`NonRootPole` when a pole part is not a
+    product of root binomials."""
+    vars = tuple(vars)
+    coeff_vars = _coeff_vars(vars, ("q", "t"))
+    out = QTSeries(("q", "t"), coeff_vars, trunc)
+    parts: dict = {}
+    for (key, _pole), (rest, t) in groups.items():
+        if t:
+            parts.setdefault(key, []).append((rest, t))
+    binomials = _sl_weyl(coeff_vars)[3]
+    poles: dict = {}
+    products: dict = {}
+    for key, group in sorted(parts.items()):
+        poly, m = _alternant_sum(group, vars, coeff_vars, poles, products)
+        if poly.is_zero():
+            continue   # certified with no division
+        try:
+            for _ in range(m):
+                for binomial in binomials:
+                    poly = poly.divide_exact(binomial)
+        except ArithmeticError as exc:
+            raise NonPolynomialCoefficient(
+                f"coefficient at (q,t)-degree {key} of the Weyl-group sum is not "
+                f"polynomial: its alternants are not divisible by the Vandermonde "
+                f"product to the power {m}") from exc
+        out.coeffs[key] = poly
     return out
 
 
@@ -627,7 +632,7 @@ def _alternant_sum(group: list, vars: tuple, coeff_vars: tuple,
     """``(A, m)`` with A / V^m the sum over W of the images sigma_w of
     the sum of rest * poly over the ``(rest, poly terms)`` pairs of
     ``group``, V = prod_{i<j} (z_i - z_j) over ``coeff_vars`` (SL
-    coordinates, see :func:`certify_sum`) and A a sum of alternants.
+    coordinates, see :func:`certify_weyl_sum`) and A a sum of alternants.
 
     sigma_w(V) = sign(w) V.  For an odd m at least the largest pole
     multiplicity and D = V^m, the sum is N / D with N = sum poly * (D /
@@ -696,13 +701,8 @@ def _alternant_sum(group: list, vars: tuple, coeff_vars: tuple,
     return LaurentPolynomial._from_terms(coeff_vars, terms), m
 
 
-def expand_sum(terms, trunc: int, qt: Sequence[str] = ("q", "t"),
-               weyl: bool = False) -> QTSeries:
-    """Expand the finite sum ``sum(terms)`` as a (q,t)-series, or with
-    ``weyl`` the sum over the Weyl group W = S_N of its images sigma_w:
-    z_i -> z_{w(i)}, the coefficient variables being the SL(N) torus
-    coordinates (see :func:`certify_sum`).  A localization sum then
-    needs its w = id summands only.
+def expand_sum(terms, trunc: int, qt: Sequence[str] = ("q", "t")) -> QTSeries:
+    """Expand the finite sum ``sum(terms)`` as a (q,t)-series.
 
     Individual terms may carry purely coefficient-side poles (for
     instance Weyl denominators 1 - z_i/z_j); those parts are kept as
@@ -724,7 +724,7 @@ def expand_sum(terms, trunc: int, qt: Sequence[str] = ("q", "t"),
     for fr in terms:
         rest, ser = expand_split(fr, trunc, qt, _memo=memo)
         fold_split(groups, rest, ser)
-    return certify_sum(groups, terms[0].vars, trunc, qt, weyl)
+    return certify_sum(groups, terms[0].vars, trunc, qt)
 
 
 class XSeries:

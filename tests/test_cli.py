@@ -126,6 +126,11 @@ def test_report_invariants():
     ("baker", "--n", "3", "--truncation", "1", "--specialize", "0,1"),
     ("global", "h", "--n", "3", "--weight", "1,0", "--order", "1", "--alpha-max", "0"),
     ("global", "h", "--n", "3", "--weight", "1,0,0", "--order", "1"),
+    ("global", "verify", "chibq", "--order", "-1"),
+    ("laumon", "j", "--n", "0", "--degree", "1"),
+    ("laumon", "limit", "--n", "2", "--order", "-1"),
+    ("baker", "--n", "2", "--truncation", "-1"),
+    ("laumon", "j", "--n", "2", "--degree", "-1"),
 ])
 def test_invalid_partition_is_a_one_line_error(tmp_path, capsys, argv):
     code, out, err = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))

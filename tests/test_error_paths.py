@@ -31,14 +31,14 @@ def test_check_termination_propagates_non_arithmetic_errors(monkeypatch):
 
 def test_check_hp_propagates_an_uncancelled_weyl_pole(monkeypatch):
     # a broken Weyl-group sum is a bug, not a witness: run_check raises
-    real = euler.certify_sum
+    real = euler.certify_weyl_sum
 
     def certify(groups, *args, **kwargs):
         if any(m < -1 for rest, _t in groups.values() for _p, m in rest.factors):
             groups = plant_uncancelled_pole(groups, "missing")
         return real(groups, *args, **kwargs)
 
-    monkeypatch.setattr(euler, "certify_sum", certify)
+    monkeypatch.setattr(euler, "certify_weyl_sum", certify)
     with pytest.raises(NonPolynomialCoefficient):
         run_check("hp", max_n=3, order=2, max_weight_sum=1)
 

@@ -27,8 +27,17 @@ from maclab.euler import (
     weyl_invariance_check,
 )
 from maclab.reports import Status
-from maclab.series import NonPolynomialCoefficient, certify_sum, expand, expand_sum
+from maclab.laumon import C_theta, lau_vars
+from maclab.series import (
+    InsufficientTruncation,
+    NonPolynomialCoefficient,
+    certify_weyl_sum,
+    expand,
+    expand_sum,
+)
+from maclab.tableaux import theta_by_degree
 from weyl_reference import (
+    _arc_terms,
     _certify_by_images,
     expand_by_images,
     plant_uncancelled_pole,
@@ -185,6 +194,10 @@ def test_chi_bQ():
     for lv in [(0,), (1,)]:
         w = GLWeight(lv)
         assert chi_bQ_closed(w, 2) == chi_bQ_localization(w, 2), lv
+    # past the acceptance range: the cutoff is proved, not tuned to order 2
+    for lv in [(0, 0), (1, 0)]:
+        w = GLWeight(lv)
+        assert chi_bQ_closed(w, 3) == chi_bQ_localization(w, 3), lv
     # the N=2 closed form has no extra infinite-product factor
     w0 = GLWeight((0,))
     assert chi_bQ_closed(w0, 2) == expand(H0_closed(2), 2)
@@ -198,10 +211,6 @@ def test_chi_bQ():
 def test_c_glob_entries_share_factor_objects():
     # the cached C_theta values keep one object per distinct factor and
     # equal the unshared substitution
-    from maclab import euler
-    from maclab.laumon import C_theta
-    from maclab.tableaux import theta_by_degree
-
     n, gv = 3, euler.glob_vars(3)
     seen = {}
     for w in [(1, 2, 3), (3, 1, 2)]:
@@ -294,25 +303,84 @@ def test_arc_orbit_sum_equals_per_w_expansion(lv):
     weight, order = GLWeight(lv), 2
     n = weight.n
     terms = [t for w in _weyl_group(n)
-             for t in euler._arc_terms(weight, order, w, 2)]
+             for t in _arc_terms(weight, order, w, 2)]
     got = chi_bQ_localization(weight, order)
     assert got == expand_sum(terms, order)
-    ident_terms = euler._arc_terms(weight, order, tuple(range(1, n + 1)), 2)
+    ident_terms = _arc_terms(weight, order, tuple(range(1, n + 1)), 2)
     assert got == expand_by_images(ident_terms, order, weyl_images(n))
+
+
+def _degrees_upto(n, top):
+    """Every degree vector d of rank n with |d| <= top."""
+    return [d for d in product(range(top + 1), repeat=n - 1) if sum(d) <= top]
+
+
+@pytest.mark.parametrize("n, top", [(2, 8), (3, 6), (4, 4)])
+def test_inverted_pieces_meet_the_proved_bound(n, top):
+    # the cutoff of chi_bQ_localization: valuation_lb(C_theta(q^-1)) is
+    # at least size(theta), which is at least max(d)
+    ident = tuple(range(1, n + 1))
+    for d in _degrees_upto(n, top):
+        for th in theta_by_degree(n, d):
+            value = euler._C_glob(th.entry_list(), n, ident, True)
+            assert value.valuation_lb(QT) >= th.size() >= max(d), th
+        assert euler._j_valuation(n, d, True) >= max(d), d
+
+
+def test_a_piece_below_the_proved_bound_raises(monkeypatch):
+    # a planted power of q takes one value of the degree-(1, 1) piece to
+    # valuation 0, below max(d) = 1; the sum must refuse it, not drop
+    # its low terms
+    real = euler._j_values
+
+    def j_values(n, degree, inverted):
+        values = real(n, degree, inverted)
+        if inverted and degree == (1, 1):
+            low = values[0].valuation_lb(QT)
+            shift = FactoredRational.monomial(euler.glob_vars(n), (-low,) + (0,) * n)
+            values = [values[0] * shift] + values[1:]
+        return values
+
+    memo.clear("check")
+    monkeypatch.setattr(euler, "_j_values", j_values)
+    try:
+        assert euler._j_valuation(3, (1, 1), True) < 1
+        with pytest.raises(InsufficientTruncation):
+            chi_bQ_localization(GLWeight((0, 0)), 2)
+    finally:
+        memo.clear("check")
+
+
+def test_c_glob_inverts_q_in_its_one_substitution():
+    # the reference is the two-step path: q -> 1/q over (q, t, z_1 .. z_N),
+    # then z -> wz into the SL context
+    pairs = 0
+    for n, top in ((2, 3), (3, 3), (4, 2)):
+        gv = euler.glob_vars(n)
+        inv = (-1,) + (0,) * (len(lau_vars(n)) - 1)
+        for w in permutations(range(1, n + 1)):
+            mapping = {f"z{i}": (1, euler._wslot_exp(n, i, w)) for i in range(1, n + 1)}
+            for d in _degrees_upto(n, top):
+                for th in theta_by_degree(n, d):
+                    ref = C_theta(th, n).substitute("q", 1, inv).transform(gv, mapping)
+                    got = euler._C_glob(th.entry_list(), n, w, True)
+                    assert got.canonical_str() == ref.canonical_str(), (th, w)
+                    pairs += 1
+    assert pairs == 374
 
 
 def _folded_groups(monkeypatch, alpha, weight, order):
     """The groups, context and order that euler_char_series certifies."""
     seen = []
-    real = euler.certify_sum
+    real = euler.certify_weyl_sum
 
     def certify(*args, **kwargs):
         seen.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(euler, "certify_sum", certify)
+    monkeypatch.setattr(euler, "certify_weyl_sum", certify)
     series = euler_char_series(alpha, weight, order)
-    monkeypatch.setattr(euler, "certify_sum", real)
+    monkeypatch.setattr(euler, "certify_weyl_sum", real)
     (args,) = seen
     return series, args
 
@@ -332,10 +400,10 @@ def test_a_planted_uncancelled_pole_raises(monkeypatch, how):
     # the sum of the other images cannot hide a double pole whose w = id
     # group is broken: both certifications refuse it
     _series, (groups, vars, trunc) = _folded_groups(monkeypatch, (2, 2), GLWeight((1, 0)), 2)
-    assert certify_sum(groups, vars, trunc, weyl=True) == _series
+    assert certify_weyl_sum(groups, vars, trunc) == _series
     broken = plant_uncancelled_pole(groups, how)
     with pytest.raises(NonPolynomialCoefficient):
-        certify_sum(broken, vars, trunc, weyl=True)
+        certify_weyl_sum(broken, vars, trunc)
     with pytest.raises(NonPolynomialCoefficient):
         _certify_by_images(broken, vars, trunc, images=weyl_images(3))
 

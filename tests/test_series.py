@@ -3,11 +3,12 @@ expansions.
 
 expand_sum expands each distinct factor power once per call and reuses it
 across terms, and folds the terms by their pole part; these tests pin
-both to the plain per-term result.  Its Weyl-group sum (``weyl=True``)
-is pinned to the sum of the mapped terms and to the image loop it
-replaced (``tests/weyl_reference.py``).  A split series keeps the purely
-coefficient-side poles of its terms as separate multipliers; its product
-is pinned to the expansion of the factored product.
+both to the plain per-term result.  The Weyl-group certifier
+(``certify_weyl_sum``) is pinned to the sum of the mapped terms and to
+the image loop it replaced (``tests/weyl_reference.py``).  A split
+series keeps the purely coefficient-side poles of its terms as separate
+multipliers; its product is pinned to the expansion of the factored
+product.
 """
 
 import pytest
@@ -25,7 +26,7 @@ from maclab.series import (
     split_expand,
     split_mul,
 )
-from weyl_reference import expand_by_images, weyl_images
+from weyl_reference import expand_by_images, expand_weyl_sum, weyl_images
 
 VARS = ("q", "t", "z1", "z2")
 
@@ -108,7 +109,7 @@ def test_uncancelled_poles_of_different_denominators_raise():
 
 
 # VARS is the SL(3) context (q, t, z1, z2), with z3 = (z1 z2)^-1; the Weyl
-# switch sums over the six images sigma_w: z_i -> z_{w(i)}
+# certifier sums over the six images sigma_w: z_i -> z_{w(i)}
 IMAGES = weyl_images(3)
 
 
@@ -116,7 +117,7 @@ IMAGES = weyl_images(3)
 @given(shared_factor_sums(), st.integers(0, 3))
 def test_expand_sum_images_add_the_mapped_terms(terms, trunc):
     mapped = [fr.transform(VARS, sigma) for sigma in IMAGES[1:] for fr in terms]
-    assert expand_sum(terms, trunc, weyl=True) == expand_sum(terms + mapped, trunc)
+    assert expand_weyl_sum(terms, trunc) == expand_sum(terms + mapped, trunc)
 
 
 def test_poles_cancel_against_the_image_of_a_term():
@@ -127,7 +128,7 @@ def test_poles_cancel_against_the_image_of_a_term():
     with pytest.raises(NonPolynomialCoefficient):
         expand_sum([lone], 1)
     three = QTSeries(("q", "t"), VARS[2:], 1, {(0, 0): LaurentPolynomial.const(VARS[2:], 3)})
-    assert expand_sum([lone], 1, weyl=True) == three
+    assert expand_weyl_sum([lone], 1) == three
     assert expand_by_images([lone], 1, IMAGES) == three
 
 
@@ -163,7 +164,7 @@ def _outcome(fn, *args):
 def test_antisymmetriser_agrees_with_the_image_loop(terms, trunc):
     # equal series, or both find uncancelled poles, as about half the
     # sums with a double pole do; simple poles always cancel over W
-    got = _outcome(expand_sum, terms, trunc, ("q", "t"), True)
+    got = _outcome(expand_weyl_sum, terms, trunc)
     assert got == _outcome(expand_by_images, terms, trunc, IMAGES)
     if all(m >= -1 for fr in terms for _p, m in fr.factors):
         assert got is not NonPolynomialCoefficient
@@ -179,9 +180,9 @@ def test_a_pole_that_is_no_root_binomial_raises():
     for bad in (one - z1, one - ratio * ratio):
         term = FactoredRational(VARS, 1, None, [(bad, -1)])
         with pytest.raises(NonRootPole):
-            expand_sum([term], 1, weyl=True)
+            expand_weyl_sum([term], 1)
     ok = FactoredRational(VARS, 1, None, [(one - ratio, 1), (ratio - one, -2)])
-    assert expand_sum([ok], 1, weyl=True) == expand_by_images([ok], 1, IMAGES)
+    assert expand_weyl_sum([ok], 1) == expand_by_images([ok], 1, IMAGES)
     # the error is no ArithmeticError, so no handler that turns failed
     # arithmetic into a witness can catch it
     assert not issubclass(NonRootPole, ArithmeticError)

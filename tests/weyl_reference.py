@@ -1,20 +1,38 @@
 """The image loop that certified Weyl-group sums before the one-pass
-antisymmetriser of ``series.certify_sum(..., weyl=True)``, kept as its
-reference.
+antisymmetriser ``series.certify_weyl_sum``, kept as its reference, and
+the per-fixed-point summands of the arc-space sum that
+``euler.chi_bQ_localization`` took before it summed J-pieces.
 
-For each (q,t)-degree it lifts the folded groups to factored rationals,
-adds them, adds the image of that sum under every map in ``images`` with
-``FactoredRational.__add__``, and divides the total out exactly.  It
-takes any set of monomial maps of the coefficient variables, so it also
-serves sums over a subgroup.  ``plant_uncancelled_pole`` breaks a folded
-Weyl-group sum for the error-path tests.
+For each (q,t)-degree the image loop lifts the folded groups to factored
+rationals, adds them, adds the image of that sum under every map in
+``images`` with ``FactoredRational.__add__``, and divides the total out
+exactly.  It takes any set of monomial maps of the coefficient
+variables, so it also serves sums over a subgroup.
+``plant_uncancelled_pole`` breaks a folded Weyl-group sum for the
+error-path tests.
 """
 
 from typing import Mapping, Sequence
 
 from maclab.algebra import FactoredRational, LaurentPolynomial
-from maclab.euler import _slot_exp, _weyl_group
-from maclab.series import NonPolynomialCoefficient, QTSeries, expand_split, fold_split
+from maclab.euler import (
+    GLWeight,
+    _C_glob,
+    _slot_exp,
+    _weyl_factor,
+    _weyl_group,
+    _wslot_exp,
+    glob_vars,
+)
+from maclab.qcalc import pochhammer
+from maclab.series import (
+    NonPolynomialCoefficient,
+    QTSeries,
+    certify_weyl_sum,
+    expand_split,
+    fold_split,
+)
+from maclab.tableaux import theta_upto_degree
 
 
 def weyl_images(n: int) -> list:
@@ -83,6 +101,61 @@ def expand_by_images(terms, trunc: int, images, qt: Sequence[str] = ("q", "t")) 
     """``expand_sum(terms, trunc, images=images)`` as it was."""
     terms = [fr for fr in terms if not fr.is_zero()]
     return _certify_by_images(fold(terms, trunc, qt), terms[0].vars, trunc, qt, images)
+
+
+def expand_weyl_sum(terms, trunc: int) -> QTSeries:
+    """The Weyl-group sum of the expansions of ``terms`` over the SL
+    context: their :func:`fold` certified by ``certify_weyl_sum``."""
+    terms = [fr for fr in terms if not fr.is_zero()]
+    return certify_weyl_sum(fold(terms, trunc), terms[0].vars, trunc)
+
+
+def _arc_terms(weight: GLWeight, order: int, w, shell_margin: int) -> list:
+    """The summands of the Weyl element w in ``chi_bQ_localization`` as it
+    was, one per fixed point theta, that can reach below the order: the
+    theta sum is scanned shell by shell in the total degree and stops
+    after ``shell_margin`` shells that add nothing, a stop with no proof
+    behind it."""
+    n = weight.n
+    vars = glob_vars(n)
+
+    def poch_trunc(base_exps) -> FactoredRational:
+        """(monomial; q)_inf as a finite product capturing everything
+        below the truncation order."""
+        deg = base_exps[0] + base_exps[1]
+        kmax = max(0, order - deg + 1)
+        return pochhammer(FactoredRational.monomial(vars, base_exps), kmax)
+
+    wf = _weyl_factor(n, w)
+    zw = FactoredRational.monomial(vars, weight.z_monomial(w))
+    inf_part = FactoredRational.one(vars)
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            se = [a - b for a, b in zip(_wslot_exp(n, j, w), _wslot_exp(n, i, w))]
+            num = [1 + se[0], 1 + se[1]] + list(se[2:])
+            den = [1 + se[0], 0 + se[1]] + list(se[2:])
+            inf_part = inf_part * poch_trunc(tuple(num)) / poch_trunc(tuple(den))
+    inf_part = inf_part * (poch_trunc((1, 1) + (0,) * (n - 1))
+                           / poch_trunc((1, 0) + (0,) * (n - 1))) ** (n - 1)
+    base_pref = zw * wf * inf_part
+    terms = []
+    shell = 0
+    exhausted = 0
+    while exhausted < shell_margin:
+        contributed = False
+        for th in theta_upto_degree(n, shell):
+            if th.total_degree() != shell:
+                continue
+            cg = _C_glob(th.entry_list(), n, w, True)
+            qpow = weight.pairing(th.degree_vector())
+            e = [qpow] + [0] * n
+            term = base_pref * cg * FactoredRational.monomial(vars, e)
+            if term.valuation_lb(("q", "t")) <= order:
+                terms.append(term)
+                contributed = True
+        shell += 1
+        exhausted = 0 if contributed else exhausted + 1
+    return terms
 
 
 def _double_pole_group(groups):
