@@ -2,17 +2,21 @@
 ``cn`` and the scan of ``termination``.
 
 ``c_N_closed`` over the theta grid that ``cn`` scans at N = 4 with
-entries 0..1 (64 matrices), each value a product of finite q-Pochhammer
-ratios.  Every value must equal ``c_N_recursive``.  The same grid is
-timed for all three forms together (closed, recursive, rewritten), as
-``cn`` builds them, and the termination scan is timed at the range of
-the benchmark's ``termination`` case (|lambda| <= 3, N <= 3): one pass
-over each rank's theta grid, each result equal to P_lambda.
+entries 0..1 (64 matrices): each value is a product of finite
+q-Pochhammer ratios, filled into a binomial ledger
+(:class:`maclab.qcalc.Ledger`) and converted to a factored rational
+once.  Every value must equal ``c_N_recursive``.  The same grid is timed
+for all three forms together (closed, recursive, rewritten), as ``cn``
+builds them, and the termination scan is timed at the range of the
+benchmark's ``termination`` case (|lambda| <= 3, N <= 3): one pass over
+each rank's theta grid, each ledger mapped into (q, s) per partition and
+converted only inside the polytope, each result equal to P_lambda.
 
 The cold case starts each round with every memo table empty
 (``memo.clear_all()``), as one ``cn`` run in a fresh process does; the
-warm case reuses the Pochhammer table filled by earlier rounds, as a
-long-lived process does.
+warm case reuses the table of canonical binomial factors
+(``qcalc._binomial``) filled by earlier rounds, as a long-lived process
+does.
 
 Not part of the test suite.  Run with
 

@@ -281,7 +281,7 @@ class LaurentPolynomial:
             return (0,) * len(self.vars)
         return tuple(map(min, zip(*self.terms)))
 
-    # -- substitution / evaluation --------------------------------------
+    # -- substitution ----------------------------------------------------
 
     def transform(
         self,
@@ -351,20 +351,6 @@ class LaurentPolynomial:
     def substitute(self, var: str, coef: Coef, exps: Sequence[int]) -> "LaurentPolynomial":
         """Substitute ``var -> coef * self.vars^exps`` within the same context."""
         return self.transform(self.vars, {var: (coef, tuple(exps))})
-
-    def evaluate(self, point: Mapping[str, Coef]) -> Coef:
-        missing = [v for v in self.vars if v not in point]
-        if missing:
-            raise ValueError(f"no value for variables {missing}")
-        vals = [point[v] for v in self.vars]
-        acc: Coef = 0
-        for e, c in self.terms.items():
-            term = c
-            for x, ei in zip(vals, e):
-                if ei:
-                    term = term * _coef_pow(x, ei)
-            acc = acc + term
-        return _norm_coef(acc)
 
     # -- division --------------------------------------------------------
 
@@ -495,11 +481,6 @@ class LaurentPolynomial:
                 {"exp": list(e), "coef": str(c)} for e, c in self.sorted_terms()
             ],
         }
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "LaurentPolynomial":
-        return cls._from_terms(tuple(obj["vars"]), {
-            tuple(t["exp"]): _norm_coef(Fraction(t["coef"])) for t in obj["terms"]})
 
     def __repr__(self):
         return f"LaurentPolynomial({self.canonical_str()})"
@@ -847,9 +828,6 @@ class FactoredRational:
             if canon is not None:
                 _merge_factor(fmap, ckey, canon, m)
         return FactoredRational._from_map(new_vars, coef, exps, fmap)
-
-    def substitute(self, var: str, coef: Coef, exps: Sequence[int]) -> "FactoredRational":
-        return self.transform(self.vars, {var: (coef, tuple(exps))})
 
     # -- valuation ---------------------------------------------------------------
 

@@ -19,8 +19,8 @@ from functools import cache
 from itertools import product
 
 from .algebra import FactoredRational, LaurentPolynomial, rational_eq
-from .macdonald import SymmetricPolynomial
-from .qcalc import pochhammer_zratio
+from .macdonald import QS, SymmetricPolynomial
+from .qcalc import Ledger
 from .series import XSeries
 from .tableaux import (
     Partition,
@@ -75,46 +75,41 @@ class BAContext:
 
 
 def c_N_recursive(theta: ThetaMatrix, n: int) -> FactoredRational:
-    """Coefficient c_N(theta; z; q, s) by the defining recursion: the
-    rank-(N-1) value at q-shifted z times a product of four Pochhammer
-    ratios over 1 <= i <= j <= N-1 controlled by the last column."""
+    """Coefficient c_N(theta; z; q, s) by the defining recursion, rank by
+    rank: the rank-(m-1) value at q-shifted z times a product of four
+    Pochhammer ratios over 1 <= i <= j <= m-1 controlled by column m."""
     vars = ba_vars(n)
-    return _c_rec(theta, theta.n, vars)
-
-
-def _c_rec(theta: ThetaMatrix, m: int, vars) -> FactoredRational:
-    if m == 1:
-        return FactoredRational.one(vars)
-    sub = _c_rec(theta.submatrix(m - 1), m - 1, vars)
-    # z_i -> q^{-theta_{i,m}} z_i for i < m
-    for i in range(1, m):
-        sh = theta[(i, m)]
-        if sh:
-            e = [0] * len(vars)
-            e[0] = -sh
-            e[i + 1] = 1
-            sub = sub.substitute(f"z{i}", 1, e)
-    num, den = [sub], []
-    for i in range(1, m):
-        for j in range(i, m):
-            ln = theta[(i, m)]
-            if not ln:
-                continue
-            tjm = theta[(j, m)]
-            num.append(pochhammer_zratio(vars, ln, 0, 1, j + 1, i))       # (s z_{j+1}/z_i; q)
-            den.append(pochhammer_zratio(vars, ln, 1, 0, j + 1, i))       # (q z_{j+1}/z_i; q)
-            num.append(pochhammer_zratio(vars, ln, 1 - tjm, -1, j, i))    # (q^{1-theta_{j,m}} z_j / s z_i; q)
-            den.append(pochhammer_zratio(vars, ln, -tjm, 0, j, i))        # (q^{-theta_{j,m}} z_j/z_i; q)
-    return FactoredRational.product(vars, num, den)
+    eye = [tuple(int(a == b) for a in range(len(vars))) for b in range(len(vars))]
+    led = Ledger(vars)
+    for m in range(2, theta.n + 1):
+        # z_i -> q^{-theta_{i,m}} z_i for i < m: the q-exponent of x^e
+        # gains -sum_i theta_{i,m} e_{z_i}, the others are kept
+        col = tuple(-theta[(i, m)] for i in range(1, m))
+        if any(col):
+            led = led.image(vars, [(1, 0) + col + (0,) * (n - m + 1)] + eye[1:], {})
+        for i in range(1, m):
+            for j in range(i, m):
+                ln = theta[(i, m)]
+                if not ln:
+                    continue
+                tjm = theta[(j, m)]
+                led.zratio(ln, 0, 1, j + 1, i)           # (s z_{j+1}/z_i; q)
+                led.zratio(ln, 1, 0, j + 1, i, -1)       # (q z_{j+1}/z_i; q)
+                led.zratio(ln, 1 - tjm, -1, j, i)        # (q^{1-theta_{j,m}} z_j / s z_i; q)
+                led.zratio(ln, -tjm, 0, j, i, -1)        # (q^{-theta_{j,m}} z_j/z_i; q)
+    return led.value()
 
 
 def c_N_closed(theta: ThetaMatrix, n: int) -> FactoredRational:
     """Closed form of c_N(theta): the double product over 2 <= k <= N and
     1 <= i <= j <= k-1 with exponents shifted by the tail sums
     sum_{a>k} (theta_{ia} - theta_{j+1,a}) and sum_{a>k} (theta_{ia} - theta_{ja})."""
-    vars = ba_vars(n)
+    return _closed_ledger(theta, n).value()
+
+
+def _closed_ledger(theta: ThetaMatrix, n: int) -> Ledger:
+    led = Ledger(ba_vars(n))
     nn = theta.n
-    num, den = [], []
     for k in range(2, nn + 1):
         for i in range(1, k):
             for j in range(i, k):
@@ -125,20 +120,19 @@ def c_N_closed(theta: ThetaMatrix, n: int) -> FactoredRational:
                          for a in range(k + 1, nn + 1))
                 e2 = sum(theta[(i, a)] - (theta[(j, a)] if j < a else 0)
                          for a in range(k + 1, nn + 1))
-                num.append(pochhammer_zratio(vars, ln, e1, 1, j + 1, i))
-                den.append(pochhammer_zratio(vars, ln, e1 + 1, 0, j + 1, i))
-                num.append(pochhammer_zratio(vars, ln, -theta[(j, k)] + e2 + 1, -1, j, i))
-                den.append(pochhammer_zratio(vars, ln, -theta[(j, k)] + e2, 0, j, i))
-    return FactoredRational.product(vars, num, den)
+                led.zratio(ln, e1, 1, j + 1, i)
+                led.zratio(ln, e1 + 1, 0, j + 1, i, -1)
+                led.zratio(ln, -theta[(j, k)] + e2 + 1, -1, j, i)
+                led.zratio(ln, -theta[(j, k)] + e2, 0, j, i, -1)
+    return led
 
 
 def c_N_closed_alt(theta: ThetaMatrix, n: int) -> FactoredRational:
     """The rewritten closed form carrying the explicit (q/s)^theta
     monomials; must agree with :func:`c_N_closed` (both are kept as a
     guard against a silent transcription error in either display)."""
-    vars = ba_vars(n)
+    led = Ledger(ba_vars(n))
     nn = theta.n
-    num, den = [], []
     for i in range(1, nn + 1):
         for j in range(i + 1, nn + 1):
             ln = theta[(i, j)]
@@ -146,11 +140,12 @@ def c_N_closed_alt(theta: ThetaMatrix, n: int) -> FactoredRational:
                 continue
             a_sum = sum(theta[(i, a)] - (theta[(j, a)] if j < a else 0)
                         for a in range(j + 1, nn + 1))
-            num.append(FactoredRational.monomial(vars, (ln, -ln) + (0,) * n))
-            num.append(pochhammer_zratio(vars, ln, 0, 1))                 # (s; q)
-            den.append(pochhammer_zratio(vars, ln, 1, 0))                 # (q; q)
-            num.append(pochhammer_zratio(vars, ln, a_sum, 1, j, i))       # (q^A s z_j/z_i; q)
-            den.append(pochhammer_zratio(vars, ln, a_sum + 1, 0, j, i))   # (q^{1+A} z_j/z_i; q)
+            led.unit[0] += ln                           # (q/s)^theta
+            led.unit[1] -= ln
+            led.zratio(ln, 0, 1)                        # (s; q)
+            led.zratio(ln, 1, 0, mult=-1)               # (q; q)
+            led.zratio(ln, a_sum, 1, j, i)              # (q^A s z_j/z_i; q)
+            led.zratio(ln, a_sum + 1, 0, j, i, -1)      # (q^{1+A} z_j/z_i; q)
     for k in range(3, nn + 1):
         for l in range(1, k):
             for m in range(l + 1, k):
@@ -158,12 +153,13 @@ def c_N_closed_alt(theta: ThetaMatrix, n: int) -> FactoredRational:
                 if not ln:
                     continue
                 b_sum = sum(theta[(l, b)] - theta[(m, b)] for b in range(k + 1, nn + 1))
-                num.append(FactoredRational.monomial(vars, (ln, -ln) + (0,) * n))
-                num.append(pochhammer_zratio(vars, ln, b_sum, 1, m, l))
-                den.append(pochhammer_zratio(vars, ln, b_sum + 1, 0, m, l))
-                num.append(pochhammer_zratio(vars, ln, -ln + theta[(m, k)] - b_sum, 1, l, m))
-                den.append(pochhammer_zratio(vars, ln, 1 - ln + theta[(m, k)] - b_sum, 0, l, m))
-    return FactoredRational.product(vars, num, den)
+                led.unit[0] += ln
+                led.unit[1] -= ln
+                led.zratio(ln, b_sum, 1, m, l)
+                led.zratio(ln, b_sum + 1, 0, m, l, -1)
+                led.zratio(ln, -ln + theta[(m, k)] - b_sum, 1, l, m)
+                led.zratio(ln, 1 - ln + theta[(m, k)] - b_sum, 0, l, m, -1)
+    return led.value()
 
 
 def f_N_series(ctx: BAContext) -> XSeries:
@@ -189,12 +185,6 @@ def theta_series(coef, n: int, vars: tuple, trunc: int) -> XSeries:
     return out
 
 
-def _z_specialization(lam, n: int) -> dict:
-    """Mapping z_i -> s^{N-i} q^{lambda_i} over (q, s)."""
-    full = list(Partition(lam)) + [0] * n
-    return {f"z{i}": (1, (full[i - 1], n - i) + (0,) * n) for i in range(1, n + 1)}
-
-
 def specialize_f_to_P(lam, ctx: BAContext, margin: int = 2) -> SymmetricPolynomial:
     """Specialize z_i = s^{N-i} q^{lambda_i}: the one-partition case of
     :func:`specialize_each`, raising the error that stopped it."""
@@ -210,20 +200,20 @@ def specialize_each(lams, n: int, margin: int = 2) -> list:
     bound.  Every c_N(theta) with theta outside the shape-lambda polytope
     and entries up to lambda_1 + margin must vanish; the polytope's
     values sum to P_lambda in the m-basis.  Each c_N(theta) is built once
-    and specialized for every lambda whose bound covers theta, in the
-    order of that lambda's own scan.  Returns per lambda the polynomial,
-    or the ``ArithmeticError`` that stopped it: the first one outside the
-    polytope, else the first one inside."""
-    vars = ba_vars(n)
+    as a :class:`~maclab.qcalc.Ledger` and mapped into (q, s) for every
+    lambda whose bound covers theta, in that lambda's scan order; only
+    the polytope's images become values.  Returns per lambda the
+    polynomial, or the ``ArithmeticError`` that stopped it: the first one
+    outside the polytope, else the first one inside."""
     scans = [_Scan(Partition(lam), n, margin) for lam in lams]
     for th in _theta_entries_upto(n, max((scan.bound for scan in scans), default=-1)):
-        top, c = max(th.entries.values(), default=0), None
+        top, led = max(th.entries.values(), default=0), None
         for scan in scans:
             if scan.error is None and top <= scan.bound:
                 try:
-                    if c is None:
-                        c = c_N_closed(th, n)
-                    scan.take(th, c.transform(vars, scan.mapping))
+                    if led is None:
+                        led = _closed_ledger(th, n)
+                    scan.take(th, led)
                 except ArithmeticError as exc:
                     scan.fail(th, exc)
     return [scan.error or scan.inside_error or scan.total() for scan in scans]
@@ -232,20 +222,25 @@ def specialize_each(lams, n: int, margin: int = 2) -> list:
 class _Scan:
     """One partition's part of :func:`specialize_each`.  The polytope is
     enumerated in the scan's lexicographic order, so ``inside`` holds its
-    values in polytope order."""
+    values in polytope order.  ``weights`` maps exponents over (q, s, z)
+    to (q, s) under z_i -> s^{N-i} q^{lambda_i}, and ``images`` is the
+    scan's table of binomial images."""
 
     def __init__(self, lam: tuple, n: int, margin: int):
         self.lam, self.n = lam, n
-        self.mapping = _z_specialization(lam, n)
+        full = list(lam) + [0] * n
+        self.weights = ((1, 0) + tuple(full[:n]), (0, 1) + tuple(range(n - 1, -1, -1)))
+        self.images: dict = {}
         self.bound = (lam[0] if lam else 0) + margin
         self.pol = {th.entry_list() for th in enumerate_pol_lambda(lam, n)}
         self.inside = []
         self.error = self.inside_error = None
 
-    def take(self, th: ThetaMatrix, spec: FactoredRational) -> None:
+    def take(self, th: ThetaMatrix, led: Ledger) -> None:
+        spec = led.image(QS, self.weights, self.images)
         if th.entry_list() in self.pol:
-            self.inside.append((th, _drop_z(spec, self.n)))
-        elif not spec.is_zero():
+            self.inside.append((th, spec.value()))
+        elif spec.coef:
             raise TerminationFailure(
                 f"coefficient at theta={dict(th.entries)} survives specialization")
 
@@ -263,11 +258,6 @@ class _Scan:
                 mu = Partition(w)
                 coeffs[mu] = coeffs[mu] + v if mu in coeffs else v
         return SymmetricPolynomial(self.n, coeffs)
-
-
-def _drop_z(fr: FactoredRational, n: int) -> FactoredRational:
-    qs = ("q", "s")
-    return fr.transform(qs, {f"z{i}": (1, (0, 0)) for i in range(1, n + 1)})
 
 
 def _theta_entries_upto(n: int, bound: int):

@@ -190,12 +190,13 @@ def _run_named_check(name: str, args) -> int:
 
 
 def _argument_error(args) -> str | None:
-    """Why an argument is out of range: an ``--n`` or ``--alpha-max``
-    below 1, a negative ``--order``, ``--degree`` or ``--truncation``, a
-    partition argument that is not a partition with at most N parts or a
-    ``--weight`` without N-1 entries; None when all are in range."""
-    for flag, least in (("n", 1), ("order", 0), ("degree", 0), ("truncation", 0),
-                        ("alpha_max", 1)):
+    """Why an argument is out of range: a count or bound below its least
+    value in the table below, a partition argument that is not a partition
+    with at most N parts or a ``--weight`` without N-1 entries; None when
+    all are in range."""
+    for flag, least in (("n", 1), ("alpha_max", 1), ("max_n", 1), ("rank", 1),
+                        ("order", 0), ("degree", 0), ("truncation", 0), ("max_size", 0),
+                        ("max_entry", 0), ("max_weight_sum", 0)):
         value = getattr(args, flag, None)
         if value is not None and value < least:
             return f"argument --{flag.replace('_', '-')}: {value}, must be at least {least}"

@@ -20,7 +20,7 @@ from itertools import product as iproduct
 
 from .algebra import FactoredRational, rational_eq
 from .baker import c_N_closed, operator_residual, theta_series
-from .qcalc import pochhammer, pochhammer_inf, pochhammer_zratio
+from .qcalc import Ledger, pochhammer, pochhammer_inf
 from .series import QTSeries, XSeries, expand_sum
 from .tableaux import ThetaMatrix, theta_by_degree, theta_upto_degree
 
@@ -81,9 +81,8 @@ def C_theta(theta: ThetaMatrix, n: int) -> FactoredRational:
 
     with S = sum_{a>j} (theta_ia - theta_ja), B = sum_{b>k} (theta_lb - theta_mb).
     """
-    vars = lau_vars(n)
+    led = Ledger(lau_vars(n))
     nn = theta.n
-    num, den = [], []
     for i in range(1, nn + 1):
         for j in range(i + 1, nn + 1):
             ln = theta[(i, j)]
@@ -91,10 +90,10 @@ def C_theta(theta: ThetaMatrix, n: int) -> FactoredRational:
                 continue
             s_sum = sum(theta[(i, a)] - (theta[(j, a)] if j < a else 0)
                         for a in range(j + 1, nn + 1))
-            num.append(pochhammer_zratio(vars, ln, 1, 1))
-            den.append(pochhammer_zratio(vars, ln, 1, 0))
-            num.append(pochhammer_zratio(vars, ln, 1 + s_sum, 1, j, i))
-            den.append(pochhammer_zratio(vars, ln, 1 + s_sum, 0, j, i))
+            led.zratio(ln, 1, 1)
+            led.zratio(ln, 1, 0, mult=-1)
+            led.zratio(ln, 1 + s_sum, 1, j, i)
+            led.zratio(ln, 1 + s_sum, 0, j, i, -1)
     for k in range(3, nn + 1):
         for l in range(1, k):
             for m in range(l + 1, k):
@@ -102,11 +101,11 @@ def C_theta(theta: ThetaMatrix, n: int) -> FactoredRational:
                 if not ln:
                     continue
                 b_sum = sum(theta[(l, b)] - theta[(m, b)] for b in range(k + 1, nn + 1))
-                num.append(pochhammer_zratio(vars, ln, 1 + b_sum, 1, m, l))
-                den.append(pochhammer_zratio(vars, ln, 1 + b_sum, 0, m, l))
-                num.append(pochhammer_zratio(vars, ln, 1 - ln + theta[(m, k)] - b_sum, 1, l, m))
-                den.append(pochhammer_zratio(vars, ln, 1 - ln + theta[(m, k)] - b_sum, 0, l, m))
-    return FactoredRational.product(vars, num, den)
+                led.zratio(ln, 1 + b_sum, 1, m, l)
+                led.zratio(ln, 1 + b_sum, 0, m, l, -1)
+                led.zratio(ln, 1 - ln + theta[(m, k)] - b_sum, 1, l, m)
+                led.zratio(ln, 1 - ln + theta[(m, k)] - b_sum, 0, l, m, -1)
+    return led.value()
 
 
 def J_series(ctx: LaumonContext) -> XSeries:

@@ -1,50 +1,29 @@
-"""q-Pochhammer symbols and q-shift substitutions.
+"""q-Pochhammer symbols, and products of them kept as binomial ledgers.
 
-The finite symbol (p; q)_n = (1-p)(1-qp)...(1-q^{n-1}p) is kept as a
-factored product; the infinite symbol is only ever used through its
-truncated (q,t)-expansion, where all but finitely many factors are 1
-modulo the truncation order.
+The finite symbol (p; q)_n = (1-p)(1-qp)...(1-q^{n-1}p) is a factored
+product built by :func:`pochhammer`, one cached binomial at a time.  The
+coefficient builders of :mod:`maclab.baker` and :func:`maclab.laumon.C_theta`
+fill a :class:`Ledger` instead: integer exponent vectors of binomials with
+multiplicities, which a substitution maps linearly, converted once to a
+:class:`FactoredRational` when the value is needed (:meth:`Ledger.value`).
+The infinite symbol is only used through its truncated (q,t)-expansion,
+where all but finitely many factors are 1 modulo the truncation order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence, Union
+from operator import mul
+from typing import Sequence
 
 from . import memo
-from .algebra import Coef, FactoredRational, LaurentPolynomial
-from .series import QTSeries, XSeries, expand
+from .algebra import Coef, FactoredRational, LaurentPolynomial, _poly_sort_key
+from .series import QTSeries, expand
 
-__all__ = ["QShift", "pochhammer", "pochhammer_zratio", "pochhammer_inf", "apply_qshift",
-           "UnknownVariable", "NonConvergent"]
-
-
-class UnknownVariable(ValueError):
-    pass
+__all__ = ["Ledger", "pochhammer", "pochhammer_inf", "NonConvergent"]
 
 
 class NonConvergent(ArithmeticError):
     """The infinite product does not converge in the (q,t)-grading."""
-
-
-@dataclass(frozen=True)
-class QShift:
-    """Substitution variable -> q^power * variable.
-
-    Composition of shifts in the same variable adds powers; a shift is
-    inverted by negating its power.
-    """
-
-    variable: str
-    power: int
-
-    def compose(self, other: "QShift") -> "QShift":
-        if self.variable != other.variable:
-            raise ValueError("cannot compose shifts in different variables")
-        return QShift(self.variable, self.power + other.power)
-
-    def inverse(self) -> "QShift":
-        return QShift(self.variable, -self.power)
 
 
 def pochhammer(p: FactoredRational | LaurentPolynomial, n: int,
@@ -83,23 +62,6 @@ def _pochhammer(vars: tuple, coef: Coef, exps: tuple, n: int, qvar: str) -> Fact
         for k in range(n)])
 
 
-def pochhammer_zratio(vars: Sequence[str], n: int, qpow: int = 0, xpow: int = 0,
-                      znum: int | None = None, zden: int | None = None) -> FactoredRational:
-    """(q^qpow x^xpow z_znum / z_zden ; q)_n over the context
-    (q, x, z1, z2, ...): z_k sits at index k + 1, so no variable name is
-    looked up."""
-    if n < 0:
-        raise ValueError("Pochhammer length must be nonnegative")
-    e = [0] * len(vars)
-    e[0] = qpow
-    e[1] = xpow
-    if znum is not None:
-        e[znum + 1] += 1
-    if zden is not None:
-        e[zden + 1] -= 1
-    return _pochhammer(tuple(vars), 1, tuple(e), n, "q")
-
-
 def pochhammer_inf(p: FactoredRational | LaurentPolynomial, trunc: int,
                    qt: Sequence[str] = ("q", "t"), qvar: str = "q") -> QTSeries:
     """Truncated (q,t)-expansion of the infinite symbol (p; q)_infty.
@@ -124,36 +86,106 @@ def pochhammer_inf(p: FactoredRational | LaurentPolynomial, trunc: int,
     return expand(finite, trunc, qt=qt)
 
 
-def apply_qshift(obj: Union[LaurentPolynomial, FactoredRational, XSeries],
-                 shift: QShift, qvar: str = "q"):
-    """Apply the substitution v -> q^power * v exactly, term by term.
+class Ledger:
+    """The product coef * x^unit * prod (1 - x^e)^m over a context x,
+    filled one Pochhammer symbol at a time.  ``binomials`` maps each e,
+    oriented e > 0 in graded-lex order, to its multiplicity m != 0, so
+    1 - x^e and 1 - x^-e = -x^-e (1 - x^e) merge and the symbols
+    telescope: (x;q)_{m+l} = (x;q)_m (xq^m;q)_l.  A zero binomial makes
+    the value zero in a numerator and raises in a denominator, as a zero
+    symbol does in :meth:`FactoredRational.product`."""
 
-    Acts on polynomials and factored rationals over a context containing
-    both the shifted variable and ``q``.  For an :class:`XSeries` the
-    ratio variables are positional: name them ``x1``, ``x2``, ... and
-    each coefficient picks up q^{power * alpha_i}.
-    """
-    if isinstance(obj, (LaurentPolynomial, FactoredRational)):
-        if shift.variable not in obj.vars:
-            raise UnknownVariable(shift.variable)
-        iq = obj.vars.index(qvar)
-        e = [0] * len(obj.vars)
-        e[obj.vars.index(shift.variable)] = 1
-        e[iq] += shift.power
-        return obj.substitute(shift.variable, 1, e)
-    if isinstance(obj, XSeries):
-        name = shift.variable
-        if not (name.startswith("x") and name[1:].isdigit()):
-            raise UnknownVariable(name)
-        i = int(name[1:])
-        if not 1 <= i <= obj.n:
-            raise UnknownVariable(name)
-        iq = obj.base_vars.index(qvar)
+    __slots__ = ("vars", "coef", "unit", "binomials")
 
-        def twist(k, c, i=i):
-            e = [0] * len(obj.base_vars)
-            e[iq] = shift.power * k[i - 1]
-            return c * FactoredRational.monomial(obj.base_vars, e)
+    def __init__(self, vars: tuple, coef: Coef = 1, unit: Sequence[int] | None = None):
+        self.vars, self.coef = vars, coef
+        self.unit = list(unit) if unit is not None else [0] * len(vars)
+        self.binomials: dict = {}
 
-        return obj.map_coeffs(twist)
-    raise TypeError(f"cannot q-shift {type(obj).__name__}")
+    def zratio(self, n: int, qpow: int = 0, xpow: int = 0, znum: int | None = None,
+               zden: int | None = None, mult: int = 1) -> None:
+        """Multiply by (q^qpow x^xpow z_znum / z_zden ; q)_n ** mult over
+        the context (q, x, z1, z2, ...): z_k sits at index k + 1."""
+        if n < 0:
+            raise ValueError("Pochhammer length must be nonnegative")
+        rest = [xpow] + [0] * (len(self.vars) - 2)
+        if znum is not None:
+            rest[znum] += 1
+        if zden is not None:
+            rest[zden] -= 1
+        rest = tuple(rest)
+        for k in range(qpow, qpow + n):
+            self.binomial((k,) + rest, mult)
+
+    def binomial(self, e: tuple, mult: int) -> None:
+        """Multiply by (1 - x^e) ** mult."""
+        s = sum(e)
+        if s < 0 or not s and e < (0,) * len(e):
+            if mult & 1:
+                self.coef = -self.coef
+            self.unit = [u + mult * x for u, x in zip(self.unit, e)]
+            e = tuple([-x for x in e])
+        elif not s and not any(e):
+            if mult < 0:
+                raise ZeroDivisionError("division by zero")
+            self.coef = 0
+            return
+        m = self.binomials.get(e, 0) + mult
+        if m:
+            self.binomials[e] = m
+        else:
+            del self.binomials[e]
+
+    def image(self, vars: tuple, weights: Sequence[tuple], images: dict) -> "Ledger":
+        """The ledger over ``vars`` of the substitution x^e -> y^f with
+        f_t = <e, weights[t]>; ``images`` caches f per binomial.  As in
+        :meth:`FactoredRational.transform`, the first factor in key order
+        whose image is 1 - 1 decides: a numerator makes the value zero, a
+        denominator raises ``ZeroDivisionError``."""
+        if not self.coef:
+            return Ledger(vars, 0)
+        found, collapsed = [], []
+        for e in self.binomials:
+            f = images.get(e)
+            if f is None:
+                f = tuple([sum(map(mul, e, w)) for w in weights])
+                images[e] = f = f if any(f) else ()
+            if f:
+                found.append(f)
+            else:
+                collapsed.append(e)
+        if collapsed:
+            first = min(collapsed, key=lambda e: _binomial(self.vars, e)[0])
+            if self.binomials[first] < 0:
+                raise ZeroDivisionError("denominator factor vanished under substitution")
+            return Ledger(vars, 0)
+        out = Ledger(vars, self.coef, [sum(map(mul, self.unit, w)) for w in weights])
+        for f, m in zip(found, self.binomials.values()):
+            out.binomial(f, m)
+        return out
+
+    def value(self) -> FactoredRational:
+        """The :class:`FactoredRational` that the product of the symbols
+        builds, with the same canonical factors and unit."""
+        if not self.coef:
+            return FactoredRational.zero(self.vars)
+        exps, fmap = list(self.unit), {}
+        for e, m in self.binomials.items():
+            key, poly, low = _binomial(self.vars, e)
+            fmap[key] = (poly, m)
+            for i, x in low:
+                exps[i] += m * x
+        return FactoredRational._from_map(self.vars, self.coef, tuple(exps), fmap)
+
+
+@memo.cached("process", 4096)
+def _binomial(vars: tuple, e: tuple) -> tuple:
+    """``(key, canonical, low)`` for e > 0: 1 - x^e = x^low * canonical,
+    low = min(0, e) as (index, exponent) pairs, canonical = x^-low -
+    x^{e - low} with its leading term x^-low, and ``key`` its sort key."""
+    low = tuple([min(0, x) for x in e])
+    poly = LaurentPolynomial._from_terms(
+        vars, {tuple([-x for x in low]): 1, tuple([max(0, x) for x in e]): -1})
+    key = _poly_sort_key(poly)
+    poly._canon = (1, (0,) * len(vars), poly, key)
+    return key, poly, tuple([(i, x) for i, x in enumerate(low) if x])

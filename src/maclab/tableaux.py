@@ -95,10 +95,6 @@ class ThetaMatrix:
     def size(self) -> int:
         return sum(self.entries.values())
 
-    def submatrix(self, m: int) -> "ThetaMatrix":
-        """Upper-left m x m corner."""
-        return ThetaMatrix(m, {(i, j): v for (i, j), v in self.entries.items() if j <= m})
-
     def __eq__(self, other):
         return isinstance(other, ThetaMatrix) and self.n == other.n and self.entries == other.entries
 

@@ -9,6 +9,9 @@ denominator-1 ``Fraction``s to ``int``.  ``num_den``, ``to_laurent`` and
 product per factor power, as the old ``FactoredRational`` methods did;
 ``rational_eq`` cross-multiplies the uncancelled parts and compares the
 two expansions as polynomials.
+
+``evaluate`` and ``from_json_obj`` are test-side helpers for
+:class:`LaurentPolynomial`, used only to check the package.
 """
 
 from fractions import Fraction
@@ -84,3 +87,22 @@ def rational_eq(a: FactoredRational, b: FactoredRational) -> bool:
         elif m < 0:
             rem_b.append((p, -m))
     return _expand(a.vars, a.coef, a.exps, rem_a) == _expand(b.vars, b.coef, b.exps, rem_b)
+
+
+def evaluate(p: LaurentPolynomial, point: dict):
+    """The exact value of ``p`` at ``point``, a value for each variable."""
+    missing = [v for v in p.vars if v not in point]
+    if missing:
+        raise ValueError(f"no value for variables {missing}")
+    acc = 0
+    for e, c in p.terms.items():
+        for v, k in zip(p.vars, e):
+            c = c * Fraction(point[v]) ** k
+        acc = acc + c
+    return _norm(acc)
+
+
+def from_json_obj(obj: dict) -> LaurentPolynomial:
+    """The polynomial that :meth:`LaurentPolynomial.to_json_obj` wrote."""
+    return LaurentPolynomial(obj["vars"], {tuple(t["exp"]): Fraction(t["coef"])
+                                           for t in obj["terms"]})

@@ -3,16 +3,19 @@ termination scan.
 
 Each builder here forms its value by a chain of binary products and
 quotients, one step per Pochhammer ratio, as the package did before
-:meth:`FactoredRational.product` merged every factor map at once.
+:meth:`FactoredRational.product` merged every factor map at once, and
+each symbol is a :func:`maclab.qcalc.pochhammer` value (``zpoch``), as
+before the package's builders filled a :class:`maclab.qcalc.Ledger`.
 ``mul`` and ``div`` are the binary ``*`` and ``/`` of that time, which
 copied one operand's factor map and merged the other into it; the
 package's ``*`` and ``/`` now go through ``product`` themselves.
-``specialize_reference`` and ``termination_reference`` scan the theta
-grid of each partition separately, as the package did before
-:func:`maclab.baker.specialize_each` scanned each rank's grid once.
-The package versions must give values equal to these under ``==``.
+``specialize_reference`` and ``termination_witnesses_reference`` scan the theta
+grid of each partition separately and specialize each factored value
+by :meth:`FactoredRational.transform`, as the package did before
+:func:`maclab.baker.specialize_each` scanned each rank's grid once and
+mapped ledgers straight into (q, s).  The package versions must give
+values equal to these under ``==``.
 """
-
 from fractions import Fraction
 from operator import add, sub
 
@@ -21,8 +24,9 @@ from maclab.algebra import FactoredRational, _merge_factor, _norm_coef
 from maclab.baker import TerminationFailure, ba_vars
 from maclab.laumon import lau_vars
 from maclab.macdonald import QS, SymmetricPolynomial, macdonald_P, theta_to_tableau
-from maclab.qcalc import pochhammer, pochhammer_zratio
-from maclab.tableaux import Partition, enumerate_pol_lambda, partitions_upto, strip_sizes
+from maclab.qcalc import pochhammer
+from maclab.tableaux import (
+    Partition, ThetaMatrix, enumerate_pol_lambda, partitions_upto, strip_sizes)
 
 
 def mul(a, b):
@@ -53,6 +57,18 @@ def div(a, b):
     return FactoredRational._from_map(a.vars, coef, tuple(map(sub, a.exps, b.exps)), fmap)
 
 
+def zpoch(vars, n, qpow=0, xpow=0, znum=None, zden=None):
+    """(q^qpow x^xpow z_znum / z_zden ; q)_n over the context (q, x, z1,
+    z2, ...) by :func:`maclab.qcalc.pochhammer`, one binomial at a time."""
+    e = [0] * len(vars)
+    e[0], e[1] = qpow, xpow
+    if znum is not None:
+        e[znum + 1] += 1
+    if zden is not None:
+        e[zden + 1] -= 1
+    return pochhammer(FactoredRational.monomial(vars, e), n)
+
+
 def product_reference(vars, num, den=()):
     """prod(num) / prod(den) as a left-to-right chain of ``mul`` and ``div``."""
     out = FactoredRational.one(vars)
@@ -70,14 +86,15 @@ def c_N_recursive_reference(theta, n):
 def _c_rec(theta, m, vars):
     if m == 1:
         return FactoredRational.one(vars)
-    sub = _c_rec(theta.submatrix(m - 1), m - 1, vars)
+    corner = ThetaMatrix(m - 1, {(i, j): v for (i, j), v in theta.entries.items() if j < m})
+    sub = _c_rec(corner, m - 1, vars)
     for i in range(1, m):
         sh = theta[(i, m)]
         if sh:
             e = [0] * len(vars)
             e[0] = -sh
             e[vars.index(f"z{i}")] = 1
-            sub = sub.substitute(f"z{i}", 1, e)
+            sub = sub.transform(vars, {f"z{i}": (1, tuple(e))})
     out = sub
     for i in range(1, m):
         for j in range(i, m):
@@ -85,10 +102,10 @@ def _c_rec(theta, m, vars):
             if not ln:
                 continue
             tjm = theta[(j, m)]
-            out = mul(out, pochhammer_zratio(vars, ln, 0, 1, j + 1, i))
-            out = div(out, pochhammer_zratio(vars, ln, 1, 0, j + 1, i))
-            out = mul(out, pochhammer_zratio(vars, ln, 1 - tjm, -1, j, i))
-            out = div(out, pochhammer_zratio(vars, ln, -tjm, 0, j, i))
+            out = mul(out, zpoch(vars, ln, 0, 1, j + 1, i))
+            out = div(out, zpoch(vars, ln, 1, 0, j + 1, i))
+            out = mul(out, zpoch(vars, ln, 1 - tjm, -1, j, i))
+            out = div(out, zpoch(vars, ln, -tjm, 0, j, i))
     return out
 
 
@@ -106,10 +123,10 @@ def c_N_closed_reference(theta, n):
                          for a in range(k + 1, nn + 1))
                 e2 = sum(theta[(i, a)] - (theta[(j, a)] if j < a else 0)
                          for a in range(k + 1, nn + 1))
-                out = mul(out, pochhammer_zratio(vars, ln, e1, 1, j + 1, i))
-                out = div(out, pochhammer_zratio(vars, ln, e1 + 1, 0, j + 1, i))
-                out = mul(out, pochhammer_zratio(vars, ln, -theta[(j, k)] + e2 + 1, -1, j, i))
-                out = div(out, pochhammer_zratio(vars, ln, -theta[(j, k)] + e2, 0, j, i))
+                out = mul(out, zpoch(vars, ln, e1, 1, j + 1, i))
+                out = div(out, zpoch(vars, ln, e1 + 1, 0, j + 1, i))
+                out = mul(out, zpoch(vars, ln, -theta[(j, k)] + e2 + 1, -1, j, i))
+                out = div(out, zpoch(vars, ln, -theta[(j, k)] + e2, 0, j, i))
     return out
 
 
@@ -129,10 +146,10 @@ def c_N_closed_alt_reference(theta, n):
             a_sum = sum(theta[(i, a)] - (theta[(j, a)] if j < a else 0)
                         for a in range(j + 1, nn + 1))
             out = mul(out, _mono(vars, ln, -ln))
-            out = mul(out, pochhammer_zratio(vars, ln, 0, 1))
-            out = div(out, pochhammer_zratio(vars, ln, 1, 0))
-            out = mul(out, pochhammer_zratio(vars, ln, a_sum, 1, j, i))
-            out = div(out, pochhammer_zratio(vars, ln, a_sum + 1, 0, j, i))
+            out = mul(out, zpoch(vars, ln, 0, 1))
+            out = div(out, zpoch(vars, ln, 1, 0))
+            out = mul(out, zpoch(vars, ln, a_sum, 1, j, i))
+            out = div(out, zpoch(vars, ln, a_sum + 1, 0, j, i))
     for k in range(3, nn + 1):
         for l in range(1, k):
             for m in range(l + 1, k):
@@ -141,10 +158,10 @@ def c_N_closed_alt_reference(theta, n):
                     continue
                 b_sum = sum(theta[(l, b)] - theta[(m, b)] for b in range(k + 1, nn + 1))
                 out = mul(out, _mono(vars, ln, -ln))
-                out = mul(out, pochhammer_zratio(vars, ln, b_sum, 1, m, l))
-                out = div(out, pochhammer_zratio(vars, ln, b_sum + 1, 0, m, l))
-                out = mul(out, pochhammer_zratio(vars, ln, -ln + theta[(m, k)] - b_sum, 1, l, m))
-                out = div(out, pochhammer_zratio(vars, ln, 1 - ln + theta[(m, k)] - b_sum, 0, l, m))
+                out = mul(out, zpoch(vars, ln, b_sum, 1, m, l))
+                out = div(out, zpoch(vars, ln, b_sum + 1, 0, m, l))
+                out = mul(out, zpoch(vars, ln, -ln + theta[(m, k)] - b_sum, 1, l, m))
+                out = div(out, zpoch(vars, ln, 1 - ln + theta[(m, k)] - b_sum, 0, l, m))
     return out
 
 
@@ -159,10 +176,10 @@ def C_theta_reference(theta, n):
                 continue
             s_sum = sum(theta[(i, a)] - (theta[(j, a)] if j < a else 0)
                         for a in range(j + 1, nn + 1))
-            out = mul(out, pochhammer_zratio(vars, ln, 1, 1))
-            out = div(out, pochhammer_zratio(vars, ln, 1, 0))
-            out = mul(out, pochhammer_zratio(vars, ln, 1 + s_sum, 1, j, i))
-            out = div(out, pochhammer_zratio(vars, ln, 1 + s_sum, 0, j, i))
+            out = mul(out, zpoch(vars, ln, 1, 1))
+            out = div(out, zpoch(vars, ln, 1, 0))
+            out = mul(out, zpoch(vars, ln, 1 + s_sum, 1, j, i))
+            out = div(out, zpoch(vars, ln, 1 + s_sum, 0, j, i))
     for k in range(3, nn + 1):
         for l in range(1, k):
             for m in range(l + 1, k):
@@ -170,10 +187,10 @@ def C_theta_reference(theta, n):
                 if not ln:
                     continue
                 b_sum = sum(theta[(l, b)] - theta[(m, b)] for b in range(k + 1, nn + 1))
-                out = mul(out, pochhammer_zratio(vars, ln, 1 + b_sum, 1, m, l))
-                out = div(out, pochhammer_zratio(vars, ln, 1 + b_sum, 0, m, l))
-                out = mul(out, pochhammer_zratio(vars, ln, 1 - ln + theta[(m, k)] - b_sum, 1, l, m))
-                out = div(out, pochhammer_zratio(vars, ln, 1 - ln + theta[(m, k)] - b_sum, 0, l, m))
+                out = mul(out, zpoch(vars, ln, 1 + b_sum, 1, m, l))
+                out = div(out, zpoch(vars, ln, 1 + b_sum, 0, m, l))
+                out = mul(out, zpoch(vars, ln, 1 - ln + theta[(m, k)] - b_sum, 1, l, m))
+                out = div(out, zpoch(vars, ln, 1 - ln + theta[(m, k)] - b_sum, 0, l, m))
     return out
 
 
@@ -202,6 +219,12 @@ def psi_T_reference(theta, lam):
     return out
 
 
+def z_specialization(lam, n):
+    """Mapping z_i -> s^{N-i} q^{lambda_i} over (q, s)."""
+    full = list(Partition(lam)) + [0] * n
+    return {f"z{i}": (1, (full[i - 1], n - i) + (0,) * n) for i in range(1, n + 1)}
+
+
 def specialize_reference(lam, n, margin=2):
     """The per-partition scan: every theta outside the polytope with
     entries up to lambda_1 + margin must specialize to zero, then the
@@ -209,7 +232,7 @@ def specialize_reference(lam, n, margin=2):
     ``baker`` module, so a test may replace it."""
     lam = Partition(lam)
     vars = ba_vars(n)
-    mapping = baker._z_specialization(lam, n)
+    mapping = z_specialization(lam, n)
     pol = set(th.entry_list() for th in enumerate_pol_lambda(lam, n))
     bound = (lam[0] if lam else 0) + margin
     for th in baker._theta_entries_upto(n, bound):
@@ -221,7 +244,7 @@ def specialize_reference(lam, n, margin=2):
     coeffs = {}
     for th in enumerate_pol_lambda(lam, n):
         spec = baker.c_N_closed(th, n).transform(vars, mapping)
-        qs_spec = baker._drop_z(spec, n)
+        qs_spec = spec.transform(QS, {f"z{i}": (1, (0, 0)) for i in range(1, n + 1)})
         w = strip_sizes(th, lam)
         if list(w) != sorted(w, reverse=True):
             continue

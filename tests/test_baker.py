@@ -18,9 +18,10 @@ from maclab.baker import (
 )
 from maclab import baker
 from maclab.checks import run_check
-from maclab.macdonald import macdonald_P
+from maclab.macdonald import QS, macdonald_P
+from maclab.qcalc import Ledger
 from maclab.reports import Status
-from maclab.tableaux import ThetaMatrix, partitions_upto
+from maclab.tableaux import ThetaMatrix, enumerate_pol_lambda, partitions_upto
 import coefficient_reference as ref
 
 
@@ -110,15 +111,22 @@ def test_specialization_equals_the_per_partition_scan():
 
 
 def _plant(monkeypatch, planted):
-    """Replace ``baker.c_N_closed`` by the real one except at the
-    (n, entry list) keys of ``planted``, whose values it gives instead."""
-    real = baker.c_N_closed
+    """Replace the ledger builder behind ``baker.c_N_closed`` and the
+    termination scan by the real one except at the (n, entry list) keys
+    of ``planted``, whose values it gives instead: the package and the
+    per-partition reference both see the planted ledger."""
+    real = baker._closed_ledger
 
-    def c_N_closed(th, n):
+    def closed_ledger(th, n):
         value = planted.get((n, th.entry_list()))
         return real(th, n) if value is None else value(real(th, n))
 
-    monkeypatch.setattr(baker, "c_N_closed", c_N_closed)
+    monkeypatch.setattr(baker, "_closed_ledger", closed_ledger)
+
+
+def _doubled(led):
+    led.coef *= 2
+    return led
 
 
 def _witnesses(max_size, max_n):
@@ -126,11 +134,10 @@ def _witnesses(max_size, max_n):
 
 
 def test_a_planted_surviving_theta_gives_the_reference_witnesses(monkeypatch):
-    one = FactoredRational.one(ba_vars(3))
     # (2, 0, 1) lies outside every rank-3 polytope but that of (2, 1),
     # where its strip sizes are not dominant; the zero matrix is dominant
     # in every polytope, so doubling its value spoils every sum
-    _plant(monkeypatch, {(3, (2, 0, 1)): lambda c: one, (3, (0, 0, 0)): lambda c: c + c})
+    _plant(monkeypatch, {(3, (2, 0, 1)): lambda c: Ledger(ba_vars(3)), (3, (0, 0, 0)): _doubled})
     got = _witnesses(3, 3)
     assert got == ref.termination_witnesses_reference(3, 3)
     survives = "coefficient at theta={(1, 2): 2, (2, 3): 1} survives specialization"
@@ -140,9 +147,11 @@ def test_a_planted_surviving_theta_gives_the_reference_witnesses(monkeypatch):
 
 
 def _over_z1_minus_s_q2(c):
-    # a denominator z1 - s q^2, which vanishes at n = 2 exactly when lambda_1 = 2
-    v = ba_vars(2)
-    return c / FactoredRational.from_poly(mono(v, z1=1) - mono(v, s=1, q=2))
+    # a denominator z1 - s q^2 = z1 (1 - q^2 s / z1), which vanishes at
+    # n = 2 exactly when lambda_1 = 2
+    c.unit[2] -= 1
+    c.binomial((2, 1, -1, 0), -1)
+    return c
 
 
 def test_an_arithmetic_error_stays_the_witness_of_its_partition(monkeypatch):
@@ -158,15 +167,23 @@ def test_an_arithmetic_error_stays_the_witness_of_its_partition(monkeypatch):
                    {"lambda": [2, 1], "n": 2, "error": vanished}]
 
 
-class _RaisesOnTransform:
-    def transform(self, *args):
+class _RaisesOnSpecialization:
+    """A planted ledger whose image raises, and whose value raises under
+    the reference's ``transform``."""
+
+    def image(self, *args):
         raise ArithmeticError("planted error")
+
+    def value(self):
+        return self
+
+    transform = image
 
 
 def test_the_first_error_inside_the_polytope_is_the_witness(monkeypatch):
     # (1,) and (2,) both lie inside the polytope of (2,) and both fail there
     _plant(monkeypatch, {(2, (1,)): _over_z1_minus_s_q2,
-                         (2, (2,)): lambda c: _RaisesOnTransform()})
+                         (2, (2,)): lambda c: _RaisesOnSpecialization()})
     got = _witnesses(3, 2)
     assert got == ref.termination_witnesses_reference(3, 2)
     errors = {tuple(w["lambda"]): w["error"] for w in got}
@@ -178,8 +195,7 @@ def test_a_scan_failure_takes_precedence_over_an_error_inside(monkeypatch):
     # for (2,) and (2, 1) the error inside at (1,) comes first in the
     # scan and the survivor (3,) outside their polytopes after it: the
     # survivor is reported
-    one = FactoredRational.one(ba_vars(2))
-    _plant(monkeypatch, {(2, (1,)): _over_z1_minus_s_q2, (2, (3,)): lambda c: one})
+    _plant(monkeypatch, {(2, (1,)): _over_z1_minus_s_q2, (2, (3,)): lambda c: Ledger(ba_vars(2))})
     got = _witnesses(3, 2)
     assert got == ref.termination_witnesses_reference(3, 2)
     survives = "coefficient at theta={(1, 2): 3} survives specialization"
@@ -188,20 +204,106 @@ def test_a_scan_failure_takes_precedence_over_an_error_inside(monkeypatch):
         (2, 1): survives}
 
 
+# binomials 1 - x^e over (q, s, z1, z2); at n = 2, z1 -> s q^lambda_1 and
+# z2 -> q^lambda_2.  LOW = 1 - z2 collapses when lambda_2 = 0 and
+# HIGH = 1 - q^2 s / z1 when lambda_1 = 2; LOW comes first in the
+# canonical-factor key order
+LOW, HIGH = (0, 0, 0, 1), (2, 1, -1, 0)
+
+
+def _times(num=(), den=()):
+    """The real value times the binomials of ``num`` over those of ``den``."""
+    def plant(c):
+        for es, m in ((num, 1), (den, -1)):
+            for e in es:
+                c.binomial(e, m)
+        return c
+    return plant
+
+
+def _outcome(value):
+    if isinstance(value, ArithmeticError):
+        return type(value), str(value)
+    return value.mcoeffs
+
+
+def _reference_outcome(lam, n):
+    try:
+        return _outcome(ref.specialize_reference(lam, n))
+    except ArithmeticError as exc:
+        return _outcome(exc)
+
+
+vanished = (ZeroDivisionError, "denominator factor vanished under substitution")
+
+
+@pytest.mark.parametrize("num, den, expected", [
+    ((HIGH,), (), None),               # a numerator collapse is a zero value
+    ((), (HIGH,), vanished),           # a denominator collapse raises
+    ((LOW,), (HIGH,), None),           # both: the first in key order decides
+    ((HIGH,), (LOW,), vanished),
+])
+@pytest.mark.parametrize("theta", [(1,), (3,)])
+def test_a_collapsing_binomial_keeps_the_meaning_of_the_reference(
+        monkeypatch, num, den, expected, theta):
+    # (1,) lies inside the polytope of (2,), (3,) is outside it
+    _plant(monkeypatch, {(2, theta): _times(num, den)})
+    lams = partitions_upto(3, 2)
+    got = [_outcome(S) for S in baker.specialize_each(lams, 2)]
+    assert got == [_reference_outcome(lam, 2) for lam in lams]
+    at_two = got[lams.index((2,))]
+    if expected is None:
+        assert isinstance(at_two, dict)
+    else:
+        assert at_two == expected
+
+
 @pytest.mark.parametrize("max_size, builds", [(3, 223), (4, 351)])
 def test_termination_builds_each_coefficient_once(monkeypatch, max_size, builds):
     # rank 3 scans 0..max_size + 2 in each of its three entries, rank 2 in
     # its one, and rank 1 has the empty matrix only
-    real = baker.c_N_closed
+    real = baker._closed_ledger
     calls = []
 
-    def c_N_closed(th, n):
+    def closed_ledger(th, n):
         calls.append((n, th.entry_list()))
         return real(th, n)
 
-    monkeypatch.setattr(baker, "c_N_closed", c_N_closed)
+    monkeypatch.setattr(baker, "_closed_ledger", closed_ledger)
     assert run_check("termination", max_size=max_size, max_n=3).status == Status.PASSED
     assert len(calls) == len(set(calls)) == builds == 1 + (max_size + 3) + (max_size + 3) ** 3
+
+
+def _counting(monkeypatch, owner, name, log):
+    real = getattr(owner, name)
+
+    def wrapper(self, *args):
+        log.append(self.vars)
+        return real(self, *args)
+
+    monkeypatch.setattr(owner, name, wrapper)
+
+
+def test_termination_converts_only_the_polytope_values(monkeypatch):
+    # at the benchmark's range no factored value is re-imaged, and a
+    # ledger becomes a value only at a theta inside the polytope
+    transforms, converted = [], []
+    _counting(monkeypatch, FactoredRational, "transform", transforms)
+    _counting(monkeypatch, Ledger, "value", converted)
+    assert run_check("termination", max_size=3, max_n=3).status == Status.PASSED
+    assert transforms == []
+    inside = sum(len(enumerate_pol_lambda(lam, n))
+                 for n in range(1, 4) for lam in partitions_upto(3, n))
+    assert converted == [QS] * inside
+
+
+def test_cn_substitutes_nothing(monkeypatch):
+    # the q-shift of the recursion maps ledgers, not factored values
+    assert not hasattr(FactoredRational, "substitute")
+    transforms = []
+    _counting(monkeypatch, FactoredRational, "transform", transforms)
+    assert run_check("cn", max_entry=1, max_n=4).status == Status.PASSED
+    assert transforms == []
 
 
 def test_eigen_equation_residuals_vanish():

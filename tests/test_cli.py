@@ -131,6 +131,14 @@ def test_report_invariants():
     ("laumon", "limit", "--n", "2", "--order", "-1"),
     ("baker", "--n", "2", "--truncation", "-1"),
     ("laumon", "j", "--n", "2", "--degree", "-1"),
+    ("verify", "termination", "--max-n", "0"),
+    ("verify", "eigen", "--max-n", "0"),
+    ("verify", "tableau-oracle", "--max-size", "-1"),
+    ("verify", "cn", "--max-entry", "-1"),
+    ("verify", "hp", "--max-weight-sum", "-1"),
+    ("verify", "weyl", "--rank", "0"),
+    ("global", "verify", "hp", "--max-n", "0"),
+    ("laumon", "verify", "ansum", "--rank", "0"),
 ])
 def test_invalid_partition_is_a_one_line_error(tmp_path, capsys, argv):
     code, out, err = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))

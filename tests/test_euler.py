@@ -362,7 +362,8 @@ def test_c_glob_inverts_q_in_its_one_substitution():
             mapping = {f"z{i}": (1, euler._wslot_exp(n, i, w)) for i in range(1, n + 1)}
             for d in _degrees_upto(n, top):
                 for th in theta_by_degree(n, d):
-                    ref = C_theta(th, n).substitute("q", 1, inv).transform(gv, mapping)
+                    ref = C_theta(th, n).transform(lau_vars(n), {"q": (1, inv)})
+                    ref = ref.transform(gv, mapping)
                     got = euler._C_glob(th.entry_list(), n, w, True)
                     assert got.canonical_str() == ref.canonical_str(), (th, w)
                     pairs += 1

@@ -8,12 +8,13 @@ import pkgutil
 import pytest
 
 import maclab
-from maclab import euler, macdonald, memo
+from maclab import euler, macdonald, memo, qcalc
 from maclab.algebra import rational_eq
 from maclab.euler import GLWeight, macdonald_in_z
 from maclab.laumon import C_theta
 from maclab.macdonald import macdonald_P, macdonald_P_oracle
-from maclab.tableaux import partitions_upto, theta_by_degree
+from maclab.tableaux import partitions_upto, theta_by_degree, theta_upto_degree
+from coefficient_reference import C_theta_reference
 
 # the rank-keyed context helpers: one entry per rank or per process
 RANK_KEYED = {"maclab.baker.ba_vars", "maclab.euler.glob_vars", "maclab.laumon.lau_vars",
@@ -28,6 +29,7 @@ TABLES = {
     "euler._j_piece": "check",
     "euler._j_valuation": "check",
     "qcalc._pochhammer": "process",
+    "qcalc._binomial": "process",
     "euler._c_cache": "process",
     "euler._c_factors": "process",
     "euler.macdonald_in_z": "process",
@@ -111,11 +113,19 @@ def _mz_cases():
         yield (lambda weight=weight: macdonald_in_z(weight)), macdonald_in_z(weight)
 
 
+def _binomial_cases():
+    # ledger conversions against the chain of cached Pochhammer symbols
+    for th in theta_upto_degree(3, 2):
+        if any(th.entries.values()):
+            yield (lambda th=th: C_theta(th, 3)), C_theta_reference(th, 3)
+
+
 CASES = {
     "euler._c_cache": (euler._c_cache, _c_theta_cases, lambda a, b: a == b),
     "macdonald._P_memo": (macdonald._P_memo, _macdonald_cases, lambda a, b: a.equals(b)),
     "macdonald._action_memo": (macdonald._action_memo, _action_cases, lambda a, b: a == b),
     "euler._mz_memo": (euler._mz_memo, _mz_cases, rational_eq),
+    "qcalc._binomial": (qcalc._binomial.table, _binomial_cases, lambda a, b: a == b),
 }
 
 

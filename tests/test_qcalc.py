@@ -1,15 +1,20 @@
-"""Finite and truncated-infinite Pochhammer symbols, q-shifts."""
+"""Finite and truncated-infinite Pochhammer symbols, binomial ledgers,
+q-shifts."""
+
+import itertools
+from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from maclab import qcalc
-from maclab.algebra import FactoredRational, LaurentPolynomial, rational_eq
+from maclab.algebra import FactoredRational, LaurentPolynomial, _canonical_factor, rational_eq
 from maclab.baker import ba_vars
 from maclab.checks import run_check
-from maclab.qcalc import NonConvergent, QShift, apply_qshift, pochhammer, pochhammer_inf
-from maclab.series import expand
+from maclab.macdonald import QS
+from maclab.qcalc import Ledger, NonConvergent, pochhammer, pochhammer_inf
+from maclab.series import XSeries, expand
 
 V = ("q", "t")
 ONE = LaurentPolynomial.one(V)
@@ -93,12 +98,90 @@ def test_pochhammer_matches_uncached_reference(data):
                 assert got.canonical_str() == ref.canonical_str()
 
 
-def test_pochhammer_zratio_matches_reference():
+def test_ledger_zratio_matches_reference():
     vars = ba_vars(3)
     for n in range(4):
-        got = qcalc.pochhammer_zratio(vars, n, -1, 1, 3, 2)
+        led = Ledger(vars)
+        led.zratio(n, -1, 1, 3, 2)
         ref = pochhammer_reference(FactoredRational.monomial(vars, (-1, 1, 0, -1, 1)), n)
-        assert got == ref
+        assert led.value() == ref
+
+
+# -- binomial ledgers ------------------------------------------------------------
+
+W = ba_vars(2)
+W_ONE = LaurentPolynomial.one(W)
+binomial_exps = st.tuples(*[st.integers(-2, 2)] * len(W))
+ledger_rows = st.lists(st.tuples(binomial_exps, st.integers(-2, 2).filter(bool)), max_size=6)
+
+
+def _binomial_value(e, m):
+    return FactoredRational(W, 1, None, [(W_ONE - LaurentPolynomial.monomial(W, e), m)])
+
+
+def _ledger(rows, unit=(0,) * len(W)):
+    led = Ledger(W, 1, unit)
+    for e, m in rows:
+        led.binomial(e, m)
+    return led
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except ArithmeticError as exc:
+        return type(exc), str(exc)
+
+
+def test_a_binomial_converts_to_its_canonical_factor():
+    for e in itertools.product(range(-2, 3), repeat=len(W)):
+        if not any(e):
+            continue
+        led = _ledger([(e, 1)])
+        (oriented,) = led.binomials
+        key, poly, low = qcalc._binomial(W, oriented)
+        u_c, u_e, canon, canon_key = _canonical_factor(W_ONE - LaurentPolynomial.monomial(W, oriented))
+        dense = [0] * len(W)
+        for i, x in low:
+            dense[i] = x
+        assert (u_c, u_e, canon, canon_key) == (1, tuple(dense), poly, key)
+        assert led.value() == _binomial_value(e, 1)
+        assert led.value().canonical_str() == _binomial_value(e, 1).canonical_str()
+
+
+@settings(max_examples=150, deadline=None)
+@given(ledger_rows, binomial_exps)
+def test_a_ledger_converts_to_the_product_of_its_binomials(rows, unit):
+    # a zero binomial (e = 0) is a zero symbol: a zero numerator, or a
+    # ZeroDivisionError in the denominator, also next to a zero numerator
+    want = _outcome(lambda: FactoredRational.product(
+        W, [FactoredRational.monomial(W, unit)] + [_binomial_value(e, m) for e, m in rows]))
+    got = _outcome(lambda: _ledger(rows, unit).value())
+    assert got == want
+    if isinstance(want, FactoredRational):
+        assert type(got.coef) is type(want.coef)
+        assert got.canonical_str() == want.canonical_str()
+
+
+@settings(max_examples=150, deadline=None)
+@given(ledger_rows.map(lambda rows: [(e, m) for e, m in rows if any(e)]),
+       binomial_exps, st.tuples(st.integers(0, 2), st.integers(0, 2)))
+def test_an_image_is_the_substitution_of_the_value(rows, unit, lam):
+    # z_i -> s^{2-i} q^{lambda_i} over (q, s): a collapsing binomial makes
+    # the value zero or raises exactly as FactoredRational.transform does
+    mapping = {"z1": (1, (lam[0], 1)), "z2": (1, (lam[1], 0))}
+    weights = ((1, 0, lam[0], lam[1]), (0, 1, 1, 0))
+    led = _ledger(rows, unit)
+    want = _outcome(lambda: led.value().transform(QS, mapping))
+    got = _outcome(lambda: led.image(QS, weights, {}).value())
+    assert got == want
+
+
+def test_zero_binomials_follow_the_product():
+    zero = (0,) * len(W)
+    assert _ledger([(zero, 1), ((1, 0, 0, 0), -1)]).value().is_zero()
+    with pytest.raises(ZeroDivisionError):
+        _ledger([(zero, 1), (zero, -1)])
 
 
 def test_pochhammer_checks_run_before_the_cache():
@@ -111,7 +194,7 @@ def test_pochhammer_checks_run_before_the_cache():
     with pytest.raises(ValueError, match="nonnegative"):
         pochhammer(mono(1, 0), -1)
     with pytest.raises(ValueError, match="nonnegative"):
-        qcalc.pochhammer_zratio(ba_vars(2), -1, 1, 0)
+        Ledger(ba_vars(2)).zratio(-1, 1, 0)
     assert pochhammer(FactoredRational.zero(V), 3).is_one()
     assert pochhammer(LaurentPolynomial.zero(V), 3).is_one()
     assert (table.hits, table.misses) == before
@@ -162,6 +245,52 @@ def test_pochhammer_inf_rejects_degree_zero():
         pochhammer_inf(mono(-1, 0), 2)
 
 
+@dataclass(frozen=True)
+class QShift:
+    """Substitution variable -> q^power * variable.
+
+    Composition of shifts in the same variable adds powers; a shift is
+    inverted by negating its power.
+    """
+
+    variable: str
+    power: int
+
+    def compose(self, other: "QShift") -> "QShift":
+        if self.variable != other.variable:
+            raise ValueError("cannot compose shifts in different variables")
+        return QShift(self.variable, self.power + other.power)
+
+    def inverse(self) -> "QShift":
+        return QShift(self.variable, -self.power)
+
+
+def apply_qshift(obj, shift: QShift, qvar: str = "q"):
+    """Apply the substitution v -> q^power * v exactly, term by term.
+
+    Acts on polynomials and factored rationals over a context containing
+    both the shifted variable and ``q``.  For an :class:`XSeries` the
+    ratio variables are positional: name them ``x1``, ``x2``, ... and
+    each coefficient picks up q^{power * alpha_i}.
+    """
+    if isinstance(obj, (LaurentPolynomial, FactoredRational)):
+        if shift.variable not in obj.vars:
+            raise ValueError(f"unknown variable {shift.variable}")
+        e = [0] * len(obj.vars)
+        e[obj.vars.index(shift.variable)] = 1
+        e[obj.vars.index(qvar)] += shift.power
+        return obj.transform(obj.vars, {shift.variable: (1, tuple(e))})
+    i = int(shift.variable[1:])
+    iq = obj.base_vars.index(qvar)
+
+    def twist(k, c):
+        e = [0] * len(obj.base_vars)
+        e[iq] = shift.power * k[i - 1]
+        return c * FactoredRational.monomial(obj.base_vars, e)
+
+    return obj.map_coeffs(twist)
+
+
 def test_qshift_action_and_composition():
     W = ("q", "s", "y1", "y2")
     y1 = LaurentPolynomial.var(W, "y1")
@@ -183,8 +312,6 @@ def test_qshift_is_invertible_ring_hom():
 
 
 def test_qshift_on_x_series():
-    from maclab.series import XSeries
-
     base = ("q", "t")
     # x1 x2: shifting x1 up by q and x2 down by q^-1 cancels
     s = XSeries(2, base, 2, {(1, 1): FactoredRational.one(base)})
