@@ -1,5 +1,5 @@
-"""Microbenchmarks of the series layer: one localization sum of ``hp``
-and one arc-space sum of ``chibq``.
+"""Microbenchmarks of the series layer: one localization sum of ``hp``,
+one arc-space sum of ``chibq`` and the valuation bounds of its J-pieces.
 
 The global character at N = 3, degree alpha = (4, 4), weight (1, 0), to
 (q,t)-order 2: the last schedule point of ``H_limit`` for that weight,
@@ -23,18 +23,26 @@ A fifth case times ``chi_bQ_localization`` at N = 3, weight (1, 0),
 order 3, one order past the ``chibq`` acceptance range, and checks it
 against ``chi_bQ_closed``.
 
+The last two cases take the valuation of every inverted J-piece in the
+proved box of ``chi_bQ_localization`` at N = 4, weight 0, order 2 (the
+27 degree vectors with each d_k <= 2), each round from empty memo
+tables: counted off the C_theta ledgers (``euler._j_valuation``), and
+read off the built values (``built_j_valuation`` of
+``tests/weyl_reference.py``, the path the count replaced).  Both must
+give the same valuations.
+
 Not part of the test suite.  Run with
 
     PYTHONPATH=src python -m pytest benchmarks --benchmark-only
 """
 
 import sys
-from itertools import permutations
+from itertools import permutations, product
 from pathlib import Path
 
 import pytest
 
-from maclab import euler
+from maclab import euler, memo
 from maclab.euler import (
     GLWeight,
     _localization_terms,
@@ -45,7 +53,7 @@ from maclab.euler import (
 from maclab.series import certify_weyl_sum, expand_sum
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
-from weyl_reference import _certify_by_images, weyl_images  # noqa: E402
+from weyl_reference import _certify_by_images, built_j_valuation, weyl_images  # noqa: E402
 
 ALPHA = (4, 4)
 WEIGHT = GLWeight((1, 0))
@@ -105,3 +113,25 @@ def test_certify_hp_groups_antisymmetrised(benchmark, folded, per_w):
 
 def test_chi_bQ_localization_past_the_chibq_range(benchmark):
     assert benchmark(chi_bQ_localization, WEIGHT, 3) == chi_bQ_closed(WEIGHT, 3)
+
+
+BOX = list(product(range(3), repeat=3))
+
+
+@pytest.fixture(scope="module")
+def box_valuations():
+    return [built_j_valuation(4, d, True) for d in BOX]
+
+
+def test_j_valuation_counted_chibq_box(benchmark, box_valuations):
+    def counted():
+        return [euler._j_valuation(4, d, True) for d in BOX]
+
+    assert benchmark.pedantic(counted, setup=memo.clear_all, rounds=10) == box_valuations
+
+
+def test_j_valuation_built_chibq_box(benchmark, box_valuations):
+    def built():
+        return [built_j_valuation(4, d, True) for d in BOX]
+
+    assert benchmark.pedantic(built, setup=memo.clear_all, rounds=10) == box_valuations

@@ -29,9 +29,9 @@ from itertools import permutations, product
 
 from . import memo
 from .algebra import FactoredRational, LaurentPolynomial, rational_eq
-from .laumon import C_theta, IdentityFails, NotStabilized
+from .laumon import C_ledger, IdentityFails, NotStabilized
 from .macdonald import macdonald_P
-from .qcalc import pochhammer
+from .qcalc import Ledger, pochhammer
 from .series import (
     InsufficientTruncation,
     QTSeries,
@@ -181,46 +181,41 @@ def _weyl_factor(n: int, w) -> FactoredRational:
     return FactoredRational(vars, 1, None, factors)
 
 
-# One polynomial object per distinct canonical factor of the _c_cache
-# entries, keyed on (context, factor key).  The C_theta values share
-# most of their factors (at N = 3, 93 distinct factors make up more
-# than 10,000 factor occurrences), so the entries point into this
-# table instead of each keeping its own copies; emptying _c_cache
-# empties it too.  Every acceptance range stays below 300 entries.
-_c_factors = memo.Table("euler._c_factors", "process", 4096)
-_c_cache = memo.Table("euler._c_cache", "process", 4096, also=(_c_factors,))
+# C_theta's ledger per theta, read by both the valuation count of a
+# J-piece and the values of the pieces that are expanded, and the
+# images of the ledgers that are converted, per (theta, z -> wz,
+# q -> 1/q).  A stored ledger is never mutated; the factors of the
+# values are the polynomials of qcalc._binomial, shared between entries.
+_c_ledgers = memo.Table("euler._c_ledgers", "process", 4096)
+_c_cache = memo.Table("euler._c_cache", "process", 4096)
 
 
-def _shared_factors(fr: FactoredRational) -> FactoredRational:
-    """``fr`` with every factor replaced by its object in _c_factors."""
-    if not fr._fmap:
-        return fr
-    fmap = {}
-    for key, (poly, mult) in fr._fmap.items():
-        shared = _c_factors.lookup((fr.vars, key))
-        if shared is None:
-            shared = _c_factors.store((fr.vars, key), (key, poly))
-        key, poly = shared
-        fmap[key] = (poly, mult)
-    return FactoredRational._from_map(fr.vars, fr.coef, fr.exps, fmap)
+def _c_ledger(theta_key, n: int) -> Ledger:
+    """:func:`~maclab.laumon.C_ledger` of the theta with entry list
+    ``theta_key``."""
+    key = (theta_key, n)
+    hit = _c_ledgers.lookup(key)
+    if hit is None:
+        pairs = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
+        hit = _c_ledgers.store(key, C_ledger(ThetaMatrix(n, dict(zip(pairs, theta_key))), n))
+    return hit
 
 
 def _C_glob(theta_key, n: int, w, inverted: bool) -> FactoredRational:
-    """C_theta with z -> wz (and optionally q -> 1/q), pushed to the SL
-    context by one substitution."""
+    """C_theta with z -> wz (and optionally q -> 1/q) in the SL context:
+    its ledger mapped by :meth:`~maclab.qcalc.Ledger.image` and
+    converted once."""
     key = (theta_key, n, w, inverted)
     hit = _c_cache.lookup(key)
     if hit is not None:
         return hit
-    base = _c_cache.lookup((theta_key, n))
-    if base is None:
-        pairs = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
-        th = ThetaMatrix(n, dict(zip(pairs, theta_key)))
-        base = _c_cache.store((theta_key, n), _shared_factors(C_theta(th, n)))
-    mapping = {f"z{i}": (1, _wslot_exp(n, i, w)) for i in range(1, n + 1)}
-    if inverted:
-        mapping["q"] = (1, (-1,) + (0,) * n)
-    return _c_cache.store(key, _shared_factors(base.transform(glob_vars(n), mapping)))
+    sign = -1 if inverted else 1
+    slots = [_wslot_exp(n, i, w) for i in range(1, n + 1)]
+    # row k: the exponent of glob_vars(n)[k] in the images of q, t, z_1 .. z_N
+    weights = [(sign * (k == 0), int(k == 1)) + tuple(e[k] for e in slots)
+               for k in range(n + 1)]
+    led = _c_ledger(theta_key, n).image(glob_vars(n), weights, {})
+    return _c_cache.store(key, led.value())
 
 
 def _weyl_group(n: int) -> list:
@@ -267,23 +262,36 @@ def _j_values(n: int, degree: tuple, inverted: bool) -> list:
 
 @memo.cached("check", 1024)
 def _j_valuation(n: int, degree: tuple, inverted: bool) -> int:
-    """A lower bound of the total (q,t)-degree of every term of the J-piece:
-    the least ``valuation_lb`` of its values, >= max(degree) when inverted."""
-    return min(c.valuation_lb(("q", "t")) for c in _j_values(n, degree, inverted))
+    """A lower bound of the total (q,t)-degree of every term of the J-piece,
+    >= max(degree) when inverted: the least valuation of its values,
+    counted off their ledgers (:meth:`~maclab.qcalc.Ledger.valuation`)
+    without building them.  z -> wz moves no (q,t)-degree."""
+    grading = (-1 if inverted else 1, 1) + (0,) * n
+    return min(_c_ledger(th.entry_list(), n).valuation(grading)
+               for th in theta_by_degree(n, degree))
 
 
 @memo.cached("check", 1024)
 def _j_piece(n: int, degree: tuple, inverted: bool, trunc: int) -> tuple:
     """The degree-``degree`` piece of the J-function at w = id, the sum
     of :func:`_j_values`, as a split series (:func:`split_expand`) exact
-    up to total (q,t)-degree ``trunc``.
+    up to total (q,t)-degree ``trunc``.  Its callers cut their products
+    by the counted :func:`_j_valuation`, so a term below the count raises
+    :class:`InsufficientTruncation` instead of a wrong sum.
 
     Kept in a bounded cache shared by every weight, schedule point and
     order that asks for the same truncation; its series are never
     mutated.  About 60% of the lookups of one check hit: 25 of 40 in
     ``hp`` at n <= 3, weight sum <= 1, and 70 of 112 in ``vanishing``;
     without the cache these checks take 20-35% longer."""
-    return split_expand(_j_values(n, degree, inverted), trunc)
+    piece = split_expand(_j_values(n, degree, inverted), trunc)
+    count = _j_valuation(n, degree, inverted)
+    low = min((s.min_total() for _rest, s in piece if s.coeffs), default=count)
+    if low < count:
+        raise InsufficientTruncation(
+            f"the J-piece of degree {degree} has a term of degree {low} "
+            f"below its counted valuation {count}")
+    return piece
 
 
 def _weyl_orbit_sum(pieces, prefactor: FactoredRational, order: int) -> QTSeries:
@@ -622,10 +630,11 @@ def chi_bQ_localization(weight: GLWeight, order: int) -> QTSeries:
     the prefactor's ``valuation_lb``.  With need = order - v, a d with
     max(d) + <d, weight> > need adds nothing below the order and is
     skipped unbuilt; so is every d with ceil(|d| / (N-1)) > need, and
-    the sum runs over the box max(d) <= need alone.  A piece whose values
-    fall below the bound, _j_valuation < max(d), raises
-    :class:`InsufficientTruncation`; one whose _j_valuation puts it past
-    the order is not expanded."""
+    the sum runs over the box max(d) <= need alone.  A piece whose
+    counted valuation falls below the bound, _j_valuation < max(d),
+    raises :class:`InsufficientTruncation`; one whose _j_valuation puts
+    it past the order is neither built nor expanded, and the values of
+    an expanded piece are checked against the count (:func:`_j_piece`)."""
     n = weight.n
     if not weight.is_dominant():
         raise ValueError("the arc-space sum converges for dominant weights")

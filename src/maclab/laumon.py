@@ -27,6 +27,7 @@ from .tableaux import ThetaMatrix, theta_by_degree, theta_upto_degree
 __all__ = [
     "LaumonContext",
     "lau_vars",
+    "C_ledger",
     "C_theta",
     "J_series",
     "verify_difference_equation",
@@ -71,8 +72,10 @@ class LaumonContext:
         object.__setattr__(self, "vars", lau_vars(self.n))
 
 
-def C_theta(theta: ThetaMatrix, n: int) -> FactoredRational:
-    """Tangent-character coefficient of the fixed point indexed by theta:
+def C_ledger(theta: ThetaMatrix, n: int) -> Ledger:
+    """Tangent-character coefficient of the fixed point indexed by theta,
+    as the :class:`~maclab.qcalc.Ledger` of its Pochhammer symbols over
+    :func:`lau_vars`:
 
         prod_{i<j} (qt;q)_th (q^{1+S} t z_j/z_i;q)_th
                  / (q;q)_th (q^{1+S} z_j/z_i;q)_th
@@ -105,7 +108,12 @@ def C_theta(theta: ThetaMatrix, n: int) -> FactoredRational:
                 led.zratio(ln, 1 + b_sum, 0, m, l, -1)
                 led.zratio(ln, 1 - ln + theta[(m, k)] - b_sum, 1, l, m)
                 led.zratio(ln, 1 - ln + theta[(m, k)] - b_sum, 0, l, m, -1)
-    return led.value()
+    return led
+
+
+def C_theta(theta: ThetaMatrix, n: int) -> FactoredRational:
+    """The value of :func:`C_ledger`: C_theta as a factored rational."""
+    return C_ledger(theta, n).value()
 
 
 def J_series(ctx: LaumonContext) -> XSeries:

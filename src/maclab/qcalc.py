@@ -2,10 +2,13 @@
 
 The finite symbol (p; q)_n = (1-p)(1-qp)...(1-q^{n-1}p) is a factored
 product built by :func:`pochhammer`, one cached binomial at a time.  The
-coefficient builders of :mod:`maclab.baker` and :func:`maclab.laumon.C_theta`
+coefficient builders of :mod:`maclab.baker` and :func:`maclab.laumon.C_ledger`
 fill a :class:`Ledger` instead: integer exponent vectors of binomials with
-multiplicities, which a substitution maps linearly, converted once to a
-:class:`FactoredRational` when the value is needed (:meth:`Ledger.value`).
+multiplicities, which a substitution maps linearly (:meth:`Ledger.image`,
+also the Weyl and q-inversion images of C_theta), whose (q,t)-valuation
+is counted without a value (:meth:`Ledger.valuation`), and which is
+converted once to a :class:`FactoredRational` when the value is needed
+(:meth:`Ledger.value`).
 The infinite symbol is only used through its truncated (q,t)-expansion,
 where all but finitely many factors are 1 modulo the truncation order.
 """
@@ -93,7 +96,7 @@ class Ledger:
     1 - x^e and 1 - x^-e = -x^-e (1 - x^e) merge and the symbols
     telescope: (x;q)_{m+l} = (x;q)_m (xq^m;q)_l.  A zero binomial makes
     the value zero in a numerator and raises in a denominator, as a zero
-    symbol does in :meth:`FactoredRational.product`."""
+    factor does in :class:`FactoredRational`."""
 
     __slots__ = ("vars", "coef", "unit", "binomials")
 
@@ -127,7 +130,7 @@ class Ledger:
             e = tuple([-x for x in e])
         elif not s and not any(e):
             if mult < 0:
-                raise ZeroDivisionError("division by zero")
+                raise ZeroDivisionError("zero polynomial in denominator")
             self.coef = 0
             return
         m = self.binomials.get(e, 0) + mult
@@ -163,6 +166,21 @@ class Ledger:
         for f, m in zip(found, self.binomials.values()):
             out.binomial(f, m)
         return out
+
+    def valuation(self, grading: Sequence[int]) -> int:
+        """``value().valuation_lb`` counted off the binomials, for the
+        grading in which x^e has degree <e, grading>: <unit, grading> plus
+        m * min(0, <e, grading>) for each (1 - x^e)^m.  The indicator of
+        a set of variables gives ``valuation_lb`` of that set; a -1 on q
+        gives it after q -> 1/q."""
+        if not self.coef:
+            raise ValueError("valuation of zero")
+        val = sum(map(mul, self.unit, grading))
+        for e, m in self.binomials.items():
+            d = sum(map(mul, e, grading))
+            if d < 0:
+                val += m * d
+        return val
 
     def value(self) -> FactoredRational:
         """The :class:`FactoredRational` that the product of the symbols

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from maclab import euler, memo
+from maclab import euler, memo, qcalc
 from maclab.algebra import FactoredRational, LaurentPolynomial, rational_eq
 from maclab.checks import run_check
 from maclab.euler import (
@@ -28,6 +28,7 @@ from maclab.euler import (
 )
 from maclab.reports import Status
 from maclab.laumon import C_theta, lau_vars
+from maclab.qcalc import Ledger
 from maclab.series import (
     InsufficientTruncation,
     NonPolynomialCoefficient,
@@ -39,6 +40,7 @@ from maclab.tableaux import theta_by_degree
 from weyl_reference import (
     _arc_terms,
     _certify_by_images,
+    built_j_valuation,
     expand_by_images,
     plant_uncancelled_pole,
     weyl_images,
@@ -209,8 +211,10 @@ def test_chi_bQ():
 
 
 def test_c_glob_entries_share_factor_objects():
-    # the cached C_theta values keep one object per distinct factor and
-    # equal the unshared substitution
+    # the cached C_theta values take every factor polynomial from
+    # qcalc._binomial, so they keep one object per distinct factor, and
+    # they equal the substitution of the value
+    memo.clear_all()
     n, gv = 3, euler.glob_vars(3)
     seen = {}
     for w in [(1, 2, 3), (3, 1, 2)]:
@@ -218,7 +222,9 @@ def test_c_glob_entries_share_factor_objects():
         for th in theta_by_degree(n, (1, 2)):
             got = euler._C_glob(th.entry_list(), n, w, False)
             assert got == C_theta(th, n).transform(gv, mapping)
+            shared = {key: poly for key, poly, _low in qcalc._binomial.table.values()}
             for key, (poly, _) in got._fmap.items():
+                assert shared[key] is poly
                 assert seen.setdefault(key, poly) is poly
     assert len(seen) > 1
 
@@ -327,28 +333,131 @@ def test_inverted_pieces_meet_the_proved_bound(n, top):
         assert euler._j_valuation(n, d, True) >= max(d), d
 
 
+def _times_q(led, qpow):
+    """A copy of the ledger ``led`` times q^qpow; ``led`` is left as it is."""
+    out = Ledger(led.vars, led.coef, [led.unit[0] + qpow] + led.unit[1:])
+    out.binomials = dict(led.binomials)
+    return out
+
+
 def test_a_piece_below_the_proved_bound_raises(monkeypatch):
-    # a planted power of q takes one value of the degree-(1, 1) piece to
-    # valuation 0, below max(d) = 1; the sum must refuse it, not drop
-    # its low terms
+    # a power of q planted in the shared ledger of one theta of degree
+    # (1, 1) takes its inverted value to valuation 0, below max(d) = 1;
+    # the count and the values both see it, and the sum must refuse the
+    # piece, not drop its low terms
+    real = euler._c_ledger
+    first = theta_by_degree(3, (1, 1))[0].entry_list()
+
+    def c_ledger(theta_key, n):
+        led = real(theta_key, n)
+        if (theta_key, n) == (first, 3):
+            led = _times_q(led, led.valuation((-1, 1, 0, 0, 0)))
+        return led
+
+    memo.clear_all()
+    monkeypatch.setattr(euler, "_c_ledger", c_ledger)
+    try:
+        assert euler._j_valuation(3, (1, 1), True) < 1
+        with pytest.raises(InsufficientTruncation):
+            chi_bQ_localization(GLWeight((0, 0)), 2)
+    finally:
+        memo.clear_all()
+
+
+@pytest.mark.parametrize("inverted, degree", [(True, (1, 0)), (False, (1, 1))])
+def test_a_value_below_its_counted_valuation_raises(monkeypatch, inverted, degree):
+    # q^-1 planted in one value of an expanded piece, but not in its
+    # ledger: the count no longer bounds the values, and the sum must
+    # raise, not return.  The inverted piece of degree (1, 0) is expanded
+    # by chi_bQ_localization, the plain one of degree (1, 1) by
+    # euler_char_series at alpha = (1, 1)
     real = euler._j_values
 
-    def j_values(n, degree, inverted):
-        values = real(n, degree, inverted)
-        if inverted and degree == (1, 1):
-            low = values[0].valuation_lb(QT)
-            shift = FactoredRational.monomial(euler.glob_vars(n), (-low,) + (0,) * n)
+    def j_values(n, d, inv):
+        values = real(n, d, inv)
+        if (inv, d) == (inverted, degree):
+            shift = FactoredRational.monomial(euler.glob_vars(n), (-1,) + (0,) * n)
             values = [values[0] * shift] + values[1:]
         return values
 
     memo.clear("check")
     monkeypatch.setattr(euler, "_j_values", j_values)
     try:
-        assert euler._j_valuation(3, (1, 1), True) < 1
-        with pytest.raises(InsufficientTruncation):
-            chi_bQ_localization(GLWeight((0, 0)), 2)
+        with pytest.raises(InsufficientTruncation, match="counted valuation"):
+            if inverted:
+                chi_bQ_localization(GLWeight((0, 0)), 2)
+            else:
+                euler_char_series((1, 1), GLWeight((0, 0)), 2)
     finally:
         memo.clear("check")
+
+
+@pytest.mark.parametrize("inverted", [False, True])
+@pytest.mark.parametrize("n, top", [(2, 8), (3, 5), (4, 3)])
+def test_counted_valuation_equals_the_built_values(n, top, inverted):
+    # the count of every theta against valuation_lb of its built value,
+    # and of every piece with each d_k <= top against the reference
+    grading = (-1 if inverted else 1, 1) + (0,) * n
+    ident = tuple(range(1, n + 1))
+    memo.clear("check")
+    for d in product(range(top + 1), repeat=n - 1):
+        for th in theta_by_degree(n, d):
+            built = euler._C_glob(th.entry_list(), n, ident, inverted).valuation_lb(QT)
+            assert euler._c_ledger(th.entry_list(), n).valuation(grading) == built, th
+        assert euler._j_valuation(n, d, inverted) == built_j_valuation(n, d, inverted), d
+
+
+def test_c_theta_reaches_the_sl_context_without_a_transform(monkeypatch):
+    # the valuation count builds no factored rational, and the Weyl and
+    # q-inversion images of C_theta map its ledger, not its value
+    built, transforms = [], []
+    real_init, real_from_map = FactoredRational.__init__, FactoredRational._from_map.__func__
+    real_transform = FactoredRational.transform
+
+    def init(self, *args, **kwargs):
+        built.append(args[0])
+        real_init(self, *args, **kwargs)
+
+    def from_map(cls, *args):
+        built.append(args[0])
+        return real_from_map(cls, *args)
+
+    def transform(self, *args):
+        transforms.append(self.vars)
+        return real_transform(self, *args)
+
+    monkeypatch.setattr(FactoredRational, "__init__", init)
+    monkeypatch.setattr(FactoredRational, "_from_map", classmethod(from_map))
+    monkeypatch.setattr(FactoredRational, "transform", transform)
+    memo.clear_all()
+    assert euler._j_valuation(3, (2, 2), True) >= 2
+    assert euler._j_valuation(3, (2, 2), False) >= 0
+    assert built == []
+    for w in permutations(range(1, 4)):
+        for inverted in (False, True):
+            euler._C_glob((1, 0, 1), 3, w, inverted)
+    assert transforms == []
+    assert len(built) == 12
+
+
+def test_a_cold_arc_space_sum_converts_only_the_expanded_thetas(monkeypatch):
+    # at N = 4, weight 0, order 2 the proved box holds 27 degree vectors;
+    # the counts leave 4 pieces, and only their thetas get a value
+    expanded = []
+    real = euler._j_piece
+
+    def j_piece(n, degree, inverted, trunc):
+        expanded.append((n, degree, inverted))
+        return real(n, degree, inverted, trunc)
+
+    memo.clear_all()
+    monkeypatch.setattr(euler, "_j_piece", j_piece)
+    chi_bQ_localization(GLWeight((0, 0, 0)), 2)
+    ident = (1, 2, 3, 4)
+    used = {(th.entry_list(), n, ident, inverted)
+            for n, degree, inverted in expanded for th in theta_by_degree(n, degree)}
+    assert set(euler._c_cache) == used
+    assert len(used) == 4
 
 
 def test_c_glob_inverts_q_in_its_one_substitution():

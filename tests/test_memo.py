@@ -30,8 +30,8 @@ TABLES = {
     "euler._j_valuation": "check",
     "qcalc._pochhammer": "process",
     "qcalc._binomial": "process",
+    "euler._c_ledgers": "process",
     "euler._c_cache": "process",
-    "euler._c_factors": "process",
     "euler.macdonald_in_z": "process",
     "macdonald._P_memo": "process",
     "macdonald._d1n_m_action": "process",
@@ -91,6 +91,13 @@ def _c_theta_cases():
                        C_theta(th, n).transform(gv, mapping))
 
 
+def _c_ledger_cases():
+    # the shared ledgers' values against the chain of Pochhammer symbols
+    for alpha in [(1, 1), (1, 2), (2, 2)]:
+        for th in theta_by_degree(3, alpha):
+            yield (lambda th=th: euler._c_ledger(th.entry_list(), 3)), C_theta_reference(th, 3)
+
+
 def _macdonald_cases():
     # the tableau sum against the eigen-solve oracle
     for n in (2, 3):
@@ -122,6 +129,7 @@ def _binomial_cases():
 
 CASES = {
     "euler._c_cache": (euler._c_cache, _c_theta_cases, lambda a, b: a == b),
+    "euler._c_ledgers": (euler._c_ledgers, _c_ledger_cases, lambda a, b: a.value() == b),
     "macdonald._P_memo": (macdonald._P_memo, _macdonald_cases, lambda a, b: a.equals(b)),
     "macdonald._action_memo": (macdonald._action_memo, _action_cases, lambda a, b: a == b),
     "euler._mz_memo": (euler._mz_memo, _mz_cases, rational_eq),
@@ -133,8 +141,7 @@ CASES = {
 def test_memo_table_stays_bounded_past_its_cap(monkeypatch, name):
     # a loop over more keys than a cap of 3, twice: the table stays
     # bounded and every value, recomputed after the table emptied
-    # itself, is unchanged; _c_factors holds only factors of live
-    # _c_cache entries
+    # itself, is unchanged
     table, cases, same = CASES[name]
     cases = list(cases())
     assert len(cases) > 3
@@ -144,5 +151,3 @@ def test_memo_table_stays_bounded_past_its_cap(monkeypatch, name):
         for call, expected in cases:
             assert same(call(), expected)
             assert 1 <= len(table) <= 3
-            live = {(fr.vars, key) for fr in euler._c_cache.values() for key in fr._fmap}
-            assert set(euler._c_factors) <= live

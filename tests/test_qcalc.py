@@ -177,11 +177,24 @@ def test_an_image_is_the_substitution_of_the_value(rows, unit, lam):
     assert got == want
 
 
+@settings(max_examples=150, deadline=None)
+@given(ledger_rows.map(lambda rows: [(e, m) for e, m in rows if any(e)]),
+       binomial_exps, st.sampled_from([1, -1]))
+def test_a_counted_valuation_is_the_valuation_of_the_value(rows, unit, sign):
+    # the (q, s)-valuation after q -> q^sign, against valuation_lb of the
+    # built and substituted value
+    led = _ledger(rows, unit)
+    value = led.value().transform(W, {"q": (1, (sign, 0, 0, 0))})
+    assert led.valuation((sign, 1, 0, 0)) == value.valuation_lb(W[:2])
+
+
 def test_zero_binomials_follow_the_product():
     zero = (0,) * len(W)
     assert _ledger([(zero, 1), ((1, 0, 0, 0), -1)]).value().is_zero()
     with pytest.raises(ZeroDivisionError):
         _ledger([(zero, 1), (zero, -1)])
+    with pytest.raises(ValueError, match="valuation of zero"):
+        _ledger([(zero, 1)]).valuation((1, 1, 0, 0))
 
 
 def test_pochhammer_checks_run_before_the_cache():

@@ -1,7 +1,9 @@
 """The image loop that certified Weyl-group sums before the one-pass
 antisymmetriser ``series.certify_weyl_sum``, kept as its reference, and
 the per-fixed-point summands of the arc-space sum that
-``euler.chi_bQ_localization`` took before it summed J-pieces.
+``euler.chi_bQ_localization`` took before it summed J-pieces, and the
+valuation of a J-piece read off its built values, which
+``euler._j_valuation`` took before it counted it off the ledgers.
 
 For each (q,t)-degree the image loop lifts the folded groups to factored
 rationals, adds them, adds the image of that sum under every map in
@@ -32,7 +34,16 @@ from maclab.series import (
     expand_split,
     fold_split,
 )
-from maclab.tableaux import theta_upto_degree
+from maclab.tableaux import theta_by_degree, theta_upto_degree
+
+
+def built_j_valuation(n: int, degree: tuple, inverted: bool) -> int:
+    """The least ``valuation_lb`` over (q, t) of the built values
+    C_theta(q^{-1} if inverted else q, t, z) of the J-piece of the given
+    degree."""
+    ident = tuple(range(1, n + 1))
+    return min(_C_glob(th.entry_list(), n, ident, inverted).valuation_lb(("q", "t"))
+               for th in theta_by_degree(n, degree))
 
 
 def weyl_images(n: int) -> list:
