@@ -14,7 +14,7 @@ import itertools
 import time
 
 from . import memo
-from .algebra import FactoredRational, LaurentPolynomial, rational_eq
+from .algebra import FactoredRational, rational_eq
 from .baker import (
     BAContext,
     ba_vars,
@@ -51,6 +51,7 @@ from .macdonald import (
     macdonald_P_oracle,
     pieri_L,
 )
+from .qcalc import Ledger
 from .reports import Status, VerificationReport
 from .series import expand
 from .tableaux import ThetaMatrix, partitions_upto
@@ -100,46 +101,41 @@ def check_eigen(params):
 def _printed_c2(vars) -> FactoredRational:
     # the rank-2 coefficient at theta_12 = 1, as printed:
     # (s z2/z1;q)_1/(q z2/z1;q)_1 * (s;q)_1/(q;q)_1 * (q/s)
-    one = LaurentPolynomial.one(vars)
-
-    def mono(**kw):
-        e = [0] * len(vars)
-        for k, v in kw.items():
-            e[vars.index(k)] = v
-        return LaurentPolynomial.monomial(vars, e)
-
-    return FactoredRational(vars, 1, None, [
-        (one - mono(s=1, z2=1, z1=-1), 1), (one - mono(q=1, z2=1, z1=-1), -1),
-        (one - mono(s=1), 1), (one - mono(q=1), -1),
-    ]) * FactoredRational.monomial(vars, [1, -1] + [0] * (len(vars) - 2))
+    led = Ledger(vars, 1, (1, -1) + (0,) * (len(vars) - 2))
+    led.zratio(1, 0, 1, 2, 1)
+    led.zratio(1, 1, 0, 2, 1, mult=-1)
+    led.zratio(1, 0, 1)
+    led.zratio(1, 1, 0, mult=-1)
+    return led.value()
 
 
 def _printed_c3(vars, t12, t13, t23) -> FactoredRational:
-    """The rank-3 coefficient spelled out as eight Pochhammer ratios.
+    """The rank-3 coefficient spelled out as eight Pochhammer ratios,
+    one ``zratio`` row per symbol of the display: (q^a s^b z_num/z_den; q)_n
+    is ``zratio(n, a, b, num, den)``.
 
     The sixth ratio carries z2/z1 (the orientation forced by the
     recursion; the spelled-out source display shows it inverted, which
     contradicts the recursion and every downstream identity).
     """
-    from .qcalc import pochhammer as poch
-
-    def mono(qp=0, sp=0, **kw):
-        e = [0] * len(vars)
-        e[0], e[1] = qp, sp
-        for k, v in kw.items():
-            e[vars.index(k)] += v
-        return FactoredRational.monomial(vars, e)
-
-    out = FactoredRational.one(vars)
-    out = out * poch(mono(t13 - t23, 1, z2=1, z1=-1), t12) / poch(mono(t13 - t23 + 1, 0, z2=1, z1=-1), t12)
-    out = out * poch(mono(-t12 + 1, -1), t12) / poch(mono(-t12, 0), t12)
-    out = out * poch(mono(0, 1, z2=1, z1=-1), t13) / poch(mono(1, 0, z2=1, z1=-1), t13)
-    out = out * poch(mono(-t13 + 1, -1), t13) / poch(mono(-t13, 0), t13)
-    out = out * poch(mono(0, 1, z3=1, z1=-1), t13) / poch(mono(1, 0, z3=1, z1=-1), t13)
-    out = out * poch(mono(-t23 + 1, -1, z2=1, z1=-1), t13) / poch(mono(-t23, 0, z2=1, z1=-1), t13)
-    out = out * poch(mono(0, 1, z3=1, z2=-1), t23) / poch(mono(1, 0, z3=1, z2=-1), t23)
-    out = out * poch(mono(-t23 + 1, -1), t23) / poch(mono(-t23, 0), t23)
-    return out
+    led = Ledger(vars)
+    led.zratio(t12, t13 - t23, 1, 2, 1)
+    led.zratio(t12, t13 - t23 + 1, 0, 2, 1, mult=-1)
+    led.zratio(t12, -t12 + 1, -1)
+    led.zratio(t12, -t12, 0, mult=-1)
+    led.zratio(t13, 0, 1, 2, 1)
+    led.zratio(t13, 1, 0, 2, 1, mult=-1)
+    led.zratio(t13, -t13 + 1, -1)
+    led.zratio(t13, -t13, 0, mult=-1)
+    led.zratio(t13, 0, 1, 3, 1)
+    led.zratio(t13, 1, 0, 3, 1, mult=-1)
+    led.zratio(t13, -t23 + 1, -1, 2, 1)
+    led.zratio(t13, -t23, 0, 2, 1, mult=-1)
+    led.zratio(t23, 0, 1, 3, 2)
+    led.zratio(t23, 1, 0, 3, 2, mult=-1)
+    led.zratio(t23, -t23 + 1, -1)
+    led.zratio(t23, -t23, 0, mult=-1)
+    return led.value()
 
 
 def check_cn(params):

@@ -31,7 +31,7 @@ from . import memo
 from .algebra import FactoredRational, LaurentPolynomial, rational_eq
 from .laumon import C_ledger, IdentityFails, NotStabilized
 from .macdonald import macdonald_P
-from .qcalc import Ledger, pochhammer
+from .qcalc import Ledger
 from .series import (
     InsufficientTruncation,
     QTSeries,
@@ -167,18 +167,13 @@ def _weyl_factor(n: int, w) -> FactoredRational:
     The orientation is pinned by requiring the untwisted fixed-degree
     characters to come out as t-polynomials (the opposite choice leaves
     uncancelled poles)."""
-    vars = glob_vars(n)
-    one = LaurentPolynomial.one(vars)
-    factors = []
+    led = Ledger(glob_vars(n))
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             se = [b - a for a, b in zip(_wslot_exp(n, i, w), _wslot_exp(n, j, w))]
-            ratio = LaurentPolynomial.monomial(vars, se)
-            tratio = LaurentPolynomial.monomial(vars, [x + (1 if k == 1 else 0)
-                                                       for k, x in enumerate(se)])
-            factors.append((one - tratio, 1))
-            factors.append((one - ratio, -1))
-    return FactoredRational(vars, 1, None, factors)
+            led.binomial((se[0], se[1] + 1, *se[2:]), 1)
+            led.binomial(tuple(se), -1)
+    return led.value()
 
 
 # C_theta's ledger per theta, read by both the valuation count of a
@@ -459,24 +454,18 @@ def frakD_K(weight: GLWeight, r: int) -> FactoredRational:
     lvec = weight.lvec
     if not 1 <= r <= n:
         raise ValueError("r out of range")
-    one = LaurentPolynomial.one(qt)
-
-    def fac(tp, qp):
-        return one - LaurentPolynomial.monomial(qt, (qp, tp))
-
-    num, den = [], []
+    led = Ledger(qt)
     s_up = 0
     for s in range(r, n):
         s_up += lvec[s - 1]
-        num.append(fac(s - r + 2, s_up - 1))
-        den.append(fac(s - r + 1, s_up))
+        led.binomial((s_up - 1, s - r + 2), 1)
+        led.binomial((s_up, s - r + 1), -1)
     s_dn = 0
     for j in range(1, r):
         s_dn += lvec[r - 1 - j]
-        num.append(fac(j - 1, s_dn + 1))
-        den.append(fac(j, s_dn))
-    return FactoredRational(qt, 1, None,
-                            [(p, 1) for p in num] + [(p, -1) for p in den])
+        led.binomial((s_dn + 1, j - 1), 1)
+        led.binomial((s_dn, j), -1)
+    return led.value()
 
 
 def hp_prefactor(weight: GLWeight) -> FactoredRational:
@@ -486,14 +475,13 @@ def hp_prefactor(weight: GLWeight) -> FactoredRational:
     if not weight.is_dominant():
         raise ValueError("prefactor requires a dominant weight")
     n = weight.n
-    out = FactoredRational.one(qt)
+    led = Ledger(qt)
     for i in range(1, n):
         for j in range(i, n):
             ln = sum(weight.lvec[i - 1: j])
-            num = pochhammer(FactoredRational.monomial(qt, (0, j - i + 1)), ln)
-            den = pochhammer(FactoredRational.monomial(qt, (1, j - i)), ln)
-            out = out * num / den
-    return out
+            led.zratio(ln, 0, j - i + 1)
+            led.zratio(ln, 1, j - i, mult=-1)
+    return led.value()
 
 
 @memo.cached("process", 256)
@@ -600,6 +588,24 @@ def chi_bQ_closed(weight: GLWeight, order: int) -> QTSeries:
     return base.truncate(order)
 
 
+def _arc_prefactor(weight: GLWeight, order: int) -> FactoredRational:
+    """The w = id prefactor of :func:`chi_bQ_localization`:
+    z^weight times the Weyl factor times prod_{i<j} (q t z_j/z_i;q)_inf /
+    (q z_j/z_i;q)_inf times ((qt;q)_inf/(q;q)_inf)^{N-1}, each (x;q)_inf
+    cut where its factors pass the order."""
+    n = weight.n
+    ident = tuple(range(1, n + 1))
+    led = Ledger(glob_vars(n), 1, weight.z_monomial(ident))
+    roots = [tuple(a - b for a, b in zip(_wslot_exp(n, j, ident), _wslot_exp(n, i, ident)))[2:]
+             for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    for z in roots + [(0,) * (n - 1)] * (n - 1):
+        for k in range(1, order):
+            led.binomial((k, 1) + z, 1)
+        for k in range(1, order + 1):
+            led.binomial((k, 0) + z, -1)
+    return _weyl_factor(n, ident) * led.value()
+
+
 def chi_bQ_localization(weight: GLWeight, order: int) -> QTSeries:
     """The same character from torus fixed points on the arc space:
 
@@ -611,7 +617,7 @@ def chi_bQ_localization(weight: GLWeight, order: int) -> QTSeries:
     over the degree vectors d, J_d the J-piece of degree d
     (:func:`_j_piece`).  The w = id prefactor (every factor but the
     pieces, each (x;q)_inf cut to its factors below the order) is
-    built once; :func:`_weyl_orbit_sum` multiplies the shifted pieces by
+    built once (:func:`_arc_prefactor`); :func:`_weyl_orbit_sum` multiplies the shifted pieces by
     it and certifies the sum over W.
 
     Cutoff.  Under q -> q^{-1} the factors of C_theta
@@ -638,16 +644,7 @@ def chi_bQ_localization(weight: GLWeight, order: int) -> QTSeries:
     n = weight.n
     if not weight.is_dominant():
         raise ValueError("the arc-space sum converges for dominant weights")
-    vars = glob_vars(n)
-    ident = tuple(range(1, n + 1))
-    prefactor = FactoredRational.monomial(vars, weight.z_monomial(ident)) * _weyl_factor(n, ident)
-    roots = [[a - b for a, b in zip(_wslot_exp(n, j, ident), _wslot_exp(n, i, ident))][2:]
-             for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    for z in roots + [[0] * (n - 1)] * (n - 1):
-        # (q t z; q)_inf / (q z; q)_inf, cut where its factors pass the order
-        num = pochhammer(FactoredRational.monomial(vars, [1, 1] + z), max(0, order - 1))
-        den = pochhammer(FactoredRational.monomial(vars, [1, 0] + z), max(0, order))
-        prefactor = prefactor * num / den
+    prefactor = _arc_prefactor(weight, order)
     need = order - prefactor.valuation_lb(("q", "t"))
     pieces = []
     for d in product(range(need + 1), repeat=n - 1):

@@ -20,7 +20,7 @@ from itertools import product as iproduct
 
 from .algebra import FactoredRational, rational_eq
 from .baker import c_N_closed, operator_residual, theta_series
-from .qcalc import Ledger, pochhammer, pochhammer_inf
+from .qcalc import Ledger, pochhammer_inf
 from .series import QTSeries, XSeries, expand_sum
 from .tableaux import ThetaMatrix, theta_by_degree, theta_upto_degree
 
@@ -284,6 +284,33 @@ def _series_diff(a: QTSeries, b: QTSeries) -> list:
 # -- root-lattice summation identity ------------------------------------------
 
 
+def _lattice_term(vars: tuple, chi: tuple, order: int) -> FactoredRational:
+    """The chi-term of the lattice sum of :func:`an_summation_check` over
+    vars = (q, t, z_1 .. z_m), each (x;q)_inf cut where its factors pass
+    the order."""
+    m = len(chi)
+    led = Ledger(vars)
+    for i in range(m):
+        for j in range(m):
+            if i != j:
+                c = chi[i] - chi[j]
+                led.zratio(max(0, order - 1 - c), 1 + c, 1, i + 1, j + 1)
+                led.zratio(max(0, order - c), 1 + c, 0, i + 1, j + 1, mult=-1)
+    return led.value()
+
+
+def _lattice_points(m: int, rad: int) -> list:
+    """The points chi of the A_{m-1} root lattice, sum(chi) = 0, with
+    sum_{i != j} max(chi_i - chi_j, 0) <= 2 rad."""
+    pts = []
+    for vals in iproduct(range(-rad, rad + 1), repeat=m - 1):
+        chi = list(vals) + [-sum(vals)]
+        spread = sum(max(chi[i] - chi[j], 0) for i in range(m) for j in range(m) if i != j)
+        if spread <= rad * 2:
+            pts.append(tuple(chi))
+    return pts
+
+
 def an_summation_check(rank: int, order: int, radius: int | None = None,
                        strict: bool = False) -> dict:
     """Numerical check, to the given (q,t)-order, of the type-A lattice
@@ -302,39 +329,10 @@ def an_summation_check(rank: int, order: int, radius: int | None = None,
     if radius is None:
         radius = order
 
-    def term(chi) -> FactoredRational:
-        out = FactoredRational.one(vars)
-        for i in range(m):
-            for j in range(m):
-                if i == j:
-                    continue
-                c = chi[i] - chi[j]
-                e_num = [0] * len(vars)
-                e_num[0] = 1 + c
-                e_num[1] = 1
-                e_num[2 + i] += 1
-                e_num[2 + j] -= 1
-                e_den = list(e_num)
-                e_den[1] = 0
-                k_num = max(0, order + 1 - (2 + c))
-                k_den = max(0, order + 1 - (1 + c))
-                out = out * pochhammer(FactoredRational.monomial(vars, e_num), k_num)
-                out = out / pochhammer(FactoredRational.monomial(vars, e_den), k_den)
-        return out
-
-    def lattice_points(rad):
-        pts = []
-        for vals in iproduct(range(-rad, rad + 1), repeat=m - 1):
-            chi = list(vals) + [-sum(vals)]
-            spread = sum(max(chi[i] - chi[j], 0) for i in range(m) for j in range(m) if i != j)
-            if spread <= rad * 2:
-                pts.append(tuple(chi))
-        return pts
-
     def lattice_sum(rad) -> QTSeries:
         terms = []
-        for chi in lattice_points(rad):
-            t = term(chi)
+        for chi in _lattice_points(m, rad):
+            t = _lattice_term(vars, chi, order)
             if t.valuation_lb(("q", "t")) <= order:
                 terms.append(t)
         return expand_sum(terms, order)

@@ -34,7 +34,7 @@ from .algebra import (
     _norm_coef,
     rational_eq,
 )
-from .qcalc import pochhammer
+from .qcalc import Ledger
 from .tableaux import (
     Partition,
     ThetaMatrix,
@@ -165,22 +165,20 @@ def psi_T(theta: ThetaMatrix, lam) -> FactoredRational:
     chain = theta_to_tableau(theta, lam)
     rows = [list(c) + [0] * (n + 1 - len(c)) for c in chain]
 
-    def mono(qe: int, se: int) -> FactoredRational:
-        return FactoredRational.monomial(QS, (qe, se))
-
-    num, den = [], []
+    led = Ledger(QS)
     for k in range(1, n + 1):
         cur, prev = rows[k], rows[k - 1]
         for i in range(1, k):
+            m = theta[(i, k)]
+            if not m:
+                continue
             for j in range(i, k):
-                m = theta[(i, k)]
-                if m == 0:
-                    continue
-                num.append(pochhammer(mono(-cur[i - 1] + prev[j - 1] + 1, i - j - 1), m))
-                den.append(pochhammer(mono(-cur[i - 1] + prev[j - 1], i - j), m))
-                num.append(pochhammer(mono(-cur[i - 1] + cur[j], i - j), m))
-                den.append(pochhammer(mono(-cur[i - 1] + cur[j] + 1, i - j - 1), m))
-    return FactoredRational.product(QS, num, den)
+                a, b = -cur[i - 1] + prev[j - 1], -cur[i - 1] + cur[j]
+                led.zratio(m, a + 1, i - j - 1)
+                led.zratio(m, a, i - j, mult=-1)
+                led.zratio(m, b, i - j)
+                led.zratio(m, b + 1, i - j - 1, mult=-1)
+    return led.value()
 
 
 _P_memo = memo.Table("macdonald._P_memo", "process", 256)
@@ -442,18 +440,12 @@ def pieri_L(lvec: Sequence[int], r: int, n: int) -> FactoredRational:
         raise ValueError("weight vector must have length N-1")
     if not 1 <= r <= n:
         raise ValueError("r out of range")
-    one = LaurentPolynomial.one(qt)
-
-    def factor(tpow: int, qpow: int) -> LaurentPolynomial:
-        return one - LaurentPolynomial.monomial(qt, (qpow, tpow))
-
-    num, den = [], []
+    led = Ledger(qt)
     s_up = 0
     for s in range(r, n):
         s_up += lvec[s - 1]
-        num.append(factor(s - r + 2, s_up - 1))
-        den.append(factor(s - r + 1, s_up - 1))
-        num.append(factor(s - r, s_up))
-        den.append(factor(s - r + 1, s_up))
-    return FactoredRational(qt, 1, None,
-                            [(p, 1) for p in num] + [(p, -1) for p in den])
+        led.binomial((s_up - 1, s - r + 2), 1)
+        led.binomial((s_up - 1, s - r + 1), -1)
+        led.binomial((s_up, s - r), 1)
+        led.binomial((s_up, s - r + 1), -1)
+    return led.value()

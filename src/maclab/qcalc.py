@@ -1,14 +1,16 @@
 """q-Pochhammer symbols, and products of them kept as binomial ledgers.
 
-The finite symbol (p; q)_n = (1-p)(1-qp)...(1-q^{n-1}p) is a factored
-product built by :func:`pochhammer`, one cached binomial at a time.  The
-coefficient builders of :mod:`maclab.baker` and :func:`maclab.laumon.C_ledger`
-fill a :class:`Ledger` instead: integer exponent vectors of binomials with
-multiplicities, which a substitution maps linearly (:meth:`Ledger.image`,
-also the Weyl and q-inversion images of C_theta), whose (q,t)-valuation
-is counted without a value (:meth:`Ledger.valuation`), and which is
-converted once to a :class:`FactoredRational` when the value is needed
-(:meth:`Ledger.value`).
+Every product of finite symbols (p; q)_n = (1-p)(1-qp)...(1-q^{n-1}p)
+that the package builds fills a :class:`Ledger`: integer exponent
+vectors of binomials with multiplicities, which a substitution maps
+linearly (:meth:`Ledger.image`, also the Weyl and q-inversion images of
+C_theta), whose (q,t)-valuation is counted without a value
+(:meth:`Ledger.valuation`), and which is converted once to a
+:class:`FactoredRational` when the value is needed (:meth:`Ledger.value`).
+:meth:`Ledger.zratio` adds a symbol whose base is a monomial of a
+context (q, x, z1, z2, ...), its z indices counted from there;
+:meth:`Ledger.binomial` adds one binomial over any context, and
+:func:`pochhammer` is the ledger of a single symbol.
 The infinite symbol is only used through its truncated (q,t)-expansion,
 where all but finitely many factors are 1 modulo the truncation order.
 """
@@ -29,15 +31,14 @@ class NonConvergent(ArithmeticError):
     """The infinite product does not converge in the (q,t)-grading."""
 
 
-def pochhammer(p: FactoredRational | LaurentPolynomial, n: int,
-               qvar: str = "q") -> FactoredRational:
+def pochhammer(p: FactoredRational | LaurentPolynomial, n: int) -> FactoredRational:
     """Finite q-Pochhammer symbol (p; q)_n as a factored product.
 
-    ``p`` must be a monomial (possibly with negative exponents); factors
-    (1 - q^k p) with nonpositive exponents are normalized canonically, so
-    e.g. (q^-1; q)_1 is stored as -q^-1 * (1 - q).  Results are memoised
-    in a process-scoped :mod:`~maclab.memo` table and shared between
-    callers, which is safe because factored rationals are immutable.
+    ``p`` must be a monomial x^e with coefficient 1 (possibly with
+    negative exponents) over a context whose first variable is q; the
+    symbol is a one-symbol :class:`Ledger`, so factors (1 - q^k p) with
+    nonpositive exponents are normalized canonically, e.g. (q^-1; q)_1
+    is stored as -q^-1 * (1 - q).
     """
     if n < 0:
         raise ValueError("Pochhammer length must be nonnegative")
@@ -47,27 +48,18 @@ def pochhammer(p: FactoredRational | LaurentPolynomial, n: int,
         raise ValueError("Pochhammer base must be a monomial")
     if p.is_zero():
         return FactoredRational.one(p.vars)
-    return _pochhammer(p.vars, p.coef, p.exps, n, qvar)
+    if p.coef != 1 or p.vars[0] != "q":
+        raise ValueError("Pochhammer base must be a coefficient-1 monomial over (q, ...)")
+    led = Ledger(p.vars)
+    q0, rest = p.exps[0], p.exps[1:]
+    for k in range(q0, q0 + n):
+        led.binomial((k,) + rest, 1)
+    return led.value()
 
 
-@memo.cached("process", 4096)
-def _pochhammer(vars: tuple, coef: Coef, exps: tuple, n: int, qvar: str) -> FactoredRational:
-    """(p; q)_n for the nonzero monomial p = coef x^exps and n >= 0, as
-    the product of the cached (q^k p; q)_1 for k < n: each binomial
-    (1 - q^k p) is built once, and symbols that share it share its
-    polynomial."""
-    iq = vars.index(qvar)
-    if n == 1:
-        binomial = LaurentPolynomial.one(vars) - LaurentPolynomial.monomial(vars, exps, coef)
-        return FactoredRational(vars, 1, None, [(binomial, 1)])
-    return FactoredRational.product(vars, [
-        _pochhammer(vars, coef, exps[:iq] + (exps[iq] + k,) + exps[iq + 1:], 1, qvar)
-        for k in range(n)])
-
-
-def pochhammer_inf(p: FactoredRational | LaurentPolynomial, trunc: int,
-                   qt: Sequence[str] = ("q", "t"), qvar: str = "q") -> QTSeries:
-    """Truncated (q,t)-expansion of the infinite symbol (p; q)_infty.
+def pochhammer_inf(p: FactoredRational | LaurentPolynomial, trunc: int) -> QTSeries:
+    """Truncated (q,t)-expansion of the infinite symbol (p; q)_infty over
+    a context that starts (q, t).
 
     Requires the monomial p to have positive total (q,t)-degree (or be
     zero, in which case the product is 1); each factor (1 - q^k p) with
@@ -76,17 +68,17 @@ def pochhammer_inf(p: FactoredRational | LaurentPolynomial, trunc: int,
     if isinstance(p, LaurentPolynomial):
         p = FactoredRational.from_poly(p)
     vars = p.vars
+    if vars[:2] != ("q", "t"):
+        raise ValueError("Pochhammer base must be over (q, t, ...)")
     if p.is_zero():
-        return QTSeries.one(qt, tuple(v for v in vars if v not in qt), trunc)
+        return QTSeries.one(("q", "t"), vars[2:], trunc)
     if not p.is_monomial():
         raise ValueError("Pochhammer base must be a monomial")
-    deg = sum(p.exps[vars.index(v)] for v in qt)
+    deg = p.exps[0] + p.exps[1]
     if deg <= 0:
         raise NonConvergent(
             f"(p;q)_infty with qt-degree {deg} base does not converge")
-    k_max = max(0, trunc - deg + 1)
-    finite = pochhammer(p, k_max, qvar=qvar)
-    return expand(finite, trunc, qt=qt)
+    return expand(pochhammer(p, max(0, trunc - deg + 1)), trunc)
 
 
 class Ledger:
@@ -108,7 +100,8 @@ class Ledger:
     def zratio(self, n: int, qpow: int = 0, xpow: int = 0, znum: int | None = None,
                zden: int | None = None, mult: int = 1) -> None:
         """Multiply by (q^qpow x^xpow z_znum / z_zden ; q)_n ** mult over
-        the context (q, x, z1, z2, ...): z_k sits at index k + 1."""
+        the context (q, x, z1, z2, ...): z_k sits at index k + 1, so the
+        z indices apply only to such contexts."""
         if n < 0:
             raise ValueError("Pochhammer length must be nonnegative")
         rest = [xpow] + [0] * (len(self.vars) - 2)

@@ -1,7 +1,7 @@
 """The kernel microbenchmarks under ``benchmarks/`` sit outside
 ``testpaths``; this runs each of them once, untimed, so they cannot rot.
-It also checks that every module the ``perfbench`` harness imports
-still exists."""
+It also checks that every module, memo table and traced callable that
+the ``perfbench`` harness names still exists."""
 
 import ast
 import importlib
@@ -37,15 +37,36 @@ def test_perfbench_imports_exist():
         importlib.import_module(f"maclab.{name}")
 
 
+def _tracer_constant(name):
+    """The literal value of the module-level ``name`` of ``perfbench/tracer.py``."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    (value,) = [node.value for node in tree.body
+                if isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == name for t in node.targets)]
+    return ast.literal_eval(value)
+
+
+def test_perfbench_traced_callables_exist():
+    """``perfbench/tracer.py::LAYERS`` names the callables the tracer
+    wraps as ``layer.[Class.]name``; a callable that is deleted or renamed
+    fails here instead of dropping out of a traced run."""
+    layers = _tracer_constant("LAYERS")
+    assert layers
+    for layer, names in layers.items():
+        module = importlib.import_module(f"maclab.{layer}")
+        for name in names:
+            obj = module
+            for part in name.split("."):
+                obj = getattr(obj, part, None)
+                assert obj is not None, f"{layer}.{name}"
+            assert callable(obj), f"{layer}.{name}"
+
+
 def test_perfbench_memo_tables_exist():
     """``perfbench/tracer.py::MEMOS`` names the memo tables whose
     ``len()`` the tracer reports as ``*.size``; a table that is renamed
     or loses ``len()`` fails here instead of dropping the metric."""
-    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
-    (value,) = [node.value for node in tree.body
-                if isinstance(node, ast.Assign)
-                and any(isinstance(t, ast.Name) and t.id == "MEMOS" for t in node.targets)]
-    memos = ast.literal_eval(value)
+    memos = _tracer_constant("MEMOS")
     assert memos
     for module, table in memos:
         assert len(getattr(importlib.import_module(f"maclab.{module}"), table)) >= 0

@@ -28,7 +28,6 @@ TABLES = {
     "algebra._factor_images": "check",
     "euler._j_piece": "check",
     "euler._j_valuation": "check",
-    "qcalc._pochhammer": "process",
     "qcalc._binomial": "process",
     "euler._c_ledgers": "process",
     "euler._c_cache": "process",

@@ -8,8 +8,11 @@ import pytest
 
 from maclab.algebra import FactoredRational, LaurentPolynomial, rational_eq
 from maclab.baker import ba_vars, c_N_closed, c_N_closed_alt, c_N_recursive
-from maclab.laumon import C_theta
-from maclab.macdonald import psi_T
+from maclab.checks import _printed_c2, _printed_c3
+from maclab.euler import (
+    GLWeight, _arc_prefactor, _weyl_factor, _weyl_group, frakD_K, hp_prefactor)
+from maclab.laumon import C_theta, _lattice_points, _lattice_term
+from maclab.macdonald import pieri_L, psi_T
 from maclab.tableaux import ThetaMatrix, enumerate_pol_lambda, partitions_upto, theta_upto_degree
 import coefficient_reference as ref
 
@@ -112,3 +115,62 @@ def test_c_N_closed_keeps_the_shared_context():
     # the builders pass ba_vars(n) itself, and the product keeps that tuple
     th = ThetaMatrix(3, {(1, 2): 1, (2, 3): 2})
     assert c_N_closed(th, 3).vars is ba_vars(3)
+
+
+def _weights(max_n, max_sum):
+    for n in range(1, max_n + 1):
+        for lv in itertools.product(range(max_sum + 1), repeat=n - 1):
+            if sum(lv) <= max_sum:
+                yield GLWeight(lv)
+
+
+def _weight_pairs():
+    for w in _weights(4, 3):
+        yield hp_prefactor(w), ref.hp_prefactor_reference(w), w.lvec
+        for r in range(1, w.n + 1):
+            yield frakD_K(w, r), ref.frakD_K_reference(w, r), (w.lvec, r)
+            yield pieri_L(w.lvec, r, w.n), ref.pieri_L_reference(w.lvec, r, w.n), (w.lvec, r)
+
+
+def _weyl_pairs():
+    for n in range(1, 5):
+        for w in _weyl_group(n):
+            yield _weyl_factor(n, w), ref.weyl_factor_reference(n, w), w
+
+
+def _printed_pairs():
+    yield _printed_c2(ba_vars(2)), ref.printed_c2_reference(), "c2"
+    for ts in itertools.product(range(3), repeat=3):
+        yield _printed_c3(ba_vars(3), *ts), ref.printed_c3_reference(*ts), ts
+
+
+def _lattice_pairs():
+    for rank in (1, 2):
+        vars = ("q", "t") + tuple(f"z{i}" for i in range(1, rank + 2))
+        for chi in _lattice_points(rank + 1, 2):
+            for order in range(4):
+                yield (_lattice_term(vars, chi, order),
+                       ref.lattice_term_reference(vars, chi, order), (chi, order))
+
+
+def _arc_pairs():
+    for n in (2, 3):
+        for lv in [(0,) * (n - 1), (1,) + (0,) * (n - 2)]:
+            for order in range(4):
+                w = GLWeight(lv)
+                yield _arc_prefactor(w, order), ref.arc_prefactor_reference(w, order), (lv, order)
+
+
+@pytest.mark.parametrize("pairs", [_weight_pairs, _weyl_pairs, _printed_pairs,
+                                   _lattice_pairs, _arc_pairs], ids=lambda f: f.__name__)
+def test_ledger_builders_equal_their_factored_forms(pairs):
+    # hp_prefactor, frakD_K, pieri_L, the Weyl factor, the printed c2 and
+    # c3, an_summation_check's terms and chi_bQ_localization's prefactor
+    # fill a ledger; their factored forms chain uncached symbols
+    seen = 0
+    for got, want, where in pairs():
+        assert got == want, where
+        assert got.canonical_str() == want.canonical_str(), where
+        assert type(got.coef) is type(want.coef), where
+        seen += 1
+    assert seen

@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from maclab import qcalc
 from maclab.algebra import FactoredRational, LaurentPolynomial, _canonical_factor, rational_eq
 from maclab.baker import ba_vars
-from maclab.checks import run_check
 from maclab.macdonald import QS
 from maclab.qcalc import Ledger, NonConvergent, pochhammer, pochhammer_inf
 from maclab.series import XSeries, expand
+from coefficient_reference import pochhammer_reference
 
 V = ("q", "t")
 ONE = LaurentPolynomial.one(V)
@@ -51,23 +51,6 @@ def test_pochhammer_negative_base_normalizes():
     assert len(fr.factors) == 1
 
 
-def pochhammer_reference(p, n, qvar="q"):
-    """The uncached builder: one binomial (1 - q^k p) per k < n, each
-    canonicalised by the constructor."""
-    if isinstance(p, LaurentPolynomial):
-        p = FactoredRational.from_poly(p)
-    vars = p.vars
-    if p.is_zero():
-        return FactoredRational.one(vars)
-    iq = vars.index(qvar)
-    one = LaurentPolynomial.one(vars)
-    factors = []
-    for k in range(n):
-        e = tuple(x + (k if i == iq else 0) for i, x in enumerate(p.exps))
-        factors.append((one - LaurentPolynomial.monomial(vars, e, p.coef), 1))
-    return FactoredRational(vars, 1, None, factors)
-
-
 CONTEXTS = [ba_vars(2), ba_vars(3), ba_vars(4), ("q", "s")]
 base_coefs = st.one_of(
     st.integers(-3, 3),
@@ -78,24 +61,22 @@ base_coefs = st.one_of(
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_pochhammer_matches_uncached_reference(data):
-    # several coefficients on one exponent vector and both q-variables, each
-    # asked twice: the second call is answered from the cache
+    # a coefficient-1 base over q, asked twice (the second time its
+    # binomials come from qcalc._binomial); any other coefficient raises
     vars = data.draw(st.sampled_from(CONTEXTS))
     exps = data.draw(st.tuples(*[st.integers(-2, 2)] * len(vars)))
-    coefs = data.draw(st.lists(base_coefs, min_size=1, max_size=3, unique=True))
+    other = data.draw(base_coefs.filter(lambda c: c != 1))
     n = data.draw(st.integers(0, 4))
     as_poly = data.draw(st.booleans())
+    make = LaurentPolynomial.monomial if as_poly else FactoredRational.monomial
+    p = make(vars, exps)
     for _ in range(2):
-        for c in coefs:
-            for qvar in ("q", "s"):
-                if as_poly:
-                    p = LaurentPolynomial.monomial(vars, exps, c)
-                else:
-                    p = FactoredRational.monomial(vars, exps, c)
-                got = pochhammer(p, n, qvar)
-                ref = pochhammer_reference(p, n, qvar)
-                assert got == ref
-                assert got.canonical_str() == ref.canonical_str()
+        got = pochhammer(p, n)
+        ref = pochhammer_reference(p, n)
+        assert got == ref
+        assert got.canonical_str() == ref.canonical_str()
+    with pytest.raises(ValueError, match="coefficient-1"):
+        pochhammer(make(vars, exps, other), n)
 
 
 def test_ledger_zratio_matches_reference():
@@ -198,8 +179,6 @@ def test_zero_binomials_follow_the_product():
 
 
 def test_pochhammer_checks_run_before_the_cache():
-    table = qcalc._pochhammer.table
-    before = (table.hits, table.misses)
     with pytest.raises(ValueError, match="monomial"):
         pochhammer(FactoredRational.from_poly(ONE - Q), 2)
     with pytest.raises(ValueError, match="monomial"):
@@ -208,27 +187,12 @@ def test_pochhammer_checks_run_before_the_cache():
         pochhammer(mono(1, 0), -1)
     with pytest.raises(ValueError, match="nonnegative"):
         Ledger(ba_vars(2)).zratio(-1, 1, 0)
+    with pytest.raises(ValueError, match="coefficient-1"):
+        pochhammer(FactoredRational.monomial(("t", "q"), (0, 1)), 1)
+    with pytest.raises(ValueError, match=r"\(q, t"):
+        pochhammer_inf(FactoredRational.monomial(QS, (1, 0)), 2)
     assert pochhammer(FactoredRational.zero(V), 3).is_one()
     assert pochhammer(LaurentPolynomial.zero(V), 3).is_one()
-    assert (table.hits, table.misses) == before
-
-
-def test_pochhammer_cache_is_bounded(monkeypatch):
-    # past a cap of 3 the table empties itself and values are unchanged
-    table = qcalc._pochhammer.table
-    assert table.scope == "process"
-    table.clear()
-    monkeypatch.setattr(table, "cap", 3)
-    for n in range(1, 6):
-        assert pochhammer(mono(1, 1), n) == pochhammer_reference(mono(1, 1), n)
-        assert 1 <= len(table) <= 3
-
-
-def test_cn_check_is_served_mostly_from_the_cache():
-    table = qcalc._pochhammer.table
-    hits, misses = table.hits, table.misses
-    assert run_check("cn", max_entry=1, max_n=3).passed
-    assert table.hits - hits > table.misses - misses
 
 
 def test_pochhammer_inf_examples():

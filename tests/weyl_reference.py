@@ -21,12 +21,10 @@ from maclab.euler import (
     GLWeight,
     _C_glob,
     _slot_exp,
-    _weyl_factor,
     _weyl_group,
     _wslot_exp,
     glob_vars,
 )
-from maclab.qcalc import pochhammer
 from maclab.series import (
     NonPolynomialCoefficient,
     QTSeries,
@@ -35,6 +33,7 @@ from maclab.series import (
     fold_split,
 )
 from maclab.tableaux import theta_by_degree, theta_upto_degree
+from coefficient_reference import pochhammer_reference, weyl_factor_reference
 
 
 def built_j_valuation(n: int, degree: tuple, inverted: bool) -> int:
@@ -135,9 +134,9 @@ def _arc_terms(weight: GLWeight, order: int, w, shell_margin: int) -> list:
         below the truncation order."""
         deg = base_exps[0] + base_exps[1]
         kmax = max(0, order - deg + 1)
-        return pochhammer(FactoredRational.monomial(vars, base_exps), kmax)
+        return pochhammer_reference(FactoredRational.monomial(vars, base_exps), kmax)
 
-    wf = _weyl_factor(n, w)
+    wf = weyl_factor_reference(n, w)
     zw = FactoredRational.monomial(vars, weight.z_monomial(w))
     inf_part = FactoredRational.one(vars)
     for i in range(1, n + 1):
