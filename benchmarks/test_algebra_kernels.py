@@ -1,8 +1,8 @@
 """Microbenchmarks of the algebra kernels behind criterion 1.
 
-Two LaurentPolynomial kernels behind the eigen check, on the operands
-``macdonald.apply_D1N`` meets at N = 4 on P_(4,1), the largest cleared
-polynomial of ``eigen``'s default range (2672 terms):
+Two LaurentPolynomial kernels of ``macdonald.apply_D1N``, on the
+operands it meets at N = 4 on P_(4,1), the largest cleared polynomial
+of ``eigen``'s default range (2672 terms):
 
 * ``__mul__``: the one product ``apply_D1N`` builds per call, the
   24-term factor prod_{j != 1} (s y_1 - y_j) times the Vandermonde

@@ -1,13 +1,18 @@
-"""Microbenchmarks of the domain layer: the two routes to the difference
-operator on P_(4,1) at N = 4, the largest input in ``eigen``'s default
-range.
+"""Microbenchmarks of the domain layer: the routes to the difference
+operator at N = 4.
 
 * ``apply_D1N`` on P_(4,1) cleared of its (q, s) denominators (2672
-  terms).  It now serves only the eigen-solve oracle of
-  ``tableau-oracle``; the result must equal the eigenvalue times the
-  input.
+  terms), the largest input in ``eigen``'s default range.  It folds the
+  operator's product form and divides it by the Vandermonde; the tests
+  hold the eigen-solve oracle's images to it.  The result must equal the
+  eigenvalue times the input.
 * ``eigen_residual`` on the m-expansion of P_(4,1): the predicate of the
   ``eigen`` check, which must find no residual.
+* The eigen-solve oracle's operator images, cold: ``_d1n_m_action`` for
+  every m_mu of ``tableau-oracle``'s default range (|mu| <= 5, N <= 4,
+  52 images), read off the same product form with no Vandermonde
+  division, with their memo tables emptied before each round.  Each
+  image's diagonal entry must be the eigenvalue of mu.
 
 Not part of the test suite.  Run with
 
@@ -16,10 +21,20 @@ Not part of the test suite.  Run with
 
 import pytest
 
-from maclab.macdonald import apply_D1N, eigen_residual, eigenvalue, mac_vars, macdonald_P
+from maclab.macdonald import (
+    _d1n_m_action,
+    _schur_m,
+    apply_D1N,
+    eigen_residual,
+    eigenvalue,
+    mac_vars,
+    macdonald_P,
+)
+from maclab.tableaux import partitions_upto
 
 N = 4
 LAM = (4, 1)
+ACTIONS = [(mu, n) for n in range(1, N + 1) for mu in partitions_upto(5, n)]
 
 
 @pytest.fixture(scope="module")
@@ -37,3 +52,15 @@ def test_apply_D1N_P41(benchmark, cleared):
 def test_eigen_residual_P41(benchmark):
     residual = benchmark(eigen_residual, macdonald_P(LAM, N), eigenvalue(LAM, N))
     assert residual == {}
+
+
+def test_oracle_actions_cold(benchmark):
+    def actions():
+        _d1n_m_action.table.clear()
+        _schur_m.table.clear()
+        return {key: _d1n_m_action(*key) for key in ACTIONS}
+
+    images = benchmark(actions)
+    assert len(images) == 52
+    # D is triangular on the m-basis with the eigenvalues on the diagonal
+    assert all(images[mu, n][mu] == eigenvalue(mu, n) for mu, n in ACTIONS)

@@ -69,7 +69,7 @@ class ResultCache:
             if entry.get("source") != source_hash():
                 return None
             return payload
-        except (json.JSONDecodeError, KeyError, OSError):
+        except (json.JSONDecodeError, UnicodeDecodeError, KeyError, OSError):
             path.unlink(missing_ok=True)
             return None
 

@@ -86,8 +86,9 @@ def check_eigen(params):
     """D P_lambda == ev_lambda * P_lambda for |lambda| <= max_size,
     N <= max_n, decided on the bialternant form of the operator from
     P's m-expansion (:func:`~maclab.macdonald.eigen_residual`).  That
-    form of D shares no operator code with ``apply_D1N``, which the
-    oracle of ``tableau-oracle`` uses, so the two checks test each other."""
+    form of D shares no operator code with the product form from which
+    the oracle of ``tableau-oracle`` reads its operator images, so the
+    two checks test each other."""
     max_size = params.get("max_size", 5)
     max_n = params.get("max_n", 4)
     witnesses = []

@@ -25,6 +25,7 @@ outputs are byte-identical across reruns and cache states.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -51,7 +52,10 @@ def _add_common(p):
     p.add_argument("--no-cache", action="store_true")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parsing does not
+    change it."""
     ap = argparse.ArgumentParser(
         prog="maclab",
         description="Exact verification of Macdonald-polynomial and "

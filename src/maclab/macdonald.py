@@ -7,9 +7,13 @@ Two independent constructions are provided and test each other:
 * :func:`macdonald_P_oracle` -- the triangular eigen-solve for the
   q-difference operator in the monomial basis.
 
-The oracle applies the operator through :func:`apply_D1N`; the eigen
-identity for P is decided by :func:`eigen_residual`, on the bialternant
-form of the same operator, without expanding P in y.
+The oracle reads each operator image D m_mu off the product form of the
+operator (:func:`_s1`): its alternant coefficients give D m_mu in the
+Schur basis, with no division by the Vandermonde.  :func:`apply_D1N`
+folds the same product and divides it exactly; it is the reference the
+tests hold the oracle's images to.  The eigen identity for P is decided
+by :func:`eigen_residual`, on the bialternant form of the operator,
+without expanding P in y.
 
 The Macdonald parameter is called ``s`` here (the variable pair is
 (q, s)); the geometric modules substitute s -> q*t or s -> t explicitly
@@ -23,7 +27,7 @@ P_lambda is sum_i q^{lambda_i} s^{N-i}.
 from __future__ import annotations
 
 from itertools import combinations, permutations
-from operator import add, gt, itemgetter
+from operator import add, gt, itemgetter, sub
 from typing import Sequence
 
 from . import memo
@@ -282,24 +286,43 @@ def eigen_residual(P: SymmetricPolynomial, ev: LaurentPolynomial) -> dict:
             for k, ak in acc.items() if ak}
 
 
+def _s1(f: LaurentPolynomial, n: int) -> LaurentPolynomial:
+    """S_1 = prod_{j >= 2} (s y_1 - y_j) * prod_{2 <= a < b} (y_a - y_b) * T_{q,y_1} f,
+    the summand of V * D f that the transpositions (y_1 y_i) relabel
+    (:func:`apply_D1N`).  T_{q,y_1} is a re-key: each term's y_1 exponent
+    is added to its q exponent, and distinct terms stay distinct."""
+    vars = f.vars
+
+    def y(i):
+        return LaurentPolynomial.var(vars, f"y{i}")
+
+    tf = LaurentPolynomial._from_terms(
+        vars, {(e[0] + e[2],) + e[1:]: c for e, c in f.terms.items()})
+    s_y1 = LaurentPolynomial.var(vars, "s") * y(1)
+    factor = LaurentPolynomial.one(vars)
+    for j in range(2, n + 1):
+        factor = factor * (s_y1 - y(j))
+    for a in range(2, n + 1):
+        for b in range(a + 1, n + 1):
+            factor = factor * (y(a) - y(b))
+    return factor * tf
+
+
 def apply_D1N(f: LaurentPolynomial, n: int) -> LaurentPolynomial:
     """The q-difference operator sum_i prod_{j != i} (s y_i - y_j)/(y_i - y_j) T_{q, y_i}
     on a symmetric polynomial f over (q, s, y_1..y_N).
-
-    It builds the operator images of the m_mu for the eigen-solve oracle
-    (:func:`macdonald_P_oracle`).  The ``eigen`` check does not expand in
-    y at all: it uses the bialternant form in :func:`eigen_residual`.
 
     With V = prod_{a<b} (y_a - y_b), summand i of V * D f is the
     transposition (y_1 y_i) of summand 1 with its sign flipped, because f
     is symmetric:
 
-        V * D f = S_1 - sum_{i >= 2} tau_{1i}(S_1),
-        S_1 = prod_{j >= 2} (s y_1 - y_j) * prod_{2 <= a < b} (y_a - y_b) * T_{q,y_1} f.
+        V * D f = S_1 - sum_{i >= 2} tau_{1i}(S_1)
 
-    So one q-shift and one product are built, their N - 1 relabelled
-    copies are folded into a single sum, and V is divided out exactly,
-    one factor at a time.
+    with S_1 from :func:`_s1`.  So one product is built, its N - 1
+    relabelled copies are folded into a single sum, and V is divided out
+    exactly, one factor at a time.  The oracle reads the same fold at
+    strictly decreasing exponents only (:func:`_d1n_m_action`), with no
+    division.
 
     Raises :class:`DenominatorSurvives` naming ``(y1 - yb)`` when f is not
     invariant under y_1 <-> y_b (checked for b = 2..N before any product
@@ -320,21 +343,7 @@ def apply_D1N(f: LaurentPolynomial, n: int) -> LaurentPolynomial:
                 f"denominator (y1 - y{b}) does not cancel")
         swaps.append(swap)
 
-    def y(i):
-        return LaurentPolynomial.var(vars, f"y{i}")
-
-    shift = [0] * len(vars)
-    shift[0] = shift[2] = 1
-    tf = f.substitute("y1", 1, shift)   # T_{q,y_1} f
-    s_y1 = LaurentPolynomial.var(vars, "s") * y(1)
-    factor = LaurentPolynomial.one(vars)
-    for j in range(2, n + 1):
-        factor = factor * (s_y1 - y(j))
-    for a in range(2, n + 1):
-        for b in range(a + 1, n + 1):
-            factor = factor * (y(a) - y(b))
-    s1 = factor * tf
-    del tf
+    s1 = _s1(f, n)
     acc = dict(s1.terms)
     get = acc.get
     for swap in swaps:
@@ -351,29 +360,13 @@ def apply_D1N(f: LaurentPolynomial, n: int) -> LaurentPolynomial:
     for a in range(1, n + 1):
         for b in range(a + 1, n + 1):
             try:
-                total = total.divide_exact(y(a) - y(b))
+                total = total.divide_exact(LaurentPolynomial.var(vars, f"y{a}")
+                                           - LaurentPolynomial.var(vars, f"y{b}"))
             except ExactDivisionError as exc:
                 raise DenominatorSurvives(
                     f"(y{a} - y{b}) does not divide the operator output; "
                     "input was not symmetric") from exc
     return total
-
-
-def m_expansion(f: LaurentPolynomial, n: int) -> dict:
-    """Expansion of a symmetric y-polynomial in the m-basis: the result
-    maps partitions to (q, s) Laurent polynomials (coefficients are read
-    off the dominant monomials)."""
-    vars = mac_vars(n)
-    out: dict = {}
-    for e, c in f.terms.items():
-        ye = e[2:]
-        if any(ye[i] < ye[i + 1] for i in range(n - 1)):
-            continue
-        mu = Partition(ye)
-        cur = out.get(mu)
-        mono = LaurentPolynomial.monomial(QS, e[:2], c)
-        out[mu] = mono if cur is None else cur + mono
-    return {mu: p for mu, p in out.items() if not p.is_zero()}
 
 
 def macdonald_P_oracle(lam, n: int) -> SymmetricPolynomial:
@@ -410,8 +403,66 @@ def macdonald_P_oracle(lam, n: int) -> SymmetricPolynomial:
 
 @memo.cached("process", 256)
 def _d1n_m_action(mu, n: int) -> dict:
-    """m-expansion of the operator image of m_mu (memoized)."""
-    return m_expansion(apply_D1N(monomial_symmetric(mu, n), n), n)
+    """m-expansion of the operator image of m_mu (memoized), with no
+    division by V.
+
+    V * D m_mu = S_1 - sum_{i >= 2} tau_{1i}(S_1) (see :func:`apply_D1N`)
+    is antisymmetric, so it is sum_k c_k a_k over the strictly decreasing
+    k, with c_k = S_1[k] - sum_{i >= 2} S_1[tau_{1i} k].  By Jacobi's
+    bialternant formula a_k / V is the Schur polynomial s_{k - delta}
+    (Macdonald, *Symmetric Functions and Hall Polynomials*, ch. I §3), so
+
+        D m_mu = sum_k c_k s_{k - delta},
+
+    and each s_{k - delta} is expanded in the m-basis by :func:`_schur_m`.
+    m_mu is symmetric by construction, so the division that checks
+    symmetry in :func:`apply_D1N` has nothing to detect here."""
+    alt: dict = {}   # strictly decreasing k -> {(q, s) exponent: c_k's coefficient}
+    for e, c in _s1(monomial_symmetric(mu, n), n).terms.items():
+        ye = e[2:]
+        k = tuple(sorted(ye, reverse=True))
+        if not all(map(gt, k, k[1:])):
+            continue
+        # the term sits at ye in S_1 and at tau_{1i} ye in its i-th copy:
+        # it reaches k as is, or by the swap of y_1 with the place of k's top
+        if ye != k:
+            i = ye.index(k[0])
+            if ye[0] != k[i] or ye[1:i] != k[1:i] or ye[i + 1:] != k[i + 1:]:
+                continue
+            c = -c
+        ck = alt.setdefault(k, {})
+        qs = e[:2]
+        ck[qs] = ck.get(qs, 0) + c
+    delta = range(n - 1, -1, -1)
+    out: dict = {}   # nu -> {(q, s) exponent: coefficient}
+    for k, ck in alt.items():
+        for nu, kostka in _schur_m(Partition(map(sub, k, delta)), n).items():
+            onu = out.setdefault(nu, {})
+            for qs, c in ck.items():
+                onu[qs] = onu.get(qs, 0) + kostka * c
+    polys = {nu: {qs: c for qs, c in t.items() if c} for nu, t in out.items()}
+    return {nu: LaurentPolynomial._from_terms(QS, t) for nu, t in polys.items() if t}
+
+
+@memo.cached("process", 256)
+def _schur_m(lam, n: int) -> dict:
+    """The m-expansion {nu: Kostka number} of the Schur polynomial
+    s_lambda(y_1..y_N): the dominant coefficients of a_{lambda + delta} / V,
+    divided exactly over the y-variables alone, with integer
+    coefficients (memoized)."""
+    ys = mac_vars(n)[2:]
+    k = tuple(map(add, lam + (0,) * (n - len(lam)), range(n - 1, -1, -1)))
+    # the sign of a rearrangement of the strictly decreasing k is the
+    # parity of its ascending pairs
+    total = LaurentPolynomial._from_terms(
+        ys, {w: -1 if sum(a < b for a, b in combinations(w, 2)) % 2 else 1
+             for w in permutations(k)})
+    for a in range(1, n + 1):
+        for b in range(a + 1, n + 1):
+            total = total.divide_exact(LaurentPolynomial.var(ys, f"y{a}")
+                                       - LaurentPolynomial.var(ys, f"y{b}"))
+    return {Partition(e): c for e, c in total.terms.items()
+            if not any(map(gt, e[1:], e))}
 
 
 _action_memo = _d1n_m_action.table

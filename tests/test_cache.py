@@ -71,3 +71,14 @@ def test_entry_that_is_not_an_object_is_recomputed(tmp_path, capsys, text):
     assert main(list(args)) == 0
     assert capsys.readouterr().out == cold
     assert entry.read_text() != text
+
+
+def test_entry_that_is_not_utf8_is_recomputed(tmp_path, capsys):
+    args = (*MACDONALD, "--cache-dir", str(tmp_path))
+    assert main(list(args)) == 0
+    cold = capsys.readouterr().out
+    (entry,) = tmp_path.glob("*.json")
+    entry.write_bytes(b"\xff\xfe\x00garbage")
+    assert main(list(args)) == 0
+    assert capsys.readouterr().out == cold
+    assert entry.read_bytes() != b"\xff\xfe\x00garbage"

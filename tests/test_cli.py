@@ -33,6 +33,27 @@ def test_macdonald_oracle_agrees(capsys):
         [i["partition"] for i in b["m_expansion"]]
 
 
+@pytest.mark.parametrize("before", [
+    ("macdonald", "--n", "2", "--lambda", "1,1,1"),
+    ("macdonald", "--n", "2"),
+    ("macdonald", "--n", "3", "--lambda", "2,1", "--oracle", "--output", "json"),
+], ids=["range-error", "parse-error", "oracle"])
+def test_parser_reused_across_calls_keeps_a_plain_call_unchanged(capsys, before):
+    # one parser per process: an earlier call in the same process, even one
+    # that exits 2, leaves no state behind for the next
+    plain = ("macdonald", "--n", "3", "--lambda", "2,1", "--no-cache")
+    _, expected, _ = run_cli(capsys, *plain)
+    try:
+        code = main(list(before) + ["--no-cache"])
+    except SystemExit as exc:
+        code = exc.code
+    capsys.readouterr()
+    assert code == (0 if "--oracle" in before else 2)
+    _, out, _ = run_cli(capsys, *plain)
+    assert out == expected
+    assert out.startswith("m[2, 1]: 1\n")
+
+
 def test_baker_specialize(capsys):
     code, out, _ = run_cli(capsys, "baker", "--n", "2", "--truncation", "1",
                            "--specialize", "1,0", "--output", "json", "--no-cache")

@@ -1,6 +1,7 @@
 """Macdonald polynomials: tableau sum, difference operator, oracle, Pieri."""
 
 import re
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 
@@ -9,12 +10,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import maclab.checks
+import maclab.macdonald
 from maclab.algebra import FactoredRational, LaurentPolynomial, rational_eq
 from maclab.checks import run_check
 from maclab.euler import GLWeight, _zsum, glob_vars, macdonald_in_z
 from maclab.macdonald import (
     DenominatorSurvives,
     SymmetricPolynomial,
+    _d1n_m_action,
+    _schur_m,
     apply_D1N,
     eigen_residual,
     eigenvalue,
@@ -27,10 +31,12 @@ from maclab.macdonald import (
 )
 from maclab.reports import Status
 from maclab.tableaux import (
+    Partition,
     ThetaMatrix,
     dominates,
     enumerate_pol_lambda,
     partitions_upto,
+    strip_sizes,
 )
 
 QS = ("q", "s")
@@ -175,6 +181,63 @@ def test_apply_D1N_rejects_asymmetric_input_the_reference_divides():
     assert not apply_D1N_reference(f, 2).is_zero()
     with pytest.raises(DenominatorSurvives, match=re.escape("(y1 - y2)")):
         apply_D1N(f, 2)
+
+
+def m_expansion(f, n):
+    """The m-expansion of a symmetric polynomial over (q, s, y_1..y_N),
+    read off its dominant monomials: partition -> polynomial over (q, s)."""
+    out: dict = {}
+    for e, c in f.terms.items():
+        ye = e[2:]
+        if all(a >= b for a, b in zip(ye, ye[1:])):
+            mu = Partition(ye)
+            out[mu] = out.get(mu, LaurentPolynomial.zero(QS)) \
+                + LaurentPolynomial.monomial(QS, e[:2], c)
+    return {mu: p for mu, p in out.items() if not p.is_zero()}
+
+
+ACTION_RANGE = [(mu, n) for n in range(1, 5) for mu in partitions_upto(6, n)] \
+    + [(mu, 5) for mu in partitions_upto(4, 5)]
+
+
+def test_oracle_action_equals_the_divided_operator_image():
+    # the alternant coefficients of V D m_mu through the Schur basis,
+    # against the folded sum divided by V
+    for mu, n in ACTION_RANGE:
+        expected = m_expansion(apply_D1N(monomial_symmetric(mu, n), n), n)
+        assert _d1n_m_action.__wrapped__(mu, n) == expected, (mu, n)
+
+
+def test_schur_m_expansion_counts_tableaux():
+    # Kostka numbers: the tableaux of shape lambda with dominant weight nu
+    for n in range(1, 5):
+        for lam in partitions_upto(6, n):
+            kostka = Counter()
+            for th in enumerate_pol_lambda(lam, n):
+                w = strip_sizes(th, lam)
+                if all(a >= b for a, b in zip(w, w[1:])):
+                    kostka[Partition(w)] += 1
+            assert _schur_m(lam, n) == kostka, (lam, n)
+
+
+def test_oracle_action_divides_over_y_only(monkeypatch):
+    divide = LaurentPolynomial.divide_exact
+    contexts = []
+
+    def recording(self, divisor):
+        contexts.append(self.vars)
+        return divide(self, divisor)
+
+    def refused(f, n):
+        raise AssertionError("apply_D1N called")
+
+    monkeypatch.setattr(LaurentPolynomial, "divide_exact", recording)
+    monkeypatch.setattr(maclab.macdonald, "apply_D1N", refused)
+    _schur_m.table.clear()
+    for mu in partitions_upto(4, 3):
+        _d1n_m_action.__wrapped__(mu, 3)
+    assert contexts
+    assert all(vars == ("y1", "y2", "y3") for vars in contexts)
 
 
 def eigen_holds_reference(P, ev):

@@ -18,7 +18,8 @@ from coefficient_reference import C_theta_reference
 
 # the rank-keyed context helpers: one entry per rank or per process
 RANK_KEYED = {"maclab.baker.ba_vars", "maclab.euler.glob_vars", "maclab.laumon.lau_vars",
-              "maclab.series._sl_weyl", "maclab.cache.source_hash"}
+              "maclab.series._sl_weyl", "maclab.cache.source_hash",
+              "maclab.cli.build_parser"}
 
 # module-level dicts that are filled once at import and never written
 CONSTANT_DICTS = {"maclab.checks.CHECKS", "maclab.checks.ALIASES"}
@@ -34,6 +35,7 @@ TABLES = {
     "euler.macdonald_in_z": "process",
     "macdonald._P_memo": "process",
     "macdonald._d1n_m_action": "process",
+    "macdonald._schur_m": "process",
 }
 
 
@@ -112,6 +114,14 @@ def _action_cases():
                    macdonald._d1n_m_action.__wrapped__(mu, n))
 
 
+def _schur_cases():
+    # the Schur m-expansions against the uncached function
+    for n in (2, 3):
+        for lam in partitions_upto(3, n):
+            yield ((lambda lam=lam, n=n: macdonald._schur_m(lam, n)),
+                   macdonald._schur_m.__wrapped__(lam, n))
+
+
 def _mz_cases():
     # P in z against the value computed before the cap was lowered
     for lv in [(0,), (1,), (2,), (0, 0), (1, 0), (0, 1)]:
@@ -131,6 +141,7 @@ CASES = {
     "euler._c_ledgers": (euler._c_ledgers, _c_ledger_cases, lambda a, b: a.value() == b),
     "macdonald._P_memo": (macdonald._P_memo, _macdonald_cases, lambda a, b: a.equals(b)),
     "macdonald._action_memo": (macdonald._action_memo, _action_cases, lambda a, b: a == b),
+    "macdonald._schur_m": (macdonald._schur_m.table, _schur_cases, lambda a, b: a == b),
     "euler._mz_memo": (euler._mz_memo, _mz_cases, rational_eq),
     "qcalc._binomial": (qcalc._binomial.table, _binomial_cases, lambda a, b: a == b),
 }
