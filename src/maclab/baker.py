@@ -14,7 +14,6 @@ polynomial P_lambda.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache
 from itertools import product
 
@@ -60,18 +59,15 @@ def ba_vars(n: int) -> tuple:
     return ("q", "s") + tuple(f"z{i}" for i in range(1, n + 1))
 
 
-@dataclass(frozen=True)
 class BAContext:
     """Rank and truncation order for the ratio variables."""
 
-    n: int
-    truncation: int
-    vars: tuple = field(init=False)
+    __slots__ = ("n", "truncation", "vars")
 
-    def __post_init__(self):
-        if self.truncation < 0:
+    def __init__(self, n: int, truncation: int):
+        if truncation < 0:
             raise ValueError("truncation must be nonnegative")
-        object.__setattr__(self, "vars", ba_vars(self.n))
+        self.n, self.truncation, self.vars = n, truncation, ba_vars(n)
 
 
 def c_N_recursive(theta: ThetaMatrix, n: int) -> FactoredRational:

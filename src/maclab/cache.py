@@ -7,12 +7,14 @@ stored alongside their sha256.  A corrupted entry is silently discarded
 and recomputed; a failed write only warns.  Because every serialization
 in the package is canonical and reductions are order-fixed, a cache hit
 is byte-identical to recomputation.
+
+``hashlib``, which loads OpenSSL, is imported on the first hash, so a
+process that never reads or writes an entry never loads it.
 """
 
 from __future__ import annotations
 
 import functools
-import hashlib
 import json
 import os
 import tempfile
@@ -28,11 +30,19 @@ ENV_VAR = "MACLAB_CACHE_DIR"
 def source_hash() -> str:
     """sha256 over the package's ``*.py`` files in name order; computed on
     first use, once per process."""
+    import hashlib
+
     h = hashlib.sha256()
     for path in sorted(Path(__file__).parent.glob("*.py")):
         h.update(path.name.encode() + b"\0")
         h.update(path.read_bytes())
     return h.hexdigest()
+
+
+def _sha256(text: str) -> str:
+    import hashlib
+
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 class ResultCache:
@@ -47,7 +57,7 @@ class ResultCache:
     def _path(self, op: str, params: dict) -> Path:
         key_src = json.dumps({"op": op, "params": params, "source": source_hash()},
                              sort_keys=True, separators=(",", ":"))
-        digest = hashlib.sha256(key_src.encode()).hexdigest()[:32]
+        digest = _sha256(key_src)[:32]
         return self.directory / f"{op.replace(' ', '_')}-{digest}.json"
 
     def get(self, op: str, params: dict):
@@ -63,7 +73,7 @@ class ResultCache:
                 return None
             payload = entry["payload"]
             blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-            if entry.get("sha256") != hashlib.sha256(blob.encode()).hexdigest():
+            if entry.get("sha256") != _sha256(blob):
                 path.unlink(missing_ok=True)
                 return None
             if entry.get("source") != source_hash():
@@ -83,7 +93,7 @@ class ResultCache:
             "source": source_hash(),
             "op": op,
             "params": params,
-            "sha256": hashlib.sha256(blob.encode()).hexdigest(),
+            "sha256": _sha256(blob),
             "payload": payload,
         }
         path = self._path(op, params)

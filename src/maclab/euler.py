@@ -23,7 +23,6 @@ relative to the usual highest-weight dictionary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache
 from itertools import permutations, product
 
@@ -97,19 +96,38 @@ def _wslot_exp(n: int, i: int, w) -> tuple:
     return tuple(-x for x in _slot_exp(n, w[i - 1]))
 
 
-@dataclass(frozen=True)
 class GLWeight:
-    """Integer weight of SL(N) in fundamental-weight coordinates."""
+    """Integer weight of SL(N) in fundamental-weight coordinates.
 
-    lvec: tuple
-    n: int
+    Immutable, equal and hashed by ``(lvec, n)``: it keys the
+    :func:`macdonald_in_z` table."""
+
+    __slots__ = ("lvec", "n")
 
     def __init__(self, lvec, n=None):
         lvec = tuple(int(x) for x in lvec)
-        object.__setattr__(self, "lvec", lvec)
-        object.__setattr__(self, "n", len(lvec) + 1 if n is None else n)
-        if self.n != len(lvec) + 1:
+        n = len(lvec) + 1 if n is None else n
+        if n != len(lvec) + 1:
             raise ValueError("weight vector must have length N-1")
+        object.__setattr__(self, "lvec", lvec)
+        object.__setattr__(self, "n", n)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GLWeight is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other) -> bool:
+        return type(other) is GLWeight and self.lvec == other.lvec and self.n == other.n
+
+    def __hash__(self):
+        return hash((self.lvec, self.n))
+
+    def __repr__(self) -> str:
+        return f"GLWeight(lvec={self.lvec!r}, n={self.n!r})"
+
+    def __reduce__(self):
+        return GLWeight, (self.lvec, self.n)
 
     def components(self) -> tuple:
         """GL components Lambda_k = l_k + ... + l_{N-1} (Lambda_N = 0)."""
@@ -436,9 +454,10 @@ def F_poly(n: int, order: int) -> list:
     return counts
 
 
-def frakD_K(weight: GLWeight, r: int) -> FactoredRational:
+def frakD_K(weight: GLWeight, r: int, vars: tuple = ("q", "t")) -> FactoredRational:
     """Shift coefficient K_r of the difference operator acting through
-    the lattice shifts T_r, over (q, t).
+    the lattice shifts T_r, over ``vars``: (q, t), or a context that
+    starts (q, t), such as :func:`glob_vars`.
 
     With upward sums S_s = l_r + ... + l_s and downward sums
     S'_j = l_{r-1} + ... + l_{r-j}:
@@ -449,33 +468,32 @@ def frakD_K(weight: GLWeight, r: int) -> FactoredRational:
     Consistent with the Pieri coefficients through the closed-form
     prefactor: K_r(w) = L_r(w) pref(w) / pref(T_r w).
     """
-    qt = ("q", "t")
     n = weight.n
     lvec = weight.lvec
     if not 1 <= r <= n:
         raise ValueError("r out of range")
-    led = Ledger(qt)
+    led = Ledger(vars)
+    z = (0,) * (len(vars) - 2)
     s_up = 0
     for s in range(r, n):
         s_up += lvec[s - 1]
-        led.binomial((s_up - 1, s - r + 2), 1)
-        led.binomial((s_up, s - r + 1), -1)
+        led.binomial((s_up - 1, s - r + 2) + z, 1)
+        led.binomial((s_up, s - r + 1) + z, -1)
     s_dn = 0
     for j in range(1, r):
         s_dn += lvec[r - 1 - j]
-        led.binomial((s_dn + 1, j - 1), 1)
-        led.binomial((s_dn, j), -1)
+        led.binomial((s_dn + 1, j - 1) + z, 1)
+        led.binomial((s_dn, j) + z, -1)
     return led.value()
 
 
-def hp_prefactor(weight: GLWeight) -> FactoredRational:
+def hp_prefactor(weight: GLWeight, vars: tuple = ("q", "t")) -> FactoredRational:
     """prod_{1<=i<=j<=N-1} (t^{j-i+1}; q)_{l_i+..+l_j} / (t^{j-i} q; q)_{l_i+..+l_j}
-    over (q, t); requires a dominant weight."""
-    qt = ("q", "t")
+    over ``vars``, as in :func:`frakD_K`; requires a dominant weight."""
     if not weight.is_dominant():
         raise ValueError("prefactor requires a dominant weight")
     n = weight.n
-    led = Ledger(qt)
+    led = Ledger(vars)
     for i in range(1, n):
         for j in range(i, n):
             ln = sum(weight.lvec[i - 1: j])
@@ -527,8 +545,7 @@ def G_value(weight: GLWeight) -> FactoredRational:
     vars = glob_vars(n)
     if not weight.is_dominant():
         return FactoredRational.zero(vars)
-    pref = hp_prefactor(weight).transform(vars, {})
-    return H0_closed(n) * pref * macdonald_in_z(weight)
+    return H0_closed(n) * hp_prefactor(weight, vars) * macdonald_in_z(weight)
 
 
 def h_series(weight: GLWeight, order: int) -> QTSeries:
@@ -555,8 +572,7 @@ def verify_cor_diff(weight: GLWeight, strict: bool = False) -> dict:
         g = G_value(shifted)
         if g.is_zero():
             continue
-        k = frakD_K(weight, r).transform(vars, {})
-        lhs = lhs + k * g
+        lhs = lhs + frakD_K(weight, r, vars) * g
     rhs = _zsum(n) * G_value(weight)
     ok = rational_eq(lhs, rhs)
     if not ok and strict:

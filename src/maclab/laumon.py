@@ -14,7 +14,6 @@ explicit product of finite q-Pochhammer ratios.  This module verifies
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache
 from itertools import product as iproduct
 
@@ -61,15 +60,13 @@ def lau_vars(n: int) -> tuple:
     return ("q", "t") + tuple(f"z{i}" for i in range(1, n + 1))
 
 
-@dataclass(frozen=True)
 class LaumonContext:
-    n: int
-    degree: int = 0       # max total x-degree
-    order: int = 0        # max total (q,t)-degree
-    vars: tuple = field(init=False)
+    """Rank, max total x-degree and max total (q,t)-degree."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "vars", lau_vars(self.n))
+    __slots__ = ("n", "degree", "order", "vars")
+
+    def __init__(self, n: int, degree: int = 0, order: int = 0):
+        self.n, self.degree, self.order, self.vars = n, degree, order, lau_vars(n)
 
 
 def C_ledger(theta: ThetaMatrix, n: int) -> Ledger:

@@ -11,7 +11,6 @@ separately.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 __all__ = ["VerificationReport", "Status"]
 
@@ -22,17 +21,16 @@ class Status:
     NOT_STABILIZED = "NOT_STABILIZED"
 
 
-@dataclass
 class VerificationReport:
-    check: str
-    parameters: dict
-    status: str
-    witnesses: list = field(default_factory=list)
-    wall_time: float | None = None
+    __slots__ = ("check", "parameters", "status", "witnesses", "wall_time")
 
-    def __post_init__(self):
-        if self.status == Status.FAILED and not self.witnesses:
+    def __init__(self, check: str, parameters: dict, status: str,
+                 witnesses: list | None = None, wall_time: float | None = None):
+        if status == Status.FAILED and not witnesses:
             raise ValueError("a FAILED report needs at least one witness")
+        self.check, self.parameters, self.status = check, parameters, status
+        self.witnesses = [] if witnesses is None else witnesses
+        self.wall_time = wall_time
 
     @property
     def passed(self) -> bool:

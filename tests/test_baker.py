@@ -67,6 +67,12 @@ def test_closed_equals_recursive_small():
             assert rational_eq(a, c_N_closed_alt(th, n)), (n, vals)
 
 
+def test_context_rejects_a_negative_truncation_and_shares_the_rank_tuple():
+    with pytest.raises(ValueError):
+        BAContext(2, -1)
+    assert BAContext(3, 1).vars is ba_vars(3)
+
+
 def test_series_truncation_zero():
     ctx = BAContext(3, 0)
     f = f_N_series(ctx)

@@ -23,18 +23,58 @@ def test_microbenchmarks_run():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-def test_perfbench_imports_exist():
-    """``perfbench/child.py::_import_maclab`` imports maclab modules by
-    name before every benchmark run; a deleted module fails here."""
+def _perfbench_modules():
+    """The maclab modules ``perfbench/child.py::_import_maclab`` imports by
+    name before every benchmark run."""
     tree = ast.parse((ROOT / "perfbench" / "child.py").read_text())
     (fn,) = [node for node in ast.walk(tree)
              if isinstance(node, ast.FunctionDef) and node.name == "_import_maclab"]
     (names,) = [node.iter for node in ast.walk(fn)
                 if isinstance(node, ast.For) and isinstance(node.iter, ast.Tuple)]
-    modules = [ast.literal_eval(elt) for elt in names.elts]
+    return [ast.literal_eval(elt) for elt in names.elts]
+
+
+def test_perfbench_imports_exist():
+    """A module deleted from the package fails here."""
+    modules = _perfbench_modules()
     assert "checks" in modules
     for name in modules:
         importlib.import_module(f"maclab.{name}")
+
+
+# prints the loaded module names on one line; itself imports nothing
+_PRINT_MODULES = "print(*sorted(__import__('sys').modules))"
+
+
+def _fresh_modules(code: str) -> list:
+    """One set of loaded module names per ``_PRINT_MODULES`` line of
+    ``code``, run in a fresh interpreter with ``src`` on the path."""
+    path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    proc = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return [set(line.split()) for line in proc.stdout.splitlines()]
+
+
+def test_import_loads_no_dataclasses_and_hashlib_only_on_cache_use():
+    """Importing the benchmark's module list loads neither ``dataclasses``
+    (with ``inspect``) nor ``hashlib`` (with OpenSSL); a cache with a
+    directory loads ``hashlib`` on its first entry and round-trips it."""
+    (bare,) = _fresh_modules(_PRINT_MODULES)
+    imports = "".join(f"import maclab.{name}\n" for name in _perfbench_modules())
+    imported, used = _fresh_modules(imports + _PRINT_MODULES + """
+import tempfile
+from maclab.cache import ResultCache
+with tempfile.TemporaryDirectory() as d:
+    cache = ResultCache(d)
+    cache.put("op", {"n": 2}, {"value": [1, 2]})
+    assert cache.get("op", {"n": 2}) == {"value": [1, 2]}
+""" + _PRINT_MODULES)
+    added = imported - bare
+    assert "maclab.checks" in added and "maclab.cli" in added
+    assert not added & {"dataclasses", "inspect", "hashlib"}, added
+    assert "hashlib" in used
 
 
 def _tracer_constant(name):

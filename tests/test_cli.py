@@ -139,6 +139,15 @@ def test_report_invariants():
     assert json.loads(r.canonical_json())["parameters"] == {"n": 2}
 
 
+def test_reports_built_without_witnesses_do_not_share_a_list():
+    from maclab.reports import Status, VerificationReport
+
+    a = VerificationReport("x", {}, Status.PASSED)
+    b = VerificationReport("x", {}, Status.PASSED)
+    a.witnesses.append({"k": 1})
+    assert a.witnesses == [{"k": 1}] and b.witnesses == []
+
+
 @pytest.mark.parametrize("argv", [
     ("macdonald", "--n", "2", "--lambda", "1,1,1"),
     ("macdonald", "--n", "2", "--lambda", "1,2"),

@@ -1,5 +1,6 @@
 """Global characters: Weyl sums, stable limits, closed forms, shift operator."""
 
+import pickle
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -62,6 +63,24 @@ def test_weight_coordinates():
         for j in range(2):
             lv = tuple(1 if k == j else 0 for k in range(2))
             assert GLWeight(lv).pairing(gamma) == (1 if i == j else 0)
+
+
+def test_weight_is_immutable_and_keys_the_z_table_by_value():
+    w = GLWeight((1, 0))
+    for name, value in (("lvec", (0, 1)), ("n", 4)):
+        with pytest.raises(AttributeError):
+            setattr(w, name, value)
+    assert (w.lvec, w.n) == ((1, 0), 3)
+    assert w == GLWeight([1, 0]) and hash(w) == hash(GLWeight([1, 0]))
+    assert w != GLWeight((0, 1)) and w != (1, 0)
+    assert pickle.loads(pickle.dumps(w)) == w
+    table = euler._mz_memo
+    table.clear()
+    hits, misses = table.hits, table.misses
+    first = euler.macdonald_in_z(w)
+    assert euler.macdonald_in_z(GLWeight((1, 0))) is first
+    assert (table.hits - hits, table.misses - misses) == (1, 1)
+    assert len(table) == 1
 
 
 def test_shift_map():

@@ -46,6 +46,12 @@ def test_C_single_box_examples():
     assert rational_eq(C_theta(ThetaMatrix(3, {(2, 3): 1}), 3), expected23)
 
 
+def test_context_defaults_and_shares_the_rank_tuple():
+    ctx = LaumonContext(3)
+    assert (ctx.n, ctx.degree, ctx.order) == (3, 0, 0)
+    assert ctx.vars is lau_vars(3)
+
+
 def test_J_series_coefficients():
     ctx = LaumonContext(2, degree=2)
     J = J_series(ctx)

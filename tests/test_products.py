@@ -10,7 +10,7 @@ from maclab.algebra import FactoredRational, LaurentPolynomial, rational_eq
 from maclab.baker import ba_vars, c_N_closed, c_N_closed_alt, c_N_recursive
 from maclab.checks import _printed_c2, _printed_c3
 from maclab.euler import (
-    GLWeight, _arc_prefactor, _weyl_factor, _weyl_group, frakD_K, hp_prefactor)
+    GLWeight, _arc_prefactor, _weyl_factor, _weyl_group, frakD_K, glob_vars, hp_prefactor)
 from maclab.laumon import C_theta, _lattice_points, _lattice_term
 from maclab.macdonald import pieri_L, psi_T
 from maclab.tableaux import ThetaMatrix, enumerate_pol_lambda, partitions_upto, theta_upto_degree
@@ -159,6 +159,23 @@ def _arc_pairs():
             for order in range(4):
                 w = GLWeight(lv)
                 yield _arc_prefactor(w, order), ref.arc_prefactor_reference(w, order), (lv, order)
+
+
+def test_prefactors_over_the_sl_context_equal_their_re_embedding():
+    # G_value and verify_cor_diff fill these ledgers over glob_vars(n)
+    # directly; the values are those of the (q, t) forms mapped there
+    seen = 0
+    for w in _weights(4, 3):
+        vars = glob_vars(w.n)
+        pairs = [(hp_prefactor(w, vars), hp_prefactor(w).transform(vars, {}))]
+        pairs += [(frakD_K(w, r, vars), frakD_K(w, r).transform(vars, {}))
+                  for r in range(1, w.n + 1)]
+        for got, want in pairs:
+            assert got == want, w.lvec
+            assert got.canonical_str() == want.canonical_str(), w.lvec
+            assert got.vars is vars
+            seen += 1
+    assert seen
 
 
 @pytest.mark.parametrize("pairs", [_weight_pairs, _weyl_pairs, _printed_pairs,
