@@ -13,8 +13,8 @@ and the largest single sum the ``hp`` check folds.  Four cases:
   round it reads every J-piece from its cache, as ``H_limit`` does
   across the weights and schedule points of one check (about 60% of its
   lookups hit);
-* the certification alone, on the groups that ``euler_char_series``
-  folds: by the image loop of ``tests/weyl_reference.py`` (six images,
+* the certification alone, on the split series that
+  ``euler_char_series`` sums: by the image loop of ``tests/weyl_reference.py`` (six images,
   each added with ``FactoredRational.__add__``) and by the one-pass
   antisymmetriser ``certify_weyl_sum``.  Both must give the series
   above.
@@ -82,8 +82,9 @@ def test_euler_char_series_hp_orbit(benchmark, per_w):
 
 
 @pytest.fixture(scope="module")
-def folded():
-    """The groups, context and order that euler_char_series certifies."""
+def summed():
+    """The split series, context and order that euler_char_series
+    certifies."""
     seen = []
     real = euler.certify_weyl_sum
 
@@ -100,15 +101,15 @@ def folded():
     return args
 
 
-def test_certify_hp_groups_by_images(benchmark, folded, per_w):
-    groups, vars, trunc = folded
+def test_certify_hp_split_by_images(benchmark, summed, per_w):
+    split, vars, trunc = summed
     images = weyl_images(WEIGHT.n)
-    assert benchmark(_certify_by_images, groups, vars, trunc, images=images) == per_w
+    assert benchmark(_certify_by_images, split, vars, trunc, images=images) == per_w
 
 
-def test_certify_hp_groups_antisymmetrised(benchmark, folded, per_w):
-    groups, vars, trunc = folded
-    assert benchmark(certify_weyl_sum, groups, vars, trunc) == per_w
+def test_certify_hp_split_antisymmetrised(benchmark, summed, per_w):
+    split, vars, trunc = summed
+    assert benchmark(certify_weyl_sum, split, vars, trunc) == per_w
 
 
 def test_chi_bQ_localization_past_the_chibq_range(benchmark):

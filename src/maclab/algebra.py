@@ -34,8 +34,6 @@ from math import lcm
 from operator import add, itemgetter, sub
 from typing import Iterable, Mapping, Sequence, Union
 
-from . import memo
-
 Coef = Union[int, Fraction]
 
 __all__ = [
@@ -790,9 +788,7 @@ class FactoredRational:
 
         A numerator factor may collapse to zero (making the value zero); a
         denominator factor collapsing to zero raises ``ZeroDivisionError``;
-        the first collapsing factor in key order decides.  The canonical image
-        of each factor comes from the check-scoped memo ``_factor_images``,
-        keyed on the substitution and the factor."""
+        the first collapsing factor in key order decides."""
         new_vars = tuple(new_vars)
         if self.is_zero():
             return FactoredRational.zero(new_vars)
@@ -806,17 +802,11 @@ class FactoredRational:
                     coef = _norm_coef(coef * _coef_pow(c, e))
                 exps = [x + e * y for x, y in zip(exps, image)]
         exps = tuple(exps)
-        mkey = (self.vars, new_vars,
-                tuple(sorted((v, (c, tuple(e))) for v, (c, e) in mapping.items())))
         own = self._fmap
         fmap: dict = {}
         for key in sorted(own):
             p, m = own[key]
-            image = _factor_images.lookup((mkey, key))
-            if image is None:
-                image = _factor_images.store(
-                    (mkey, key), _canonical_factor(p.transform(new_vars, mapping)))
-            u_c, u_e, canon, ckey = image
+            u_c, u_e, canon, ckey = _canonical_factor(p.transform(new_vars, mapping))
             if u_c == 0:
                 if m < 0:
                     raise ZeroDivisionError("denominator factor vanished under substitution")
@@ -906,14 +896,6 @@ def _canonical_factor(p: LaurentPolynomial) -> tuple:
             cached = (c0, mins, canon, key)
     p._canon = cached
     return cached
-
-
-# ((source vars, new vars, mapping), canonical factor key) -> the
-# _canonical_factor of that factor's image.  Few distinct pairs recur
-# many times (q-shifts of the same binomials in the coefficient
-# recursions, Weyl images of the same denominators).  An image holds
-# about 1 KB.
-_factor_images = memo.Table("algebra._factor_images", "check", 1024)
 
 
 def rational_eq(a: FactoredRational, b: FactoredRational) -> bool:

@@ -28,7 +28,7 @@ from itertools import permutations, product
 
 from . import memo
 from .algebra import FactoredRational, LaurentPolynomial, rational_eq
-from .laumon import C_ledger, IdentityFails, NotStabilized
+from .laumon import C_ledger, IdentityFails, NotStabilized, _root_ledger
 from .macdonald import macdonald_P
 from .qcalc import Ledger
 from .series import (
@@ -36,7 +36,6 @@ from .series import (
     QTSeries,
     certify_weyl_sum,
     expand,
-    fold_split,
     split_expand,
     split_mul,
     split_sum,
@@ -222,13 +221,18 @@ def _C_glob(theta_key, n: int, w, inverted: bool) -> FactoredRational:
     hit = _c_cache.lookup(key)
     if hit is not None:
         return hit
+    led = _c_ledger(theta_key, n).image(glob_vars(n), _glob_weights(n, w, inverted), {})
+    return _c_cache.store(key, led.value())
+
+
+def _glob_weights(n: int, w, inverted: bool) -> list:
+    """The :meth:`~maclab.qcalc.Ledger.image` weights of z -> wz (and
+    q -> 1/q when inverted) from :func:`~maclab.laumon.lau_vars` to the
+    SL context: row k holds the exponent of glob_vars(n)[k] in the images
+    of q, t, z_1 .. z_N."""
     sign = -1 if inverted else 1
     slots = [_wslot_exp(n, i, w) for i in range(1, n + 1)]
-    # row k: the exponent of glob_vars(n)[k] in the images of q, t, z_1 .. z_N
-    weights = [(sign * (k == 0), int(k == 1)) + tuple(e[k] for e in slots)
-               for k in range(n + 1)]
-    led = _c_ledger(theta_key, n).image(glob_vars(n), weights, {})
-    return _c_cache.store(key, led.value())
+    return [(sign * (k == 0), int(k == 1)) + tuple(e[k] for e in slots) for k in range(n + 1)]
 
 
 def _weyl_group(n: int) -> list:
@@ -311,14 +315,12 @@ def _weyl_orbit_sum(pieces, prefactor: FactoredRational, order: int) -> QTSeries
     """The sum over W of the images sigma_w: z_i -> z_{w(i)} of
     ``prefactor`` times the split series ``pieces``, each series exact up
     to the order minus the prefactor's valuation.  The images commute
-    with the expansion, so the products' folded w = id groups go to
+    with the expansion, so the summed w = id products go to
     :func:`certify_weyl_sum`, which builds no image."""
     pieces = split_sum(pieces)
     low = min((s.min_total() for _rest, s in pieces if s.coeffs), default=0)
-    groups: dict = {}
-    for rest, s in split_mul(pieces, split_expand([prefactor], order - min(0, low)), order):
-        fold_split(groups, rest, s)
-    return certify_weyl_sum(groups, prefactor.vars, order)
+    products = split_mul(pieces, split_expand([prefactor], order - min(0, low)), order)
+    return certify_weyl_sum(split_sum(products), prefactor.vars, order)
 
 
 def euler_char_series(alpha, weight: GLWeight, order: int) -> QTSeries:
@@ -586,40 +588,27 @@ def verify_cor_diff(weight: GLWeight, strict: bool = False) -> dict:
 def chi_bQ_closed(weight: GLWeight, order: int) -> QTSeries:
     """H0 * prefactor * prod_{i=1}^{N-2} ((t^i;q)_inf / (q t^{i+1};q)_inf)^{N-i-1} * P,
     expanded to the given order."""
-    from .qcalc import pochhammer_inf
-
     n = weight.n
-    vars = glob_vars(n)
-    base = expand(G_value(weight), order)
-
-    def mono(qe, te):
-        e = [0] * (n + 1)
-        e[0], e[1] = qe, te
-        return FactoredRational.monomial(vars, e)
-
+    led = Ledger(glob_vars(n))
     for i in range(1, n - 1):
-        f = pochhammer_inf(mono(0, i), order) * pochhammer_inf(mono(1, i + 1), order).inverse()
-        for _ in range(n - i - 1):
-            base = base * f
-    return base.truncate(order)
+        led.inf(order, 0, i, mult=n - i - 1)
+        led.inf(order, 1, i + 1, mult=i + 1 - n)
+    return expand(G_value(weight) * led.value(), order)
 
 
 def _arc_prefactor(weight: GLWeight, order: int) -> FactoredRational:
     """The w = id prefactor of :func:`chi_bQ_localization`:
     z^weight times the Weyl factor times prod_{i<j} (q t z_j/z_i;q)_inf /
     (q z_j/z_i;q)_inf times ((qt;q)_inf/(q;q)_inf)^{N-1}, each (x;q)_inf
-    cut where its factors pass the order."""
+    cut where its factors pass the order: the ledger of
+    :func:`~maclab.laumon._root_ledger` mapped to the localization
+    coordinates."""
     n = weight.n
     ident = tuple(range(1, n + 1))
-    led = Ledger(glob_vars(n), 1, weight.z_monomial(ident))
-    roots = [tuple(a - b for a, b in zip(_wslot_exp(n, j, ident), _wslot_exp(n, i, ident)))[2:]
-             for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    for z in roots + [(0,) * (n - 1)] * (n - 1):
-        for k in range(1, order):
-            led.binomial((k, 1) + z, 1)
-        for k in range(1, order + 1):
-            led.binomial((k, 0) + z, -1)
-    return _weyl_factor(n, ident) * led.value()
+    vars = glob_vars(n)
+    led = _root_ledger(n, order).image(vars, _glob_weights(n, ident, False), {})
+    z_weight = FactoredRational.monomial(vars, weight.z_monomial(ident))
+    return _weyl_factor(n, ident) * z_weight * led.value()
 
 
 def chi_bQ_localization(weight: GLWeight, order: int) -> QTSeries:

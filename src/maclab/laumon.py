@@ -19,8 +19,8 @@ from itertools import product as iproduct
 
 from .algebra import FactoredRational, rational_eq
 from .baker import c_N_closed, operator_residual, theta_series
-from .qcalc import Ledger, pochhammer_inf
-from .series import QTSeries, XSeries, expand_sum
+from .qcalc import Ledger
+from .series import QTSeries, XSeries, expand, expand_sum
 from .tableaux import ThetaMatrix, theta_by_degree, theta_upto_degree
 
 __all__ = [
@@ -185,6 +185,22 @@ def substitution_check(ctx: LaumonContext, strict: bool = False) -> dict:
     return results
 
 
+def _root_ledger(n: int, order: int) -> Ledger:
+    """The ledger over :func:`lau_vars` of
+
+        prod_{i<j} (qt z_j/z_i;q)_inf / (q z_j/z_i;q)_inf * ((qt;q)_inf / (q;q)_inf)^{N-1}
+
+    each (x;q)_inf cut to its factors of total (q,t)-degree <= order."""
+    led = Ledger(lau_vars(n))
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            led.inf(order, 1, 1, j, i)
+            led.inf(order, 1, 0, j, i, -1)
+    led.inf(order, 1, 1, mult=n - 1)
+    led.inf(order, 1, 0, mult=1 - n)
+    return led
+
+
 def J_infinity(n: int, order: int) -> QTSeries:
     """The stable character as an explicit product:
 
@@ -194,30 +210,11 @@ def J_infinity(n: int, order: int) -> QTSeries:
 
     expanded to total (q,t)-degree ``order``.
     """
-    vars = lau_vars(n)
-
-    def mono(qe, te, znum=None, zden=None):
-        e = [0] * len(vars)
-        e[0], e[1] = qe, te
-        if znum is not None:
-            e[vars.index(f"z{znum}")] += 1
-        if zden is not None:
-            e[vars.index(f"z{zden}")] -= 1
-        return FactoredRational.monomial(vars, e)
-
-    out = QTSeries.one(("q", "t"), vars[2:], order)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            out = out * pochhammer_inf(mono(1, 1, j, i), order)
-            out = out * pochhammer_inf(mono(1, 0, j, i), order).inverse()
-    base = pochhammer_inf(mono(1, 1), order) * pochhammer_inf(mono(1, 0), order).inverse()
-    for _ in range(n - 1):
-        out = out * base
+    led = _root_ledger(n, order)
     for i in range(1, n - 1):
-        f = pochhammer_inf(mono(1, i + 1), order) * pochhammer_inf(mono(0, i), order).inverse()
-        for _ in range(n - i - 1):
-            out = out * f
-    return out.truncate(order)
+        led.inf(order, 1, i + 1, mult=n - i - 1)
+        led.inf(order, 0, i, mult=i + 1 - n)
+    return expand(led.value(), order)
 
 
 def local_character(n: int, alpha, order: int) -> QTSeries:
@@ -296,6 +293,18 @@ def _lattice_term(vars: tuple, chi: tuple, order: int) -> FactoredRational:
     return led.value()
 
 
+def _lattice_product(vars: tuple, rank: int, order: int) -> QTSeries:
+    """The right side of :func:`an_summation_check` over vars = (q, t,
+    z_1 .. z_{rank+1}), expanded to the order."""
+    led = Ledger(vars)
+    led.inf(order, 1, 0, mult=rank)
+    led.inf(order, 1, 1, mult=-rank)
+    for i in range(1, rank + 1):
+        led.inf(order, 1, i + 1)
+        led.inf(order, 0, i, mult=-1)
+    return expand(led.value(), order)
+
+
 def _lattice_points(m: int, rad: int) -> list:
     """The points chi of the A_{m-1} root lattice, sum(chi) = 0, with
     sum_{i != j} max(chi_i - chi_j, 0) <= 2 rad."""
@@ -337,20 +346,7 @@ def an_summation_check(rank: int, order: int, radius: int | None = None,
     lhs = lattice_sum(radius)
     lhs2 = lattice_sum(2 * radius)
     doubled_stable = lhs == lhs2
-
-    def mono(qe, te):
-        e = [0] * len(vars)
-        e[0], e[1] = qe, te
-        return FactoredRational.monomial(vars, e)
-
-    rhs = QTSeries.one(("q", "t"), vars[2:], order)
-    f = pochhammer_inf(mono(1, 0), order) * pochhammer_inf(mono(1, 1), order).inverse()
-    for _ in range(rank):
-        rhs = rhs * f
-    for i in range(1, rank + 1):
-        g = pochhammer_inf(mono(1, i + 1), order) * pochhammer_inf(mono(0, i), order).inverse()
-        rhs = rhs * g
-    rhs = rhs.truncate(order)
+    rhs = _lattice_product(vars, rank, order)
     matches = lhs2 == rhs
     report = {
         "rank": rank,

@@ -14,12 +14,11 @@ tables: list = []   # every Table, in declaration order
 
 
 class Table(dict):
-    """A memo dict with a scope and a cap that counts hits and misses;
-    emptying it also empties the tables in ``also``."""
+    """A memo dict with a scope and a cap that counts hits and misses."""
 
-    def __init__(self, name: str, scope: str, cap: int, also: tuple = ()):
+    def __init__(self, name: str, scope: str, cap: int):
         super().__init__()
-        self.name, self.scope, self.cap, self.also = name, scope, cap, also
+        self.name, self.scope, self.cap = name, scope, cap
         self.hits = self.misses = 0
         tables.append(self)
 
@@ -37,11 +36,6 @@ class Table(dict):
             self.clear()
         self[key] = value
         return value
-
-    def clear(self) -> None:
-        super().clear()
-        for table in self.also:
-            table.clear()
 
 
 def cached(scope: str, cap: int):

@@ -11,8 +11,10 @@ C_theta), whose (q,t)-valuation is counted without a value
 context (q, x, z1, z2, ...), its z indices counted from there;
 :meth:`Ledger.binomial` adds one binomial over any context, and
 :func:`pochhammer` is the ledger of a single symbol.
-The infinite symbol is only used through its truncated (q,t)-expansion,
-where all but finitely many factors are 1 modulo the truncation order.
+The infinite symbol (p; q)_inf is only used through its truncated
+(q,t)-expansion, where all but finitely many factors are 1 modulo the
+truncation order: :meth:`Ledger.inf` adds the others to the ledger, and
+a product of such symbols is expanded once.
 """
 
 from __future__ import annotations
@@ -22,9 +24,8 @@ from typing import Sequence
 
 from . import memo
 from .algebra import Coef, FactoredRational, LaurentPolynomial, _poly_sort_key
-from .series import QTSeries, expand
 
-__all__ = ["Ledger", "pochhammer", "pochhammer_inf", "NonConvergent"]
+__all__ = ["Ledger", "pochhammer", "NonConvergent"]
 
 
 class NonConvergent(ArithmeticError):
@@ -55,30 +56,6 @@ def pochhammer(p: FactoredRational | LaurentPolynomial, n: int) -> FactoredRatio
     for k in range(q0, q0 + n):
         led.binomial((k,) + rest, 1)
     return led.value()
-
-
-def pochhammer_inf(p: FactoredRational | LaurentPolynomial, trunc: int) -> QTSeries:
-    """Truncated (q,t)-expansion of the infinite symbol (p; q)_infty over
-    a context that starts (q, t).
-
-    Requires the monomial p to have positive total (q,t)-degree (or be
-    zero, in which case the product is 1); each factor (1 - q^k p) with
-    k + deg(p) > trunc is 1 modulo the truncation order.
-    """
-    if isinstance(p, LaurentPolynomial):
-        p = FactoredRational.from_poly(p)
-    vars = p.vars
-    if vars[:2] != ("q", "t"):
-        raise ValueError("Pochhammer base must be over (q, t, ...)")
-    if p.is_zero():
-        return QTSeries.one(("q", "t"), vars[2:], trunc)
-    if not p.is_monomial():
-        raise ValueError("Pochhammer base must be a monomial")
-    deg = p.exps[0] + p.exps[1]
-    if deg <= 0:
-        raise NonConvergent(
-            f"(p;q)_infty with qt-degree {deg} base does not converge")
-    return expand(pochhammer(p, max(0, trunc - deg + 1)), trunc)
 
 
 class Ledger:
@@ -112,6 +89,17 @@ class Ledger:
         rest = tuple(rest)
         for k in range(qpow, qpow + n):
             self.binomial((k,) + rest, mult)
+
+    def inf(self, order: int, qpow: int = 0, xpow: int = 0, znum: int | None = None,
+            zden: int | None = None, mult: int = 1) -> None:
+        """Multiply by (q^qpow x^xpow z_znum / z_zden ; q)_inf ** mult over
+        the context (q, x, z1, z2, ...), cut to its factors of (q,
+        x)-degree <= order: the others are 1 modulo that order.  Raises
+        :class:`NonConvergent` when the base has degree <= 0."""
+        deg = qpow + xpow
+        if deg <= 0:
+            raise NonConvergent(f"(p;q)_infty with qt-degree {deg} base does not converge")
+        self.zratio(max(0, order - deg + 1), qpow, xpow, znum, zden, mult)
 
     def binomial(self, e: tuple, mult: int) -> None:
         """Multiply by (1 - x^e) ** mult."""

@@ -1,11 +1,10 @@
 """Truncated formal series: bigraded (q,t)-series and multivariate x-series.
 
-:class:`QTSeries` is a series in two distinguished variables (``q`` and
-``t``, or ``q`` and the Macdonald parameter), truncated by total degree,
-whose coefficients are Laurent polynomials in the remaining variables.
-Negative exponents are permitted (they arise from q-inverted characters);
-the ``trunc`` attribute records the total degree up to which the stored
-data is exact.
+:class:`QTSeries` is a series in the two distinguished variables ``q``
+and ``t``, truncated by total degree, whose coefficients are Laurent
+polynomials in the remaining variables.  Negative exponents are permitted
+(they arise from q-inverted characters); the ``trunc`` attribute records
+the total degree up to which the stored data is exact.
 
 :class:`XSeries` is a truncated series in auxiliary ratio variables whose
 coefficients are :class:`~maclab.algebra.FactoredRational` values over the
@@ -17,13 +16,14 @@ tolerates purely-z denominator factors, returning them unexpanded as a
 rational multiplier.
 
 A split series is a finite sum of such pairs ``(rest, series)``, one per
-pole part ``rest`` (:func:`split_expand`, :func:`split_sum`); two split
-series multiply pairwise (:func:`split_mul`).  A sum of many terms is
-folded per (q,t)-degree and pole part (:func:`fold_split`), then
-certified: :func:`expand_sum` certifies its total with
-:func:`certify_sum`, and :func:`certify_weyl_sum` certifies the total
-over the Weyl group S_N of the coefficient variables' permutations from
-the w = id groups, in one antisymmetrisation pass.
+pole part ``rest``; every summed series is one.  :func:`split_sum` adds
+the pairs of each pole part, :func:`split_expand` expands a sum of
+factored rationals into one, and two split series multiply pairwise
+(:func:`split_mul`).  :func:`certify_sum` certifies that the poles of a
+split series cancel in its total, which :func:`expand_sum` expands, and
+:func:`certify_weyl_sum` certifies the total over the Weyl group S_N of
+the coefficient variables' permutations from the w = id pairs, in one
+antisymmetrisation pass.
 """
 
 from __future__ import annotations
@@ -43,7 +43,9 @@ from .algebra import (
 )
 
 __all__ = ["QTSeries", "XSeries", "expand", "expand_split", "split_expand", "split_mul",
-           "split_sum", "fold_split", "certify_sum", "certify_weyl_sum", "InsufficientTruncation"]
+           "split_sum", "certify_sum", "certify_weyl_sum", "InsufficientTruncation"]
+
+QT = ("q", "t")   # the grading of every QTSeries the package builds
 
 
 class QTSeries:
@@ -160,23 +162,6 @@ class QTSeries:
         out.coeffs = {k: p for k, p in self.coeffs.items() if k[0] + k[1] <= trunc}
         return out
 
-    def inverse(self) -> "QTSeries":
-        """Series inverse; the (0,0) coefficient must be the constant 1."""
-        c0 = self.coeffs.get((0, 0))
-        if self.min_total() < 0 or c0 is None or not c0.is_one():
-            raise DenominatorNotUnit("series inverse needs constant term 1")
-        h = QTSeries(self.qt, self.coeff_vars, self.trunc)
-        h.coeffs = {k: p for k, p in self.coeffs.items() if k != (0, 0)}
-        acc = QTSeries.one(self.qt, self.coeff_vars, self.trunc)
-        pw = QTSeries.one(self.qt, self.coeff_vars, self.trunc)
-        for _ in range(self.trunc):
-            pw = pw * (-h)
-            pw.trunc = self.trunc
-            if pw.is_zero():
-                break
-            acc = acc + pw
-        return acc
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, QTSeries)
@@ -213,10 +198,10 @@ class QTSeries:
         return f"QTSeries({self.canonical_str()}; trunc={self.trunc})"
 
 
-def _poly_to_qtseries(p: LaurentPolynomial, qt: Sequence[str], trunc: int) -> QTSeries:
+def _poly_to_qtseries(p: LaurentPolynomial, trunc: int) -> QTSeries:
     """Spread a polynomial over the (q,t)-grading, dropping terms beyond trunc."""
     vars = p.vars
-    iq, it = vars.index(qt[0]), vars.index(qt[1])
+    iq, it = vars.index("q"), vars.index("t")
     rest_idx = [i for i in range(len(vars)) if i not in (iq, it)]
     coeff_vars = tuple(vars[i] for i in rest_idx)
     # (a, b, z) determines e, so every z-exponent lands in its group once
@@ -229,7 +214,7 @@ def _poly_to_qtseries(p: LaurentPolynomial, qt: Sequence[str], trunc: int) -> QT
         if g is None:
             g = groups[(a, b)] = {}
         g[tuple(e[i] for i in rest_idx)] = c
-    out = QTSeries(qt, coeff_vars, trunc)
+    out = QTSeries(QT, coeff_vars, trunc)
     out.coeffs = {k: LaurentPolynomial._from_terms(coeff_vars, g) for k, g in groups.items()}
     return out
 
@@ -247,7 +232,7 @@ def _classify(p: LaurentPolynomial, iq: int, it: int) -> tuple:
 
 
 def _factor_series(memo: dict, key: tuple, p: LaurentPolynomial, m: int, lead,
-                   rel: int, qt: Sequence[str], coeff_vars: tuple) -> QTSeries:
+                   rel: int, coeff_vars: tuple) -> QTSeries:
     """The factor ``p`` to the power ``m`` as a series exact up to total
     degree ``rel``: a polynomial power for ``m > 0``, and for ``m < 0``
     the geometric series of 1/(1 + tail/lead) to the power ``-m`` (the
@@ -259,21 +244,21 @@ def _factor_series(memo: dict, key: tuple, p: LaurentPolynomial, m: int, lead,
         return out
     unit = 1 if m > 0 else -1
     if m != unit:
-        base = _factor_series(memo, key, p, unit, lead, rel, qt, coeff_vars)
+        base = _factor_series(memo, key, p, unit, lead, rel, coeff_vars)
         out = base
         for _ in range(abs(m) - 1):
             out = out * base
             out.trunc = rel
     elif m > 0:
-        out = _poly_to_qtseries(p, qt, rel)
+        out = _poly_to_qtseries(p, rel)
     else:
         # 1/(lead + tail) = lead^-1 * 1/(1 + tail/lead)
         c0, e0 = lead
         tail = LaurentPolynomial._from_terms(
             p.vars, {e: c for e, c in p.terms.items() if e != e0})
         h = tail.shift(tuple(-x for x in e0)).scale(_norm_coef(Fraction(1) / c0))
-        neg_h = -_poly_to_qtseries(h, qt, rel)
-        out = QTSeries.one(qt, coeff_vars, rel)
+        neg_h = -_poly_to_qtseries(h, rel)
+        out = QTSeries.one(QT, coeff_vars, rel)
         pw = out
         for _ in range(rel):
             pw = pw * neg_h
@@ -285,8 +270,7 @@ def _factor_series(memo: dict, key: tuple, p: LaurentPolynomial, m: int, lead,
     return out
 
 
-def expand_split(fr: FactoredRational, trunc: int, qt: Sequence[str] = ("q", "t"),
-                 _memo: dict | None = None):
+def expand_split(fr: FactoredRational, trunc: int, _memo: dict | None = None):
     """Expand ``fr`` as a truncated (q,t)-series, splitting off the part
     that cannot be expanded.
 
@@ -299,17 +283,17 @@ def expand_split(fr: FactoredRational, trunc: int, qt: Sequence[str] = ("q", "t"
     Raises :class:`DenominatorNotUnit` for denominator factors whose
     (q,t)-minimal part is neither a monomial nor purely coefficient-side.
 
-    ``_memo`` lets :func:`expand_sum` share factor classifications and
+    ``_memo`` lets :func:`split_expand` share factor classifications and
     factor series between the terms of one sum; it maps a canonical
     factor key to :func:`_classify`'s result and ``(key, mult, rel)`` to
     :func:`_factor_series`'s.
     """
     vars = fr.vars
-    coeff_vars = _coeff_vars(vars, qt)
+    coeff_vars = _coeff_vars(vars)
     if fr.is_zero():
-        return FactoredRational.one(vars), QTSeries(qt, coeff_vars, trunc)
+        return FactoredRational.one(vars), QTSeries(QT, coeff_vars, trunc)
     memo = {} if _memo is None else _memo
-    iq, it = vars.index(qt[0]), vars.index(qt[1])
+    iq, it = vars.index("q"), vars.index("t")
     z_idx = [i for i in range(len(vars)) if i not in (iq, it)]
 
     unit_coef = fr.coef
@@ -348,7 +332,7 @@ def expand_split(fr: FactoredRational, trunc: int, qt: Sequence[str] = ("q", "t"
     series = None
     if rel >= 0:  # below that every series is empty
         for key, p, m, lead in num_factors + den_factors:
-            f = _factor_series(memo, key, p, m, lead, rel, qt, coeff_vars)
+            f = _factor_series(memo, key, p, m, lead, rel, coeff_vars)
             if f.is_one():
                 continue
             if series is None:
@@ -357,7 +341,7 @@ def expand_split(fr: FactoredRational, trunc: int, qt: Sequence[str] = ("q", "t"
                 series = series * f
                 series.trunc = rel
     if series is None:
-        series = QTSeries.one(qt, coeff_vars, rel)
+        series = QTSeries.one(QT, coeff_vars, rel)
 
     series = series.scale(unit_coef)
     series = series.shift(shift_q, shift_t)
@@ -369,10 +353,10 @@ def expand_split(fr: FactoredRational, trunc: int, qt: Sequence[str] = ("q", "t"
     return rest, series
 
 
-def expand(fr: FactoredRational, trunc: int, qt: Sequence[str] = ("q", "t")) -> QTSeries:
+def expand(fr: FactoredRational, trunc: int) -> QTSeries:
     """(q,t)-expansion of a factored rational, exact up to total degree
     ``trunc``.  Every denominator factor must be a unit for the grading."""
-    rest, series = expand_split(fr, trunc, qt)
+    rest, series = expand_split(fr, trunc)
     if rest.factors:
         raise DenominatorNotUnit(
             "denominator factor with zero (q,t)-degree: "
@@ -381,8 +365,8 @@ def expand(fr: FactoredRational, trunc: int, qt: Sequence[str] = ("q", "t")) -> 
     return series
 
 
-def _coeff_vars(vars: Sequence[str], qt: Sequence[str]) -> tuple:
-    return tuple(v for v in vars if v not in qt)
+def _coeff_vars(vars: Sequence[str]) -> tuple:
+    return tuple(v for v in vars if v not in QT)
 
 
 class NonPolynomialCoefficient(ArithmeticError):
@@ -408,14 +392,39 @@ def split_sum(pairs) -> tuple:
     A split series is a finite sum of ``rest * series`` with ``rest`` a
     purely coefficient-side denominator (see :func:`expand_split`); it is
     given as a sequence of such pairs.  The result has one pair per pole
-    part.  Its series are new objects or the given ones, never mutated.
+    part, the first ``rest`` of that part and a new series with the least
+    truncation of its inputs: their coefficient terms are added in place
+    per (q,t)-degree, and the given series are never mutated.
     """
-    parts: dict = {}
+    parts: dict = {}   # pole key -> [rest, trunc, coeff_vars, {(a, b): terms}]
     for rest, ser in pairs:
         pole = _pole_key(rest)
         part = parts.get(pole)
-        parts[pole] = (rest, ser) if part is None else (part[0], part[1] + ser)
-    return tuple(parts.values())
+        if part is None:
+            parts[pole] = [rest, ser.trunc, ser.coeff_vars,
+                           {k: dict(p.terms) for k, p in ser.coeffs.items()}]
+            continue
+        part[1] = min(part[1], ser.trunc)
+        acc = part[3]
+        for key, poly in ser.coeffs.items():
+            terms = acc.get(key)
+            if terms is None:
+                acc[key] = dict(poly.terms)
+                continue
+            get = terms.get
+            for e, c in poly.terms.items():
+                c = get(e, 0) + c
+                if c:
+                    terms[e] = _norm_coef(c)
+                else:
+                    del terms[e]
+    out = []
+    for rest, trunc, coeff_vars, acc in parts.values():
+        ser = QTSeries(QT, coeff_vars, trunc)
+        ser.coeffs = {k: LaurentPolynomial._from_terms(coeff_vars, t)
+                      for k, t in acc.items() if t and k[0] + k[1] <= trunc}
+        out.append((rest, ser))
+    return tuple(out)
 
 
 def split_expand(terms, trunc: int) -> tuple:
@@ -456,51 +465,27 @@ def split_mul(a, b, order: int) -> list:
     return out
 
 
-def fold_split(groups: dict, rest: FactoredRational, series: QTSeries) -> None:
-    """The fold stage of :func:`expand_sum`: add the coefficient
-    polynomials of ``rest * series`` into ``groups``, keyed on
-    ((q,t)-degree, pole part) and holding ``(rest, coefficient terms)``."""
-    pole = _pole_key(rest)
-    for key, poly in series.coeffs.items():
-        g = groups.get((key, pole))
-        if g is None:
-            groups[(key, pole)] = (rest, dict(poly.terms))
-            continue
-        acc_terms = g[1]
-        get = acc_terms.get
-        for e, c in poly.terms.items():
-            s = get(e, 0) + c
-            if s:
-                acc_terms[e] = _norm_coef(s)
-            else:
-                del acc_terms[e]
+def certify_sum(split, vars: Sequence[str], trunc: int) -> QTSeries:
+    """The total of the split series ``split``, certified to be a Laurent
+    polynomial in the coefficient variables at each (q,t)-degree.
 
-
-def certify_sum(groups: dict, vars: Sequence[str], trunc: int,
-                qt: Sequence[str] = ("q", "t")) -> QTSeries:
-    """The certify stage of :func:`expand_sum`: add the groups of
-    :func:`fold_split` per (q,t)-degree and certify that each such sum
-    is a Laurent polynomial in the coefficient variables.
-
-    Each group is lifted to a factored rational over its poles, the
-    groups of one degree are added, and the sum is divided out exactly.
-    ``vars`` is the context of the summed terms; every folded series must
-    be exact up to total degree ``trunc`` and hold no coefficient beyond
-    it.  Raises :class:`NonPolynomialCoefficient` when the poles do not
-    cancel.
+    Each pair's coefficient is lifted to a factored rational over its
+    pole part, the lifts of one degree are added, and the sum is divided
+    out exactly.  ``vars`` is the context of the summed terms; every
+    series must be exact up to total degree ``trunc`` and hold no
+    coefficient beyond it.  Raises :class:`NonPolynomialCoefficient` when
+    the poles do not cancel.
     """
     vars = tuple(vars)
-    coeff_vars = _coeff_vars(vars, qt)
-    out = QTSeries(qt, coeff_vars, trunc)
+    coeff_vars = _coeff_vars(vars)
+    out = QTSeries(QT, coeff_vars, trunc)
     acc: dict = {}
-    for (key, _pole), (rest, t) in groups.items():
-        if not t:
-            continue
-        poly = LaurentPolynomial._from_terms(coeff_vars, t).transform(vars, {})
-        contrib = rest * FactoredRational.from_poly(poly)
-        acc[key] = acc[key] + contrib if key in acc else contrib
-    drop = {v: (1, (0,) * len(coeff_vars)) for v in qt}
-    qt_idx = [vars.index(v) for v in qt]
+    for rest, ser in split:
+        for key, poly in ser.coeffs.items():
+            contrib = rest * FactoredRational.from_poly(poly.transform(vars, {}))
+            acc[key] = acc[key] + contrib if key in acc else contrib
+    drop = {v: (1, (0,) * len(coeff_vars)) for v in QT}
+    qt_idx = [vars.index(v) for v in QT]
     for key, fr in sorted(acc.items()):
         if fr.is_zero():
             continue
@@ -519,24 +504,23 @@ def certify_sum(groups: dict, vars: Sequence[str], trunc: int,
     return out
 
 
-def certify_weyl_sum(groups: dict, vars: Sequence[str], trunc: int) -> QTSeries:
-    """The certify stage of a Weyl-group sum over the SL(N) torus
-    coordinates z_1 .. z_{N-1}, z_N = (z_1 ... z_{N-1})^-1: per
-    (q,t)-degree, the sum over W = S_N of the images sigma_w
-    (z_i -> z_{w(i)}) of the :func:`fold_split` groups' sum, certified
-    with no image built.  One pass over the terms gives that sum as
-    A / V^m, A a sum of alternants and V the Vandermonde product
-    (:func:`_alternant_sum`); A is divided exactly by each z_i - z_j of
-    V, m times.  Raises :class:`NonPolynomialCoefficient` when the poles
+def certify_weyl_sum(split, vars: Sequence[str], trunc: int) -> QTSeries:
+    """The certified Weyl-group sum over the SL(N) torus coordinates
+    z_1 .. z_{N-1}, z_N = (z_1 ... z_{N-1})^-1: per (q,t)-degree, the
+    sum over W = S_N of the images sigma_w (z_i -> z_{w(i)}) of the
+    total of the split series ``split``, certified with no image built.
+    One pass over the terms gives that sum as A / V^m, A a sum of
+    alternants and V the Vandermonde product (:func:`_alternant_sum`);
+    A is divided exactly by each z_i - z_j of V, m times.  Raises :class:`NonPolynomialCoefficient` when the poles
     do not cancel and :class:`NonRootPole` when a pole part is not a
     product of root binomials."""
     vars = tuple(vars)
-    coeff_vars = _coeff_vars(vars, ("q", "t"))
-    out = QTSeries(("q", "t"), coeff_vars, trunc)
+    coeff_vars = _coeff_vars(vars)
+    out = QTSeries(QT, coeff_vars, trunc)
     parts: dict = {}
-    for (key, _pole), (rest, t) in groups.items():
-        if t:
-            parts.setdefault(key, []).append((rest, t))
+    for rest, ser in split:
+        for key, poly in ser.coeffs.items():
+            parts.setdefault(key, []).append((rest, poly.terms))
     binomials = _sl_weyl(coeff_vars)[3]
     poles: dict = {}
     products: dict = {}
@@ -701,30 +685,21 @@ def _alternant_sum(group: list, vars: tuple, coeff_vars: tuple,
     return LaurentPolynomial._from_terms(coeff_vars, terms), m
 
 
-def expand_sum(terms, trunc: int, qt: Sequence[str] = ("q", "t")) -> QTSeries:
+def expand_sum(terms, trunc: int) -> QTSeries:
     """Expand the finite sum ``sum(terms)`` as a (q,t)-series.
 
     Individual terms may carry purely coefficient-side poles (for
     instance Weyl denominators 1 - z_i/z_j); those parts are kept as
     exact rational multipliers per coefficient and must cancel in the
-    total, which is certified by exact division at the end.
-
-    The terms of a localization sum share a small set of factors, so each
-    distinct factor power is expanded once per call (see
-    :func:`expand_split`).  The fold (:func:`fold_split`) first adds the
-    coefficient polynomials of all terms with the same (q,t)-degree and
-    the same pole part; the certification (:func:`certify_sum`) then
-    adds the groups of each degree and certifies their sum.
+    total, which :func:`certify_sum` certifies by exact division.  The
+    terms of a localization sum share a small set of factors, so each
+    distinct factor power is expanded once per call
+    (:func:`split_expand`).
     """
     terms = [fr for fr in terms if not fr.is_zero()]
     if not terms:
         raise ValueError("empty sum")
-    memo: dict = {}
-    groups: dict = {}   # ((a, b), pole key) -> (rest, coefficient terms)
-    for fr in terms:
-        rest, ser = expand_split(fr, trunc, qt, _memo=memo)
-        fold_split(groups, rest, ser)
-    return certify_sum(groups, terms[0].vars, trunc, qt)
+    return certify_sum(split_expand(terms, trunc), terms[0].vars, trunc)
 
 
 class XSeries:

@@ -498,8 +498,9 @@ def test_c_glob_inverts_q_in_its_one_substitution():
     assert pairs == 374
 
 
-def _folded_groups(monkeypatch, alpha, weight, order):
-    """The groups, context and order that euler_char_series certifies."""
+def _summed_split(monkeypatch, alpha, weight, order):
+    """The split series, context and order that euler_char_series
+    certifies."""
     seen = []
     real = euler.certify_weyl_sum
 
@@ -519,8 +520,8 @@ def _folded_groups(monkeypatch, alpha, weight, order):
     ((2, 1, 1), (-1, 1, 0), 2), ((1, 2, 1), (0, -1, 1), 2)])
 def test_antisymmetriser_equals_the_image_loop_at_rank_4(monkeypatch, alpha, lv, order):
     # the last two weights are nondominant: their sums vanish
-    series, (groups, vars, trunc) = _folded_groups(monkeypatch, alpha, GLWeight(lv), order)
-    assert series == _certify_by_images(groups, vars, trunc, images=weyl_images(4))
+    series, (split, vars, trunc) = _summed_split(monkeypatch, alpha, GLWeight(lv), order)
+    assert series == _certify_by_images(split, vars, trunc, images=weyl_images(4))
     assert series.is_zero() == (min(lv) < 0)
 
 
@@ -528,9 +529,9 @@ def test_antisymmetriser_equals_the_image_loop_at_rank_4(monkeypatch, alpha, lv,
 def test_a_planted_uncancelled_pole_raises(monkeypatch, how):
     # the sum of the other images cannot hide a double pole whose w = id
     # group is broken: both certifications refuse it
-    _series, (groups, vars, trunc) = _folded_groups(monkeypatch, (2, 2), GLWeight((1, 0)), 2)
-    assert certify_weyl_sum(groups, vars, trunc) == _series
-    broken = plant_uncancelled_pole(groups, how)
+    _series, (split, vars, trunc) = _summed_split(monkeypatch, (2, 2), GLWeight((1, 0)), 2)
+    assert certify_weyl_sum(split, vars, trunc) == _series
+    broken = plant_uncancelled_pole(split, how)
     with pytest.raises(NonPolynomialCoefficient):
         certify_weyl_sum(broken, vars, trunc)
     with pytest.raises(NonPolynomialCoefficient):

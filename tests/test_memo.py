@@ -26,7 +26,6 @@ CONSTANT_DICTS = {"maclab.checks.CHECKS", "maclab.checks.ALIASES"}
 
 # every memo table of the package and its scope
 TABLES = {
-    "algebra._factor_images": "check",
     "euler._j_piece": "check",
     "euler._j_valuation": "check",
     "qcalc._binomial": "process",

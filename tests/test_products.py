@@ -1,6 +1,8 @@
 """The n-ary product of factored rationals and the coefficient builders
 that use it, against the chained ``*``/``/`` references of
-``tests/coefficient_reference.py``."""
+``tests/coefficient_reference.py``; and the products of infinite
+Pochhammer symbols filled into one ledger, against the series products of
+the symbols expanded one by one (``tests/series_reference.py``)."""
 
 import itertools
 
@@ -10,11 +12,13 @@ from maclab.algebra import FactoredRational, LaurentPolynomial, rational_eq
 from maclab.baker import ba_vars, c_N_closed, c_N_closed_alt, c_N_recursive
 from maclab.checks import _printed_c2, _printed_c3
 from maclab.euler import (
-    GLWeight, _arc_prefactor, _weyl_factor, _weyl_group, frakD_K, glob_vars, hp_prefactor)
-from maclab.laumon import C_theta, _lattice_points, _lattice_term
+    GLWeight, _arc_prefactor, _weyl_factor, _weyl_group, chi_bQ_closed, frakD_K, glob_vars,
+    hp_prefactor)
+from maclab.laumon import C_theta, J_infinity, _lattice_points, _lattice_product, _lattice_term
 from maclab.macdonald import pieri_L, psi_T
 from maclab.tableaux import ThetaMatrix, enumerate_pol_lambda, partitions_upto, theta_upto_degree
 import coefficient_reference as ref
+import series_reference
 
 V = ("q", "t")
 ONE = LaurentPolynomial.one(V)
@@ -191,3 +195,17 @@ def test_ledger_builders_equal_their_factored_forms(pairs):
         assert type(got.coef) is type(want.coef), where
         seen += 1
     assert seen
+
+
+@pytest.mark.parametrize("order", range(4))
+def test_infinite_products_equal_the_series_products(order):
+    # J_infinity, the right side of the lattice identity and the closed
+    # chi(bQ) against products of separately expanded symbols
+    for n in (2, 3, 4):
+        assert J_infinity(n, order) == series_reference.J_infinity(n, order), n
+    for rank in (1, 2, 3):
+        vars = ("q", "t") + tuple(f"z{i}" for i in range(1, rank + 2))
+        assert (_lattice_product(vars, rank, order)
+                == series_reference.lattice_right_side(rank, order)), rank
+    for w in [w for w in _weights(4, 1) if w.n >= 2]:
+        assert chi_bQ_closed(w, order) == series_reference.chi_bQ_closed(w, order), w.lvec

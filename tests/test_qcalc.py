@@ -1,5 +1,7 @@
 """Finite and truncated-infinite Pochhammer symbols, binomial ledgers,
-q-shifts."""
+q-shifts.  The infinite symbols of a ledger (``Ledger.inf``) are pinned
+to the symbols expanded and inverted one by one
+(``tests/series_reference.py``)."""
 
 import itertools
 from dataclasses import dataclass
@@ -12,9 +14,11 @@ from maclab import qcalc
 from maclab.algebra import FactoredRational, LaurentPolynomial, _canonical_factor, rational_eq
 from maclab.baker import ba_vars
 from maclab.macdonald import QS
-from maclab.qcalc import Ledger, NonConvergent, pochhammer, pochhammer_inf
+from maclab.laumon import lau_vars
+from maclab.qcalc import Ledger, NonConvergent, pochhammer
 from maclab.series import XSeries, expand
 from coefficient_reference import pochhammer_reference
+from series_reference import pochhammer_inf, series_inverse
 
 V = ("q", "t")
 ONE = LaurentPolynomial.one(V)
@@ -189,37 +193,64 @@ def test_pochhammer_checks_run_before_the_cache():
         Ledger(ba_vars(2)).zratio(-1, 1, 0)
     with pytest.raises(ValueError, match="coefficient-1"):
         pochhammer(FactoredRational.monomial(("t", "q"), (0, 1)), 1)
-    with pytest.raises(ValueError, match=r"\(q, t"):
-        pochhammer_inf(FactoredRational.monomial(QS, (1, 0)), 2)
     assert pochhammer(FactoredRational.zero(V), 3).is_one()
     assert pochhammer(LaurentPolynomial.zero(V), 3).is_one()
 
 
+def _inf(order, *symbols):
+    """The expansion of one ledger filled with ``Ledger.inf(order, *s)``
+    for each s in ``symbols``."""
+    led = Ledger(V)
+    for s in symbols:
+        led.inf(order, *s)
+    return expand(led.value(), order)
+
+
 def test_pochhammer_inf_examples():
     # (q;q)_inf to order 2: 1 - q - q^2
-    s = pochhammer_inf(mono(1, 0), 2)
+    s = _inf(2, (1, 0))
     assert {k: p.constant_coef() for k, p in s.coeffs.items()} == {
         (0, 0): 1, (1, 0): -1, (2, 0): -1}
-    # zero base: empty product
-    assert pochhammer_inf(FactoredRational.zero(V), 3).coeffs == {(0, 0): LaurentPolynomial.one(())}
     # (qt;q)_inf to order 2: only the k=0 factor contributes
-    s2 = pochhammer_inf(mono(1, 1), 2)
+    s2 = _inf(2, (1, 1))
     assert {k: p.constant_coef() for k, p in s2.coeffs.items()} == {(0, 0): 1, (1, 1): -1}
+    # below the degree of its base a symbol is 1
+    assert _inf(1, (1, 1)).is_one()
 
 
 def test_pochhammer_inf_matches_finite():
-    p = mono(0, 1)
     order = 4
-    inf = pochhammer_inf(p, order)
-    fin = expand(pochhammer(p, order + 1), order)
-    assert inf == fin
+    assert _inf(order, (0, 1)) == expand(pochhammer(mono(0, 1), order + 1), order)
 
 
 def test_pochhammer_inf_rejects_degree_zero():
-    with pytest.raises(NonConvergent):
-        pochhammer_inf(mono(0, 0), 2)
-    with pytest.raises(NonConvergent):
-        pochhammer_inf(mono(-1, 0), 2)
+    # (1;q) and (q^-1;q): a base of degree <= 0 gives no truncated product
+    for qpow in (0, -1):
+        with pytest.raises(NonConvergent):
+            Ledger(V).inf(2, qpow, 0)
+        with pytest.raises(NonConvergent):
+            pochhammer_inf(mono(qpow, 0), 2)
+
+
+@pytest.mark.parametrize("order", range(4))
+@pytest.mark.parametrize("qpow, xpow, znum, zden", [
+    (1, 0, None, None), (0, 1, None, None), (1, 1, 2, 1), (1, 0, 1, 3), (2, -1, 3, 2), (0, 2, 2, 3)])
+def test_ledger_inf_equals_the_expanded_symbols(qpow, xpow, znum, zden, order):
+    # a symbol and its inverse, each with multiplicity up to 2, against
+    # the series of the symbol expanded alone and inverted as a series
+    vars = lau_vars(3)
+    e = [qpow, xpow, 0, 0, 0]
+    for k, d in ((znum, 1), (zden, -1)):
+        if k is not None:
+            e[1 + k] += d
+    one = pochhammer_inf(FactoredRational.monomial(vars, e), order)
+    for mult in (1, 2, -1, -2):
+        led = Ledger(vars)
+        led.inf(order, qpow, xpow, znum, zden, mult)
+        want = one if mult > 0 else series_inverse(one)
+        if abs(mult) == 2:
+            want = (want * want).truncate(order)
+        assert expand(led.value(), order) == want
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
-"""expand_sum and split-series products against independent per-term
-expansions.
+"""expand_sum, split-series sums and products against independent
+per-term expansions.
 
 expand_sum expands each distinct factor power once per call and reuses it
 across terms, and folds the terms by their pole part; these tests pin
@@ -7,8 +7,9 @@ both to the plain per-term result.  The Weyl-group certifier
 (``certify_weyl_sum``) is pinned to the sum of the mapped terms and to
 the image loop it replaced (``tests/weyl_reference.py``).  A split
 series keeps the purely coefficient-side poles of its terms as separate
-multipliers; its product is pinned to the expansion of the factored
-product.
+multipliers; its sum is pinned to the ``+`` fold and the groups dict it
+replaced (``tests/series_reference.py``), and its product to the
+expansion of the factored product.
 """
 
 import pytest
@@ -25,7 +26,9 @@ from maclab.series import (
     expand_sum,
     split_expand,
     split_mul,
+    split_sum,
 )
+from series_reference import fold_split, split_sum_by_add
 from weyl_reference import expand_by_images, expand_weyl_sum, weyl_images
 
 VARS = ("q", "t", "z1", "z2")
@@ -211,6 +214,56 @@ def poled_sums(draw):
                               st.integers(-1, 1), st.integers(-1, 1)))
         terms.append(FactoredRational(VARS, draw(coefs), unit, factors))
     return terms
+
+
+@st.composite
+def split_pairs(draw):
+    """Pairs (rest, series) over VARS with rest 1 or one pole of POLES and
+    truncations 0..3, and the negated coefficients of some of them under
+    another truncation, so that sums of one pole part cancel."""
+    pairs = []
+    for _ in range(draw(st.integers(1, 4))):
+        pole = draw(st.sampled_from([None] + POLES))
+        rest = FactoredRational(VARS, 1, None, [] if pole is None else [(pole, -1)])
+        coeffs = draw(st.dictionaries(
+            st.tuples(st.integers(0, 3), st.integers(-1, 3)).filter(lambda k: sum(k) <= 3),
+            st.dictionaries(st.tuples(st.integers(-1, 1), st.integers(-1, 1)), coefs,
+                            min_size=1, max_size=3), max_size=4))
+        coeffs = {k: LaurentPolynomial(VARS[2:], t) for k, t in coeffs.items()}
+        pairs.append((rest, QTSeries(("q", "t"), VARS[2:], draw(st.integers(0, 3)), coeffs)))
+        if draw(st.booleans()):
+            pairs.append((rest, QTSeries(("q", "t"), VARS[2:], draw(st.integers(0, 3)),
+                                         {k: -p for k, p in coeffs.items()})))
+    return pairs
+
+
+@settings(max_examples=80, deadline=None)
+@given(split_pairs())
+def test_split_sum_equals_the_add_fold_and_the_groups(pairs):
+    before = [(rest, dict(ser.coeffs), ser.trunc) for rest, ser in pairs]
+    got = split_sum(pairs)
+    want = split_sum_by_add(pairs)
+    assert [rest for rest, _s in got] == [rest for rest, _s in want]
+    groups: dict = {}
+    for rest, ser in pairs:
+        fold_split(groups, rest, ser)
+    for (rest, ser), (_rest, ref) in zip(got, want):
+        assert ser == ref and ser.trunc == ref.trunc
+        pole = tuple(sorted((k, m) for k, (_p, m) in rest._fmap.items()))
+        folded = {key: t for (key, p), (_r, t) in groups.items()
+                  if p == pole and t and sum(key) <= ser.trunc}
+        assert {k: p.terms for k, p in ser.coeffs.items()} == folded
+    # the given series are never mutated
+    assert [(rest, dict(ser.coeffs), ser.trunc) for rest, ser in pairs] == before
+
+
+def test_split_sum_cancels_a_pair_to_an_empty_series():
+    rest = FactoredRational(VARS, 1, None, [(POLES[0], -1)])
+    z = LaurentPolynomial.var(VARS[2:], "z1")
+    a = QTSeries(("q", "t"), VARS[2:], 2, {(0, 1): z, (2, 0): z})
+    b = QTSeries(("q", "t"), VARS[2:], 1, {(0, 1): -z})
+    ((got_rest, got),) = split_sum([(rest, a), (rest, b)])
+    assert got_rest is rest and got.is_zero() and got.trunc == 1
 
 
 def _valuation_lb(terms):

@@ -5,12 +5,12 @@ the per-fixed-point summands of the arc-space sum that
 valuation of a J-piece read off its built values, which
 ``euler._j_valuation`` took before it counted it off the ledgers.
 
-For each (q,t)-degree the image loop lifts the folded groups to factored
-rationals, adds them, adds the image of that sum under every map in
-``images`` with ``FactoredRational.__add__``, and divides the total out
-exactly.  It takes any set of monomial maps of the coefficient
-variables, so it also serves sums over a subgroup.
-``plant_uncancelled_pole`` breaks a folded Weyl-group sum for the
+For each (q,t)-degree the image loop lifts the coefficients of a split
+series to factored rationals, adds them, adds the image of that sum
+under every map in ``images`` with ``FactoredRational.__add__``, and
+divides the total out exactly.  It takes any set of monomial maps of the
+coefficient variables, so it also serves sums over a subgroup.
+``plant_uncancelled_pole`` breaks a summed Weyl-group series for the
 error-path tests.
 """
 
@@ -29,8 +29,7 @@ from maclab.series import (
     NonPolynomialCoefficient,
     QTSeries,
     certify_weyl_sum,
-    expand_split,
-    fold_split,
+    split_expand,
 )
 from maclab.tableaux import theta_by_degree, theta_upto_degree
 from coefficient_reference import pochhammer_reference, weyl_factor_reference
@@ -57,21 +56,20 @@ def weyl_images(n: int) -> list:
             for w in _weyl_group(n)]
 
 
-def _certify_by_images(groups: dict, vars: Sequence[str], trunc: int,
-                       qt: Sequence[str] = ("q", "t"),
+def _certify_by_images(split, vars: Sequence[str], trunc: int,
                        images: Sequence[Mapping[str, tuple]] = ({},)) -> QTSeries:
-    """``series.certify_sum`` as it was: N! rational additions per degree."""
+    """``series.certify_sum`` with images, as it was: N! rational
+    additions per degree."""
+    qt = ("q", "t")
     if not images or any(v in sigma for sigma in images for v in qt):
         raise ValueError("images must be maps of the coefficient variables")
     vars = tuple(vars)
     coeff_vars = tuple(v for v in vars if v not in qt)
     acc: dict = {}
-    for (key, _pole), (rest, t) in groups.items():
-        if not t:
-            continue
-        poly = LaurentPolynomial._from_terms(coeff_vars, t).transform(vars, {})
-        contrib = rest * FactoredRational.from_poly(poly)
-        acc[key] = acc[key] + contrib if key in acc else contrib
+    for rest, ser in split:
+        for key, poly in ser.coeffs.items():
+            contrib = rest * FactoredRational.from_poly(poly.transform(vars, {}))
+            acc[key] = acc[key] + contrib if key in acc else contrib
     out = QTSeries(qt, coeff_vars, trunc)
     drop = {v: (1, (0,) * len(coeff_vars)) for v in qt}
     qt_idx = [vars.index(v) for v in qt]
@@ -97,27 +95,17 @@ def _certify_by_images(groups: dict, vars: Sequence[str], trunc: int,
     return out
 
 
-def fold(terms, trunc: int, qt: Sequence[str] = ("q", "t")) -> dict:
-    """The groups that ``series.expand_sum`` folds ``terms`` into."""
-    memo: dict = {}
-    groups: dict = {}
-    for fr in terms:
-        rest, ser = expand_split(fr, trunc, qt, _memo=memo)
-        fold_split(groups, rest, ser)
-    return groups
-
-
-def expand_by_images(terms, trunc: int, images, qt: Sequence[str] = ("q", "t")) -> QTSeries:
+def expand_by_images(terms, trunc: int, images) -> QTSeries:
     """``expand_sum(terms, trunc, images=images)`` as it was."""
     terms = [fr for fr in terms if not fr.is_zero()]
-    return _certify_by_images(fold(terms, trunc, qt), terms[0].vars, trunc, qt, images)
+    return _certify_by_images(split_expand(terms, trunc), terms[0].vars, trunc, images)
 
 
 def expand_weyl_sum(terms, trunc: int) -> QTSeries:
     """The Weyl-group sum of the expansions of ``terms`` over the SL
-    context: their :func:`fold` certified by ``certify_weyl_sum``."""
+    context: their split series certified by ``certify_weyl_sum``."""
     terms = [fr for fr in terms if not fr.is_zero()]
-    return certify_weyl_sum(fold(terms, trunc), terms[0].vars, trunc)
+    return certify_weyl_sum(split_expand(terms, trunc), terms[0].vars, trunc)
 
 
 def _arc_terms(weight: GLWeight, order: int, w, shell_margin: int) -> list:
@@ -168,27 +156,24 @@ def _arc_terms(weight: GLWeight, order: int, w, shell_margin: int) -> list:
     return terms
 
 
-def _double_pole_group(groups):
-    """The key of the largest folded group with a double pole, and the
-    root binomial of that pole as a polynomial in the coefficient
-    variables."""
-    key = max((k for k, (rest, _t) in groups.items() if any(m < -1 for _p, m in rest.factors)),
-              key=lambda k: len(groups[k][1]))
-    rest = groups[key][0]
+def has_double_pole(split) -> bool:
+    return any(m < -1 for rest, _ser in split for _p, m in rest.factors)
+
+
+def plant_uncancelled_pole(split, how):
+    """``split`` with its largest coefficient over a double pole broken:
+    that coefficient loses the root binomial that its double pole needs
+    ("missing"), or gains the constant 1 ("perturbed")."""
+    i, key = max(((i, k) for i, (rest, ser) in enumerate(split)
+                  if any(m < -1 for _p, m in rest.factors) for k in ser.coeffs),
+                 key=lambda ik: len(split[ik[0]][1].coeffs[ik[1]].terms))
+    rest, ser = split[i]
     pole = next(p for p, m in rest.factors if m < -1)
-    return key, LaurentPolynomial(pole.vars[2:], {e[2:]: c for e, c in pole.terms.items()})
-
-
-def plant_uncancelled_pole(groups, how):
-    """``groups`` with the largest double-pole group broken: its numerator
-    loses the root binomial that its double pole needs ("missing"), or
-    gains the constant 1 ("perturbed")."""
-    key, root = _double_pole_group(groups)
-    rest, t = groups[key]
+    root = LaurentPolynomial(pole.vars[2:], {e[2:]: c for e, c in pole.terms.items()})
+    poly = ser.coeffs[key]
     if how == "missing":
-        t = LaurentPolynomial(root.vars, t).divide_exact(root).terms
+        poly = poly.divide_exact(root)
     else:
-        t = dict(t)
-        zero = (0,) * len(root.vars)
-        t[zero] = t.get(zero, 0) + 1
-    return {**groups, key: (rest, t)}
+        poly = poly + LaurentPolynomial.one(poly.vars)
+    broken = QTSeries(ser.qt, ser.coeff_vars, ser.trunc, {**ser.coeffs, key: poly})
+    return split[:i] + ((rest, broken),) + split[i + 1:]
