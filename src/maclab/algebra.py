@@ -633,50 +633,15 @@ class FactoredRational:
         return FactoredRational._from_map(self.vars, _norm_coef(self.coef * other.coef),
                                           tuple(map(add, self.exps, other.exps)), fmap)
 
-    @classmethod
-    def product(cls, vars: tuple, num: Iterable["FactoredRational"],
-                den: Iterable["FactoredRational"] = ()) -> "FactoredRational":
-        """``prod(num) / prod(den)`` over the context ``vars``, equal under
-        ``==`` to the chain of binary products and quotients: every
-        operand's factor map is merged into one dict, so no partial
-        product is built.  A zero in ``den`` raises ``ZeroDivisionError``,
-        also when ``num`` holds a zero; the empty product is one.  ``*``
-        keeps a merge of its own, which is faster for two operands."""
-        polys: dict = {}
-        mults: dict = {}
-        get = mults.get
-        top = bottom = 1
-        up, down = [], []
-        for sign, operands, rows in ((1, num, up), (-1, den, down)):
-            for fr in operands:
-                if fr.vars is not vars and fr.vars != vars:
-                    raise ValueError("variable contexts differ")
-                if sign > 0:
-                    top *= fr.coef
-                elif fr.coef:
-                    bottom *= fr.coef
-                else:
-                    raise ZeroDivisionError("division by zero")
-                rows.append(fr.exps)
-                fmap = fr._fmap
-                polys.update(fmap)
-                for key, pm in fmap.items():
-                    mults[key] = get(key, 0) + sign * pm[1]
-        if not top:
-            return cls.zero(vars)
-        zero = (0,) * len(vars)
-        exps = tuple(map(sub, map(sum, zip(zero, *up)), map(sum, zip(zero, *down))))
-        if type(top) is int and type(bottom) is int and not top % bottom:
-            coef = top // bottom
-        else:
-            coef = _norm_coef(Fraction(top) / bottom)
-        return cls._from_map(vars, coef, exps, {k: (polys[k][0], m) for k, m in mults.items() if m})
-
     def inverse(self) -> "FactoredRational":
-        return FactoredRational.product(self.vars, (), (self,))
+        """1 / self: the factor map and the unit negated; zero raises
+        ``ZeroDivisionError``."""
+        if self.is_zero():
+            raise ZeroDivisionError("division by zero")
+        return self ** -1
 
     def __truediv__(self, other: "FactoredRational") -> "FactoredRational":
-        return FactoredRational.product(self.vars, (self,), (other,))
+        return self * other.inverse()
 
     def __pow__(self, n: int) -> "FactoredRational":
         if self.is_zero():

@@ -4,8 +4,11 @@ The series lives in the N-1 ratio variables u_i = y_{i+1}/y_i; the
 monomial attached to a theta matrix is prod (y_j/y_i)^{theta_ij}, whose
 u-degree vector coincides with the x-degree vector used by the
 localization series.  Coefficients c_N(theta) are rational in (q, s, z)
-and are computed both by the defining recursion and by the closed double
-product, which are checked against each other.
+and are computed both by the defining recursion and by two closed double
+products.  Each form fills a :class:`~maclab.qcalc.Ledger`
+(``_recursive_ledger``, ``_closed_ledger``, ``_closed_alt_ledger``), and
+the forms are checked against each other as ledgers, whose equality is
+that of their values.
 
 Specializing z_i = s^{N-i} q^{lambda_i} kills every coefficient outside
 the shape-lambda polytope and turns the series into the Macdonald
@@ -71,9 +74,14 @@ class BAContext:
 
 
 def c_N_recursive(theta: ThetaMatrix, n: int) -> FactoredRational:
-    """Coefficient c_N(theta; z; q, s) by the defining recursion, rank by
-    rank: the rank-(m-1) value at q-shifted z times a product of four
-    Pochhammer ratios over 1 <= i <= j <= m-1 controlled by column m."""
+    """c_N(theta; z; q, s) by the defining recursion (:func:`_recursive_ledger`)."""
+    return _recursive_ledger(theta, n).value()
+
+
+def _recursive_ledger(theta: ThetaMatrix, n: int) -> Ledger:
+    """The ledger of c_N(theta) by the recursion, rank by rank: the
+    rank-(m-1) ledger at q-shifted z times a product of four Pochhammer
+    ratios over 1 <= i <= j <= m-1 controlled by column m."""
     vars = ba_vars(n)
     eye = [tuple(int(a == b) for a in range(len(vars))) for b in range(len(vars))]
     led = Ledger(vars)
@@ -93,7 +101,7 @@ def c_N_recursive(theta: ThetaMatrix, n: int) -> FactoredRational:
                 led.zratio(ln, 1, 0, j + 1, i, -1)       # (q z_{j+1}/z_i; q)
                 led.zratio(ln, 1 - tjm, -1, j, i)        # (q^{1-theta_{j,m}} z_j / s z_i; q)
                 led.zratio(ln, -tjm, 0, j, i, -1)        # (q^{-theta_{j,m}} z_j/z_i; q)
-    return led.value()
+    return led
 
 
 def c_N_closed(theta: ThetaMatrix, n: int) -> FactoredRational:
@@ -124,9 +132,14 @@ def _closed_ledger(theta: ThetaMatrix, n: int) -> Ledger:
 
 
 def c_N_closed_alt(theta: ThetaMatrix, n: int) -> FactoredRational:
+    """The value of :func:`_closed_alt_ledger`."""
+    return _closed_alt_ledger(theta, n).value()
+
+
+def _closed_alt_ledger(theta: ThetaMatrix, n: int) -> Ledger:
     """The rewritten closed form carrying the explicit (q/s)^theta
-    monomials; must agree with :func:`c_N_closed` (both are kept as a
-    guard against a silent transcription error in either display)."""
+    monomials; must agree with :func:`_closed_ledger` (both are kept as
+    a guard against a silent transcription error in either display)."""
     led = Ledger(ba_vars(n))
     nn = theta.n
     for i in range(1, nn + 1):
@@ -155,7 +168,7 @@ def c_N_closed_alt(theta: ThetaMatrix, n: int) -> FactoredRational:
                 led.zratio(ln, b_sum + 1, 0, m, l, -1)
                 led.zratio(ln, -ln + theta[(m, k)] - b_sum, 1, l, m)
                 led.zratio(ln, 1 - ln + theta[(m, k)] - b_sum, 0, l, m, -1)
-    return led.value()
+    return led
 
 
 def f_N_series(ctx: BAContext) -> XSeries:

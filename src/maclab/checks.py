@@ -18,11 +18,12 @@ from .algebra import FactoredRational, rational_eq
 from .baker import (
     BAContext,
     ba_vars,
-    c_N_closed,
-    c_N_closed_alt,
-    c_N_recursive,
     specialize_each,
     verify_eigen_equation,
+    _closed_alt_ledger,
+    _closed_ledger,
+    _recursive_ledger,
+    _theta_entries_upto,
 )
 from .euler import (
     GLWeight,
@@ -99,7 +100,7 @@ def check_eigen(params):
     return _status(not witnesses), witnesses
 
 
-def _printed_c2(vars) -> FactoredRational:
+def _printed_c2(vars) -> Ledger:
     # the rank-2 coefficient at theta_12 = 1, as printed:
     # (s z2/z1;q)_1/(q z2/z1;q)_1 * (s;q)_1/(q;q)_1 * (q/s)
     led = Ledger(vars, 1, (1, -1) + (0,) * (len(vars) - 2))
@@ -107,10 +108,10 @@ def _printed_c2(vars) -> FactoredRational:
     led.zratio(1, 1, 0, 2, 1, mult=-1)
     led.zratio(1, 0, 1)
     led.zratio(1, 1, 0, mult=-1)
-    return led.value()
+    return led
 
 
-def _printed_c3(vars, t12, t13, t23) -> FactoredRational:
+def _printed_c3(vars, t12, t13, t23) -> Ledger:
     """The rank-3 coefficient spelled out as eight Pochhammer ratios,
     one ``zratio`` row per symbol of the display: (q^a s^b z_num/z_den; q)_n
     is ``zratio(n, a, b, num, den)``.
@@ -136,32 +137,28 @@ def _printed_c3(vars, t12, t13, t23) -> FactoredRational:
     led.zratio(t23, 1, 0, 3, 2, mult=-1)
     led.zratio(t23, -t23 + 1, -1)
     led.zratio(t23, -t23, 0, mult=-1)
-    return led.value()
+    return led
 
 
 def check_cn(params):
+    """The c_N forms and the printed examples, compared as ledgers."""
     max_entry = params.get("max_entry", 2)
     max_n = params.get("max_n", 4)
     witnesses = []
     for n in range(2, max_n + 1):
-        pairs = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
-        for vals in itertools.product(range(max_entry + 1), repeat=len(pairs)):
-            th = ThetaMatrix(n, dict(zip(pairs, vals)))
-            closed = c_N_closed(th, n)
-            if not rational_eq(closed, c_N_recursive(th, n)):
-                witnesses.append({"n": n, "theta": list(vals), "forms": "closed vs recursive"})
-            if not rational_eq(closed, c_N_closed_alt(th, n)):
-                witnesses.append({"n": n, "theta": list(vals), "forms": "closed vs rewritten"})
+        for th in _theta_entries_upto(n, max_entry):
+            closed, where = _closed_ledger(th, n), list(th.entry_list())
+            if closed != _recursive_ledger(th, n):
+                witnesses.append({"n": n, "theta": where, "forms": "closed vs recursive"})
+            if closed != _closed_alt_ledger(th, n):
+                witnesses.append({"n": n, "theta": where, "forms": "closed vs rewritten"})
     # printed rank-2 and rank-3 examples
-    v2 = ba_vars(2)
-    th2 = ThetaMatrix(2, {(1, 2): 1})
-    if not rational_eq(c_N_closed(th2, 2), _printed_c2(v2)):
+    if _closed_ledger(ThetaMatrix(2, {(1, 2): 1}), 2) != _printed_c2(ba_vars(2)):
         witnesses.append({"n": 2, "forms": "printed c2"})
-    v3 = ba_vars(3)
-    for t12, t13, t23 in itertools.product(range(max_entry + 1), repeat=3):
-        th3 = ThetaMatrix(3, {(1, 2): t12, (1, 3): t13, (2, 3): t23})
-        if not rational_eq(c_N_closed(th3, 3), _printed_c3(v3, t12, t13, t23)):
-            witnesses.append({"n": 3, "theta": [t12, t13, t23], "forms": "printed c3"})
+    for th in _theta_entries_upto(3, max_entry):
+        ts = th.entry_list()
+        if _closed_ledger(th, 3) != _printed_c3(ba_vars(3), *ts):
+            witnesses.append({"n": 3, "theta": list(ts), "forms": "printed c3"})
     return _status(not witnesses), witnesses
 
 
@@ -343,8 +340,7 @@ def check_pieri(params):
                 sh = w.shifted(r)
                 if not sh.is_dominant():
                     continue
-                L = pieri_L(lv, r, n).transform(vars, {})
-                lhs = lhs + L * macdonald_in_z(sh)
+                lhs = lhs + pieri_L(lv, r, n, vars) * macdonald_in_z(sh)
             rhs = _zsum(n) * macdonald_in_z(w)
             if not rational_eq(lhs, rhs):
                 witnesses.append({"n": n, "weight": list(lv)})

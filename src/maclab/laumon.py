@@ -17,8 +17,8 @@ from __future__ import annotations
 from functools import cache
 from itertools import product as iproduct
 
-from .algebra import FactoredRational, rational_eq
-from .baker import c_N_closed, operator_residual, theta_series
+from .algebra import FactoredRational
+from .baker import _closed_ledger, operator_residual, theta_series
 from .qcalc import Ledger
 from .series import QTSeries, XSeries, expand, expand_sum
 from .tableaux import ThetaMatrix, theta_by_degree, theta_upto_degree
@@ -166,21 +166,23 @@ def substitution_check(ctx: LaumonContext, strict: bool = False) -> dict:
 
         c_N(theta; z; q, s=qt)  ==  t^{-deg(theta)} C_theta(q, t, z)
 
-    where deg is the total x-degree sum (j-i) theta_ij.
+    where deg is the total x-degree sum (j-i) theta_ij, decided on the
+    ledgers of both sides.
     """
     n = ctx.n
     vars = ctx.vars
-    s_to_qt = {"s": (1, (1, 1) + (0,) * n)}
+    eye = [tuple(int(a == b) for a in range(n + 2)) for b in range(2, n + 2)]
+    weights = [(1, 1) + (0,) * n, (0, 1) + (0,) * n] + eye   # s -> qt
+    images: dict = {}
     results = {}
     for th in theta_upto_degree(n, ctx.degree):
-        lhs = c_N_closed(th, n).transform(vars, s_to_qt)
-        e = [0] * len(vars)
-        e[1] = -th.total_degree()
-        rhs = C_theta(th, n) * FactoredRational.monomial(vars, e)
-        ok = rational_eq(lhs, rhs)
+        lhs = _closed_ledger(th, n).image(vars, weights, images)
+        rhs = C_ledger(th, n)
+        rhs.unit[1] -= th.total_degree()
+        ok = lhs == rhs
         if not ok and strict:
             raise SubstitutionMismatch(f"dictionary fails at theta = {th.entry_list()}")
-        results[th.entry_list()] = bool(ok)
+        results[th.entry_list()] = ok
     results["all_match"] = all(v for k, v in results.items() if isinstance(k, tuple))
     return results
 

@@ -80,10 +80,6 @@ def mac_vars(n: int) -> tuple:
     return QS + tuple(f"y{i}" for i in range(1, n + 1))
 
 
-def coeff_vars() -> tuple:
-    return QS
-
-
 class SymmetricPolynomial:
     """A symmetric polynomial in y_1..y_N stored by its expansion in the
     monomial basis: partition -> coefficient in Q(q, s)."""
@@ -468,9 +464,10 @@ def _schur_m(lam, n: int) -> dict:
 _action_memo = _d1n_m_action.table
 
 
-def pieri_L(lvec: Sequence[int], r: int, n: int) -> FactoredRational:
+def pieri_L(lvec: Sequence[int], r: int, n: int, vars: tuple = ("q", "t")) -> FactoredRational:
     """Pieri coefficient L_r for multiplication by z_1 + ... + z_N on the
-    weight-indexed Macdonald family, over the context (q, t).
+    weight-indexed Macdonald family, over ``vars``: (q, t), or a context
+    that starts (q, t), as for :func:`~maclab.euler.frakD_K`.
 
     With upward partial sums S_s = l_r + l_{r+1} + ... + l_s:
 
@@ -485,18 +482,18 @@ def pieri_L(lvec: Sequence[int], r: int, n: int) -> FactoredRational:
     Validated against the exact identity
     sum_r L_r P_{T_r lvec} = (z_1+...+z_N) P_lvec for N <= 4.
     """
-    qt = ("q", "t")
     lvec = list(lvec)
     if len(lvec) != n - 1:
         raise ValueError("weight vector must have length N-1")
     if not 1 <= r <= n:
         raise ValueError("r out of range")
-    led = Ledger(qt)
+    led = Ledger(vars)
+    z = (0,) * (len(vars) - 2)
     s_up = 0
     for s in range(r, n):
         s_up += lvec[s - 1]
-        led.binomial((s_up - 1, s - r + 2), 1)
-        led.binomial((s_up - 1, s - r + 1), -1)
-        led.binomial((s_up, s - r), 1)
-        led.binomial((s_up, s - r + 1), -1)
+        led.binomial((s_up - 1, s - r + 2) + z, 1)
+        led.binomial((s_up - 1, s - r + 1) + z, -1)
+        led.binomial((s_up, s - r) + z, 1)
+        led.binomial((s_up, s - r + 1) + z, -1)
     return led.value()

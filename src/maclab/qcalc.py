@@ -7,6 +7,9 @@ linearly (:meth:`Ledger.image`, also the Weyl and q-inversion images of
 C_theta), whose (q,t)-valuation is counted without a value
 (:meth:`Ledger.valuation`), and which is converted once to a
 :class:`FactoredRational` when the value is needed (:meth:`Ledger.value`).
+Two ledgers are ``==`` exactly when their values are equal
+(:meth:`Ledger.__eq__`), so an identity between two Pochhammer products
+is decided on the ledgers, with no value built.
 :meth:`Ledger.zratio` adds a symbol whose base is a monomial of a
 context (q, x, z1, z2, ...), its z indices counted from there;
 :meth:`Ledger.binomial` adds one binomial over any context, and
@@ -74,6 +77,27 @@ class Ledger:
         self.unit = list(unit) if unit is not None else [0] * len(vars)
         self.binomials: dict = {}
 
+    def __eq__(self, other) -> bool:
+        """Equality of the values: same ``vars``, and both zero or equal
+        ``coef``, ``unit`` and ``binomials``.  This is exact, as the
+        Laurent ring over Q is a UFD.  With e = d e0, e0 primitive,
+        1 - x^e is up to a sign the product of the cyclotomic factors
+        Phi_k(x^e0), k | d, which are irreducible and pairwise not
+        associate; the multiplicity of Phi_k(x^e0) in a nonzero value is
+        the sum of those of 1 - x^{d e0} over k | d, so Möbius inversion
+        recovers every binomial multiplicity, and then the unit and the
+        coefficient (Lang, *Algebra*, ch. IV §2 and ch. VI §3)."""
+        if not isinstance(other, Ledger):
+            return NotImplemented
+        if self.vars != other.vars:
+            return False
+        if not self.coef or not other.coef:
+            return not self.coef and not other.coef
+        return (self.coef == other.coef and self.unit == other.unit
+                and self.binomials == other.binomials)
+
+    __hash__ = None   # ledgers are filled in place
+
     def zratio(self, n: int, qpow: int = 0, xpow: int = 0, znum: int | None = None,
                zden: int | None = None, mult: int = 1) -> None:
         """Multiply by (q^qpow x^xpow z_znum / z_zden ; q)_n ** mult over
@@ -103,6 +127,8 @@ class Ledger:
 
     def binomial(self, e: tuple, mult: int) -> None:
         """Multiply by (1 - x^e) ** mult."""
+        if not mult:
+            return
         s = sum(e)
         if s < 0 or not s and e < (0,) * len(e):
             if mult & 1:

@@ -170,8 +170,8 @@ class QTSeries:
             and self.coeffs == other.coeffs
         )
 
-    def __hash__(self):  # pragma: no cover
-        return hash((self.qt, self.coeff_vars, self.trunc, len(self.coeffs)))
+    def __hash__(self):
+        return hash((self.qt, self.coeff_vars, len(self.coeffs)))
 
     def sorted_items(self):
         return sorted(self.coeffs.items(), key=lambda kv: (kv[0][0] + kv[0][1], kv[0]))

@@ -3,15 +3,14 @@ termination scan, and the factored forms of the package's other
 Pochhammer products as they were before each filled a ledger.
 
 Each builder here forms its value by a chain of binary products and
-quotients, one step per Pochhammer ratio, as the package did before
-:meth:`FactoredRational.product` merged every factor map at once, and
-each symbol is built by :func:`pochhammer_reference`, one binomial at a
-time through the canonicalising constructor, as before the package's
-builders filled a :class:`maclab.qcalc.Ledger`; no reference here fills
-a ledger or calls :func:`maclab.qcalc.pochhammer`.
-``mul`` and ``div`` are the binary ``*`` and ``/`` of that time, which
-copied one operand's factor map and merged the other into it; the
-package's ``*`` and ``/`` now go through ``product`` themselves.
+quotients, one step per Pochhammer ratio, and each symbol is built by
+:func:`pochhammer_reference`, one binomial at a time through the
+canonicalising constructor, as before the package's builders filled a
+:class:`maclab.qcalc.Ledger`; no reference here fills a ledger or calls
+:func:`maclab.qcalc.pochhammer`.
+``mul`` and ``div`` are binary ``*`` and ``/`` that copy one operand's
+factor map and merge the other into it; the package's ``/`` is ``*``
+by the inverse, and ``product_reference`` is the reference for both.
 ``specialize_reference`` and ``termination_witnesses_reference`` scan the theta
 grid of each partition separately and specialize each factored value
 by :meth:`FactoredRational.transform`, as the package did before

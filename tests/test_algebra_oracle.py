@@ -221,17 +221,24 @@ def test_quotient_equals_product_with_inverse(data):
 
 @oracle
 @given(st.data())
-def test_n_ary_product_equals_the_chain(data):
+def test_a_chain_of_quotients_equals_the_reference(data):
+    # the package's ``*`` and ``/`` (``/`` is ``*`` by the inverse)
+    # against the reference's merging ``mul`` and ``div``
     vars = data.draw(contexts)
     num = data.draw(st.lists(factored(vars), max_size=4))
     den = data.draw(st.lists(factored(vars).filter(lambda x: not x.is_zero()), max_size=4))
     # a quotient of a drawn value by itself cancels every factor pair
     den += data.draw(st.lists(st.sampled_from(num), max_size=2)) if num else []
+    got = FactoredRational.one(vars)
+    for x in num:
+        got = got * x
     if any(x.is_zero() for x in den):
         with pytest.raises(ZeroDivisionError):
-            FactoredRational.product(vars, num, den)
+            for x in den:
+                got = got / x
         return
-    got = FactoredRational.product(vars, num, den)
+    for x in den:
+        got = got / x
     want = product_reference(vars, num, den)
     assert got == want
     assert rational_eq(got, want)

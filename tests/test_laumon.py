@@ -86,6 +86,12 @@ def test_J_infinity_low_order():
     assert s1.coeffs[(1, 0)] == LaurentPolynomial(v, {(0, 0): 1, (-1, 1): 1})
 
 
+def test_J_infinity_of_rank_one_is_one():
+    # its symbols enter with multiplicity N - 1 = 0, which leaves a ledger as it is
+    for order in range(3):
+        assert J_infinity(1, order).is_one()
+
+
 def test_local_character_is_polynomial_in_z():
     # individual fixed points have z-poles; the sum must not
     s = local_character(3, (1, 1), 2)

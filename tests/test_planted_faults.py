@@ -1,19 +1,21 @@
-"""No check that reads a (q,t)-series sum is vacuous: a fault planted in
-the fixed-point coefficients that a check sums makes it report FAILED
-with a witness, never PASSED.
+"""No acceptance check is vacuous: a fault planted in a coefficient that
+a check reads makes it report FAILED with a witness, never PASSED.
 
-Each plant patches the name where the check reads it: ``junichi`` and
-``shir`` build C_theta through ``laumon.C_ledger``, while ``hp``,
-``vanishing`` and ``chibq`` read the shared ledgers through
+Each plant patches the name where the check reads it: ``junichi``,
+``shir`` and ``substitution`` build C_theta through ``laumon.C_ledger``,
+while ``hp``, ``vanishing`` and ``chibq`` read the shared ledgers through
 ``euler._c_ledger`` (``euler`` binds ``C_ledger`` at import, so a plant
-on ``laumon`` does not reach them).  Every memo table is emptied before
-and after each plant, so that no planted value stays in a
+on ``laumon`` does not reach them).  ``checks`` binds the c_N ledger
+builders and ``H0_closed`` at import, so ``cn`` and ``h0`` are planted
+there; ``cordiff`` reads ``euler.frakD_K`` and ``tableau-oracle`` reads
+``macdonald.psi_T`` through ``macdonald_P``.  Every memo table is emptied
+before and after each plant, so that no planted value stays in a
 process-scoped table.
 """
 
 import pytest
 
-from maclab import euler, laumon, memo
+from maclab import checks, euler, laumon, macdonald, memo
 from maclab.checks import run_check
 from maclab.qcalc import Ledger
 from maclab.reports import Status
@@ -90,3 +92,69 @@ def test_a_doubled_euler_ledger_fails(monkeypatch, name, params):
 def test_an_euler_ledger_times_one_minus_qt_fails_vanishing(monkeypatch):
     _plant_euler_ledger(monkeypatch, _times_one_minus_qt)
     _assert_fails("vanishing", max_n=3, order=2)
+
+
+def test_a_laumon_ledger_times_one_minus_qt_at_one_theta_fails_substitution(monkeypatch):
+    real = laumon.C_ledger
+
+    def planted(theta, n):
+        led = real(theta, n)
+        return _times_one_minus_qt(led) if theta.entry_list() == (0, 1, 1) else led
+
+    monkeypatch.setattr(laumon, "C_ledger", planted)
+    report = run_check("substitution", n=3, degree=3)
+    assert report.status == Status.FAILED
+    assert report.witnesses == [{"theta": [0, 1, 1]}]
+
+
+def _plant_at(monkeypatch, name, where, fault):
+    """``checks.<name>`` with ``fault`` applied to a copy of its ledger
+    at the one argument tuple ``where``."""
+    real = getattr(checks, name)
+
+    def planted(*args):
+        led = real(*args)
+        key = tuple(a.entry_list() if hasattr(a, "entry_list") else a for a in args)
+        return fault(led) if key == where else led
+
+    monkeypatch.setattr(checks, name, planted)
+
+
+@pytest.mark.parametrize("name, where, witness", [
+    ("_recursive_ledger", ((1, 0, 1), 3), {"n": 3, "theta": [1, 0, 1], "forms": "closed vs recursive"}),
+    ("_closed_alt_ledger", ((0, 1, 1), 3), {"n": 3, "theta": [0, 1, 1], "forms": "closed vs rewritten"}),
+    ("_printed_c2", (checks.ba_vars(2),), {"n": 2, "forms": "printed c2"}),
+    ("_printed_c3", (checks.ba_vars(3), 1, 1, 0), {"n": 3, "theta": [1, 1, 0], "forms": "printed c3"}),
+])
+@pytest.mark.parametrize("fault", [_doubled, _times_one_minus_qt], ids=lambda f: f.__name__)
+def test_an_altered_c_N_form_at_one_theta_fails_cn(monkeypatch, name, where, witness, fault):
+    _plant_at(monkeypatch, name, where, fault)
+    report = run_check("cn", max_entry=1, max_n=3)
+    assert report.status == Status.FAILED
+    assert report.witnesses == [witness]
+
+
+def test_a_doubled_psi_T_fails_the_tableau_oracle(monkeypatch):
+    real = macdonald.psi_T
+    monkeypatch.setattr(macdonald, "psi_T", lambda theta, lam: real(theta, lam).scale(2))
+    _assert_fails("tableau-oracle", max_size=3, max_n=3)
+
+
+def test_a_doubled_H0_closed_fails_h0(monkeypatch):
+    real = checks.H0_closed
+    monkeypatch.setattr(checks, "H0_closed", lambda n: real(n).scale(2))
+    _assert_fails("h0", max_n=3, t_order=4, order=1, limit_n=2)
+
+
+def test_a_doubled_shift_coefficient_at_one_weight_fails_cordiff(monkeypatch):
+    real = euler.frakD_K
+
+    def planted(weight, r, vars=("q", "t")):
+        v = real(weight, r, vars)
+        return v.scale(2) if r == 1 and weight.lvec == (1, 0) else v
+
+    monkeypatch.setattr(euler, "frakD_K", planted)
+    report = run_check("cordiff", max_n=3, max_weight_sum=1)
+    assert report.status == Status.FAILED
+    assert report.witnesses == [{"n": 3, "weight": [1, 0]}]
+

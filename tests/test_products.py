@@ -1,5 +1,5 @@
-"""The n-ary product of factored rationals and the coefficient builders
-that use it, against the chained ``*``/``/`` references of
+"""The quotient and inverse of factored rationals and the coefficient
+builders, against the chained ``*``/``/`` references of
 ``tests/coefficient_reference.py``; and the products of infinite
 Pochhammer symbols filled into one ledger, against the series products of
 the symbols expanded one by one (``tests/series_reference.py``)."""
@@ -33,58 +33,72 @@ def same(got, want):
     return got == want and rational_eq(got, want) and type(got.coef) is type(want.coef)
 
 
+def chain(num, den=()):
+    """prod(num) / prod(den) by the package's binary ``*`` and ``/``."""
+    out = FactoredRational.one(V)
+    for x in num:
+        out = out * x
+    for x in den:
+        out = out / x
+    return out
+
+
 @pytest.mark.parametrize("num, den", [
     ([A, B], [C]), ([A], [B, C]), ([], [A]), ([A, B, C], []), ([B, B], [A, A]),
 ])
 def test_product_equals_the_chain(num, den):
-    assert same(FactoredRational.product(V, num, den), ref.product_reference(V, num, den))
+    # the package's quotient and inverse against the reference's ``div``
+    assert same(chain(num, den), ref.product_reference(V, num, den))
+    for x in den:
+        assert same(x.inverse(), ref.div(FactoredRational.one(V), x))
 
 
 def test_a_zero_operand_gives_zero():
     zero = FactoredRational.zero(V)
-    got = FactoredRational.product(V, [A, zero, B], [C])
+    got = chain([A, zero, B], [C])
     assert got.is_zero() and got == FactoredRational.zero(V)
     assert got == ref.product_reference(V, [A, zero, B], [C])
+    assert same(zero / A, ref.div(zero, A))
 
 
 def test_a_zero_divisor_raises_as_division_does():
     zero = FactoredRational.zero(V)
-    for num in ([A], [FactoredRational.zero(V)]):
+    with pytest.raises(ZeroDivisionError):
+        zero.inverse()
+    for x in (A, zero):
         with pytest.raises(ZeroDivisionError):
-            ref.product_reference(V, num, [B, zero])
+            ref.div(x, zero)
         with pytest.raises(ZeroDivisionError):
-            FactoredRational.product(V, num, [B, zero])
+            x / zero
 
 
 def test_mixed_contexts_raise():
     other = FactoredRational.one(("q", "s"))
     with pytest.raises(ValueError):
-        ref.product_reference(V, [A, other])
+        ref.div(A, other)
     with pytest.raises(ValueError):
-        FactoredRational.product(V, [A, other])
+        A / other
     with pytest.raises(ValueError):
-        FactoredRational.product(V, [A], [other])
+        other / A
 
 
 def test_a_cancelling_factor_pair_drops_out_of_the_map():
-    got = FactoredRational.product(V, [A, B], [A])
+    got = (A * B) / A
     assert same(got, B)
     assert got._fmap.keys() == B._fmap.keys()
-    assert FactoredRational.product(V, [A], [A]).is_one()
+    for x in (A, B, C):
+        assert (x / x).is_one()
     # (1 + t) is a denominator of A and a numerator of C
-    assert FactoredRational.product(V, [A, C]).factors == ((ONE - Q, -1),)
-
-
-def test_the_empty_product_is_one():
-    assert same(FactoredRational.product(V, []), FactoredRational.one(V))
-    assert same(FactoredRational.product(V, [], []), ref.product_reference(V, [], []))
+    assert (C / A.inverse()).factors == ((ONE - Q, -1),)
 
 
 def test_integral_and_fractional_coefficients_keep_their_type():
     two = FactoredRational.monomial(V, (0, 0), 2)
     six = FactoredRational.monomial(V, (0, 0), 6)
-    assert type(FactoredRational.product(V, [six], [two]).coef) is int
-    assert same(FactoredRational.product(V, [two], [six]), ref.product_reference(V, [two], [six]))
+    assert type((six / two).coef) is int
+    assert same(six / two, ref.div(six, two))
+    assert same(two / six, ref.div(two, six))
+    assert same(two.inverse(), ref.div(FactoredRational.one(V), two))
 
 
 def _thetas(n, max_entry):
@@ -143,9 +157,9 @@ def _weyl_pairs():
 
 
 def _printed_pairs():
-    yield _printed_c2(ba_vars(2)), ref.printed_c2_reference(), "c2"
+    yield _printed_c2(ba_vars(2)).value(), ref.printed_c2_reference(), "c2"
     for ts in itertools.product(range(3), repeat=3):
-        yield _printed_c3(ba_vars(3), *ts), ref.printed_c3_reference(*ts), ts
+        yield _printed_c3(ba_vars(3), *ts).value(), ref.printed_c3_reference(*ts), ts
 
 
 def _lattice_pairs():
@@ -166,13 +180,16 @@ def _arc_pairs():
 
 
 def test_prefactors_over_the_sl_context_equal_their_re_embedding():
-    # G_value and verify_cor_diff fill these ledgers over glob_vars(n)
-    # directly; the values are those of the (q, t) forms mapped there
+    # G_value, verify_cor_diff and check_pieri fill these ledgers over
+    # glob_vars(n) directly; the values are those of the (q, t) forms
+    # mapped there
     seen = 0
     for w in _weights(4, 3):
         vars = glob_vars(w.n)
         pairs = [(hp_prefactor(w, vars), hp_prefactor(w).transform(vars, {}))]
         pairs += [(frakD_K(w, r, vars), frakD_K(w, r).transform(vars, {}))
+                  for r in range(1, w.n + 1)]
+        pairs += [(pieri_L(w.lvec, r, w.n, vars), pieri_L(w.lvec, r, w.n).transform(vars, {}))
                   for r in range(1, w.n + 1)]
         for got, want in pairs:
             assert got == want, w.lvec

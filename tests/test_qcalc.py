@@ -1,23 +1,27 @@
 """Finite and truncated-infinite Pochhammer symbols, binomial ledgers,
 q-shifts.  The infinite symbols of a ledger (``Ledger.inf``) are pinned
 to the symbols expanded and inverted one by one
-(``tests/series_reference.py``)."""
+(``tests/series_reference.py``), and ledger equality to ``rational_eq``
+of the values."""
 
 import itertools
+import sys
 from dataclasses import dataclass
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from maclab import qcalc
 from maclab.algebra import FactoredRational, LaurentPolynomial, _canonical_factor, rational_eq
 from maclab.baker import ba_vars
+from maclab.checks import run_check
 from maclab.macdonald import QS
 from maclab.laumon import lau_vars
 from maclab.qcalc import Ledger, NonConvergent, pochhammer
+from maclab.reports import Status
 from maclab.series import XSeries, expand
-from coefficient_reference import pochhammer_reference
+from coefficient_reference import pochhammer_reference, product_reference
 from series_reference import pochhammer_inf, series_inverse
 
 V = ("q", "t")
@@ -139,7 +143,7 @@ def test_a_binomial_converts_to_its_canonical_factor():
 def test_a_ledger_converts_to_the_product_of_its_binomials(rows, unit):
     # a zero binomial (e = 0) is a zero symbol: a zero numerator, or a
     # ZeroDivisionError in the denominator, also next to a zero numerator
-    want = _outcome(lambda: FactoredRational.product(
+    want = _outcome(lambda: product_reference(
         W, [FactoredRational.monomial(W, unit)] + [_binomial_value(e, m) for e, m in rows]))
     got = _outcome(lambda: _ledger(rows, unit).value())
     assert got == want
@@ -180,6 +184,159 @@ def test_zero_binomials_follow_the_product():
         _ledger([(zero, 1), (zero, -1)])
     with pytest.raises(ValueError, match="valuation of zero"):
         _ledger([(zero, 1)]).valuation((1, 1, 0, 0))
+
+
+# -- ledger equality ----------------------------------------------------------------
+#
+# A recipe (coef, unit, ops) fills a ledger over (q, s, z1, z2, z3): each
+# op is ("z", n, qpow, xpow, znum, zden, mult), a ``zratio`` row, or
+# ("b", e, m), a ``binomial`` row.  Equality of ledgers must be equality
+# of their values, which ``rational_eq`` decides by cross-multiplying.
+
+Z = ba_vars(3)
+Z_EXPS = st.tuples(*[st.integers(-2, 2)] * len(Z)).filter(any)
+Z_IDX = st.sampled_from([None, 1, 2, 3])
+MULTS = st.integers(-2, 2).filter(bool)
+
+
+def _zratio_base(op) -> tuple:
+    """The exponent vector of the base of a ``zratio`` row at q^0."""
+    _, _n, _qpow, xpow, znum, zden, _m = op
+    e = [0, xpow, 0, 0, 0]
+    for k, d in ((znum, 1), (zden, -1)):
+        if k is not None:
+            e[1 + k] += d
+    return tuple(e)
+
+
+def _zero_free(op) -> bool:
+    """No factor of the row is 1 - 1."""
+    if op[0] == "b":
+        return True
+    _, n, qpow = op[:3]
+    return any(_zratio_base(op)) or not qpow <= 0 < qpow + n
+
+
+ledger_ops = st.lists(st.one_of(
+    st.tuples(st.just("z"), st.integers(0, 3), st.integers(-2, 2), st.integers(-1, 1),
+              Z_IDX, Z_IDX, MULTS).filter(_zero_free),
+    st.tuples(st.just("b"), Z_EXPS, MULTS)), max_size=6)
+recipes = st.tuples(base_coefs, st.tuples(*[st.integers(-2, 2)] * len(Z)), ledger_ops)
+
+
+def _build(recipe) -> Ledger:
+    coef, unit, ops = recipe
+    led = Ledger(Z, coef, unit)
+    for op in ops:
+        if op[0] == "z":
+            led.zratio(*op[1:])
+        else:
+            led.binomial(*op[1:])
+    return led
+
+
+def _agrees_with_values(a: Ledger, b: Ledger) -> bool:
+    eq = a == b
+    assert (b == a) == eq and (a != b) == (not eq)
+    assert eq == rational_eq(a.value(), b.value())
+    return eq
+
+
+@st.composite
+def rerouted(draw, recipe):
+    """The recipe of the same value by another route: a ``zratio`` row
+    split by telescoping, (x;q)_{m+l} = (x;q)_m (xq^m;q)_l, a binomial
+    row 1 - x^e written as -x^e (1 - x^-e), and the rows reordered."""
+    coef, unit, ops = recipe
+    ops, unit = list(ops), list(unit)
+    for k, op in enumerate(list(ops)):
+        if op[0] == "z" and draw(st.booleans()):
+            _, n, qpow, *rest = op
+            m = draw(st.integers(0, n))
+            ops[k:k + 1] = [("z", m, qpow, *rest), ("z", n - m, qpow + m, *rest)]
+            break
+    for k, op in enumerate(ops):
+        if op[0] == "b" and draw(st.booleans()):
+            _, e, m = op
+            ops[k] = ("b", tuple(-x for x in e), m)
+            coef = coef * (-1) ** (m & 1)
+            unit = [u + m * x for u, x in zip(unit, e)]
+    return coef, tuple(unit), draw(st.permutations(ops))
+
+
+@st.composite
+def near_misses(draw, recipe):
+    """The recipe with one exponent, one multiplicity, the coefficient or
+    one unit entry changed."""
+    coef, unit, ops = recipe
+    ops, unit = list(ops), list(unit)
+    where = draw(st.sampled_from(["coef", "unit"] + (["row"] if ops else [])))
+    delta = draw(st.sampled_from([-1, 1]))
+    if where == "coef":
+        coef = coef + delta
+    elif where == "unit":
+        unit[draw(st.integers(0, len(Z) - 1))] += delta
+    else:
+        k = draw(st.integers(0, len(ops) - 1))
+        op = list(ops[k])
+        if op[0] == "b" and draw(st.booleans()):
+            e = list(op[1])
+            e[draw(st.integers(0, len(Z) - 1))] += delta
+            op[1] = tuple(e)
+        elif op[0] == "z" and draw(st.booleans()):
+            op[2] += delta                    # the q-exponent of the base
+        else:
+            op[-1] += delta                   # the multiplicity
+        op = tuple(op)
+        assume(op[0] == "z" and _zero_free(op) or op[0] == "b" and any(op[1]))
+        ops[k] = op
+    return coef, tuple(unit), ops
+
+
+@settings(max_examples=150, deadline=None)
+@given(recipes, st.data())
+def test_a_ledger_filled_by_another_route_is_equal(recipe, data):
+    a, b = _build(recipe), _build(data.draw(rerouted(recipe)))
+    assert _agrees_with_values(a, b)
+    assert a.binomials == b.binomials and a.unit == b.unit
+
+
+@settings(max_examples=200, deadline=None)
+@given(recipes, st.data())
+def test_ledger_equality_is_equality_of_the_values(recipe, data):
+    # near misses of a ledger, and unrelated ledgers
+    other = data.draw(st.one_of(near_misses(recipe), recipes))
+    _agrees_with_values(_build(recipe), _build(other))
+
+
+@settings(max_examples=100, deadline=None)
+@given(recipes, ledger_ops)
+def test_zero_ledgers_are_equal_whatever_binomials_they_carry(recipe, ops):
+    zero = (0,) * len(Z)
+    a = _build((0, recipe[1], recipe[2]))
+    b = _build((1, zero, [("b", zero, 1)] + ops))
+    assert a.coef == 0 and b.coef == 0
+    assert _agrees_with_values(a, b)
+    assert not _agrees_with_values(a, _build(recipe))
+
+
+def test_ledger_equality_needs_the_same_context():
+    a, b = Ledger(Z), Ledger(ba_vars(2))
+    assert a != b and Ledger(Z, 0) != Ledger(ba_vars(2), 0)
+    assert a == Ledger(Z) and a != 1
+    with pytest.raises(TypeError):
+        hash(a)
+
+
+def test_a_single_changed_entry_is_unequal():
+    # 1 - x^2 = (1 - x)(1 + x): the binomials of e and 2e are distinct
+    e = (0, 1, 0, 0, 0)
+    a = _build((1, (0,) * len(Z), [("b", e, 1)]))
+    for other in [(1, (0,) * len(Z), [("b", (0, 2, 0, 0, 0), 1)]),
+                  (1, (0,) * len(Z), [("b", e, 2)]),
+                  (-1, (0,) * len(Z), [("b", e, 1)]),
+                  (1, (0, 1, 0, 0, 0), [("b", e, 1)])]:
+        assert not _agrees_with_values(a, _build(other))
 
 
 def test_pochhammer_checks_run_before_the_cache():
@@ -330,3 +487,28 @@ def test_qshift_on_x_series():
     s1 = XSeries(2, base, 2, {(1, 0): FactoredRational.one(base)})
     shifted = apply_qshift(s1, QShift("x1", -1))
     assert shifted.coeffs[(1, 0)] == FactoredRational.monomial(base, (-1, 0))
+
+
+def _count_calls(monkeypatch, owner, name, counts):
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+def test_cn_and_substitution_decide_on_ledgers_alone(monkeypatch):
+    # every module that binds rational_eq is counted, and so are the
+    # ledger conversion and the substitution of a factored rational
+    counts: dict = {}
+    for mod in [m for k, m in sys.modules.items() if k.startswith("maclab")]:
+        if hasattr(mod, "rational_eq"):
+            _count_calls(monkeypatch, mod, "rational_eq", counts)
+    _count_calls(monkeypatch, Ledger, "value", counts)
+    _count_calls(monkeypatch, FactoredRational, "transform", counts)
+    assert run_check("cn", max_entry=2, max_n=4).status == Status.PASSED
+    assert counts == {}
+    assert run_check("substitution", n=3, degree=3).status == Status.PASSED
+    assert counts == {}

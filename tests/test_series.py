@@ -266,6 +266,15 @@ def test_split_sum_cancels_a_pair_to_an_empty_series():
     assert got_rest is rest and got.is_zero() and got.trunc == 1
 
 
+def test_equal_series_of_different_truncation_hash_alike():
+    # == ignores the truncation, so the hash must too
+    z = LaurentPolynomial.var(VARS[2:], "z1")
+    a = QTSeries(("q", "t"), VARS[2:], 3, {(0, 1): z})
+    b = QTSeries(("q", "t"), VARS[2:], 1, {(0, 1): z})
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
 def _valuation_lb(terms):
     return min(fr.valuation_lb(("q", "t")) for fr in terms)
 
