@@ -254,13 +254,6 @@ class LaurentPolynomial:
 
     # -- structure -----------------------------------------------------
 
-    def degree(self, subset: Iterable[str] | None = None) -> int:
-        """Max total degree over the given variables (all by default); 0 for the zero polynomial."""
-        if not self.terms:
-            return 0
-        idx = self._subset_idx(subset)
-        return max(sum(e[i] for i in idx) for e in self.terms)
-
     def valuation(self, subset: Iterable[str] | None = None) -> int:
         """Min total degree over the given variables; 0 for the zero polynomial."""
         if not self.terms:

@@ -176,53 +176,47 @@ def check_termination(params):
     return _status(not witnesses), witnesses
 
 
+def _residual_witnesses(residual):
+    """One witness per x-degree of a nonzero operator residual, in
+    degree order, and the verdict."""
+    witnesses = [{"degree": list(k), "residual": residual.coeffs[k].canonical_str()}
+                 for k in sorted(residual.coeffs)]
+    return _status(not witnesses), witnesses
+
+
 def check_dai_ichi(params):
     n = params.get("n", 2)
     trunc = params.get("truncation", 2)
-    rep = verify_eigen_equation(BAContext(n, trunc))
-    witnesses = [
-        {"degree": list(k), "residual": v["witness"]}
-        for k, v in rep.items() if isinstance(k, tuple) and not v["zero"]
-    ]
-    return _status(rep["all_zero"]), witnesses
+    return _residual_witnesses(verify_eigen_equation(BAContext(n, trunc)))
 
 
 def check_shir(params):
     n = params.get("n", 2)
     degree = params.get("degree", 3)
-    rep = verify_difference_equation(LaumonContext(n, degree=degree))
-    witnesses = [
-        {"degree": list(k), "residual": v["witness"]}
-        for k, v in rep.items() if isinstance(k, tuple) and not v["zero"]
-    ]
-    return _status(rep["all_zero"]), witnesses
+    return _residual_witnesses(verify_difference_equation(LaumonContext(n, degree=degree)))
 
 
 def check_substitution(params):
     n = params.get("n", 2)
     degree = params.get("degree", 3)
-    rep = substitution_check(LaumonContext(n, degree=degree))
-    witnesses = [{"theta": list(k)} for k, v in rep.items() if isinstance(k, tuple) and not v]
-    return _status(rep["all_match"]), witnesses
+    witnesses = [{"theta": list(k)} for k in substitution_check(LaumonContext(n, degree=degree))]
+    return _status(not witnesses), witnesses
 
 
 def check_junichi(params):
     n = params.get("n", 2)
     order = params.get("order", 2)
-    rep = verify_local_limit(n, order)
-    if rep["passed"]:
-        return Status.PASSED, []
-    status = Status.NOT_STABILIZED if not rep["stabilized"] else Status.FAILED
-    return status, rep.get("witness", [{"error": "mismatch"}])
+    stabilized, diff = verify_local_limit(n, order)
+    if not stabilized:
+        return Status.NOT_STABILIZED, diff
+    return _status(not diff), diff
 
 
 def check_ansum(params):
     rank = params.get("rank", 1)
     order = params.get("order", 2)
-    rep = an_summation_check(rank, order)
-    if rep["passed"]:
-        return Status.PASSED, []
-    return Status.FAILED, rep.get("witness", [{"error": "identity fails"}])
+    diff = an_summation_check(rank, order)
+    return _status(not diff), diff
 
 
 def check_h0(params):
@@ -280,8 +274,7 @@ def check_cordiff(params):
     witnesses = []
     for n in range(2, max_n + 1):
         for lv in _dominant_weights(n, max_sum):
-            rep = verify_cor_diff(GLWeight(lv))
-            if not rep["passed"]:
+            if not verify_cor_diff(GLWeight(lv)):
                 witnesses.append({"n": n, "weight": list(lv)})
     return _status(not witnesses), witnesses
 
@@ -321,8 +314,9 @@ def check_weyl(params):
     n = params.get("n", 2)
     alpha = tuple(params.get("alpha", (1,) * (n - 1)))
     weight = GLWeight(tuple(params.get("weight", (0,) * (n - 1))))
-    rep = weyl_invariance_check(alpha, weight)
-    return _status(rep["passed"]), [] if rep["passed"] else [rep]
+    if weyl_invariance_check(alpha, weight):
+        return Status.PASSED, []
+    return Status.FAILED, [{"alpha": list(alpha), "weight": list(weight.lvec), "passed": False}]
 
 
 def check_pieri(params):

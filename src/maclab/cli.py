@@ -14,7 +14,7 @@ Subcommands mirror the library layers:
 Exit status is 0 iff every requested check PASSED; a series whose
 stabilization schedule does not settle prints a one-line error to stderr,
 is not cached, and exits 1.  An out-of-range argument (a partition, a
-``--weight`` length, an ``--alpha-max``, an ``--n`` below 1, a negative
+``--weight`` length, an ``--alpha-max`` below 2, an ``--n`` below 1, a negative
 ``--order``, ``--degree`` or ``--truncation``) prints a one-line error to
 stderr and exits 2 before anything is computed or cached.
 Everything runs serially in one process.
@@ -198,7 +198,7 @@ def _argument_error(args) -> str | None:
     value in the table below, a partition argument that is not a partition
     with at most N parts or a ``--weight`` without N-1 entries; None when
     all are in range."""
-    for flag, least in (("n", 1), ("alpha_max", 1), ("max_n", 1), ("rank", 1),
+    for flag, least in (("n", 1), ("alpha_max", 2), ("max_n", 1), ("rank", 1),
                         ("order", 0), ("degree", 0), ("truncation", 0), ("max_size", 0),
                         ("max_entry", 0), ("max_weight_sum", 0)):
         value = getattr(args, flag, None)

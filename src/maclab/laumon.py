@@ -10,6 +10,12 @@ explicit product of finite q-Pochhammer ratios.  This module verifies
   coefficients c_N under s = q t and x -> t^{-1} x^{-1},
 * stabilization of the fixed-degree characters to an explicit infinite
   product, including the underlying root-lattice summation identity.
+
+Each verifier returns what its check decides on: the residual series of
+the difference equation, the theta at which the dictionary fails, and
+the coefficient differences (:func:`_series_diff`) of a stabilization or
+summation identity, empty when it holds.  :mod:`maclab.checks` turns
+them into witnesses.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from functools import cache
 from itertools import product as iproduct
 
 from .algebra import FactoredRational
-from .baker import _closed_ledger, operator_residual, theta_series
+from .baker import _closed_ledger, operator_coefficient, operator_residual, theta_series
 from .qcalc import Ledger
 from .series import QTSeries, XSeries, expand, expand_sum
 from .tableaux import ThetaMatrix, theta_by_degree, theta_upto_degree
@@ -36,21 +42,11 @@ __all__ = [
     "verify_local_limit",
     "an_summation_check",
     "NotStabilized",
-    "IdentityFails",
-    "SubstitutionMismatch",
 ]
 
 
 class NotStabilized(ArithmeticError):
     """The last two points of a stabilization schedule disagree."""
-
-
-class IdentityFails(ArithmeticError):
-    """A stable series differs from the closed form it should equal."""
-
-
-class SubstitutionMismatch(ArithmeticError):
-    """The per-theta coefficient dictionary between the two series fails."""
 
 
 @cache
@@ -119,72 +115,60 @@ def J_series(ctx: LaumonContext) -> XSeries:
     return theta_series(C_theta, ctx.n, ctx.vars, ctx.degree)
 
 
-def _sd_coefficient(i: int, n: int, trunc: int, vars) -> XSeries:
-    """Rational coefficient of the i-th term of the conjugated difference
-    operator, expanded geometrically:
+def verify_difference_equation(ctx: LaumonContext) -> XSeries:
+    """The residual of (sum_i z_i A_i(x) T_{i,q^{-1}} - sum_i z_i) on J up
+    to x-degree ctx.degree, zero iff the q-difference equation holds.
 
-        prod_{j<i} (1 - q t^{i-j+1} x_j..x_{i-1}) / (1 - t^{i-j} x_j..x_{i-1})
-      * prod_{k>i} (1 - q^{-1} t^{k-i-1} x_i..x_{k-1}) / (1 - t^{k-i} x_i..x_{k-1})
+    T_{i,q^{-1}} substitutes x_{i-1} -> q x_{i-1}, x_i -> q^{-1} x_i, and
+    the coefficients are (:func:`~maclab.baker.operator_coefficient`)
 
-    This is the form obtained by conjugating the rank-N Macdonald
-    operator through s = q t, x_i -> t^{-1} x_i^{-1}; the residual check
-    certifies it (the analogous printed display carries the q-factors on
-    the opposite products and does not annihilate the series).
+        A_i = prod_{j<i} (1 - q t^{i-j+1} x_j..x_{i-1}) / (1 - t^{i-j} x_j..x_{i-1})
+            * prod_{k>i} (1 - q^{-1} t^{k-i-1} x_i..x_{k-1}) / (1 - t^{k-i} x_i..x_{k-1}),
+
+    the form obtained by conjugating the rank-N Macdonald operator
+    through s = q t, x_i -> t^{-1} x_i^{-1}; the residual certifies it
+    (the analogous printed display carries the q-factors on the opposite
+    products and does not annihilate the series).
     """
-    out = XSeries.one(n - 1, vars, trunc)
+    n, vars = ctx.n, ctx.vars
+    one = FactoredRational.one(vars)
 
-    def qt_mono(qe, te):
-        e = [0] * len(vars)
-        e[0], e[1] = qe, te
-        return FactoredRational.monomial(vars, e)
+    def qt(qe, te):
+        return FactoredRational.monomial(vars, (qe, te) + (0,) * n)
 
-    for j in range(1, i):
-        mono = tuple(1 if j <= k + 1 <= i - 1 else 0 for k in range(n - 1))
-        out = out * XSeries.binomial(n - 1, vars, trunc, qt_mono(1, i - j + 1), mono)
-        out = out * XSeries.geometric(n - 1, vars, trunc, qt_mono(0, i - j), mono)
-    for k in range(i + 1, n + 1):
-        mono = tuple(1 if i <= m + 1 <= k - 1 else 0 for m in range(n - 1))
-        out = out * XSeries.binomial(n - 1, vars, trunc, qt_mono(-1, k - i - 1), mono)
-        out = out * XSeries.geometric(n - 1, vars, trunc, qt_mono(0, k - i), mono)
-    return out
+    def coefficient(i):
+        return operator_coefficient(
+            i, n, ctx.degree, vars,
+            lambda j: (one, qt(1, i - j + 1), qt(0, i - j)) if j < i
+            else (one, qt(-1, j - i - 1), qt(0, j - i)))
+
+    return operator_residual(J_series(ctx), coefficient, lambda i: 0)
 
 
-def verify_difference_equation(ctx: LaumonContext, strict: bool = False) -> dict:
-    """Residual of (sum_i z_i A_i(x) T_{i,q^{-1}} - sum_i z_i) on J,
-    checked coefficient-by-coefficient up to x-degree ctx.degree.
-
-    T_{i,q^{-1}} substitutes x_{i-1} -> q x_{i-1}, x_i -> q^{-1} x_i.
-    """
-    n, trunc = ctx.n, ctx.degree
-    return operator_residual(J_series(ctx), lambda i: _sd_coefficient(i, n, trunc, ctx.vars),
-                             lambda i: 0, strict, "x-degree")
-
-
-def substitution_check(ctx: LaumonContext, strict: bool = False) -> dict:
+def substitution_check(ctx: LaumonContext) -> list:
     """Per-theta dictionary between the localization coefficients and the
     eigenfunction coefficients: with s = q t and x_i -> t^{-1} x_i^{-1},
 
         c_N(theta; z; q, s=qt)  ==  t^{-deg(theta)} C_theta(q, t, z)
 
     where deg is the total x-degree sum (j-i) theta_ij, decided on the
-    ledgers of both sides.
+    ledgers of both sides.  Returns the entry lists of the theta up to
+    x-degree ctx.degree at which it fails, in
+    :func:`~maclab.tableaux.theta_upto_degree` order.
     """
     n = ctx.n
     vars = ctx.vars
     eye = [tuple(int(a == b) for a in range(n + 2)) for b in range(2, n + 2)]
     weights = [(1, 1) + (0,) * n, (0, 1) + (0,) * n] + eye   # s -> qt
     images: dict = {}
-    results = {}
+    failures = []
     for th in theta_upto_degree(n, ctx.degree):
         lhs = _closed_ledger(th, n).image(vars, weights, images)
         rhs = C_ledger(th, n)
         rhs.unit[1] -= th.total_degree()
-        ok = lhs == rhs
-        if not ok and strict:
-            raise SubstitutionMismatch(f"dictionary fails at theta = {th.entry_list()}")
-        results[th.entry_list()] = ok
-    results["all_match"] = all(v for k, v in results.items() if isinstance(k, tuple))
-    return results
+        if lhs != rhs:
+            failures.append(th.entry_list())
+    return failures
 
 
 def _root_ledger(n: int, order: int) -> Ledger:
@@ -228,33 +212,24 @@ def local_character(n: int, alpha, order: int) -> QTSeries:
     return expand_sum([C_theta(th, n) for th in theta_by_degree(n, alpha)], order)
 
 
-def verify_local_limit(n: int, order: int, schedule=None,
-                       strict: bool = False) -> dict:
+def verify_local_limit(n: int, order: int, schedule=None) -> tuple:
     """Stabilization of the fixed-degree characters along an increasing
     schedule in the far sector l_1 >> l_2 >> ... >> 0, and agreement of
     the stable values with the infinite product.  Only the last two
-    schedule points are evaluated: the stability test reads no other."""
+    schedule points are evaluated: the stability test reads no other.
+
+    Returns ``(stabilized, diff)``: whether the last two points agree,
+    and the :func:`_series_diff` of those two points if they do not,
+    else of the last point against :func:`J_infinity`.  Raises
+    ``ValueError`` on a schedule of fewer than two points."""
     if schedule is None:
         schedule = default_schedule(n)
-    series = [local_character(n, a, order) for a in schedule[-2:]]
-    stabilized = len(series) >= 2 and series[0] == series[1]
-    limit = J_infinity(n, order)
-    matches = series[-1] == limit
-    report = {
-        "schedule": [list(a) for a in schedule],
-        "stabilized": bool(stabilized),
-        "matches_product": bool(matches),
-        "passed": bool(stabilized and matches),
-    }
-    if not stabilized:
-        report["witness"] = _series_diff(series[0], series[1]) if len(series) >= 2 else "short schedule"
-        if strict:
-            raise NotStabilized(f"last two schedule points disagree: {report['witness']}")
-    elif not matches:
-        report["witness"] = _series_diff(series[-1], limit)
-        if strict:
-            raise IdentityFails(f"stable series differs from the product: {report['witness']}")
-    return report
+    if len(schedule) < 2:
+        raise ValueError("a stabilization schedule needs at least two points")
+    before, last = (local_character(n, a, order) for a in schedule[-2:])
+    if before != last:
+        return False, _series_diff(before, last)
+    return True, _series_diff(last, J_infinity(n, order))
 
 
 def default_schedule(n: int) -> list:
@@ -319,8 +294,7 @@ def _lattice_points(m: int, rad: int) -> list:
     return pts
 
 
-def an_summation_check(rank: int, order: int, radius: int | None = None,
-                       strict: bool = False) -> dict:
+def an_summation_check(rank: int, order: int, radius: int | None = None) -> list:
     """Numerical check, to the given (q,t)-order, of the type-A lattice
     summation identity
 
@@ -330,7 +304,10 @@ def an_summation_check(rank: int, order: int, radius: int | None = None,
 
     The lattice sum is truncated by the t-valuation of its terms
     (the chi-term valuation grows like sum_{a>0} <a,chi>_+), and the
-    truncation is validated by doubling the radius.
+    truncation is validated by doubling the radius.  Returns the
+    :func:`_series_diff` of the sums at the radius and at twice it if
+    they differ, else of the doubled sum against the product: empty iff
+    the identity holds.
     """
     m = rank + 1
     vars = ("q", "t") + tuple(f"z{i}" for i in range(1, m + 1))
@@ -345,20 +322,7 @@ def an_summation_check(rank: int, order: int, radius: int | None = None,
                 terms.append(t)
         return expand_sum(terms, order)
 
-    lhs = lattice_sum(radius)
-    lhs2 = lattice_sum(2 * radius)
-    doubled_stable = lhs == lhs2
-    rhs = _lattice_product(vars, rank, order)
-    matches = lhs2 == rhs
-    report = {
-        "rank": rank,
-        "order": order,
-        "radius_stable": bool(doubled_stable),
-        "matches": bool(matches),
-        "passed": bool(doubled_stable and matches),
-    }
-    if not report["passed"]:
-        report["witness"] = _series_diff(lhs2, rhs)
-        if strict:
-            raise IdentityFails(f"lattice sum differs: {report['witness']}")
-    return report
+    lhs, lhs2 = lattice_sum(radius), lattice_sum(2 * radius)
+    if lhs != lhs2:
+        return _series_diff(lhs, lhs2)
+    return _series_diff(lhs2, _lattice_product(vars, rank, order))

@@ -314,5 +314,5 @@ def test_cn_substitutes_nothing(monkeypatch):
 
 def test_eigen_equation_residuals_vanish():
     for (n, trunc) in [(2, 2), (2, 3), (3, 1), (3, 2)]:
-        rep = verify_eigen_equation(BAContext(n, trunc))
-        assert rep["all_zero"], (n, trunc, rep)
+        residual = verify_eigen_equation(BAContext(n, trunc))
+        assert residual.is_zero(), (n, trunc, residual)

@@ -155,6 +155,7 @@ def test_reports_built_without_witnesses_do_not_share_a_list():
     ("baker", "--n", "2", "--truncation", "1", "--specialize", "1,1,1"),
     ("baker", "--n", "3", "--truncation", "1", "--specialize", "0,1"),
     ("global", "h", "--n", "3", "--weight", "1,0", "--order", "1", "--alpha-max", "0"),
+    ("global", "h", "--n", "2", "--weight", "1", "--order", "2", "--alpha-max", "1"),
     ("global", "h", "--n", "3", "--weight", "1,0,0", "--order", "1"),
     ("global", "verify", "chibq", "--order", "-1"),
     ("laumon", "j", "--n", "0", "--degree", "1"),

@@ -66,14 +66,13 @@ def test_J_series_coefficients():
 
 def test_difference_equation():
     for (n, d) in [(2, 3), (3, 2), (3, 3)]:
-        rep = verify_difference_equation(LaumonContext(n, degree=d))
-        assert rep["all_zero"], (n, d)
+        residual = verify_difference_equation(LaumonContext(n, degree=d))
+        assert residual.is_zero(), (n, d, residual)
 
 
 def test_substitution_dictionary():
     for (n, d) in [(2, 3), (3, 2)]:
-        rep = substitution_check(LaumonContext(n, degree=d))
-        assert rep["all_match"], (n, d)
+        assert substitution_check(LaumonContext(n, degree=d)) == [], (n, d)
 
 
 def test_J_infinity_low_order():
@@ -101,17 +100,15 @@ def test_local_character_is_polynomial_in_z():
 
 def test_stabilization_to_infinite_product():
     for n in (2, 3):
-        rep = verify_local_limit(n, 2)
-        assert rep["passed"], (n, rep)
+        assert verify_local_limit(n, 2) == (True, []), n
 
 
 def test_short_schedule_is_reported_unstable():
     # degrees (1) and (2) still differ at order 2: the report must say so
     # and carry a witness rather than passing
-    rep = verify_local_limit(2, 2, schedule=[(1,), (2,)])
-    assert not rep["stabilized"]
-    assert not rep["passed"]
-    assert rep["witness"]
+    stabilized, diff = verify_local_limit(2, 2, schedule=[(1,), (2,)])
+    assert not stabilized
+    assert diff
 
 
 def test_only_the_last_two_schedule_points_are_evaluated(monkeypatch):
@@ -126,26 +123,31 @@ def test_only_the_last_two_schedule_points_are_evaluated(monkeypatch):
 
     monkeypatch.setattr(maclab.laumon, "local_character", spy)
     schedule = [(1,), (2,), (3,), (4,)]
-    rep = verify_local_limit(2, 2, schedule=schedule)
+    assert verify_local_limit(2, 2, schedule=schedule) == (True, [])
     assert seen == [(3,), (4,)]
-    assert rep["schedule"] == [[1], [2], [3], [4]] and rep["passed"]
 
 
-def test_strict_mode_raises_on_unstable_schedule():
+def test_a_schedule_of_fewer_than_two_points_raises():
     import pytest
-    from maclab.laumon import NotStabilized
 
-    with pytest.raises(NotStabilized):
-        verify_local_limit(2, 2, schedule=[(1,), (2,)], strict=True)
-    # strict mode is silent when the identities hold
-    assert verify_difference_equation(LaumonContext(2, degree=1), strict=True)["all_zero"]
-    assert substitution_check(LaumonContext(2, degree=1), strict=True)["all_match"]
+    for schedule in ([], [(1,)]):
+        with pytest.raises(ValueError, match="at least two points"):
+            verify_local_limit(2, 2, schedule=schedule)
 
 
 def test_an_summation_low_rank():
-    assert an_summation_check(1, 3)["passed"]
-    assert an_summation_check(2, 2)["passed"]
-    assert an_summation_check(1, 0)["passed"]
+    assert an_summation_check(1, 3) == []
+    assert an_summation_check(2, 2) == []
+    assert an_summation_check(1, 0) == []
+
+
+def test_an_unstable_lattice_radius_carries_a_witness():
+    # radius 1 is too small at these orders: the sums at radii 1 and 2
+    # differ, and their coefficient differences are the witness
+    for rank, order in [(1, 3), (2, 2)]:
+        diff = an_summation_check(rank, order, radius=1)
+        assert isinstance(diff, list) and diff, (rank, order)
+        assert all(w["left"] != w["right"] for w in diff)
 
 
 def test_J_infinity_rank_three_t_series():

@@ -7,15 +7,25 @@ while ``hp``, ``vanishing`` and ``chibq`` read the shared ledgers through
 ``euler._c_ledger`` (``euler`` binds ``C_ledger`` at import, so a plant
 on ``laumon`` does not reach them).  ``checks`` binds the c_N ledger
 builders and ``H0_closed`` at import, so ``cn`` and ``h0`` are planted
-there; ``cordiff`` reads ``euler.frakD_K`` and ``tableau-oracle`` reads
-``macdonald.psi_T`` through ``macdonald_P``.  Every memo table is emptied
+there; ``cordiff`` reads ``euler.frakD_K``, ``tableau-oracle`` reads
+``macdonald.psi_T`` through ``macdonald_P``, ``dai-ichi`` reads
+``baker.c_N_closed``, ``ansum`` reads ``laumon._lattice_product`` and
+``weyl`` reads ``euler._weyl_factor``.  Every memo table is emptied
 before and after each plant, so that no planted value stays in a
 process-scoped table.
+
+The canonical JSON of the planted-fault reports of the checks whose
+verifiers hand their findings to ``checks`` (``shir``, ``junichi``,
+``substitution``, ``dai-ichi``, ``ansum``, ``cordiff`` and ``weyl``) is
+pinned by its sha256, so that a change in how those findings become
+witnesses shows as a changed byte.
 """
+
+import hashlib
 
 import pytest
 
-from maclab import checks, euler, laumon, macdonald, memo
+from maclab import baker, checks, euler, laumon, macdonald, memo
 from maclab.checks import run_check
 from maclab.qcalc import Ledger
 from maclab.reports import Status
@@ -53,18 +63,87 @@ def _assert_fails(name, **params):
     assert report.witnesses
 
 
-@pytest.mark.parametrize("name, params", [
-    ("junichi", {"n": 2, "order": 2}), ("junichi", {"n": 3, "order": 2}),
-    ("shir", {"n": 2, "degree": 3}), ("shir", {"n": 3, "degree": 2})])
-def test_a_laumon_ledger_times_one_minus_qt_fails(monkeypatch, name, params):
+def _plant_laumon_ledger(monkeypatch, where):
+    """``laumon.C_ledger`` times (1 - qt) at every theta where ``where``
+    holds."""
     real = laumon.C_ledger
 
     def planted(theta, n):
         led = real(theta, n)
-        return _times_one_minus_qt(led) if theta[(1, 2)] >= 1 else led
+        return _times_one_minus_qt(led) if where(theta) else led
 
     monkeypatch.setattr(laumon, "C_ledger", planted)
+
+
+def _plant_laumon_ledger_where_theta_12(monkeypatch):
+    _plant_laumon_ledger(monkeypatch, lambda theta: theta[(1, 2)] >= 1)
+
+
+def _plant_laumon_ledger_at_one_theta(monkeypatch):
+    _plant_laumon_ledger(monkeypatch, lambda theta: theta.entry_list() == (0, 1, 1))
+
+
+def _plant_doubled_c_N_closed(monkeypatch):
+    """``baker.c_N_closed`` doubled at theta_12 = 1, every other entry 0."""
+    real = baker.c_N_closed
+
+    def planted(theta, n):
+        v, entries = real(theta, n), theta.entry_list()
+        return v.scale(2) if entries == (1,) + (0,) * (len(entries) - 1) else v
+
+    monkeypatch.setattr(baker, "c_N_closed", planted)
+
+
+def _plant_doubled_lattice_product(monkeypatch):
+    real = laumon._lattice_product
+    monkeypatch.setattr(laumon, "_lattice_product",
+                        lambda vars, rank, order: real(vars, rank, order).scale(2))
+
+
+def _plant_doubled_weyl_factor(monkeypatch):
+    """``euler._weyl_factor`` doubled at the transposition of 1 and 2."""
+    real = euler._weyl_factor
+
+    def planted(n, w):
+        v = real(n, w)
+        return v.scale(2) if tuple(w) == (2, 1) + tuple(range(3, n + 1)) else v
+
+    monkeypatch.setattr(euler, "_weyl_factor", planted)
+
+
+def _plant_doubled_shift_coefficient(monkeypatch):
+    """``euler.frakD_K`` doubled at r = 1 for the weight (1, 0) only."""
+    real = euler.frakD_K
+
+    def planted(weight, r, vars=("q", "t")):
+        v = real(weight, r, vars)
+        return v.scale(2) if r == 1 and weight.lvec == (1, 0) else v
+
+    monkeypatch.setattr(euler, "frakD_K", planted)
+
+
+@pytest.mark.parametrize("name, params", [
+    ("junichi", {"n": 2, "order": 2}), ("junichi", {"n": 3, "order": 2}),
+    ("shir", {"n": 2, "degree": 3}), ("shir", {"n": 3, "degree": 2})])
+def test_a_laumon_ledger_times_one_minus_qt_fails(monkeypatch, name, params):
+    _plant_laumon_ledger_where_theta_12(monkeypatch)
     _assert_fails(name, **params)
+
+
+@pytest.mark.parametrize("params", [{"n": 2, "truncation": 2}, {"n": 3, "truncation": 2}])
+def test_a_doubled_c_N_at_one_theta_fails_dai_ichi(monkeypatch, params):
+    _plant_doubled_c_N_closed(monkeypatch)
+    _assert_fails("dai-ichi", **params)
+
+
+def test_a_doubled_lattice_product_fails_ansum(monkeypatch):
+    _plant_doubled_lattice_product(monkeypatch)
+    _assert_fails("ansum", rank=1, order=2)
+
+
+def test_a_doubled_weyl_factor_at_one_transposition_fails_weyl(monkeypatch):
+    _plant_doubled_weyl_factor(monkeypatch)
+    _assert_fails("weyl", n=2)
 
 
 def _plant_euler_ledger(monkeypatch, fault):
@@ -95,13 +174,7 @@ def test_an_euler_ledger_times_one_minus_qt_fails_vanishing(monkeypatch):
 
 
 def test_a_laumon_ledger_times_one_minus_qt_at_one_theta_fails_substitution(monkeypatch):
-    real = laumon.C_ledger
-
-    def planted(theta, n):
-        led = real(theta, n)
-        return _times_one_minus_qt(led) if theta.entry_list() == (0, 1, 1) else led
-
-    monkeypatch.setattr(laumon, "C_ledger", planted)
+    _plant_laumon_ledger_at_one_theta(monkeypatch)
     report = run_check("substitution", n=3, degree=3)
     assert report.status == Status.FAILED
     assert report.witnesses == [{"theta": [0, 1, 1]}]
@@ -147,14 +220,40 @@ def test_a_doubled_H0_closed_fails_h0(monkeypatch):
 
 
 def test_a_doubled_shift_coefficient_at_one_weight_fails_cordiff(monkeypatch):
-    real = euler.frakD_K
-
-    def planted(weight, r, vars=("q", "t")):
-        v = real(weight, r, vars)
-        return v.scale(2) if r == 1 and weight.lvec == (1, 0) else v
-
-    monkeypatch.setattr(euler, "frakD_K", planted)
+    _plant_doubled_shift_coefficient(monkeypatch)
     report = run_check("cordiff", max_n=3, max_weight_sum=1)
     assert report.status == Status.FAILED
     assert report.witnesses == [{"n": 3, "weight": [1, 0]}]
 
+
+
+# (check, parameters, plant) for every planted-fault report whose bytes are pinned
+PINNED_PLANTS = [
+    ("shir", {"n": 2, "degree": 3}, _plant_laumon_ledger_where_theta_12),
+    ("shir", {"n": 3, "degree": 2}, _plant_laumon_ledger_where_theta_12),
+    ("junichi", {"n": 2, "order": 2}, _plant_laumon_ledger_where_theta_12),
+    ("junichi", {"n": 3, "order": 2}, _plant_laumon_ledger_where_theta_12),
+    ("substitution", {"n": 3, "degree": 3}, _plant_laumon_ledger_at_one_theta),
+    ("dai-ichi", {"n": 2, "truncation": 2}, _plant_doubled_c_N_closed),
+    ("dai-ichi", {"n": 3, "truncation": 2}, _plant_doubled_c_N_closed),
+    ("ansum", {"rank": 1, "order": 2}, _plant_doubled_lattice_product),
+    ("ansum", {"rank": 2, "order": 2}, _plant_doubled_lattice_product),
+    ("cordiff", {"max_n": 3, "max_weight_sum": 1}, _plant_doubled_shift_coefficient),
+    ("weyl", {"n": 2}, _plant_doubled_weyl_factor),
+    ("weyl", {"n": 3}, _plant_doubled_weyl_factor),
+]
+
+# the sha256 of the canonical JSON of those reports, one line each
+PINNED_SHA256 = "7520b497bc17390448889abd2132e9339adb2bbff2ddfe4843d9323ea688b2a5"
+
+
+def test_planted_fault_reports_are_pinned():
+    lines = []
+    for name, params, plant in PINNED_PLANTS:
+        memo.clear_all()
+        with pytest.MonkeyPatch.context() as mp:
+            plant(mp)
+            lines.append(run_check(name, **params).canonical_json())
+        memo.clear_all()
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == PINNED_SHA256, digest
