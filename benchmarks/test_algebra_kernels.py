@@ -15,11 +15,13 @@ Two kernels of ``tableau-oracle``'s coefficient comparison, tableau
 formula against eigen-solve oracle, at N = 4 and mu = (2,1,1,1):
 
 * ``rational_eq`` at lambda = (5), the comparison with the largest
-  cross-multiplied expansion for |lambda| <= 5, N <= 4 (714 terms over
-  both sides);
+  uncancelled parts for |lambda| <= 5, N <= 4 (714 terms over both
+  sides once multiplied out), decided on their Kronecker images in
+  (q, s) (``algebra.sum_is_zero``) without multiplying them out;
 * ``__mul__`` at lambda = (4,1): the 68-term tableau numerator, a
   canonical factor with Fraction coefficients, times the oracle's
-  expanded denominator, the product that comparison cross-multiplies.
+  expanded denominator, the product a comparison by cross-multiplication
+  would build.
 
 Not part of the test suite.  Run with
 

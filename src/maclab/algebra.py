@@ -11,14 +11,18 @@ Everything in this package is built on two value types:
   polynomial factors with integer multiplicities.  Products of binomials
   such as q-Pochhammer symbols stay factored; nothing is ever reduced by
   a multivariate gcd.  Equality of values is decided by cancelling common
-  factors and cross-multiplying the rest (:func:`rational_eq`).
+  factors and comparing the rest as integers (:func:`rational_eq`).
 
 Every polynomial product is expanded over the integers (:func:`_expand`):
 each operand is cleared once by the lcm of its denominators, the term
 products run on ``int``s, and each output coefficient is divided once by
-the product of those lcms.  :func:`rational_eq` compares two integer
-expansions and their denominators, with no ``Fraction``: a canonical
-factor leads with coefficient 1, so equal values have equal denominators.
+the product of those lcms.  :func:`sum_is_zero` decides whether a sum of
+factored rationals vanishes without expanding it: the factors common to
+all terms are cancelled, the scalars cleared, and the two leading
+variables packed into the digits of one integer (Kronecker substitution,
+with a digit width proven wide enough), so the products run as ``int``
+multiplications over the sparse keys of the remaining variables.
+:func:`rational_eq` is the sum of two terms.
 
 Values are immutable after construction and safe to share.  Nothing
 writes to a polynomial's ``terms`` once it is built, so a factor's
@@ -31,7 +35,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import add, itemgetter, sub
+from operator import add, itemgetter, mul, sub
 from typing import Iterable, Mapping, Sequence, Union
 
 Coef = Union[int, Fraction]
@@ -40,6 +44,7 @@ __all__ = [
     "LaurentPolynomial",
     "FactoredRational",
     "rational_eq",
+    "sum_is_zero",
     "ExactDivisionError",
     "DenominatorNotUnit",
 ]
@@ -857,27 +862,125 @@ def _canonical_factor(p: LaurentPolynomial) -> tuple:
 
 
 def rational_eq(a: FactoredRational, b: FactoredRational) -> bool:
-    """Certified value equality of two factored rationals.
+    """Certified value equality of two factored rationals: whether
+    ``a - b`` is zero (:func:`sum_is_zero`)."""
+    return sum_is_zero((a, -b))
 
-    Common canonical factors are cancelled first; the remaining parts are
-    cross-multiplied, expanded over the integers and compared together
-    with their denominators.
+
+_ABSENT = (None, 0)
+
+
+def sum_is_zero(terms: Iterable[FactoredRational]) -> bool:
+    """Whether a sum of factored rationals over one context is zero.
+
+    Every term is divided by ``prod p^g``, ``g`` the least multiplicity
+    of the canonical factor ``p`` over the terms (0 where a term lacks
+    ``p``), so no term keeps a denominator; for two terms this is the
+    cancellation of their common factors.  The terms are then shifted by
+    the least unit exponent and cleared by the lcm ``L`` of their
+    rational scalars, which leaves a sum ``F`` of integer polynomials
+    ``s_i x^{u_i} prod p^{r_i}`` with ``F == 0`` iff the sum is zero.
+
+    ``F`` is decided by Kronecker substitution in the two leading
+    variables: ``x_1 -> 2^k`` and ``x_2 -> 2^(k (D_1 + 1))``, with
+    ``D_j`` the largest ``x_j``-degree of a term and
+    ``2^k > B = sum_i |s_i| prod ||p||_1^{r_i}``; the other variables
+    stay sparse exponent keys.  Substitution is a ring map, so each term
+    is the product of its factors' images.  It is injective on ``F``:
+    a coefficient of ``F`` in ``x_1^a x_2^b`` (under one key of the
+    other variables) lands on the k-bit digit at ``a + b (D_1 + 1)``,
+    distinct for distinct ``(a, b)`` as ``a <= D_1``, and is below
+    ``2^k`` in size, since ``B`` bounds every coefficient of ``F``.  In
+    a nonzero image the lowest nonzero digit ``c`` gives the image
+    ``2^(kj) (c + 2^k m)`` for some integer ``m``, which is not zero
+    as ``0 < |c| < 2^k``.  So the image is zero iff ``F`` is, and no
+    image exceeds ``k (D_1 + 1)(D_2 + 1)`` bits.
     """
-    a._check(b)
-    if a.is_zero() or b.is_zero():
-        return a.is_zero() and b.is_zero()
-    a_f, b_f = a._fmap, b._fmap
-    rem_a: list = []
-    rem_b: list = []
-    for key in a_f.keys() | b_f.keys():
-        p = (a_f.get(key) or b_f.get(key))[0]
-        m = a_f.get(key, (None, 0))[1] - b_f.get(key, (None, 0))[1]
-        if m > 0:
-            rem_a.append((p, m))
-        elif m < 0:
-            rem_b.append((p, -m))
-    lhs, dl = _expand(a.coef, a.exps, rem_a)
-    rhs, dr = _expand(b.coef, b.exps, rem_b)
-    # lhs * dr == rhs * dl; a canonical factor cleared by its lcm has
-    # content 1, so by Gauss's lemma equal values have dl == dr
-    return dl == dr and lhs == rhs
+    terms = list(terms)
+    for x in terms[1:]:
+        terms[0]._check(x)
+    terms = [x for x in terms if x.coef]
+    if len(terms) < 2:
+        return not terms
+    fmaps = [x._fmap for x in terms]
+    factor: dict = {}
+    for f in fmaps:
+        for key, (p, _m) in f.items():
+            factor.setdefault(key, p)
+    least = {key: min(f.get(key, _ABSENT)[1] for f in fmaps) for key in factor}
+    polys: dict = {}      # key -> (cleared terms, their denominator)
+    rems = []
+    for f in fmaps:
+        rem = []
+        for key, g in least.items():
+            r = f.get(key, _ABSENT)[1] - g
+            if r:
+                rem.append((key, r))
+                if key not in polys:
+                    polys[key] = _cleared(factor[key].terms)
+        rems.append(rem)
+    # the integer scalars s_i and the unit shifts u_i
+    dens = []
+    for x, rem in zip(terms, rems):
+        d = x.coef.denominator
+        for key, r in rem:
+            d *= polys[key][1] ** r
+        dens.append(d)
+    big_l = lcm(*dens)
+    scalars = [x.coef.numerator * (big_l // d) for x, d in zip(terms, dens)]
+    low = tuple(map(min, *[x.exps for x in terms]))
+    units = [tuple(map(sub, x.exps, low)) for x in terms]
+    # the digit width k and the degree bounds D_1, D_2
+    npack = min(2, len(low))
+    shape = {key: (sum(map(abs, t.values())),) + tuple(max(e[j] for e in t) for j in range(npack))
+             for key, (t, _d) in polys.items()}
+    bound = 0
+    degs = [0] * npack
+    for s, u, rem in zip(scalars, units, rems):
+        size = abs(s)
+        deg = list(u[:npack])
+        for key, r in rem:
+            norm, *pdeg = shape[key]
+            size *= norm ** r
+            for j, dj in enumerate(pdeg):
+                deg[j] += r * dj
+        bound += size
+        degs = list(map(max, degs, deg))
+    k = bound.bit_length()
+    steps = (k, k * (degs[0] + 1))[:npack] if degs else ()
+    images: dict = {}
+    total: dict = {}
+    for s, u, rem in zip(scalars, units, rems):
+        t = {u[npack:]: s << sum(map(mul, u, steps))}
+        for key, r in rem:
+            img = images.get(key)
+            if img is None:
+                img = images[key] = _kronecker_image(polys[key][0], steps, npack)
+            t = _mul_terms(t, _image_pow(img, r))
+        for e, c in t.items():
+            total[e] = total.get(e, 0) + c
+    return not any(total.values())
+
+
+def _kronecker_image(terms: dict, steps: tuple, npack: int) -> dict:
+    """The image of ``int`` terms under ``x_j -> 2^steps[j]`` for the
+    leading ``npack`` variables, keyed by the exponents of the rest.
+    Distinct terms land on distinct digits (see :func:`sum_is_zero`),
+    so no image coefficient is zero."""
+    img: dict = {}
+    get = img.get
+    for e, c in terms.items():
+        key = e[npack:]
+        img[key] = get(key, 0) + (c << sum(map(mul, e, steps)))
+    return img
+
+
+def _image_pow(img: dict, m: int) -> dict:
+    """``img ** m`` for a term map with ``int`` coefficients, ``m > 0``."""
+    if len(img) == 1:
+        (e, c), = img.items()
+        return {tuple(m * x for x in e): c ** m}
+    out = img
+    for _ in range(m - 1):
+        out = _mul_terms(out, img)
+    return out

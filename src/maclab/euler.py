@@ -27,7 +27,7 @@ from functools import cache
 from itertools import permutations, product
 
 from . import memo
-from .algebra import FactoredRational, LaurentPolynomial, rational_eq
+from .algebra import FactoredRational, LaurentPolynomial, rational_eq, sum_is_zero
 from .laumon import C_ledger, NotStabilized, _root_ledger
 from .macdonald import macdonald_P
 from .qcalc import Ledger
@@ -567,15 +567,13 @@ def verify_cor_diff(weight: GLWeight) -> bool:
     the closed-form family: sum_r K_r(w) G(T_r w) = (z_1 + ... + z_N) G(w)."""
     n = weight.n
     vars = glob_vars(n)
-    lhs = FactoredRational.zero(vars)
+    terms = []
     for r in range(1, n + 1):
-        shifted = weight.shifted(r)
-        g = G_value(shifted)
-        if g.is_zero():
-            continue
-        lhs = lhs + frakD_K(weight, r, vars) * g
-    rhs = _zsum(n) * G_value(weight)
-    return rational_eq(lhs, rhs)
+        g = G_value(weight.shifted(r))
+        if not g.is_zero():
+            terms.append(frakD_K(weight, r, vars) * g)
+    terms.append(-(_zsum(n) * G_value(weight)))
+    return sum_is_zero(terms)
 
 
 # -- arc-space closed formula ---------------------------------------------------

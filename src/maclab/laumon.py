@@ -57,12 +57,12 @@ def lau_vars(n: int) -> tuple:
 
 
 class LaumonContext:
-    """Rank, max total x-degree and max total (q,t)-degree."""
+    """Rank, max total x-degree and the variable context of the rank."""
 
-    __slots__ = ("n", "degree", "order", "vars")
+    __slots__ = ("n", "degree", "vars")
 
-    def __init__(self, n: int, degree: int = 0, order: int = 0):
-        self.n, self.degree, self.order, self.vars = n, degree, order, lau_vars(n)
+    def __init__(self, n: int, degree: int = 0):
+        self.n, self.degree, self.vars = n, degree, lau_vars(n)
 
 
 def C_ledger(theta: ThetaMatrix, n: int) -> Ledger:

@@ -8,7 +8,8 @@ denominator-1 ``Fraction``s to ``int``.  ``num_den``, ``to_laurent`` and
 ``rational_eq`` multiply out factor powers with it, one polynomial
 product per factor power, as the old ``FactoredRational`` methods did;
 ``rational_eq`` cross-multiplies the uncancelled parts and compares the
-two expansions as polynomials.
+two expansions as polynomials.  ``sum_is_zero`` folds a list of factored
+rationals with ``+`` on their expanded numerator and denominator pairs.
 
 ``evaluate`` and ``from_json_obj`` are test-side helpers for
 :class:`LaurentPolynomial`, used only to check the package.
@@ -87,6 +88,22 @@ def rational_eq(a: FactoredRational, b: FactoredRational) -> bool:
         elif m < 0:
             rem_b.append((p, -m))
     return _expand(a.vars, a.coef, a.exps, rem_a) == _expand(b.vars, b.coef, b.exps, rem_b)
+
+
+def sum_is_zero(terms) -> bool:
+    """Whether the terms sum to zero, by the fold
+    n/d + n'/d' = (n d' + n' d) / (d d') over their :func:`num_den`."""
+    terms = list(terms)
+    if any(x.vars != terms[0].vars for x in terms):
+        raise ValueError("variable contexts differ")
+    if not terms:
+        return True
+    num = LaurentPolynomial.zero(terms[0].vars)
+    den = LaurentPolynomial.one(terms[0].vars)
+    for x in terms:
+        n, d = num_den(x)
+        num, den = mul(num, d) + mul(n, den), mul(den, d)
+    return num.is_zero()
 
 
 def evaluate(p: LaurentPolynomial, point: dict):

@@ -48,7 +48,8 @@ def test_C_single_box_examples():
 
 def test_context_defaults_and_shares_the_rank_tuple():
     ctx = LaumonContext(3)
-    assert (ctx.n, ctx.degree, ctx.order) == (3, 0, 0)
+    assert (ctx.n, ctx.degree) == (3, 0)
+    assert not hasattr(ctx, "order")
     assert ctx.vars is lau_vars(3)
 
 

@@ -7,7 +7,8 @@ while ``hp``, ``vanishing`` and ``chibq`` read the shared ledgers through
 ``euler._c_ledger`` (``euler`` binds ``C_ledger`` at import, so a plant
 on ``laumon`` does not reach them).  ``checks`` binds the c_N ledger
 builders and ``H0_closed`` at import, so ``cn`` and ``h0`` are planted
-there; ``cordiff`` reads ``euler.frakD_K``, ``tableau-oracle`` reads
+there; ``cordiff`` reads ``euler.frakD_K``, ``pieri`` reads
+``checks.pieri_L``, ``tableau-oracle`` reads
 ``macdonald.psi_T`` through ``macdonald_P``, ``dai-ichi`` reads
 ``baker.c_N_closed``, ``ansum`` reads ``laumon._lattice_product`` and
 ``weyl`` reads ``euler._weyl_factor``.  Every memo table is emptied
@@ -122,6 +123,17 @@ def _plant_doubled_shift_coefficient(monkeypatch):
     monkeypatch.setattr(euler, "frakD_K", planted)
 
 
+def _plant_doubled_pieri_coefficient(monkeypatch):
+    """``checks.pieri_L`` doubled at r = 1 for the weight (1, 0) only."""
+    real = checks.pieri_L
+
+    def planted(lvec, r, n, vars=("q", "t")):
+        v = real(lvec, r, n, vars)
+        return v.scale(2) if r == 1 and tuple(lvec) == (1, 0) else v
+
+    monkeypatch.setattr(checks, "pieri_L", planted)
+
+
 @pytest.mark.parametrize("name, params", [
     ("junichi", {"n": 2, "order": 2}), ("junichi", {"n": 3, "order": 2}),
     ("shir", {"n": 2, "degree": 3}), ("shir", {"n": 3, "degree": 2})])
@@ -225,6 +237,12 @@ def test_a_doubled_shift_coefficient_at_one_weight_fails_cordiff(monkeypatch):
     assert report.status == Status.FAILED
     assert report.witnesses == [{"n": 3, "weight": [1, 0]}]
 
+
+def test_a_doubled_pieri_coefficient_at_one_weight_fails_pieri(monkeypatch):
+    _plant_doubled_pieri_coefficient(monkeypatch)
+    report = run_check("pieri", max_n=3, max_weight_sum=2)
+    assert report.status == Status.FAILED
+    assert report.witnesses == [{"n": 3, "weight": [1, 0]}]
 
 
 # (check, parameters, plant) for every planted-fault report whose bytes are pinned
