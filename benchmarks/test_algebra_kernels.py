@@ -11,24 +11,17 @@ of ``eigen``'s default range (2672 terms):
   eps * P * prod_{a<b} (y_a - y_b), divided by its first factor
   y_1 - y_2.
 
-Two kernels of ``tableau-oracle``'s coefficient comparison, tableau
-formula against eigen-solve oracle, at N = 4 and mu = (2,1,1,1):
-
-* ``rational_eq`` at lambda = (5), the comparison with the largest
-  uncancelled parts for |lambda| <= 5, N <= 4 (714 terms over both
-  sides once multiplied out), decided on their Kronecker images in
-  (q, s) (``algebra.sum_is_zero``) without multiplying them out;
-* ``__mul__`` at lambda = (4,1): the 68-term tableau numerator, a
-  canonical factor with Fraction coefficients, times the oracle's
-  expanded denominator, the product a comparison by cross-multiplication
-  would build.
+``rational_eq`` at N = 4, mu = (2,1,1,1) and lambda = (5), tableau
+formula against eigen-solve oracle: the comparison with the largest
+uncancelled parts for |lambda| <= 5, N <= 4 (714 terms over both sides
+once multiplied out), decided on their Kronecker images in (q, s)
+(``algebra.sum_is_zero``) without multiplying them out.  A failing
+``tableau-oracle`` makes such comparisons to name its witnesses.
 
 Not part of the test suite.  Run with
 
     PYTHONPATH=src python -m pytest benchmarks --benchmark-only
 """
-
-from fractions import Fraction
 
 import pytest
 
@@ -80,20 +73,7 @@ def test_divide_vandermonde_binomial(benchmark, operands):
 MU = (2, 1, 1, 1)
 
 
-def _coefficients(lam):
-    return macdonald_P(lam, N).coefficient(MU), macdonald_P_oracle(lam, N).coefficient(MU)
-
-
 def test_rational_eq_largest_tableau_comparison(benchmark):
-    tableau, oracle = _coefficients((5,))
+    tableau = macdonald_P((5,), N).coefficient(MU)
+    oracle = macdonald_P_oracle((5,), N).coefficient(MU)
     assert benchmark(rational_eq, tableau, oracle)
-
-
-def test_mul_fraction_factor(benchmark):
-    tableau, oracle = _coefficients((4, 1))
-    (factor, _m), = [(p, m) for p, m in tableau.factors if m > 0]
-    assert len(factor.terms) == 68
-    assert any(type(c) is Fraction for c in factor.terms.values())
-    _num, den = oracle.num_den()
-    product = benchmark(factor.__mul__, den)
-    assert product.divide_exact(den) == factor

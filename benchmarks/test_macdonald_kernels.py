@@ -13,6 +13,10 @@ operator at N = 4.
   52 images), read off the same product form with no Vandermonde
   division, with their memo tables emptied before each round.  Each
   image's diagonal entry must be the eigenvalue of mu.
+* ``satisfies_oracle`` on P_(5) and P_(4,1): the predicate of
+  ``tableau-oracle``, which checks the tableau sum against the rows of
+  the oracle's triangular system without solving it, with the operator
+  images warm.  It must accept.
 
 Not part of the test suite.  Run with
 
@@ -29,6 +33,8 @@ from maclab.macdonald import (
     eigenvalue,
     mac_vars,
     macdonald_P,
+    oracle_rows,
+    satisfies_oracle,
 )
 from maclab.tableaux import partitions_upto
 
@@ -64,3 +70,10 @@ def test_oracle_actions_cold(benchmark):
     assert len(images) == 52
     # D is triangular on the m-basis with the eigenvalues on the diagonal
     assert all(images[mu, n][mu] == eigenvalue(mu, n) for mu, n in ACTIONS)
+
+
+@pytest.mark.parametrize("lam", [(5,), (4, 1)], ids=["5", "4,1"])
+def test_satisfies_oracle_warm(benchmark, lam):
+    P = macdonald_P(lam, N)
+    oracle_rows(lam, N)   # warms the operator images the rows read
+    assert benchmark(satisfies_oracle, P, lam)

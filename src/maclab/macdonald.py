@@ -7,6 +7,12 @@ Two independent constructions are provided and test each other:
 * :func:`macdonald_P_oracle` -- the triangular eigen-solve for the
   q-difference operator in the monomial basis.
 
+The ``tableau-oracle`` check does not solve the oracle: it verifies the
+tableau sum against the oracle's unitriangular rows (:func:`oracle_rows`,
+:func:`satisfies_oracle`), which is equality with the oracle's solution.
+The solve serves ``maclab macdonald --oracle`` and names the coefficients
+of a failing check.
+
 The oracle reads each operator image D m_mu off the product form of the
 operator (:func:`_s1`): its alternant coefficients give D m_mu in the
 Schur basis, with no division by the Vandermonde.  :func:`apply_D1N`
@@ -37,6 +43,7 @@ from .algebra import (
     LaurentPolynomial,
     _norm_coef,
     rational_eq,
+    sum_is_zero,
 )
 from .qcalc import Ledger
 from .tableaux import (
@@ -58,6 +65,8 @@ __all__ = [
     "apply_D1N",
     "eigen_residual",
     "macdonald_P_oracle",
+    "oracle_rows",
+    "satisfies_oracle",
     "pieri_L",
     "eigenvalue",
     "DenominatorSurvives",
@@ -212,6 +221,8 @@ def macdonald_P(lam, n: int) -> SymmetricPolynomial:
 def eigenvalue(lam, n: int) -> LaurentPolynomial:
     """sum_i q^{lambda_i} s^{N-i} over (q, s)."""
     lam = Partition(lam)
+    if len(lam) > n:
+        raise ValueError("partition has more parts than variables")
     full = list(lam) + [0] * (n - len(lam))
     out = LaurentPolynomial.zero(QS)
     for i, li in enumerate(full, start=1):
@@ -365,36 +376,79 @@ def apply_D1N(f: LaurentPolynomial, n: int) -> LaurentPolynomial:
     return total
 
 
-def macdonald_P_oracle(lam, n: int) -> SymmetricPolynomial:
-    """Independent construction of P_lambda: solve the unitriangular
-    linear system making the m-expansion an eigenvector of the difference
-    operator with eigenvalue sum_i q^{lambda_i} s^{N-i}."""
+def oracle_rows(lam, n: int) -> tuple:
+    """The oracle's unitriangular system for P_lambda in the m-basis.
+
+    Returns ``(basis, rows)``: ``basis`` is the partitions of |lambda|
+    with at most N parts that lambda dominates, in reverse-lex order
+    (dominance-compatible, so lambda comes first), and ``rows`` holds one
+    ``(mu, gap_mu, [(nu, d_{nu,mu}), ...])`` for each mu != lambda in
+    basis order, stating
+
+        gap_mu * P[mu] == sum over nu before mu of d_{nu,mu} * P[nu],
+
+    with ``gap_mu = e_lambda - d_{mu,mu}`` and ``d_{nu,mu}`` the m_mu
+    coefficient of D m_nu (:func:`_d1n_m_action`), both as factored
+    rationals over (q, s).  Only the nonzero ``d_{nu,mu}`` are listed.
+
+    Raises :class:`EigenvalueCollision` when a gap is zero."""
     lam = Partition(lam)
     if len(lam) > n:
         raise ValueError("partition has more parts than variables")
-    if not lam:
-        return SymmetricPolynomial(n, {(): FactoredRational.one(QS)})
-    # reverse-lex order is dominance-compatible: most dominant first
     basis = [mu for mu in partitions_of(sum(lam), n) if dominates(lam, mu)]
+    if len(basis) < 2:
+        return basis, []   # no row, so no operator image is read
     action = {mu: _d1n_m_action(mu, n) for mu in basis}
     e_lam = eigenvalue(lam, n)
-    u: dict = {lam: FactoredRational.one(QS)}
-    for mu in basis:
-        if mu == lam:
-            continue
-        e_mu = action[mu].get(mu, LaurentPolynomial.zero(QS))
-        gap = e_lam - e_mu
+    rows = []
+    for i, mu in enumerate(basis[1:], start=1):
+        gap = e_lam - action[mu].get(mu, LaurentPolynomial.zero(QS))
         if gap.is_zero():
             raise EigenvalueCollision(f"equal symbolic eigenvalues for {lam} and {mu}")
+        pairs = [(nu, FactoredRational.from_poly(action[nu][mu]))
+                 for nu in basis[:i] if mu in action[nu]]
+        rows.append((mu, FactoredRational.from_poly(gap), pairs))
+    return basis, rows
+
+
+def macdonald_P_oracle(lam, n: int) -> SymmetricPolynomial:
+    """Independent construction of P_lambda: solve the unitriangular
+    linear system (:func:`oracle_rows`) making the m-expansion an
+    eigenvector of the difference operator with eigenvalue
+    sum_i q^{lambda_i} s^{N-i}."""
+    basis, rows = oracle_rows(lam, n)
+    u: dict = {basis[0]: FactoredRational.one(QS)}
+    for mu, gap, pairs in rows:
         rhs = FactoredRational.zero(QS)
-        for nu in basis:
-            if nu == mu or nu not in u:
-                continue
-            d = action[nu].get(mu)
-            if d is not None:
-                rhs = rhs + u[nu] * FactoredRational.from_poly(d)
-        u[mu] = rhs * FactoredRational(QS, 1, None, [(gap, -1)])
+        for nu, d in pairs:
+            rhs = rhs + u[nu] * d
+        u[mu] = rhs / gap
     return SymmetricPolynomial(n, u)
+
+
+def satisfies_oracle(P: SymmetricPolynomial, lam) -> bool:
+    """Whether P is the oracle's solution P_lambda, decided on the rows of
+    its system (:func:`oracle_rows`) without solving it: P[lambda] == 1,
+    every m-coefficient of P sits in the basis, and every row holds, each
+    decided by one :func:`~maclab.algebra.sum_is_zero`.
+
+    This is the same as ``P.equals(macdonald_P_oracle(lam, P.n))``.  The
+    system is unitriangular in basis order: the row of mu fixes P[mu]
+    from the P[nu] before it, as its gap is nonzero.  So it has one
+    solution O with O[lambda] == 1 and support in the basis, namely the
+    oracle's.  If P passes, then P[lambda] == O[lambda], and, by
+    induction in basis order, P[nu] == O[nu] for every nu before mu
+    gives gap_mu P[mu] == gap_mu O[mu], hence P[mu] == O[mu]; off the
+    basis both are zero.  Conversely O passes every row."""
+    basis, rows = oracle_rows(lam, P.n)
+    coef, zero = P.mcoeffs, FactoredRational.zero(QS)
+    if not coef.keys() <= set(basis):
+        return False
+    if not sum_is_zero((coef.get(basis[0], zero), -FactoredRational.one(QS))):
+        return False
+    return all(sum_is_zero([coef.get(mu, zero) * gap]
+                           + [-(coef.get(nu, zero) * d) for nu, d in pairs])
+               for mu, gap, pairs in rows)
 
 
 @memo.cached("process", 256)

@@ -1,6 +1,7 @@
 """Macdonald polynomials: tableau sum, difference operator, oracle, Pieri."""
 
 import re
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations
@@ -26,8 +27,10 @@ from maclab.macdonald import (
     macdonald_P,
     macdonald_P_oracle,
     monomial_symmetric,
+    oracle_rows,
     pieri_L,
     psi_T,
+    satisfies_oracle,
 )
 from maclab.reports import Status
 from maclab.tableaux import (
@@ -35,6 +38,7 @@ from maclab.tableaux import (
     ThetaMatrix,
     dominates,
     enumerate_pol_lambda,
+    partitions_of,
     partitions_upto,
     strip_sizes,
 )
@@ -341,6 +345,78 @@ def test_eigen_check_reports_a_perturbed_P(monkeypatch):
 def test_oracle_equals_tableau_sum_small():
     for (lam, n) in [((2,), 2), ((2, 1), 3), ((3, 1), 3), ((2, 2), 4)]:
         assert macdonald_P(lam, n).equals(macdonald_P_oracle(lam, n)), (lam, n)
+
+
+@pytest.mark.parametrize("build", [eigenvalue, macdonald_P, macdonald_P_oracle, oracle_rows])
+def test_more_parts_than_variables_is_refused(build):
+    with pytest.raises(ValueError, match="partition has more parts than variables"):
+        build((1, 1, 1), 2)
+
+
+def _perturbations(P, lam):
+    """(label, mu, SymmetricPolynomial) triples: each m-coefficient of P
+    scaled by 2, times (1 - q), or dropped; a key off the oracle's basis;
+    P[lam] replaced by q; and each coefficient rewritten as (c - 1) + 1,
+    an equal value, in another factored form for 40 of the 109
+    coefficients of criterion 1's range."""
+    n, coef = P.n, P.mcoeffs
+    one = FactoredRational.one(QS)
+    one_minus_q = FactoredRational.from_poly(ONE - Q)
+    size = sum(lam)
+    off_basis = [mu for mu in partitions_of(size, n) if not dominates(lam, mu)]
+    off_basis.append(Partition((size + 1,)))
+    out = [("off-basis", mu, {**coef, mu: one}) for mu in off_basis]
+    out.append(("P[lam] = q", lam, {**coef, lam: FactoredRational.from_poly(Q)}))
+    for mu, c in coef.items():
+        out.append(("x2", mu, {**coef, mu: c.scale(2)}))
+        out.append(("x(1-q)", mu, {**coef, mu: c * one_minus_q}))
+        out.append(("drop", mu, {k: v for k, v in coef.items() if k != mu}))
+        out.append(("rewritten", mu, {**coef, mu: (c - one) + one}))
+    return [(label, mu, SymmetricPolynomial(n, m)) for label, mu, m in out]
+
+
+# criterion 1 (``tableau-oracle``) has the range of criterion 2
+@pytest.mark.parametrize("n", range(1, 5))
+def test_satisfies_oracle_accepts_exactly_what_the_oracle_equals(n):
+    for lam in partitions_upto(5, n):
+        P, O = macdonald_P(lam, n), macdonald_P_oracle(lam, n)
+        assert satisfies_oracle(P, lam) and P.equals(O), (lam, n)
+        assert satisfies_oracle(O, lam), (lam, n)
+        for label, mu, bad in _perturbations(P, lam):
+            assert satisfies_oracle(bad, lam) == bad.equals(O), (lam, n, label, mu)
+            assert bad.equals(O) == (label == "rewritten"), (lam, n, label, mu)
+
+
+def test_oracle_rows_are_unitriangular_in_basis_order():
+    for (lam, n) in [((3, 1), 3), ((2, 2), 4), ((5,), 4)]:
+        basis, rows = oracle_rows(lam, n)
+        assert basis[0] == Partition(lam)
+        assert [mu for mu, _gap, _pairs in rows] == basis[1:]
+        for mu, gap, pairs in rows:
+            assert not gap.is_zero()
+            earlier = basis[:basis.index(mu)]
+            assert [nu for nu, _d in pairs] == [nu for nu in earlier if mu in _d1n_m_action(nu, n)]
+
+
+def test_a_passing_tableau_oracle_solves_no_oracle(monkeypatch):
+    # every module that binds rational_eq or macdonald_P_oracle is counted
+    counts: dict = {}
+
+    def count(mod, name):
+        real = getattr(mod, name)
+
+        def counted(*args, **kwargs):
+            counts[name] = counts.get(name, 0) + 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mod, name, counted)
+
+    for mod in [m for k, m in sys.modules.items() if k.startswith("maclab")]:
+        for name in ("rational_eq", "macdonald_P_oracle"):
+            if hasattr(mod, name):
+                count(mod, name)
+    assert run_check("tableau-oracle").status == Status.PASSED
+    assert counts == {}
 
 
 def test_symmetry_of_tableau_sum():

@@ -17,9 +17,10 @@ process-scoped table.
 
 The canonical JSON of the planted-fault reports of the checks whose
 verifiers hand their findings to ``checks`` (``shir``, ``junichi``,
-``substitution``, ``dai-ichi``, ``ansum``, ``cordiff`` and ``weyl``) is
-pinned by its sha256, so that a change in how those findings become
-witnesses shows as a changed byte.
+``substitution``, ``dai-ichi``, ``ansum``, ``cordiff``, ``pieri`` and
+``weyl``), and of ``tableau-oracle``, which builds its witnesses only
+once its predicate fails, is pinned by its sha256, so that a change in
+how those findings become witnesses shows as a changed byte.
 """
 
 import hashlib
@@ -219,9 +220,13 @@ def test_an_altered_c_N_form_at_one_theta_fails_cn(monkeypatch, name, where, wit
     assert report.witnesses == [witness]
 
 
-def test_a_doubled_psi_T_fails_the_tableau_oracle(monkeypatch):
+def _plant_doubled_psi_T(monkeypatch):
     real = macdonald.psi_T
     monkeypatch.setattr(macdonald, "psi_T", lambda theta, lam: real(theta, lam).scale(2))
+
+
+def test_a_doubled_psi_T_fails_the_tableau_oracle(monkeypatch):
+    _plant_doubled_psi_T(monkeypatch)
     _assert_fails("tableau-oracle", max_size=3, max_n=3)
 
 
@@ -257,12 +262,14 @@ PINNED_PLANTS = [
     ("ansum", {"rank": 1, "order": 2}, _plant_doubled_lattice_product),
     ("ansum", {"rank": 2, "order": 2}, _plant_doubled_lattice_product),
     ("cordiff", {"max_n": 3, "max_weight_sum": 1}, _plant_doubled_shift_coefficient),
+    ("pieri", {"max_n": 3, "max_weight_sum": 2}, _plant_doubled_pieri_coefficient),
+    ("tableau-oracle", {"max_size": 3, "max_n": 3}, _plant_doubled_psi_T),
     ("weyl", {"n": 2}, _plant_doubled_weyl_factor),
     ("weyl", {"n": 3}, _plant_doubled_weyl_factor),
 ]
 
 # the sha256 of the canonical JSON of those reports, one line each
-PINNED_SHA256 = "7520b497bc17390448889abd2132e9339adb2bbff2ddfe4843d9323ea688b2a5"
+PINNED_SHA256 = "fc978eda879e5361137012187cf14b61a911dc36c229fa07512ec4d66bcf3ad7"
 
 
 def test_planted_fault_reports_are_pinned():
