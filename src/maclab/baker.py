@@ -207,8 +207,11 @@ def specialize_each(lams, n: int, margin: int = 2) -> list:
     as a :class:`~maclab.qcalc.Ledger` and mapped into (q, s) for every
     lambda whose bound covers theta, in that lambda's scan order; only
     the polytope's images become values.  Returns per lambda the
-    polynomial, or the ``ArithmeticError`` that stopped it: the first one
-    outside the polytope, else the first one inside."""
+    polynomial, or the error that stopped it: the first one outside the
+    polytope, else the first one inside.  The errors taken are those
+    raised on purpose: the ``ZeroDivisionError`` of a denominator that
+    vanishes under the map and the :class:`TerminationFailure` of a
+    surviving coefficient; any other propagates."""
     scans = [_Scan(Partition(lam), n, margin) for lam in lams]
     for th in _theta_entries_upto(n, max((scan.bound for scan in scans), default=-1)):
         top, led = max(th.entries.values(), default=0), None
@@ -218,7 +221,7 @@ def specialize_each(lams, n: int, margin: int = 2) -> list:
                     if led is None:
                         led = _closed_ledger(th, n)
                     scan.take(th, led)
-                except ArithmeticError as exc:
+                except (ZeroDivisionError, TerminationFailure) as exc:
                     scan.fail(th, exc)
     return [scan.error or scan.inside_error or scan.total() for scan in scans]
 

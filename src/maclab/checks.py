@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import time
 
-from . import memo
 from .algebra import rational_eq, sum_is_zero
 from .baker import (
     BAContext,
@@ -384,19 +383,14 @@ def run_check(name: str, workers: int = 1, **params) -> VerificationReport:
     part of the report's parameters, which carry the constant
     ``equality_mode`` "exact" so that canonical bytes stay as they were.
 
-    The memo tables of scope "check" (:mod:`~maclab.memo`) are emptied
-    when the check ends; tables of scope "process", such as the
-    Macdonald polynomials, stay warm for the next check.
+    The memo tables (:mod:`~maclab.memo`) stay warm for the next check.
     """
     name = ALIASES.get(name, name)
     if name not in CHECKS:
         raise KeyError(f"unknown check {name!r}; known: {', '.join(check_names())}")
     fn, _desc = CHECKS[name]
     t0 = time.monotonic()
-    try:
-        status, witnesses = fn(params)
-    finally:
-        memo.clear("check")
+    status, witnesses = fn(params)
     return VerificationReport(
         check=name,
         parameters={**params, "equality_mode": "exact"},

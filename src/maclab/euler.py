@@ -53,7 +53,6 @@ __all__ = [
     "W_poly",
     "F_poly",
     "frakD_K",
-    "h_equals_p",
     "G_value",
     "h_series",
     "verify_cor_diff",
@@ -124,9 +123,6 @@ class GLWeight:
     def __repr__(self) -> str:
         return f"GLWeight(lvec={self.lvec!r}, n={self.n!r})"
 
-    def __reduce__(self):
-        return GLWeight, (self.lvec, self.n)
-
     def components(self) -> tuple:
         """GL components Lambda_k = l_k + ... + l_{N-1} (Lambda_N = 0)."""
         out = []
@@ -192,36 +188,27 @@ def _weyl_factor(n: int, w) -> FactoredRational:
     return led.value()
 
 
-# C_theta's ledger per theta, read by both the valuation count of a
-# J-piece and the values of the pieces that are expanded, and the
-# images of the ledgers that are converted, per (theta, z -> wz,
-# q -> 1/q).  A stored ledger is never mutated; the factors of the
-# values are the polynomials of qcalc._binomial, shared between entries.
-_c_ledgers = memo.Table("euler._c_ledgers", "process", 4096)
-_c_cache = memo.Table("euler._c_cache", "process", 4096)
-
-
+@memo.cached(4096)
 def _c_ledger(theta_key, n: int) -> Ledger:
     """:func:`~maclab.laumon.C_ledger` of the theta with entry list
-    ``theta_key``."""
-    key = (theta_key, n)
-    hit = _c_ledgers.lookup(key)
-    if hit is None:
-        pairs = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
-        hit = _c_ledgers.store(key, C_ledger(ThetaMatrix(n, dict(zip(pairs, theta_key))), n))
-    return hit
+    ``theta_key``, read by both the valuation count of a J-piece and the
+    values of the pieces that are expanded.  A stored ledger is never
+    mutated."""
+    pairs = [(i, j) for i in range(1, n) for j in range(i + 1, n + 1)]
+    return C_ledger(ThetaMatrix(n, dict(zip(pairs, theta_key))), n)
 
 
+@memo.cached(4096)
 def _C_glob(theta_key, n: int, w, inverted: bool) -> FactoredRational:
     """C_theta with z -> wz (and optionally q -> 1/q) in the SL context:
     its ledger mapped by :meth:`~maclab.qcalc.Ledger.image` and
-    converted once."""
-    key = (theta_key, n, w, inverted)
-    hit = _c_cache.lookup(key)
-    if hit is not None:
-        return hit
+    converted once.  The factors of the values are the polynomials of
+    qcalc._binomial, shared between entries."""
     led = _c_ledger(theta_key, n).image(glob_vars(n), _glob_weights(n, w, inverted), {})
-    return _c_cache.store(key, led.value())
+    return led.value()
+
+
+_c_cache = _C_glob.table   # the name perfbench's tracer reads
 
 
 def _glob_weights(n: int, w, inverted: bool) -> list:
@@ -276,7 +263,7 @@ def _j_values(n: int, degree: tuple, inverted: bool) -> list:
     return [_C_glob(th.entry_list(), n, ident, inverted) for th in theta_by_degree(n, degree)]
 
 
-@memo.cached("check", 1024)
+@memo.cached(1024)
 def _j_valuation(n: int, degree: tuple, inverted: bool) -> int:
     """A lower bound of the total (q,t)-degree of every term of the J-piece,
     >= max(degree) when inverted: the least valuation of its values,
@@ -287,7 +274,7 @@ def _j_valuation(n: int, degree: tuple, inverted: bool) -> int:
                for th in theta_by_degree(n, degree))
 
 
-@memo.cached("check", 1024)
+@memo.cached(1024)
 def _j_piece(n: int, degree: tuple, inverted: bool, trunc: int) -> tuple:
     """The degree-``degree`` piece of the J-function at w = id, the sum
     of :func:`_j_values`, as a split series (:func:`split_expand`) exact
@@ -295,9 +282,9 @@ def _j_piece(n: int, degree: tuple, inverted: bool, trunc: int) -> tuple:
     by the counted :func:`_j_valuation`, so a term below the count raises
     :class:`InsufficientTruncation` instead of a wrong sum.
 
-    Kept in a bounded cache shared by every weight, schedule point and
-    order that asks for the same truncation; its series are never
-    mutated.  About 60% of the lookups of one check hit: 25 of 40 in
+    Kept in a bounded cache shared by every weight, schedule point,
+    order and check that asks for the same truncation; its series are
+    never mutated.  About 60% of the lookups of one check hit: 25 of 40 in
     ``hp`` at n <= 3, weight sum <= 1, and 70 of 112 in ``vanishing``;
     without the cache these checks take 20-35% longer."""
     piece = split_expand(_j_values(n, degree, inverted), trunc)
@@ -503,7 +490,7 @@ def hp_prefactor(weight: GLWeight, vars: tuple = ("q", "t")) -> FactoredRational
     return led.value()
 
 
-@memo.cached("process", 256)
+@memo.cached(256)
 def macdonald_in_z(weight: GLWeight) -> FactoredRational:
     """P_{partition(weight)}(z_1..z_N; q, t) on the SL torus, as a single
     factored rational over glob_vars."""
@@ -527,16 +514,7 @@ def macdonald_in_z(weight: GLWeight) -> FactoredRational:
     return total
 
 
-_mz_memo = macdonald_in_z.table
-
-
-def h_equals_p(weight: GLWeight):
-    """The closed form of the stable twisted character: returns
-    (prefactor, partition, P) with the stable series equal to
-    H0_closed * prefactor * P on the SL torus."""
-    if not weight.is_dominant():
-        raise ValueError("closed form defined for dominant weights only")
-    return hp_prefactor(weight), weight.partition(), macdonald_P(weight.partition(), weight.n)
+_mz_memo = macdonald_in_z.table   # the name perfbench's tracer reads
 
 
 def G_value(weight: GLWeight) -> FactoredRational:

@@ -190,9 +190,6 @@ def psi_T(theta: ThetaMatrix, lam) -> FactoredRational:
     return led.value()
 
 
-_P_memo = memo.Table("macdonald._P_memo", "process", 256)
-
-
 def macdonald_P(lam, n: int) -> SymmetricPolynomial:
     """P_lambda by the tableau sum: the m_mu coefficient is the sum of
     psi_T over the theta matrices whose strip-size vector equals mu.
@@ -201,9 +198,12 @@ def macdonald_P(lam, n: int) -> SymmetricPolynomial:
     lam = Partition(lam)
     if len(lam) > n:
         raise ValueError("partition has more parts than variables")
-    hit = _P_memo.lookup((lam, n))
-    if hit is not None:
-        return hit
+    return _tableau_sum(lam, n)
+
+
+@memo.cached(256)
+def _tableau_sum(lam: tuple, n: int) -> SymmetricPolynomial:
+    """:func:`macdonald_P` of a partition with at most ``n`` parts."""
     coeffs: dict = {}
     for th in enumerate_pol_lambda(lam, n):
         w = strip_sizes(th, lam)
@@ -215,7 +215,10 @@ def macdonald_P(lam, n: int) -> SymmetricPolynomial:
             coeffs[mu] = coeffs[mu] + psi
         else:
             coeffs[mu] = psi
-    return _P_memo.store((lam, n), SymmetricPolynomial(n, coeffs))
+    return SymmetricPolynomial(n, coeffs)
+
+
+_P_memo = _tableau_sum.table   # the name perfbench's tracer reads
 
 
 def eigenvalue(lam, n: int) -> LaurentPolynomial:
@@ -451,7 +454,7 @@ def satisfies_oracle(P: SymmetricPolynomial, lam) -> bool:
                for mu, gap, pairs in rows)
 
 
-@memo.cached("process", 256)
+@memo.cached(256)
 def _d1n_m_action(mu, n: int) -> dict:
     """m-expansion of the operator image of m_mu (memoized), with no
     division by V.
@@ -494,7 +497,7 @@ def _d1n_m_action(mu, n: int) -> dict:
     return {nu: LaurentPolynomial._from_terms(QS, t) for nu, t in polys.items() if t}
 
 
-@memo.cached("process", 256)
+@memo.cached(256)
 def _schur_m(lam, n: int) -> dict:
     """The m-expansion {nu: Kostka number} of the Schur polynomial
     s_lambda(y_1..y_N): the dominant coefficients of a_{lambda + delta} / V,
@@ -515,7 +518,7 @@ def _schur_m(lam, n: int) -> dict:
             if not any(map(gt, e[1:], e))}
 
 
-_action_memo = _d1n_m_action.table
+_action_memo = _d1n_m_action.table   # the name perfbench's tracer reads
 
 
 def pieri_L(lvec: Sequence[int], r: int, n: int, vars: tuple = ("q", "t")) -> FactoredRational:

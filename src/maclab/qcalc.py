@@ -203,7 +203,7 @@ class Ledger:
         return FactoredRational._from_map(self.vars, self.coef, tuple(exps), fmap)
 
 
-@memo.cached("process", 4096)
+@memo.cached(4096)
 def _binomial(vars: tuple, e: tuple) -> tuple:
     """``(key, canonical, low)`` for e > 0: 1 - x^e = x^low * canonical,
     low = min(0, e) as (index, exponent) pairs, canonical = x^-low -

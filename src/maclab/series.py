@@ -45,21 +45,20 @@ from .algebra import (
 __all__ = ["QTSeries", "XSeries", "expand", "expand_split", "split_expand", "split_mul",
            "split_sum", "certify_sum", "certify_weyl_sum", "InsufficientTruncation"]
 
-QT = ("q", "t")   # the grading of every QTSeries the package builds
+QT = ("q", "t")   # the grading of every QTSeries
 
 
 class QTSeries:
-    """Total-degree-truncated series in two graded variables.
+    """Total-degree-truncated series in the two graded variables ``QT``.
 
     ``coeffs`` maps integer pairs (a, b) with a + b <= trunc to nonzero
     Laurent polynomials over ``coeff_vars``.
     """
 
-    __slots__ = ("qt", "coeff_vars", "trunc", "coeffs")
+    __slots__ = ("coeff_vars", "trunc", "coeffs")
 
-    def __init__(self, qt: Sequence[str], coeff_vars: Sequence[str], trunc: int,
+    def __init__(self, coeff_vars: Sequence[str], trunc: int,
                  coeffs: Mapping[tuple, LaurentPolynomial] | None = None):
-        self.qt = tuple(qt)
         self.coeff_vars = tuple(coeff_vars)
         self.trunc = trunc
         self.coeffs = {}
@@ -69,15 +68,15 @@ class QTSeries:
                     self.coeffs[tuple(k)] = p
 
     @classmethod
-    def one(cls, qt, coeff_vars, trunc) -> "QTSeries":
-        s = cls(qt, coeff_vars, trunc)
+    def one(cls, coeff_vars, trunc) -> "QTSeries":
+        s = cls(coeff_vars, trunc)
         if trunc >= 0:
             s.coeffs[(0, 0)] = LaurentPolynomial.one(coeff_vars)
         return s
 
     @classmethod
-    def zero(cls, qt, coeff_vars, trunc) -> "QTSeries":
-        return cls(qt, coeff_vars, trunc)
+    def zero(cls, coeff_vars, trunc) -> "QTSeries":
+        return cls(coeff_vars, trunc)
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -90,13 +89,13 @@ class QTSeries:
         return min((a + b for a, b in self.coeffs), default=0)
 
     def _check(self, other: "QTSeries"):
-        if self.qt != other.qt or self.coeff_vars != other.coeff_vars:
+        if self.coeff_vars != other.coeff_vars:
             raise ValueError("series contexts differ")
 
     def __add__(self, other: "QTSeries") -> "QTSeries":
         self._check(other)
         trunc = min(self.trunc, other.trunc)
-        out = QTSeries(self.qt, self.coeff_vars, trunc)
+        out = QTSeries(self.coeff_vars, trunc)
         for k, p in self.coeffs.items():
             if k[0] + k[1] <= trunc:
                 out.coeffs[k] = p
@@ -112,7 +111,7 @@ class QTSeries:
         return out
 
     def __neg__(self) -> "QTSeries":
-        out = QTSeries(self.qt, self.coeff_vars, self.trunc)
+        out = QTSeries(self.coeff_vars, self.trunc)
         out.coeffs = {k: -p for k, p in self.coeffs.items()}
         return out
 
@@ -122,7 +121,7 @@ class QTSeries:
     def __mul__(self, other: "QTSeries") -> "QTSeries":
         self._check(other)
         trunc = min(self.trunc + other.min_total(), other.trunc + self.min_total())
-        out = QTSeries(self.qt, self.coeff_vars, trunc)
+        out = QTSeries(self.coeff_vars, trunc)
         acc: dict = {}
         for (a1, b1), p1 in self.coeffs.items():
             for (a2, b2), p2 in other.coeffs.items():
@@ -139,45 +138,44 @@ class QTSeries:
         return out
 
     def scale(self, c: Coef) -> "QTSeries":
-        out = QTSeries(self.qt, self.coeff_vars, self.trunc)
+        out = QTSeries(self.coeff_vars, self.trunc)
         if c:
             out.coeffs = {k: p.scale(c) for k, p in self.coeffs.items()}
         return out
 
     def shift(self, da: int, db: int) -> "QTSeries":
         """Multiply by q^da * t^db (adjusting the accuracy bound)."""
-        out = QTSeries(self.qt, self.coeff_vars, self.trunc + da + db)
+        out = QTSeries(self.coeff_vars, self.trunc + da + db)
         out.coeffs = {(a + da, b + db): p for (a, b), p in self.coeffs.items()}
         return out
 
     def shift_coeffs(self, exps: Sequence[int]) -> "QTSeries":
         """Multiply every coefficient by the coeff-vars monomial ``exps``."""
-        out = QTSeries(self.qt, self.coeff_vars, self.trunc)
+        out = QTSeries(self.coeff_vars, self.trunc)
         out.coeffs = {k: p.shift(exps) for k, p in self.coeffs.items()}
         return out
 
     def truncate(self, trunc: int) -> "QTSeries":
         trunc = min(trunc, self.trunc)
-        out = QTSeries(self.qt, self.coeff_vars, trunc)
+        out = QTSeries(self.coeff_vars, trunc)
         out.coeffs = {k: p for k, p in self.coeffs.items() if k[0] + k[1] <= trunc}
         return out
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, QTSeries)
-            and self.qt == other.qt
             and self.coeff_vars == other.coeff_vars
             and self.coeffs == other.coeffs
         )
 
     def __hash__(self):
-        return hash((self.qt, self.coeff_vars, len(self.coeffs)))
+        return hash((self.coeff_vars, len(self.coeffs)))
 
     def sorted_items(self):
         return sorted(self.coeffs.items(), key=lambda kv: (kv[0][0] + kv[0][1], kv[0]))
 
     def canonical_str(self) -> str:
-        qa, qb = self.qt
+        qa, qb = QT
         parts = [
             f"{qa}^{a}*{qb}^{b} * [{p.canonical_str()}]"
             for (a, b), p in self.sorted_items()
@@ -186,7 +184,7 @@ class QTSeries:
 
     def to_json_obj(self) -> dict:
         return {
-            "grading": list(self.qt),
+            "grading": list(QT),
             "coeff_vars": list(self.coeff_vars),
             "truncation": self.trunc,
             "coefficients": [
@@ -214,7 +212,7 @@ def _poly_to_qtseries(p: LaurentPolynomial, trunc: int) -> QTSeries:
         if g is None:
             g = groups[(a, b)] = {}
         g[tuple(e[i] for i in rest_idx)] = c
-    out = QTSeries(QT, coeff_vars, trunc)
+    out = QTSeries(coeff_vars, trunc)
     out.coeffs = {k: LaurentPolynomial._from_terms(coeff_vars, g) for k, g in groups.items()}
     return out
 
@@ -258,7 +256,7 @@ def _factor_series(memo: dict, key: tuple, p: LaurentPolynomial, m: int, lead,
             p.vars, {e: c for e, c in p.terms.items() if e != e0})
         h = tail.shift(tuple(-x for x in e0)).scale(_norm_coef(Fraction(1) / c0))
         neg_h = -_poly_to_qtseries(h, rel)
-        out = QTSeries.one(QT, coeff_vars, rel)
+        out = QTSeries.one(coeff_vars, rel)
         pw = out
         for _ in range(rel):
             pw = pw * neg_h
@@ -291,7 +289,7 @@ def expand_split(fr: FactoredRational, trunc: int, _memo: dict | None = None):
     vars = fr.vars
     coeff_vars = _coeff_vars(vars)
     if fr.is_zero():
-        return FactoredRational.one(vars), QTSeries(QT, coeff_vars, trunc)
+        return FactoredRational.one(vars), QTSeries(coeff_vars, trunc)
     memo = {} if _memo is None else _memo
     iq, it = vars.index("q"), vars.index("t")
     z_idx = [i for i in range(len(vars)) if i not in (iq, it)]
@@ -341,7 +339,7 @@ def expand_split(fr: FactoredRational, trunc: int, _memo: dict | None = None):
                 series = series * f
                 series.trunc = rel
     if series is None:
-        series = QTSeries.one(QT, coeff_vars, rel)
+        series = QTSeries.one(coeff_vars, rel)
 
     series = series.scale(unit_coef)
     series = series.shift(shift_q, shift_t)
@@ -420,7 +418,7 @@ def split_sum(pairs) -> tuple:
                     del terms[e]
     out = []
     for rest, trunc, coeff_vars, acc in parts.values():
-        ser = QTSeries(QT, coeff_vars, trunc)
+        ser = QTSeries(coeff_vars, trunc)
         ser.coeffs = {k: LaurentPolynomial._from_terms(coeff_vars, t)
                       for k, t in acc.items() if t and k[0] + k[1] <= trunc}
         out.append((rest, ser))
@@ -478,7 +476,7 @@ def certify_sum(split, vars: Sequence[str], trunc: int) -> QTSeries:
     """
     vars = tuple(vars)
     coeff_vars = _coeff_vars(vars)
-    out = QTSeries(QT, coeff_vars, trunc)
+    out = QTSeries(coeff_vars, trunc)
     acc: dict = {}
     for rest, ser in split:
         for key, poly in ser.coeffs.items():
@@ -516,7 +514,7 @@ def certify_weyl_sum(split, vars: Sequence[str], trunc: int) -> QTSeries:
     product of root binomials."""
     vars = tuple(vars)
     coeff_vars = _coeff_vars(vars)
-    out = QTSeries(QT, coeff_vars, trunc)
+    out = QTSeries(coeff_vars, trunc)
     parts: dict = {}
     for rest, ser in split:
         for key, poly in ser.coeffs.items():

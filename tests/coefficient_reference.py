@@ -428,7 +428,7 @@ def termination_witnesses_reference(max_size, max_n):
         for lam in partitions_upto(max_size, n):
             try:
                 S = specialize_reference(lam, n)
-            except ArithmeticError as exc:
+            except (ZeroDivisionError, TerminationFailure) as exc:
                 witnesses.append({"lambda": list(lam), "n": n, "error": str(exc)})
                 continue
             if not S.equals(macdonald_P(lam, n)):

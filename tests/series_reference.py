@@ -54,10 +54,10 @@ def series_inverse(s: QTSeries) -> QTSeries:
     c0 = s.coeffs.get((0, 0))
     if s.min_total() < 0 or c0 is None or not c0.is_one():
         raise DenominatorNotUnit("series inverse needs constant term 1")
-    h = QTSeries(s.qt, s.coeff_vars, s.trunc)
+    h = QTSeries(s.coeff_vars, s.trunc)
     h.coeffs = {k: p for k, p in s.coeffs.items() if k != (0, 0)}
-    acc = QTSeries.one(s.qt, s.coeff_vars, s.trunc)
-    pw = QTSeries.one(s.qt, s.coeff_vars, s.trunc)
+    acc = QTSeries.one(s.coeff_vars, s.trunc)
+    pw = QTSeries.one(s.coeff_vars, s.trunc)
     for _ in range(s.trunc):
         pw = pw * (-h)
         pw.trunc = s.trunc
@@ -76,7 +76,7 @@ def pochhammer_inf(p: FactoredRational | LaurentPolynomial, trunc: int) -> QTSer
     if vars[:2] != ("q", "t"):
         raise ValueError("Pochhammer base must be over (q, t, ...)")
     if p.is_zero():
-        return QTSeries.one(("q", "t"), vars[2:], trunc)
+        return QTSeries.one(vars[2:], trunc)
     deg = p.exps[0] + p.exps[1]
     if deg <= 0:
         raise NonConvergent(f"(p;q)_infty with qt-degree {deg} base does not converge")
@@ -101,7 +101,7 @@ def _ratio(vars, order, num, den):
 
 def J_infinity(n: int, order: int) -> QTSeries:
     vars = lau_vars(n)
-    out = QTSeries.one(("q", "t"), vars[2:], order)
+    out = QTSeries.one(vars[2:], order)
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             out = out * _ratio(vars, order, (1, 1, j, i), (1, 0, j, i))
@@ -117,7 +117,7 @@ def J_infinity(n: int, order: int) -> QTSeries:
 
 def lattice_right_side(rank: int, order: int) -> QTSeries:
     vars = ("q", "t") + tuple(f"z{i}" for i in range(1, rank + 2))
-    rhs = QTSeries.one(("q", "t"), vars[2:], order)
+    rhs = QTSeries.one(vars[2:], order)
     f = _ratio(vars, order, (1, 0), (1, 1))
     for _ in range(rank):
         rhs = rhs * f

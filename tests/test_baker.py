@@ -175,10 +175,10 @@ def test_an_arithmetic_error_stays_the_witness_of_its_partition(monkeypatch):
 
 class _RaisesOnSpecialization:
     """A planted ledger whose image raises, and whose value raises under
-    the reference's ``transform``."""
+    the reference's ``transform``, as a denominator that vanishes does."""
 
     def image(self, *args):
-        raise ArithmeticError("planted error")
+        raise ZeroDivisionError("planted error")
 
     def value(self):
         return self
@@ -195,6 +195,17 @@ def test_the_first_error_inside_the_polytope_is_the_witness(monkeypatch):
     errors = {tuple(w["lambda"]): w["error"] for w in got}
     assert errors[(2,)] == "denominator factor vanished under substitution"
     assert errors[(3,)] == "planted error"
+
+
+def test_an_unrelated_arithmetic_error_propagates(monkeypatch):
+    # only a vanishing denominator and a surviving coefficient become
+    # witnesses; any other error is a fault of the program and raises
+    def overflow(c):
+        raise OverflowError("planted overflow")
+
+    _plant(monkeypatch, {(2, (1,)): overflow})
+    with pytest.raises(OverflowError, match="planted overflow"):
+        _witnesses(3, 2)
 
 
 def test_a_scan_failure_takes_precedence_over_an_error_inside(monkeypatch):

@@ -1,6 +1,5 @@
 """Global characters: Weyl sums, stable limits, closed forms, shift operator."""
 
-import pickle
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -22,8 +21,8 @@ from maclab.euler import (
     euler_char_global,
     euler_char_series,
     frakD_K,
-    h_equals_p,
     h_series,
+    hp_prefactor,
     verify_cor_diff,
     weyl_invariance_check,
 )
@@ -73,7 +72,6 @@ def test_weight_is_immutable_and_keys_the_z_table_by_value():
     assert (w.lvec, w.n) == ((1, 0), 3)
     assert w == GLWeight([1, 0]) and hash(w) == hash(GLWeight([1, 0]))
     assert w != GLWeight((0, 1)) and w != (1, 0)
-    assert pickle.loads(pickle.dumps(w)) == w
     table = euler._mz_memo
     table.clear()
     hits, misses = table.hits, table.misses
@@ -198,8 +196,9 @@ def test_cordiff_exact_small():
 
 
 def test_hp_closed_form_pieces():
-    pref, part, P = h_equals_p(GLWeight((1,)))
-    assert part == (1,)
+    weight = GLWeight((1,))
+    pref = hp_prefactor(weight)
+    assert weight.partition() == (1,)
     one = LaurentPolynomial.one(QT)
     q = LaurentPolynomial.var(QT, "q")
     t = LaurentPolynomial.var(QT, "t")
@@ -293,35 +292,42 @@ def _orbit_series(alpha, weight, order):
 _orbit_reference: dict = {}
 
 
+def _clear_j_tables():
+    """Empty the J-piece tables, as in a fresh process."""
+    euler._j_piece.table.clear()
+    euler._j_valuation.table.clear()
+
+
 @pytest.mark.parametrize("cache", ["cold", "warm"])
 @pytest.mark.parametrize("lv", [lv for n in (2, 3) for lv in product(range(-1, 3), repeat=n - 1)],
                          ids=str)
 def test_convolution_equals_orbit_expansion_on_a_grid(lv, cache):
-    # alpha_i in 0..3 and order 0..2; "cold" empties the check-scoped memo
-    # tables (the J-pieces among them) before every call, "warm" reuses
-    # what the earlier calls left there
+    # alpha_i in 0..3 and order 0..2; "cold" empties the J-piece tables
+    # before every call, "warm" reuses what the earlier calls left there
     weight = GLWeight(lv)
     for alpha in product(range(4), repeat=len(lv)):
         if (lv, alpha) not in _orbit_reference:
             _orbit_reference[(lv, alpha)] = _orbit_series(alpha, weight, 2)
         for order in range(3):
             if cache == "cold":
-                memo.clear("check")
+                _clear_j_tables()
             expected = _orbit_reference[(lv, alpha)].truncate(order)
             assert euler_char_series(alpha, weight, order) == expected, (alpha, order)
 
 
-def test_run_check_empties_the_j_piece_caches():
-    # the J-piece tables have scope "check"; the C_theta values they are
-    # built from have scope "process" and stay for the next check
-    H_limit(GLWeight((1,)), 1)
-    assert euler._j_piece.table.scope == euler._j_valuation.table.scope == "check"
-    assert len(euler._j_piece.table) > 0
-    assert run_check("hp", max_n=2, order=1, max_weight_sum=1).status == Status.PASSED
-    assert len(euler._j_piece.table) == 0
-    assert len(euler._j_valuation.table) == 0
-    assert all(not table for table in memo.tables if table.scope == "check")
-    assert len(euler._c_cache) > 0
+def test_a_second_identical_check_reuses_the_j_pieces():
+    # the J-piece tables live as long as the process: a second identical
+    # hp run finds every piece and valuation it asks for
+    tables = (euler._j_piece.table, euler._j_valuation.table)
+    _clear_j_tables()
+    params = {"max_n": 3, "order": 1, "max_weight_sum": 1}
+    assert run_check("hp", **params).status == Status.PASSED
+    first = [(len(t), t.misses) for t in tables]
+    assert all(size > 0 for size, _misses in first)
+    hits = [t.hits for t in tables]
+    assert run_check("hp", **params).status == Status.PASSED
+    assert [(len(t), t.misses) for t in tables] == first
+    assert all(t.hits > h for t, h in zip(tables, hits))
 
 
 @pytest.mark.parametrize("lv", [(0,), (1,), (2,), (0, 0), (1, 0), (0, 1)])
@@ -400,7 +406,7 @@ def test_a_value_below_its_counted_valuation_raises(monkeypatch, inverted, degre
             values = [values[0] * shift] + values[1:]
         return values
 
-    memo.clear("check")
+    _clear_j_tables()
     monkeypatch.setattr(euler, "_j_values", j_values)
     try:
         with pytest.raises(InsufficientTruncation, match="counted valuation"):
@@ -409,7 +415,7 @@ def test_a_value_below_its_counted_valuation_raises(monkeypatch, inverted, degre
             else:
                 euler_char_series((1, 1), GLWeight((0, 0)), 2)
     finally:
-        memo.clear("check")
+        _clear_j_tables()
 
 
 @pytest.mark.parametrize("inverted", [False, True])
@@ -419,7 +425,7 @@ def test_counted_valuation_equals_the_built_values(n, top, inverted):
     # and of every piece with each d_k <= top against the reference
     grading = (-1 if inverted else 1, 1) + (0,) * n
     ident = tuple(range(1, n + 1))
-    memo.clear("check")
+    _clear_j_tables()
     for d in product(range(top + 1), repeat=n - 1):
         for th in theta_by_degree(n, d):
             built = euler._C_glob(th.entry_list(), n, ident, inverted).valuation_lb(QT)

@@ -1,6 +1,7 @@
 """The memo registry: every module-level memo of the package is a
-registered :class:`maclab.memo.Table` with a scope and a cap, and each
-table stays bounded with its values unchanged past its cap."""
+:class:`maclab.memo.Table` declared by :func:`maclab.memo.cached` with a
+cap, it lives as long as the process, and it stays bounded with its
+values unchanged past its cap."""
 
 import importlib
 import pkgutil
@@ -10,6 +11,7 @@ import pytest
 import maclab
 from maclab import euler, macdonald, memo, qcalc
 from maclab.algebra import rational_eq
+from maclab.checks import run_check
 from maclab.euler import GLWeight, macdonald_in_z
 from maclab.laumon import C_theta
 from maclab.macdonald import macdonald_P, macdonald_P_oracle
@@ -24,18 +26,23 @@ RANK_KEYED = {"maclab.baker.ba_vars", "maclab.euler.glob_vars", "maclab.laumon.l
 # module-level dicts that are filled once at import and never written
 CONSTANT_DICTS = {"maclab.checks.CHECKS", "maclab.checks.ALIASES"}
 
-# every memo table of the package and its scope
+# every memo table of the package and its cap
 TABLES = {
-    "euler._j_piece": "check",
-    "euler._j_valuation": "check",
-    "qcalc._binomial": "process",
-    "euler._c_ledgers": "process",
-    "euler._c_cache": "process",
-    "euler.macdonald_in_z": "process",
-    "macdonald._P_memo": "process",
-    "macdonald._d1n_m_action": "process",
-    "macdonald._schur_m": "process",
+    "qcalc._binomial": 4096,
+    "euler._c_ledger": 4096,
+    "euler._C_glob": 4096,
+    "euler._j_valuation": 1024,
+    "euler._j_piece": 1024,
+    "euler.macdonald_in_z": 256,
+    "macdonald._tableau_sum": 256,
+    "macdonald._d1n_m_action": 256,
+    "macdonald._schur_m": 256,
 }
+
+
+def _modules():
+    for info in pkgutil.iter_modules(maclab.__path__):
+        yield importlib.import_module(f"maclab.{info.name}")
 
 
 def unregistered_memos() -> list:
@@ -44,8 +51,7 @@ def unregistered_memos() -> list:
     registered table nor allowed above, as ``module.name``."""
     registered = {id(table) for table in memo.tables}
     out = []
-    for info in pkgutil.iter_modules(maclab.__path__):
-        module = importlib.import_module(f"maclab.{info.name}")
+    for module in _modules():
         for name, value in vars(module).items():
             where = f"{module.__name__}.{name}"
             if isinstance(value, dict) and not name.startswith("__"):
@@ -61,21 +67,23 @@ def unregistered_memos() -> list:
 
 def test_every_memo_is_a_registered_table_with_a_cap():
     assert unregistered_memos() == []
-    assert {table.name: table.scope for table in memo.tables} == TABLES
-    for table in memo.tables:
-        assert isinstance(table.cap, int) and table.cap > 0, table.name
+    assert {table.name: table.cap for table in memo.tables} == TABLES
 
 
-def test_clear_empties_one_scope_and_clear_all_every_table():
-    euler.H_limit(GLWeight((1,)), 1)
-    assert euler._j_piece.table and euler._c_cache
-    memo.clear("check")
-    assert all(not t for t in memo.tables if t.scope == "check")
-    assert euler._c_cache
+def test_every_table_is_declared_by_cached():
+    # each table is the .table of the memoised function it is named after
+    declared = {f"{module.__name__.rpartition('.')[2]}.{name}": value.table
+                for module in _modules() for name, value in vars(module).items()
+                if callable(value) and isinstance(getattr(value, "table", None), memo.Table)}
+    assert all(declared.get(table.name) is table for table in memo.tables)
+
+
+def test_tables_outlive_a_check_and_clear_all_empties_every_table():
+    memo.clear_all()
+    assert run_check("hp", max_n=2, order=1, max_weight_sum=1).passed
+    assert euler._j_piece.table and euler._j_valuation.table and euler._c_cache
     memo.clear_all()
     assert all(not t for t in memo.tables)
-    with pytest.raises(ValueError, match="scope"):
-        memo.clear("checks")
 
 
 # -- bounded past the cap ------------------------------------------------------
@@ -137,7 +145,7 @@ def _binomial_cases():
 
 CASES = {
     "euler._c_cache": (euler._c_cache, _c_theta_cases, lambda a, b: a == b),
-    "euler._c_ledgers": (euler._c_ledgers, _c_ledger_cases, lambda a, b: a.value() == b),
+    "euler._c_ledger": (euler._c_ledger.table, _c_ledger_cases, lambda a, b: a.value() == b),
     "macdonald._P_memo": (macdonald._P_memo, _macdonald_cases, lambda a, b: a.equals(b)),
     "macdonald._action_memo": (macdonald._action_memo, _action_cases, lambda a, b: a == b),
     "macdonald._schur_m": (macdonald._schur_m.table, _schur_cases, lambda a, b: a == b),

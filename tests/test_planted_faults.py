@@ -12,8 +12,8 @@ there; ``cordiff`` reads ``euler.frakD_K``, ``pieri`` reads
 ``macdonald.psi_T`` through ``macdonald_P``, ``dai-ichi`` reads
 ``baker.c_N_closed``, ``ansum`` reads ``laumon._lattice_product`` and
 ``weyl`` reads ``euler._weyl_factor``.  Every memo table is emptied
-before and after each plant, so that no planted value stays in a
-process-scoped table.
+before and after each plant, so that no planted value outlives its
+test in a table.
 
 The canonical JSON of the planted-fault reports of the checks whose
 verifiers hand their findings to ``checks`` (``shir``, ``junichi``,

@@ -70,7 +70,7 @@ def _certify_by_images(split, vars: Sequence[str], trunc: int,
         for key, poly in ser.coeffs.items():
             contrib = rest * FactoredRational.from_poly(poly.transform(vars, {}))
             acc[key] = acc[key] + contrib if key in acc else contrib
-    out = QTSeries(qt, coeff_vars, trunc)
+    out = QTSeries(coeff_vars, trunc)
     drop = {v: (1, (0,) * len(coeff_vars)) for v in qt}
     qt_idx = [vars.index(v) for v in qt]
     for key, fold in sorted(acc.items()):
@@ -175,5 +175,5 @@ def plant_uncancelled_pole(split, how):
         poly = poly.divide_exact(root)
     else:
         poly = poly + LaurentPolynomial.one(poly.vars)
-    broken = QTSeries(ser.qt, ser.coeff_vars, ser.trunc, {**ser.coeffs, key: poly})
+    broken = QTSeries(ser.coeff_vars, ser.trunc, {**ser.coeffs, key: poly})
     return split[:i] + ((rest, broken),) + split[i + 1:]
