@@ -23,10 +23,16 @@ Not part of the test suite.  Run with
     PYTHONPATH=src python -m pytest benchmarks --benchmark-only
 """
 
+import sys
+from pathlib import Path
+
 import pytest
 
 from maclab.algebra import LaurentPolynomial, rational_eq
 from maclab.macdonald import eigenvalue, mac_vars, macdonald_P, macdonald_P_oracle
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from algebra_reference import clear_denominators  # noqa: E402
 
 N = 4
 LAM = (4, 1)
@@ -39,7 +45,7 @@ def _y(vars, i):
 @pytest.fixture(scope="module")
 def operands():
     vars = mac_vars(N)
-    poly, _den = macdonald_P(LAM, N).clear_denominators()
+    poly, _den = clear_denominators(macdonald_P(LAM, N))
     s = LaurentPolynomial.var(vars, "s")
     factor = LaurentPolynomial.one(vars)
     for j in range(2, N + 1):
@@ -49,7 +55,7 @@ def operands():
             factor = factor * (_y(vars, a) - _y(vars, b))
     shift = [0] * len(vars)
     shift[0] = shift[vars.index("y1")] = 1
-    shifted = poly.substitute("y1", 1, shift)
+    shifted = poly.transform(vars, {"y1": (1, tuple(shift))})
     dividend = eigenvalue(LAM, N).transform(vars, {}) * poly
     for a in range(1, N + 1):
         for b in range(a + 1, N + 1):

@@ -23,6 +23,9 @@ Not part of the test suite.  Run with
     PYTHONPATH=src python -m pytest benchmarks --benchmark-only
 """
 
+import sys
+from pathlib import Path
+
 import pytest
 
 from maclab.macdonald import (
@@ -38,6 +41,9 @@ from maclab.macdonald import (
 )
 from maclab.tableaux import partitions_upto
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from algebra_reference import clear_denominators  # noqa: E402
+
 N = 4
 LAM = (4, 1)
 ACTIONS = [(mu, n) for n in range(1, N + 1) for mu in partitions_upto(5, n)]
@@ -45,7 +51,7 @@ ACTIONS = [(mu, n) for n in range(1, N + 1) for mu in partitions_upto(5, n)]
 
 @pytest.fixture(scope="module")
 def cleared():
-    poly, _den = macdonald_P(LAM, N).clear_denominators()
+    poly, _den = clear_denominators(macdonald_P(LAM, N))
     return poly
 
 

@@ -344,10 +344,6 @@ class LaurentPolynomial:
         return LaurentPolynomial._from_terms(
             new_vars, {get(e + zero): c for e, c in self.terms.items()})
 
-    def substitute(self, var: str, coef: Coef, exps: Sequence[int]) -> "LaurentPolynomial":
-        """Substitute ``var -> coef * self.vars^exps`` within the same context."""
-        return self.transform(self.vars, {var: (coef, tuple(exps))})
-
     # -- division --------------------------------------------------------
 
     def divide_exact(self, divisor: "LaurentPolynomial") -> "LaurentPolynomial":

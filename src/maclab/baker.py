@@ -33,7 +33,6 @@ from .tableaux import (
 )
 
 __all__ = [
-    "BAContext",
     "ba_vars",
     "c_N_recursive",
     "c_N_closed",
@@ -55,17 +54,6 @@ def ba_vars(n: int) -> tuple:
     """The context (q, s, z_1 .. z_N), one shared tuple per rank:
     cache entries keyed on it then hold no copies of their own."""
     return ("q", "s") + tuple(f"z{i}" for i in range(1, n + 1))
-
-
-class BAContext:
-    """Rank and truncation order for the ratio variables."""
-
-    __slots__ = ("n", "truncation", "vars")
-
-    def __init__(self, n: int, truncation: int):
-        if truncation < 0:
-            raise ValueError("truncation must be nonnegative")
-        self.n, self.truncation, self.vars = n, truncation, ba_vars(n)
 
 
 def c_N_recursive(theta: ThetaMatrix, n: int) -> FactoredRational:
@@ -166,11 +154,14 @@ def _closed_alt_ledger(theta: ThetaMatrix, n: int) -> Ledger:
     return led
 
 
-def f_N_series(ctx: BAContext) -> XSeries:
-    """The ratio-variable part of the eigenfunction series: the
+def f_N_series(n: int, truncation: int) -> XSeries:
+    """The ratio-variable part of the rank-n eigenfunction series: the
     coefficient of u^alpha is the sum of c_N(theta) over theta matrices
-    of u-degree alpha, up to total degree ctx.truncation."""
-    return theta_series(c_N_closed, ctx.n, ctx.vars, ctx.truncation)
+    of u-degree alpha, up to total degree ``truncation``, which must be
+    nonnegative."""
+    if truncation < 0:
+        raise ValueError("truncation must be nonnegative")
+    return theta_series(c_N_closed, n, ba_vars(n), truncation)
 
 
 def theta_series(coef, n: int, vars: tuple, trunc: int) -> XSeries:
@@ -189,10 +180,11 @@ def theta_series(coef, n: int, vars: tuple, trunc: int) -> XSeries:
     return out
 
 
-def specialize_f_to_P(lam, ctx: BAContext, margin: int = 2) -> SymmetricPolynomial:
-    """Specialize z_i = s^{N-i} q^{lambda_i}: the one-partition case of
-    :func:`specialize_each`, raising the error that stopped it."""
-    (out,) = specialize_each([lam], ctx.n, margin)
+def specialize_f_to_P(lam, n: int, margin: int = 2) -> SymmetricPolynomial:
+    """Specialize the rank-n series at z_i = s^{N-i} q^{lambda_i}: the
+    one-partition case of :func:`specialize_each`, raising the error
+    that stopped it."""
+    (out,) = specialize_each([lam], n, margin)
     if isinstance(out, ArithmeticError):
         raise out
     return out
@@ -305,26 +297,27 @@ def operator_coefficient(i: int, n: int, trunc: int, vars, ratio) -> XSeries:
     return out
 
 
-def verify_eigen_equation(ctx: BAContext) -> XSeries:
-    """The residual of the difference operator on the eigenfunction
-    series against multiplication by z_1 + ... + z_N, zero iff the eigen
-    equation holds up to ctx.truncation.
+def verify_eigen_equation(n: int, truncation: int) -> XSeries:
+    """The residual of the difference operator on the rank-n
+    eigenfunction series against multiplication by z_1 + ... + z_N, zero
+    iff the eigen equation holds up to ``truncation`` (nonnegative, as
+    for :func:`f_N_series`).
 
     The operator is conjugated by the monomial prefactor, on which
     T_{q,y_i} acts by the scalar s^{i-N} z_i; its i-th coefficient is
     prod_{j<i} (1 - s w)/(1 - w) * prod_{j>i} (s - v)/(1 - v) with
     w = u_j...u_{i-1}, v = u_i...u_{j-1} (:func:`operator_coefficient`).
     """
-    n, vars = ctx.n, ctx.vars
+    vars = ba_vars(n)
     one = FactoredRational.one(vars)
     s = FactoredRational.monomial(vars, (0, 1) + (0,) * n)
     s_inv = s.inverse()
 
     def coefficient(i):
-        return operator_coefficient(i, n, ctx.truncation, vars,
+        return operator_coefficient(i, n, truncation, vars,
                                     lambda j: (one, s, one) if j < i else (s, s_inv, one))
 
-    return operator_residual(f_N_series(ctx), coefficient, lambda i: i - n)
+    return operator_residual(f_N_series(n, truncation), coefficient, lambda i: i - n)
 
 
 def operator_residual(g: XSeries, coefficient, twist) -> XSeries:

@@ -4,6 +4,11 @@ Each check runs a mathematical identity at desk scale and returns a
 :class:`~maclab.reports.VerificationReport`.  The same registry backs the
 CLI (``maclab verify <name>``) and the acceptance test suite.
 
+Each check is a function of keyword-only parameters whose defaults, in
+its signature, are its pinned ranges; :func:`run_check` passes it the
+parameters it is given, so one that the check does not take raises
+``TypeError``.
+
 Every identity is decided by exact equality over Q, and only that can
 mark a check PASSED.  Checks run serially in the calling process.
 """
@@ -15,7 +20,6 @@ import time
 
 from .algebra import rational_eq, sum_is_zero
 from .baker import (
-    BAContext,
     ba_vars,
     specialize_each,
     verify_eigen_equation,
@@ -37,7 +41,6 @@ from .euler import (
     weyl_invariance_check,
 )
 from .laumon import (
-    LaumonContext,
     an_summation_check,
     substitution_check,
     verify_difference_equation,
@@ -57,20 +60,18 @@ from .reports import Status, VerificationReport
 from .series import expand
 from .tableaux import ThetaMatrix, partitions_upto
 
-__all__ = ["CHECKS", "run_check", "check_names"]
+__all__ = ["CHECKS", "run_check", "check_names", "check_parameters"]
 
 
 def _status(ok: bool) -> str:
     return Status.PASSED if ok else Status.FAILED
 
 
-def check_tableau_oracle(params):
+def check_tableau_oracle(*, max_size=5, max_n=4):
     """The tableau sum P_lambda satisfies the oracle's triangular system
     (:func:`~maclab.macdonald.satisfies_oracle`) for |lambda| <= max_size,
     N <= max_n.  Only where it does not is the oracle solved, to name the
     coefficients that differ."""
-    max_size = params.get("max_size", 5)
-    max_n = params.get("max_n", 4)
     witnesses = []
     for n in range(1, max_n + 1):
         for lam in partitions_upto(max_size, n):
@@ -89,15 +90,13 @@ def check_tableau_oracle(params):
     return _status(not witnesses), witnesses
 
 
-def check_eigen(params):
+def check_eigen(*, max_size=5, max_n=4):
     """D P_lambda == ev_lambda * P_lambda for |lambda| <= max_size,
     N <= max_n, decided on the bialternant form of the operator from
     P's m-expansion (:func:`~maclab.macdonald.eigen_residual`).  That
     form of D shares no operator code with the product form from which
     the oracle of ``tableau-oracle`` reads its operator images, so the
     two checks test each other."""
-    max_size = params.get("max_size", 5)
-    max_n = params.get("max_n", 4)
     witnesses = []
     for n in range(1, max_n + 1):
         for lam in partitions_upto(max_size, n):
@@ -146,10 +145,8 @@ def _printed_c3(vars, t12, t13, t23) -> Ledger:
     return led
 
 
-def check_cn(params):
+def check_cn(*, max_entry=2, max_n=4):
     """The c_N forms and the printed examples, compared as ledgers."""
-    max_entry = params.get("max_entry", 2)
-    max_n = params.get("max_n", 4)
     witnesses = []
     for n in range(2, max_n + 1):
         for th in _theta_entries_upto(n, max_entry):
@@ -168,9 +165,7 @@ def check_cn(params):
     return _status(not witnesses), witnesses
 
 
-def check_termination(params):
-    max_size = params.get("max_size", 4)
-    max_n = params.get("max_n", 3)
+def check_termination(*, max_size=4, max_n=3):
     witnesses = []
     for n in range(1, max_n + 1):
         lams = partitions_upto(max_size, n)
@@ -190,46 +185,32 @@ def _residual_witnesses(residual):
     return _status(not witnesses), witnesses
 
 
-def check_dai_ichi(params):
-    n = params.get("n", 2)
-    trunc = params.get("truncation", 2)
-    return _residual_witnesses(verify_eigen_equation(BAContext(n, trunc)))
+def check_dai_ichi(*, n=2, truncation=2):
+    return _residual_witnesses(verify_eigen_equation(n, truncation))
 
 
-def check_shir(params):
-    n = params.get("n", 2)
-    degree = params.get("degree", 3)
-    return _residual_witnesses(verify_difference_equation(LaumonContext(n, degree=degree)))
+def check_shir(*, n=2, degree=3):
+    return _residual_witnesses(verify_difference_equation(n, degree))
 
 
-def check_substitution(params):
-    n = params.get("n", 2)
-    degree = params.get("degree", 3)
-    witnesses = [{"theta": list(k)} for k in substitution_check(LaumonContext(n, degree=degree))]
+def check_substitution(*, n=2, degree=3):
+    witnesses = [{"theta": list(k)} for k in substitution_check(n, degree)]
     return _status(not witnesses), witnesses
 
 
-def check_junichi(params):
-    n = params.get("n", 2)
-    order = params.get("order", 2)
+def check_junichi(*, n=2, order=2):
     stabilized, diff = verify_local_limit(n, order)
     if not stabilized:
         return Status.NOT_STABILIZED, diff
     return _status(not diff), diff
 
 
-def check_ansum(params):
-    rank = params.get("rank", 1)
-    order = params.get("order", 2)
+def check_ansum(*, rank=1, order=2):
     diff = an_summation_check(rank, order)
     return _status(not diff), diff
 
 
-def check_h0(params):
-    max_n = params.get("max_n", 4)
-    t_order = params.get("t_order", 8)
-    h_order = params.get("order", 2)
-    limit_n = params.get("limit_n", 3)
+def check_h0(*, max_n=4, t_order=8, order=2, limit_n=3):
     witnesses = []
     for n in range(2, max_n + 1):
         W = W_poly(n)
@@ -245,8 +226,8 @@ def check_h0(params):
             witnesses.append({"n": n, "WF": WF, "H0": h0v})
     for n in range(2, limit_n + 1):
         w = GLWeight((0,) * (n - 1))
-        H = H_limit(w, h_order)
-        if H != expand(H0_closed(n), h_order):
+        H = H_limit(w, order)
+        if H != expand(H0_closed(n), order):
             witnesses.append({"n": n, "error": "stable series != closed H0"})
     return _status(not witnesses), witnesses
 
@@ -258,13 +239,10 @@ def _dominant_weights(n, max_sum):
             yield lv
 
 
-def check_hp(params):
-    max_n = params.get("max_n", 3)
-    order = params.get("order", 2)
-    max_sum = params.get("max_weight_sum", 2)
+def check_hp(*, max_n=3, order=2, max_weight_sum=2):
     witnesses = []
     for n in range(2, max_n + 1):
-        for lv in _dominant_weights(n, max_sum):
+        for lv in _dominant_weights(n, max_weight_sum):
             w = GLWeight(lv)
             H = H_limit(w, order)
             S = h_series(w, order)
@@ -274,20 +252,16 @@ def check_hp(params):
     return _status(not witnesses), witnesses
 
 
-def check_cordiff(params):
-    max_n = params.get("max_n", 3)
-    max_sum = params.get("max_weight_sum", 2)
+def check_cordiff(*, max_n=3, max_weight_sum=2):
     witnesses = []
     for n in range(2, max_n + 1):
-        for lv in _dominant_weights(n, max_sum):
+        for lv in _dominant_weights(n, max_weight_sum):
             if not verify_cor_diff(GLWeight(lv)):
                 witnesses.append({"n": n, "weight": list(lv)})
     return _status(not witnesses), witnesses
 
 
-def check_vanishing(params):
-    max_n = params.get("max_n", 3)
-    order = params.get("order", 2)
+def check_vanishing(*, max_n=3, order=2):
     witnesses = []
     for n in range(2, max_n + 1):
         for lv in itertools.product(*([(-1, 0, 1)] * (n - 1))):
@@ -300,9 +274,7 @@ def check_vanishing(params):
     return _status(not witnesses), witnesses
 
 
-def check_chibq(params):
-    max_n = params.get("max_n", 3)
-    order = params.get("order", 2)
+def check_chibq(*, max_n=3, order=2):
     witnesses = []
     for n in range(2, max_n + 1):
         weights = [(0,) * (n - 1), (1,) + (0,) * (n - 2)]
@@ -316,24 +288,23 @@ def check_chibq(params):
     return _status(not witnesses), witnesses
 
 
-def check_weyl(params):
-    n = params.get("n", 2)
-    alpha = tuple(params.get("alpha", (1,) * (n - 1)))
-    weight = GLWeight(tuple(params.get("weight", (0,) * (n - 1))))
+def check_weyl(*, n=2, alpha=None, weight=None):
+    """Weyl invariance at ``alpha`` and ``weight``, by default the
+    all-ones degree and the zero weight of rank n."""
+    alpha = (1,) * (n - 1) if alpha is None else tuple(alpha)
+    weight = GLWeight((0,) * (n - 1) if weight is None else tuple(weight))
     if weyl_invariance_check(alpha, weight):
         return Status.PASSED, []
     return Status.FAILED, [{"alpha": list(alpha), "weight": list(weight.lvec), "passed": False}]
 
 
-def check_pieri(params):
+def check_pieri(*, max_n=3, max_weight_sum=2):
     """Exact Pieri identity on the weight-indexed Macdonald family."""
     from .euler import glob_vars, macdonald_in_z, _zsum
-    max_n = params.get("max_n", 3)
-    max_sum = params.get("max_weight_sum", 2)
     witnesses = []
     for n in range(2, max_n + 1):
         vars = glob_vars(n)
-        for lv in _dominant_weights(n, max_sum):
+        for lv in _dominant_weights(n, max_weight_sum):
             w = GLWeight(lv)
             terms = []
             for r in range(1, n + 1):
@@ -375,22 +346,35 @@ def check_names() -> list:
     return sorted(CHECKS)
 
 
-def run_check(name: str, workers: int = 1, **params) -> VerificationReport:
-    """Run the check ``name`` on ``params`` and report its verdict.
-
-    ``workers`` is accepted and ignored: every check runs serially.  The
-    benchmark harness (``perfbench/child.py``) still passes it.  It is never
-    part of the report's parameters, which carry the constant
-    ``equality_mode`` "exact" so that canonical bytes stay as they were.
-
-    The memo tables (:mod:`~maclab.memo`) stay warm for the next check.
-    """
+def _check(name: str):
+    """The registered name of ``name`` (or of its alias) and its check."""
     name = ALIASES.get(name, name)
     if name not in CHECKS:
         raise KeyError(f"unknown check {name!r}; known: {', '.join(check_names())}")
-    fn, _desc = CHECKS[name]
+    return name, CHECKS[name][0]
+
+
+def check_parameters(name: str) -> tuple:
+    """The keyword parameters the check ``name`` (or its alias) takes."""
+    return tuple(_check(name)[1].__kwdefaults__)
+
+
+def run_check(name: str, workers: int = 1, **params) -> VerificationReport:
+    """Run the check ``name`` on ``params`` and report its verdict.
+
+    ``params`` are the check's keyword parameters; one it does not take
+    raises ``TypeError``, and one not given takes its default.  The
+    report's parameters are exactly those given, plus the constant
+    ``equality_mode`` "exact", so that canonical bytes stay as they were.
+
+    ``workers`` is accepted and ignored: every check runs serially.  The
+    benchmark harness (``perfbench/child.py``) still passes it.
+
+    The memo tables (:mod:`~maclab.memo`) stay warm for the next check.
+    """
+    name, fn = _check(name)
     t0 = time.monotonic()
-    status, witnesses = fn(params)
+    status, witnesses = fn(**params)
     return VerificationReport(
         check=name,
         parameters={**params, "equality_mode": "exact"},

@@ -15,8 +15,9 @@ Exit status is 0 iff every requested check PASSED; a series whose
 stabilization schedule does not settle prints a one-line error to stderr,
 is not cached, and exits 1.  An out-of-range argument (a partition, a
 ``--weight`` length, an ``--alpha-max`` below 2, an ``--n`` below 1, a negative
-``--order``, ``--degree`` or ``--truncation``) prints a one-line error to
-stderr and exits 2 before anything is computed or cached.
+``--order``, ``--degree`` or ``--truncation``) or a check flag that the named
+check does not take prints a one-line error to stderr and exits 2 before
+anything is computed or cached.
 Everything runs serially in one process.
 Reports printed to stdout are canonical (timing goes to stderr), so
 outputs are byte-identical across reruns and cache states.
@@ -31,7 +32,7 @@ import sys
 
 from . import __version__
 from .cache import ResultCache
-from .checks import check_names, run_check
+from .checks import check_names, check_parameters, run_check
 from .laumon import NotStabilized
 from .tableaux import Partition
 
@@ -90,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv = lsub.add_parser("verify", help="identity checks on the local side")
     pv.add_argument("check", choices=("shir", "junichi", "ansum", "substitution",
                                       "dai-ichi"))
-    pv.add_argument("--n", type=int, default=2)
+    pv.add_argument("--n", type=int, default=None)
     pv.add_argument("--degree", type=int, default=None)
     pv.add_argument("--order", type=int, default=None)
     pv.add_argument("--truncation", type=int, default=None)
@@ -178,14 +179,16 @@ def _pretty_poly(obj: dict) -> str:
     return " + ".join(parts) if parts else "0"
 
 
+def _check_params(args) -> dict:
+    """The check parameters given on the command line."""
+    return {key: getattr(args, key) for key in ("n", "max_n", "max_size", "max_entry",
+                                                "max_weight_sum", "degree", "order",
+                                                "truncation", "rank")
+            if getattr(args, key, None) is not None}
+
+
 def _run_named_check(name: str, args) -> int:
-    params = {}
-    for key in ("n", "max_n", "max_size", "max_entry", "max_weight_sum",
-                "degree", "order", "truncation", "rank"):
-        val = getattr(args, key, None)
-        if val is not None:
-            params[key] = val
-    report = run_check(name, **params)
+    report = run_check(name, **_check_params(args))
     # stdout stays canonical (byte-identical across reruns); timing to stderr
     print(report.canonical_json() if args.output == "json" else report.text())
     if report.wall_time is not None:
@@ -196,8 +199,9 @@ def _run_named_check(name: str, args) -> int:
 def _argument_error(args) -> str | None:
     """Why an argument is out of range: a count or bound below its least
     value in the table below, a partition argument that is not a partition
-    with at most N parts or a ``--weight`` without N-1 entries; None when
-    all are in range."""
+    with at most N parts, a ``--weight`` without N-1 entries or a check
+    flag that the named check does not take; None when all are in
+    range."""
     for flag, least in (("n", 1), ("alpha_max", 2), ("max_n", 1), ("rank", 1),
                         ("order", 0), ("degree", 0), ("truncation", 0), ("max_size", 0),
                         ("max_entry", 0), ("max_weight_sum", 0)):
@@ -214,6 +218,11 @@ def _argument_error(args) -> str | None:
     weight = getattr(args, "weight", None)
     if weight is not None and len(weight) != args.n - 1:
         return f"argument --weight: {len(weight)} entries, --n {args.n} needs {args.n - 1}"
+    if getattr(args, "check", None) is not None:
+        taken = check_parameters(args.check)
+        for key in _check_params(args):
+            if key not in taken:
+                return f"argument --{key.replace('_', '-')}: not a parameter of check {args.check}"
     return None
 
 
@@ -249,29 +258,32 @@ def _dispatch(args) -> int:
         return _emit_series(lambda: fn(args.lam, args.n), args, op, params, cache)
 
     if args.command == "baker":
-        from .baker import BAContext, f_N_series, specialize_f_to_P
+        from .baker import f_N_series, specialize_f_to_P
 
-        ctx = BAContext(args.n, args.truncation)
         if args.specialize is not None:
             params = {"n": args.n, "lambda": list(args.specialize)}
-            return _emit_series(lambda: specialize_f_to_P(args.specialize, ctx),
+            return _emit_series(lambda: specialize_f_to_P(args.specialize, args.n),
                                 args, "baker-specialize", params, cache)
         params = {"n": args.n, "truncation": args.truncation}
-        return _emit_series(lambda: f_N_series(ctx), args, "baker-series", params, cache)
+        return _emit_series(lambda: f_N_series(args.n, args.truncation),
+                            args, "baker-series", params, cache)
 
     if args.command == "laumon":
         if args.subcommand == "j":
-            from .laumon import J_series, LaumonContext
+            from .laumon import J_series
 
-            ctx = LaumonContext(args.n, degree=args.degree)
             params = {"n": args.n, "degree": args.degree}
-            return _emit_series(lambda: J_series(ctx), args, "laumon-j", params, cache)
+            return _emit_series(lambda: J_series(args.n, args.degree),
+                                args, "laumon-j", params, cache)
         if args.subcommand == "limit":
             from .laumon import J_infinity
 
             params = {"n": args.n, "order": args.order}
             return _emit_series(lambda: J_infinity(args.n, args.order),
                                 args, "laumon-limit", params, cache)
+        # the local checks that take a rank run at n = 2 unless given one
+        if args.n is None and "n" in check_parameters(args.check):
+            args.n = 2
         return _run_named_check(args.check, args)
 
     if args.command == "global":

@@ -30,7 +30,6 @@ from .series import QTSeries, XSeries, expand, expand_sum
 from .tableaux import ThetaMatrix, theta_by_degree, theta_upto_degree
 
 __all__ = [
-    "LaumonContext",
     "lau_vars",
     "C_ledger",
     "C_theta",
@@ -54,15 +53,6 @@ def lau_vars(n: int) -> tuple:
     """The context (q, t, z_1 .. z_N), one shared tuple per rank:
     cache entries keyed on it then hold no copies of their own."""
     return ("q", "t") + tuple(f"z{i}" for i in range(1, n + 1))
-
-
-class LaumonContext:
-    """Rank, max total x-degree and the variable context of the rank."""
-
-    __slots__ = ("n", "degree", "vars")
-
-    def __init__(self, n: int, degree: int = 0):
-        self.n, self.degree, self.vars = n, degree, lau_vars(n)
 
 
 def C_ledger(theta: ThetaMatrix, n: int) -> Ledger:
@@ -109,15 +99,17 @@ def C_theta(theta: ThetaMatrix, n: int) -> FactoredRational:
     return C_ledger(theta, n).value()
 
 
-def J_series(ctx: LaumonContext) -> XSeries:
-    """J truncated at total x-degree ctx.degree; the coefficient of
-    x^alpha is the degree-alpha character (a rational function)."""
-    return theta_series(C_theta, ctx.n, ctx.vars, ctx.degree)
+def J_series(n: int, degree: int) -> XSeries:
+    """The rank-n J truncated at total x-degree ``degree``; the
+    coefficient of x^alpha is the degree-alpha character (a rational
+    function)."""
+    return theta_series(C_theta, n, lau_vars(n), degree)
 
 
-def verify_difference_equation(ctx: LaumonContext) -> XSeries:
-    """The residual of (sum_i z_i A_i(x) T_{i,q^{-1}} - sum_i z_i) on J up
-    to x-degree ctx.degree, zero iff the q-difference equation holds.
+def verify_difference_equation(n: int, degree: int) -> XSeries:
+    """The residual of (sum_i z_i A_i(x) T_{i,q^{-1}} - sum_i z_i) on the
+    rank-n J up to x-degree ``degree``, zero iff the q-difference
+    equation holds.
 
     T_{i,q^{-1}} substitutes x_{i-1} -> q x_{i-1}, x_i -> q^{-1} x_i, and
     the coefficients are (:func:`~maclab.baker.operator_coefficient`)
@@ -130,7 +122,7 @@ def verify_difference_equation(ctx: LaumonContext) -> XSeries:
     (the analogous printed display carries the q-factors on the opposite
     products and does not annihilate the series).
     """
-    n, vars = ctx.n, ctx.vars
+    vars = lau_vars(n)
     one = FactoredRational.one(vars)
 
     def qt(qe, te):
@@ -138,31 +130,30 @@ def verify_difference_equation(ctx: LaumonContext) -> XSeries:
 
     def coefficient(i):
         return operator_coefficient(
-            i, n, ctx.degree, vars,
+            i, n, degree, vars,
             lambda j: (one, qt(1, i - j + 1), qt(0, i - j)) if j < i
             else (one, qt(-1, j - i - 1), qt(0, j - i)))
 
-    return operator_residual(J_series(ctx), coefficient, lambda i: 0)
+    return operator_residual(J_series(n, degree), coefficient, lambda i: 0)
 
 
-def substitution_check(ctx: LaumonContext) -> list:
+def substitution_check(n: int, degree: int) -> list:
     """Per-theta dictionary between the localization coefficients and the
     eigenfunction coefficients: with s = q t and x_i -> t^{-1} x_i^{-1},
 
         c_N(theta; z; q, s=qt)  ==  t^{-deg(theta)} C_theta(q, t, z)
 
     where deg is the total x-degree sum (j-i) theta_ij, decided on the
-    ledgers of both sides.  Returns the entry lists of the theta up to
-    x-degree ctx.degree at which it fails, in
+    ledgers of both sides.  Returns the entry lists of the rank-n theta
+    up to x-degree ``degree`` at which it fails, in
     :func:`~maclab.tableaux.theta_upto_degree` order.
     """
-    n = ctx.n
-    vars = ctx.vars
+    vars = lau_vars(n)
     eye = [tuple(int(a == b) for a in range(n + 2)) for b in range(2, n + 2)]
     weights = [(1, 1) + (0,) * n, (0, 1) + (0,) * n] + eye   # s -> qt
     images: dict = {}
     failures = []
-    for th in theta_upto_degree(n, ctx.degree):
+    for th in theta_upto_degree(n, degree):
         lhs = _closed_ledger(th, n).image(vars, weights, images)
         rhs = C_ledger(th, n)
         rhs.unit[1] -= th.total_degree()

@@ -129,17 +129,6 @@ class SymmetricPolynomial:
         den = FactoredRational(QS, 1, None, list(den_factors.values()))
         return {mu: (c * den).to_laurent() for mu, c in self.mcoeffs.items()}, den
 
-    def clear_denominators(self):
-        """Return (poly, den) with  value == poly / den:  ``poly`` is a
-        Laurent polynomial over (q, s, y_1..y_N) and ``den`` one over (q, s)."""
-        vars = mac_vars(self.n)
-        cleared, den = self.cleared_mcoeffs()
-        # distinct partitions give disjoint y-monomials: no term collides
-        terms: dict = {}
-        for mu, c in cleared.items():
-            terms.update((c.transform(vars, {}) * monomial_symmetric(mu, self.n)).terms)
-        return LaurentPolynomial._from_terms(vars, terms), den.to_laurent()
-
     def to_json_obj(self) -> dict:
         return {
             "n": self.n,

@@ -74,10 +74,6 @@ class QTSeries:
             s.coeffs[(0, 0)] = LaurentPolynomial.one(coeff_vars)
         return s
 
-    @classmethod
-    def zero(cls, coeff_vars, trunc) -> "QTSeries":
-        return cls(coeff_vars, trunc)
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -723,9 +719,6 @@ class XSeries:
         if trunc >= 0:
             s.coeffs[(0,) * n] = FactoredRational.one(base_vars)
         return s
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def _check(self, other: "XSeries"):
         if self.n != other.n or self.base_vars != other.base_vars:

@@ -22,7 +22,6 @@ __all__ = [
     "is_horizontal_strip",
     "enumerate_pol_lambda",
     "theta_to_tableau",
-    "tableau_to_theta",
     "strip_sizes",
     "dominates",
     "partitions_of",
@@ -91,9 +90,6 @@ class ThetaMatrix:
 
     def total_degree(self) -> int:
         return sum((j - i) * v for (i, j), v in self.entries.items())
-
-    def size(self) -> int:
-        return sum(self.entries.values())
 
     def __eq__(self, other):
         return isinstance(other, ThetaMatrix) and self.n == other.n and self.entries == other.entries
@@ -186,43 +182,15 @@ def theta_to_tableau(theta: ThetaMatrix, lam: Sequence[int]) -> list:
     chain = []
     for j in range(0, n + 1):
         row = [sum(entry(i, k) for k in range(1, j + 1)) for i in range(1, n + 1)]
-        chain.append(Partition([x for x in row if x > 0] if all(
-            row[a] >= row[a + 1] for a in range(n - 1)) else _fail(row)))
+        if any(row[a] < row[a + 1] for a in range(n - 1)):
+            raise NotATableau(f"intermediate row {row} is not a partition")
+        chain.append(Partition([x for x in row if x > 0]))
     for j in range(1, n + 1):
         if not is_horizontal_strip(chain[j], chain[j - 1]):
             raise NotATableau(f"step {j} is not a horizontal strip")
     if chain[-1] != lam:
         raise NotATableau("chain does not end at the given shape")
     return chain
-
-
-def _fail(row):
-    raise NotATableau(f"intermediate row {row} is not a partition")
-
-
-def tableau_to_theta(chain: Sequence[Sequence[int]]) -> ThetaMatrix:
-    """Inverse construction: theta_{ij} = lambda^{(j)}_i - lambda^{(j-1)}_i."""
-    n = len(chain) - 1
-    entries = {}
-    diag = {}
-    for j in range(1, n + 1):
-        prev = list(chain[j - 1]) + [0] * n
-        cur = list(chain[j]) + [0] * n
-        if not is_horizontal_strip(Partition([x for x in cur if x > 0]),
-                                   Partition([x for x in prev if x > 0])):
-            raise NotATableau(f"step {j} is not a horizontal strip")
-        for i in range(1, n + 1):
-            v = cur[i - 1] - prev[i - 1]
-            if v < 0:
-                raise NotATableau("chain not increasing")
-            if v:
-                if i < j:
-                    entries[(i, j)] = v
-                elif i == j:
-                    diag[i] = v
-                else:
-                    raise NotATableau(f"entry below diagonal at ({i},{j})")
-    return ThetaMatrix(n, entries)
 
 
 def strip_sizes(theta: ThetaMatrix, lam: Sequence[int]) -> tuple:

@@ -12,13 +12,16 @@ two expansions as polynomials.  ``sum_is_zero`` folds a list of factored
 rationals with ``+`` on their expanded numerator and denominator pairs.
 
 ``evaluate`` and ``from_json_obj`` are test-side helpers for
-:class:`LaurentPolynomial`, used only to check the package.
+:class:`LaurentPolynomial`, and ``clear_denominators`` writes a
+Macdonald polynomial as one y-polynomial over a (q, s) denominator;
+they are used only to check the package.
 """
 
 from fractions import Fraction
 from operator import add
 
 from maclab.algebra import FactoredRational, LaurentPolynomial
+from maclab.macdonald import mac_vars, monomial_symmetric
 
 
 def _norm(c):
@@ -117,6 +120,18 @@ def evaluate(p: LaurentPolynomial, point: dict):
             c = c * Fraction(point[v]) ** k
         acc = acc + c
     return _norm(acc)
+
+
+def clear_denominators(P):
+    """Return (poly, den) with  P == poly / den:  ``poly`` is a Laurent
+    polynomial over (q, s, y_1..y_N) and ``den`` one over (q, s)."""
+    vars = mac_vars(P.n)
+    cleared, den = P.cleared_mcoeffs()
+    # distinct partitions give disjoint y-monomials: no term collides
+    terms: dict = {}
+    for mu, c in cleared.items():
+        terms.update((c.transform(vars, {}) * monomial_symmetric(mu, P.n)).terms)
+    return LaurentPolynomial._from_terms(vars, terms), den.to_laurent()
 
 
 def from_json_obj(obj: dict) -> LaurentPolynomial:

@@ -10,11 +10,13 @@ to one sha256.
 """
 
 import hashlib
+import importlib.util
+from pathlib import Path
 
 import pytest
 
 from maclab import memo
-from maclab.checks import run_check
+from maclab.checks import check_parameters, run_check
 from maclab.reports import Status
 
 # criterion id -> list of (check name, parameters)
@@ -72,6 +74,24 @@ def _run(crit: int):
 @pytest.mark.parametrize("crit", sorted(CRITERIA))
 def test_criterion(crit):
     _run(crit)
+
+
+def _benchmark_cases() -> list:
+    """Every check case of every workload in ``perfbench/workloads.py``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [(case["check"], case["params"]) for name in workloads.WORKLOADS
+            for case in workloads.build_cases(name, 0) if case["kind"] == "check"]
+
+
+def test_criteria_and_benchmark_cases_name_only_parameters_their_checks_take():
+    # run_check raises on any other, which the benchmark would count as a failure
+    cases = [case for crit in sorted(CRITERIA) for case in CRITERIA[crit]] + _benchmark_cases()
+    assert len(cases) > len(CRITERIA)
+    for name, params in cases:
+        assert set(params) <= set(check_parameters(name)), (name, params)
 
 
 def test_criterion_12_determinism():

@@ -72,7 +72,7 @@ def test_division_exact_and_laurent():
 def test_substitution_monomial():
     p = ONE - Q * T
     # t -> q t: exponent bookkeeping
-    out = p.substitute("t", 1, (1, 1))
+    out = p.transform(V, {"t": (1, (1, 1))})
     assert out == ONE - LaurentPolynomial.monomial(V, (2, 1))
 
 

@@ -6,7 +6,6 @@ import pytest
 
 from maclab.algebra import FactoredRational, LaurentPolynomial, rational_eq
 from maclab.baker import (
-    BAContext,
     TerminationFailure,
     ba_vars,
     c_N_closed,
@@ -67,29 +66,28 @@ def test_closed_equals_recursive_small():
             assert rational_eq(a, c_N_closed_alt(th, n)), (n, vals)
 
 
-def test_context_rejects_a_negative_truncation_and_shares_the_rank_tuple():
+def test_a_negative_truncation_is_rejected():
     with pytest.raises(ValueError):
-        BAContext(2, -1)
-    assert BAContext(3, 1).vars is ba_vars(3)
+        f_N_series(2, -1)
+    with pytest.raises(ValueError):
+        verify_eigen_equation(2, -1)
 
 
 def test_series_truncation_zero():
-    ctx = BAContext(3, 0)
-    f = f_N_series(ctx)
+    f = f_N_series(3, 0)
     assert list(f.coeffs) == [(0, 0)]
     assert f.coeffs[(0, 0)].is_one()
 
 
 def test_series_degree_one_coefficients():
-    ctx = BAContext(2, 1)
-    f = f_N_series(ctx)
+    f = f_N_series(2, 1)
     th = ThetaMatrix(2, {(1, 2): 1})
     assert rational_eq(f.coeffs[(1,)], c_N_closed(th, 2))
     # truncation counts total degree in the ratio variables, so the
     # (1,3) unit matrix (ratio-degree 2) enters at truncation 2
-    f3 = f_N_series(BAContext(3, 1))
+    f3 = f_N_series(3, 1)
     assert set(f3.coeffs) == {(0, 0), (1, 0), (0, 1)}
-    f3b = f_N_series(BAContext(3, 2))
+    f3b = f_N_series(3, 2)
     expected_11 = c_N_closed(ThetaMatrix(3, {(1, 3): 1}), 3) \
         + c_N_closed(ThetaMatrix(3, {(1, 2): 1, (2, 3): 1}), 3)
     assert rational_eq(f3b.coeffs[(1, 1)], expected_11)
@@ -97,21 +95,19 @@ def test_series_degree_one_coefficients():
 
 def test_specialization_terminates_and_matches_P():
     for (lam, n) in [((), 2), ((1,), 2), ((2, 1), 3)]:
-        ctx = BAContext(n, 1)
-        S = specialize_f_to_P(lam, ctx)
+        S = specialize_f_to_P(lam, n)
         assert S.equals(macdonald_P(lam, n)), (lam, n)
 
 
 def test_specialization_support_is_polytope():
     # every theta outside the polytope dies; checked inside the call
-    ctx = BAContext(3, 1)
-    specialize_f_to_P((2, 1), ctx, margin=3)
+    specialize_f_to_P((2, 1), 3, margin=3)
 
 
 def test_specialization_equals_the_per_partition_scan():
     for n in range(1, 4):
         for lam in partitions_upto(4, n):
-            got = specialize_f_to_P(lam, BAContext(n, 1))
+            got = specialize_f_to_P(lam, n)
             want = ref.specialize_reference(lam, n)
             assert got.mcoeffs == want.mcoeffs, (lam, n)
 
@@ -325,5 +321,5 @@ def test_cn_substitutes_nothing(monkeypatch):
 
 def test_eigen_equation_residuals_vanish():
     for (n, trunc) in [(2, 2), (2, 3), (3, 1), (3, 2)]:
-        residual = verify_eigen_equation(BAContext(n, trunc))
-        assert residual.is_zero(), (n, trunc, residual)
+        residual = verify_eigen_equation(n, trunc)
+        assert not residual.coeffs, (n, trunc, residual)

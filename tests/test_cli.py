@@ -62,6 +62,14 @@ def test_baker_specialize(capsys):
     assert obj["m_expansion"][0]["partition"] == [1]
 
 
+def test_laumon_verify_runs_at_n_2_only_the_checks_that_take_a_rank(capsys):
+    code, out, _ = run_cli(capsys, "laumon", "verify", "shir", "--degree", "1", "--no-cache")
+    assert (code, out) == (0, "[PASSED] shir (degree=1 equality_mode=exact n=2)\n")
+    code, out, _ = run_cli(capsys, "laumon", "verify", "ansum", "--output", "json", "--no-cache")
+    assert code == 0
+    assert json.loads(out)["parameters"] == {"equality_mode": "exact"}
+
+
 def test_laumon_verify_exit_codes(capsys):
     code, out, _ = run_cli(capsys, "laumon", "verify", "shir", "--n", "2",
                            "--degree", "2", "--output", "json", "--no-cache")
@@ -170,6 +178,10 @@ def test_reports_built_without_witnesses_do_not_share_a_list():
     ("verify", "weyl", "--rank", "0"),
     ("global", "verify", "hp", "--max-n", "0"),
     ("laumon", "verify", "ansum", "--rank", "0"),
+    ("verify", "cordiff", "--n", "7"),
+    ("global", "verify", "h0", "--max-weight-sum", "3"),
+    ("laumon", "verify", "dai-ichi", "--degree", "3"),
+    ("laumon", "verify", "ansum", "--n", "2"),
 ])
 def test_invalid_partition_is_a_one_line_error(tmp_path, capsys, argv):
     code, out, err = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))

@@ -6,13 +6,38 @@ import pytest
 import maclab.checks
 from maclab import euler
 from maclab.algebra import FactoredRational, LaurentPolynomial
-from maclab.checks import run_check
+from maclab.checks import check_names, run_check
 from maclab.series import NonPolynomialCoefficient, NonRootPole, expand_sum
 from weyl_reference import has_double_pole, plant_uncancelled_pole
 
 
 def _boom(*args, **kwargs):
     raise TypeError("injected bug")
+
+
+@pytest.mark.parametrize("name", check_names())
+def test_a_parameter_the_check_does_not_take_raises(name):
+    with pytest.raises(TypeError, match="no_such_parameter"):
+        run_check(name, no_such_parameter=1)
+
+
+def test_run_check_accepts_and_ignores_workers():
+    report = run_check("cordiff", workers=2, max_n=2, max_weight_sum=1)
+    assert report.parameters == {"max_n": 2, "max_weight_sum": 1, "equality_mode": "exact"}
+
+
+def test_weyl_runs_at_the_given_weight_and_by_default_at_zero(monkeypatch):
+    seen = []
+
+    def spy(alpha, weight):
+        seen.append((alpha, weight.lvec))
+        return True
+
+    monkeypatch.setattr(maclab.checks, "weyl_invariance_check", spy)
+    run_check("weyl", n=3, weight=(1, 0))
+    run_check("weyl", n=3)
+    run_check("weyl", n=3, alpha=(2, 1))
+    assert seen == [((1, 1), (1, 0)), ((1, 1), (0, 0)), ((2, 1), (0, 0))]
 
 
 def test_expand_sum_propagates_non_arithmetic_errors(monkeypatch):

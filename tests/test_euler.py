@@ -350,12 +350,12 @@ def _degrees_upto(n, top):
 @pytest.mark.parametrize("n, top", [(2, 8), (3, 6), (4, 4)])
 def test_inverted_pieces_meet_the_proved_bound(n, top):
     # the cutoff of chi_bQ_localization: valuation_lb(C_theta(q^-1)) is
-    # at least size(theta), which is at least max(d)
+    # at least the entry sum of theta, which is at least max(d)
     ident = tuple(range(1, n + 1))
     for d in _degrees_upto(n, top):
         for th in theta_by_degree(n, d):
             value = euler._C_glob(th.entry_list(), n, ident, True)
-            assert value.valuation_lb(QT) >= th.size() >= max(d), th
+            assert value.valuation_lb(QT) >= sum(th.entries.values()) >= max(d), th
         assert euler._j_valuation(n, d, True) >= max(d), d
 
 

@@ -5,7 +5,6 @@ from maclab.laumon import (
     C_theta,
     J_infinity,
     J_series,
-    LaumonContext,
     an_summation_check,
     lau_vars,
     local_character,
@@ -46,20 +45,11 @@ def test_C_single_box_examples():
     assert rational_eq(C_theta(ThetaMatrix(3, {(2, 3): 1}), 3), expected23)
 
 
-def test_context_defaults_and_shares_the_rank_tuple():
-    ctx = LaumonContext(3)
-    assert (ctx.n, ctx.degree) == (3, 0)
-    assert not hasattr(ctx, "order")
-    assert ctx.vars is lau_vars(3)
-
-
 def test_J_series_coefficients():
-    ctx = LaumonContext(2, degree=2)
-    J = J_series(ctx)
+    J = J_series(2, 2)
     assert J.coeffs[(0,)].is_one()
     assert rational_eq(J.coeffs[(1,)], C_theta(ThetaMatrix(2, {(1, 2): 1}), 2))
-    ctx3 = LaumonContext(3, degree=2)
-    J3 = J_series(ctx3)
+    J3 = J_series(3, 2)
     total = C_theta(ThetaMatrix(3, {(1, 3): 1}), 3) \
         + C_theta(ThetaMatrix(3, {(1, 2): 1, (2, 3): 1}), 3)
     assert rational_eq(J3.coeffs[(1, 1)], total)
@@ -67,13 +57,13 @@ def test_J_series_coefficients():
 
 def test_difference_equation():
     for (n, d) in [(2, 3), (3, 2), (3, 3)]:
-        residual = verify_difference_equation(LaumonContext(n, degree=d))
-        assert residual.is_zero(), (n, d, residual)
+        residual = verify_difference_equation(n, d)
+        assert not residual.coeffs, (n, d, residual)
 
 
 def test_substitution_dictionary():
     for (n, d) in [(2, 3), (3, 2)]:
-        assert substitution_check(LaumonContext(n, degree=d)) == [], (n, d)
+        assert substitution_check(n, d) == [], (n, d)
 
 
 def test_J_infinity_low_order():

@@ -1,10 +1,12 @@
-"""Every top-level function of the package is reached by the verifier.
+"""Every function and method of the package is reached by the verifier.
 
 A fresh process runs every registered check at its defaults (they reach
 what the acceptance ranges reach) and every CLI subcommand without a
 cache, then twice with one (a miss and a hit), under cProfile.  A
-top-level ``maclab`` function that none of these calls must be on the
-allow-list below, with the reason it stays.
+top-level ``maclab`` function, or a method, classmethod, staticmethod
+or property getter of a ``maclab`` class (dunder methods left out),
+that none of these calls must be on the allow-list below, with the
+reason it stays.
 
 Run as a script, this module prints the missed functions as JSON.
 """
@@ -23,15 +25,21 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# module.function -> why it stays although the verifier does not call it
+# module.function or module.Class.method -> why it stays although the
+# verifier does not call it
 ALLOWED = {
     "baker.c_N_recursive": "perfbench's tracer LAYERS names it; the tests' c_N value",
     "baker.c_N_closed_alt": "perfbench's tracer LAYERS names it; the tests' c_N value",
     "macdonald.apply_D1N": "perfbench's tracer LAYERS names it; the tests' operator reference",
     "qcalc.pochhammer": "perfbench's tracer LAYERS names it; the tests' Pochhammer reference",
     "parallel.pmap": "perfbench's child.py imports the module and LAYERS names it",
-    "tableaux.tableau_to_theta": "a test reference, the inverse of theta_to_tableau",
-    "tableaux._fail": "the error helper of tableau_to_theta",
+    "algebra.FactoredRational.is_monomial": "pochhammer's test for a monomial argument",
+    "algebra.FactoredRational.is_one": "the value type's test for 1, which the tests assert",
+    "algebra.FactoredRational.scale": "scales a value; the planted faults double one with it",
+    "algebra.FactoredRational.canonical_str": "a witness of a FAILED check, and repr",
+    "series.QTSeries.canonical_str": "a witness of a FAILED vanishing, and repr",
+    "series.XSeries.canonical_str": "repr of a series",
+    "baker._Scan.fail": "records the error of a failing termination scan",
     "memo.cached": "runs at import only, as the decorator that declares every table",
     "memo.clear_all": "empties every table for a cold rerun: criterion 12, benchmarks, tests",
 }
@@ -52,15 +60,29 @@ CLI_RUNS = [
 ]
 
 
-def top_level_functions() -> dict:
+def _methods(cls):
+    """(name, function) of the plain methods, classmethods, staticmethods
+    and property getters of ``cls``, dunder methods left out."""
+    for name, member in vars(cls).items():
+        fn = getattr(member, "fget", None) or getattr(member, "__func__", member)
+        if inspect.isfunction(fn) and not (name.startswith("__") and name.endswith("__")):
+            yield name, fn
+
+
+def package_functions() -> dict:
     """code object -> ``module.name`` of every function defined at the
-    top level of a ``maclab`` module, seen through its memo wrapper."""
+    top level of a ``maclab`` module, seen through its memo wrapper, and
+    -> ``module.Class.name`` of every method of a class defined there."""
     import maclab
 
     out = {}
     for info in pkgutil.iter_modules(maclab.__path__):
         module = importlib.import_module(f"maclab.{info.name}")
         for value in vars(module).values():
+            if inspect.isclass(value) and value.__module__ == module.__name__:
+                for name, fn in _methods(value):
+                    out.setdefault(fn.__code__, f"{info.name}.{value.__name__}.{name}")
+                continue
             fn = inspect.unwrap(value) if callable(value) else None
             if inspect.isfunction(fn) and fn.__module__ == module.__name__:
                 out.setdefault(fn.__code__, f"{info.name}.{fn.__name__}")
@@ -68,13 +90,13 @@ def top_level_functions() -> dict:
 
 
 def missed() -> list:
-    """The top-level functions that no check and no CLI run reaches."""
+    """The functions and methods that no check and no CLI run reaches."""
     import cProfile
 
     from maclab.checks import check_names, run_check
     from maclab.cli import main
 
-    functions = top_level_functions()
+    functions = package_functions()
     profile = cProfile.Profile()
     with tempfile.TemporaryDirectory() as cache_dir, \
             contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):

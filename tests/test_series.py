@@ -76,7 +76,7 @@ def shared_factor_sums(draw):
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(shared_factor_sums(), st.integers(0, 3))
 def test_expand_sum_equals_the_sum_of_expansions(terms, trunc):
-    expected = QTSeries.zero(VARS[2:], trunc)
+    expected = QTSeries(VARS[2:], trunc)
     for fr in terms:
         expected = expected + expand(fr, trunc)
     assert expand_sum(terms, trunc) == expected
@@ -290,12 +290,12 @@ def test_split_product_equals_the_expansion_of_the_product(a_terms, b_terms, ord
     b = split_expand(b_terms, order - va)
     # D clears every pole of a product, so both sides expand as series
     clear = FactoredRational(VARS, 1, None, [(p, 2) for p in POLES])
-    got = QTSeries.zero(VARS[2:], order)
+    got = QTSeries(VARS[2:], order)
     for rest, series in split_mul(a, b, order):
         assert series.trunc == order
         # clear * rest is a z-polynomial: exact at any truncation
         got = got + (expand(clear * rest, order + 4) * series).truncate(order)
-    expected = QTSeries.zero(VARS[2:], order)
+    expected = QTSeries(VARS[2:], order)
     for x in a_terms:
         for y in b_terms:
             expected = expected + expand(clear * x * y, order)

