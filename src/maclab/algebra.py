@@ -350,10 +350,11 @@ class LaurentPolynomial:
         """Exact division; raises :class:`ExactDivisionError` on remainder.
 
         Works for Laurent operands.  A monomial divisor is a shift and a
-        scaling.  A binomial divisor (the only kind produced by the
-        Pochhammer calculus and the Vandermonde factors of
-        :func:`maclab.macdonald.apply_D1N`) takes the linear bucket sweep
-        of :meth:`_divide_binomial`.  Any other divisor: both sides are
+        scaling.  A binomial divisor (the only kind the package divides
+        by: the Pochhammer factors of :meth:`FactoredRational.to_laurent`
+        and the Vandermonde factors of :func:`maclab.macdonald._schur_m`
+        and :func:`maclab.series.certify_weyl_sum`) takes the linear
+        bucket sweep of :meth:`_divide_binomial`.  Any other divisor: both sides are
         shifted to honest polynomials, divided by cancelling graded-lex
         leading terms, and the quotient is shifted back.
         """

@@ -17,7 +17,8 @@ is not cached, and exits 1.  An out-of-range argument (a partition, a
 ``--weight`` length, an ``--alpha-max`` below 2, an ``--n`` below 1, a negative
 ``--order``, ``--degree`` or ``--truncation``) or a check flag that the named
 check does not take prints a one-line error to stderr and exits 2 before
-anything is computed or cached.
+anything is computed or cached.  A flag must be spelt in full: an
+abbreviation such as ``--max-e`` for ``--max-entry`` is refused (exit 2).
 Everything runs serially in one process.
 Reports printed to stdout are canonical (timing goes to stderr), so
 outputs are byte-identical across reruns and cache states.
@@ -53,11 +54,21 @@ def _add_common(p):
     p.add_argument("--no-cache", action="store_true")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that refuses abbreviated flags, as do its
+    subparsers (``add_subparsers`` builds them with the parent's class).
+    With abbreviations, a ``--n`` given to a command that has none would
+    read as ``--no-cache``."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: parsing does not
     change it."""
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="maclab",
         description="Exact verification of Macdonald-polynomial and "
                     "localization-series identities (type A).")

@@ -383,30 +383,20 @@ def H_limit(weight: GLWeight, order: int, schedule=None) -> QTSeries:
 
 def H0_closed(n: int) -> FactoredRational:
     """Closed product formula for the stable untwisted character (a
-    function of t alone)."""
+    function of t alone), filled as a binomial ledger."""
     if n < 2:
         raise ValueError("rank must be >= 2")
-    vars = glob_vars(n)
-    one = LaurentPolynomial.one(vars)
-
-    def tpow(k):
-        e = [0] * (n + 1)
-        e[1] = k
-        return LaurentPolynomial.monomial(vars, e)
-
-    num = []
+    led = Ledger(glob_vars(n))
+    z = (0,) * (n - 1)
     for m in range(2, n + 1):
-        p = LaurentPolynomial.zero(vars)
-        for k in range(m):
-            p = p + tpow(k)
-        num.append((p, 1))
-    den = []
+        # 1 + t + ... + t^{m-1} = (1 - t^m) / (1 - t)
+        led.binomial((0, m) + z, 1)
+        led.binomial((0, 1) + z, -1)
     for m in range(2, n):
-        den.append((one - tpow(m), 2 * (n - m)))
-    den.append((one - tpow(n), 1))
-    if n > 2:
-        den.append((one - tpow(1), n - 2))
-    return FactoredRational(vars, 1, None, num + [(p, -m) for p, m in den])
+        led.binomial((0, m) + z, -2 * (n - m))
+    led.binomial((0, n) + z, -1)
+    led.binomial((0, 1) + z, 2 - n)
+    return led.value()
 
 
 def W_poly(n: int) -> list:

@@ -1,14 +1,24 @@
 """Truncated formal series: bigraded (q,t)-series and multivariate x-series.
 
-:class:`QTSeries` is a series in the two distinguished variables ``q``
-and ``t``, truncated by total degree, whose coefficients are Laurent
-polynomials in the remaining variables.  Negative exponents are permitted
-(they arise from q-inverted characters); the ``trunc`` attribute records
-the total degree up to which the stored data is exact.
+Both kinds of series share one arithmetic (:class:`_Series`): ``coeffs``
+maps exponent tuples of total degree at most ``trunc`` to nonzero
+coefficients, ``trunc`` records the total degree up to which the stored
+data is exact, and two series combine only in the same context.  A sum
+is exact up to the least truncation, and a product up to
+min(a.trunc + val(b), b.trunc + val(a)), val the lowest total degree
+stored.  The two kinds differ in their context, their coefficients and
+their output formats:
 
-:class:`XSeries` is a truncated series in auxiliary ratio variables whose
-coefficients are :class:`~maclab.algebra.FactoredRational` values over the
-base context; coefficients stay factored and are never expanded eagerly.
+* :class:`QTSeries` is a series in the two distinguished variables ``q``
+  and ``t`` whose coefficients are Laurent polynomials in the remaining
+  variables ``coeff_vars``; negative exponents are permitted (they
+  arise from q-inverted characters).  It prints as ``q^a*t^b * [...]``
+  terms and its JSON names the grading and the coefficient variables.
+* :class:`XSeries` is a series in ``n`` auxiliary ratio variables whose
+  coefficients are :class:`~maclab.algebra.FactoredRational` values over
+  the context ``base_vars``; coefficients stay factored and are never
+  expanded eagerly.  It prints as ``x^[...] * [...]`` terms and its JSON
+  names the number of variables.
 
 :func:`expand` turns a factored rational with unit denominator (in the
 (q,t)-grading) into a :class:`QTSeries`; :func:`expand_split` additionally
@@ -31,7 +41,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from itertools import permutations
-from operator import add, sub
+from operator import add, attrgetter, sub
 from typing import Callable, Mapping, Sequence
 
 from .algebra import (
@@ -42,30 +52,115 @@ from .algebra import (
     _norm_coef,
 )
 
-__all__ = ["QTSeries", "XSeries", "expand", "expand_split", "split_expand", "split_mul",
-           "split_sum", "certify_sum", "certify_weyl_sum", "InsufficientTruncation"]
+__all__ = ["QTSeries", "XSeries", "expand", "expand_split", "expand_sum", "split_expand",
+           "split_mul", "split_sum", "certify_sum", "certify_weyl_sum",
+           "InsufficientTruncation", "NonPolynomialCoefficient", "NonRootPole"]
 
 QT = ("q", "t")   # the grading of every QTSeries
 
 
-class QTSeries:
-    """Total-degree-truncated series in the two graded variables ``QT``.
+class _Series:
+    """The truncated-series arithmetic of :class:`QTSeries` and
+    :class:`XSeries`.
 
-    ``coeffs`` maps integer pairs (a, b) with a + b <= trunc to nonzero
-    Laurent polynomials over ``coeff_vars``.
+    ``coeffs`` maps exponent tuples of total degree <= ``trunc`` to
+    nonzero coefficients; ``_context`` is the tuple two series must
+    share to be added or multiplied.
     """
 
-    __slots__ = ("coeff_vars", "trunc", "coeffs")
+    __slots__ = ("_context", "trunc", "coeffs")
 
-    def __init__(self, coeff_vars: Sequence[str], trunc: int,
-                 coeffs: Mapping[tuple, LaurentPolynomial] | None = None):
-        self.coeff_vars = tuple(coeff_vars)
+    def __init__(self, context: Sequence, trunc: int, coeffs: Mapping | None = None):
+        self._context = tuple(context)
         self.trunc = trunc
         self.coeffs = {}
         if coeffs:
-            for k, p in coeffs.items():
-                if not p.is_zero() and k[0] + k[1] <= trunc:
-                    self.coeffs[tuple(k)] = p
+            for k, v in coeffs.items():
+                if not v.is_zero() and sum(k) <= trunc:
+                    self.coeffs[tuple(k)] = v
+
+    def _like(self, trunc: int, coeffs: dict):
+        """A series of this context holding ``coeffs`` as they are: the
+        caller keeps them nonzero and within ``trunc``."""
+        out = object.__new__(type(self))
+        out._context = self._context
+        out.trunc = trunc
+        out.coeffs = coeffs
+        return out
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
+
+    def min_total(self) -> int:
+        return min(map(sum, self.coeffs), default=0)
+
+    def _check(self, other):
+        if type(other) is not type(self) or other._context != self._context:
+            raise ValueError("series contexts differ")
+
+    def __add__(self, other):
+        self._check(other)
+        trunc = min(self.trunc, other.trunc)
+        coeffs = {k: v for k, v in self.coeffs.items() if sum(k) <= trunc}
+        for k, v in other.coeffs.items():
+            if sum(k) > trunc:
+                continue
+            cur = coeffs.get(k)
+            s = v if cur is None else cur + v
+            if s.is_zero():
+                coeffs.pop(k, None)
+            else:
+                coeffs[k] = s
+        return self._like(trunc, coeffs)
+
+    def __neg__(self):
+        return self._like(self.trunc, {k: -v for k, v in self.coeffs.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        """The product, exact up to the degree that the truncations and
+        valuations of both factors allow."""
+        self._check(other)
+        trunc = min(self.trunc + other.min_total(), other.trunc + self.min_total())
+        right = [(k, sum(k), v) for k, v in other.coeffs.items()]
+        acc: dict = {}
+        for k1, v1 in self.coeffs.items():
+            room = trunc - sum(k1)
+            for k2, d2, v2 in right:
+                if d2 > room:
+                    continue
+                k = tuple(map(add, k1, k2))
+                prod = v1 * v2
+                if k in acc:
+                    acc[k] = acc[k] + prod
+                else:
+                    acc[k] = prod
+        return self._like(trunc, {k: v for k, v in acc.items() if not v.is_zero()})
+
+    def sorted_items(self):
+        return sorted(self.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0]))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.canonical_str()}; trunc={self.trunc})"
+
+
+class QTSeries(_Series):
+    """Total-degree-truncated series in the two graded variables ``QT``:
+    ``QTSeries(coeff_vars, trunc, coeffs)``.
+
+    ``coeffs`` maps integer pairs (a, b) with a + b <= trunc to nonzero
+    Laurent polynomials over ``coeff_vars``, the context.  Two series
+    are ``==`` when their contexts and coefficients are, whatever their
+    truncations.
+    """
+
+    __slots__ = ()
+
+    coeff_vars = property(attrgetter("_context"))
+
+    __mul__ = _Series.__mul__   # perfbench's tracer wraps it in this class's own namespace
 
     @classmethod
     def one(cls, coeff_vars, trunc) -> "QTSeries":
@@ -74,101 +169,35 @@ class QTSeries:
             s.coeffs[(0, 0)] = LaurentPolynomial.one(coeff_vars)
         return s
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def is_one(self) -> bool:
         c0 = self.coeffs.get((0, 0))
         return len(self.coeffs) == 1 and c0 is not None and c0.is_one()
 
-    def min_total(self) -> int:
-        return min((a + b for a, b in self.coeffs), default=0)
-
-    def _check(self, other: "QTSeries"):
-        if self.coeff_vars != other.coeff_vars:
-            raise ValueError("series contexts differ")
-
-    def __add__(self, other: "QTSeries") -> "QTSeries":
-        self._check(other)
-        trunc = min(self.trunc, other.trunc)
-        out = QTSeries(self.coeff_vars, trunc)
-        for k, p in self.coeffs.items():
-            if k[0] + k[1] <= trunc:
-                out.coeffs[k] = p
-        for k, p in other.coeffs.items():
-            if k[0] + k[1] > trunc:
-                continue
-            s = out.coeffs.get(k)
-            s = p if s is None else s + p
-            if s.is_zero():
-                out.coeffs.pop(k, None)
-            else:
-                out.coeffs[k] = s
-        return out
-
-    def __neg__(self) -> "QTSeries":
-        out = QTSeries(self.coeff_vars, self.trunc)
-        out.coeffs = {k: -p for k, p in self.coeffs.items()}
-        return out
-
-    def __sub__(self, other: "QTSeries") -> "QTSeries":
-        return self + (-other)
-
-    def __mul__(self, other: "QTSeries") -> "QTSeries":
-        self._check(other)
-        trunc = min(self.trunc + other.min_total(), other.trunc + self.min_total())
-        out = QTSeries(self.coeff_vars, trunc)
-        acc: dict = {}
-        for (a1, b1), p1 in self.coeffs.items():
-            for (a2, b2), p2 in other.coeffs.items():
-                a, b = a1 + a2, b1 + b2
-                if a + b > trunc:
-                    continue
-                prod = p1 * p2
-                k = (a, b)
-                if k in acc:
-                    acc[k] = acc[k] + prod
-                else:
-                    acc[k] = prod
-        out.coeffs = {k: p for k, p in acc.items() if not p.is_zero()}
-        return out
-
     def scale(self, c: Coef) -> "QTSeries":
-        out = QTSeries(self.coeff_vars, self.trunc)
-        if c:
-            out.coeffs = {k: p.scale(c) for k, p in self.coeffs.items()}
-        return out
+        return self._like(self.trunc, {k: p.scale(c) for k, p in self.coeffs.items()} if c else {})
 
     def shift(self, da: int, db: int) -> "QTSeries":
         """Multiply by q^da * t^db (adjusting the accuracy bound)."""
-        out = QTSeries(self.coeff_vars, self.trunc + da + db)
-        out.coeffs = {(a + da, b + db): p for (a, b), p in self.coeffs.items()}
-        return out
+        return self._like(self.trunc + da + db,
+                          {(a + da, b + db): p for (a, b), p in self.coeffs.items()})
 
     def shift_coeffs(self, exps: Sequence[int]) -> "QTSeries":
         """Multiply every coefficient by the coeff-vars monomial ``exps``."""
-        out = QTSeries(self.coeff_vars, self.trunc)
-        out.coeffs = {k: p.shift(exps) for k, p in self.coeffs.items()}
-        return out
+        return self._like(self.trunc, {k: p.shift(exps) for k, p in self.coeffs.items()})
 
     def truncate(self, trunc: int) -> "QTSeries":
         trunc = min(trunc, self.trunc)
-        out = QTSeries(self.coeff_vars, trunc)
-        out.coeffs = {k: p for k, p in self.coeffs.items() if k[0] + k[1] <= trunc}
-        return out
+        return self._like(trunc, {k: p for k, p in self.coeffs.items() if k[0] + k[1] <= trunc})
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, QTSeries)
-            and self.coeff_vars == other.coeff_vars
+            and self._context == other._context
             and self.coeffs == other.coeffs
         )
 
     def __hash__(self):
-        return hash((self.coeff_vars, len(self.coeffs)))
-
-    def sorted_items(self):
-        return sorted(self.coeffs.items(), key=lambda kv: (kv[0][0] + kv[0][1], kv[0]))
+        return hash((self._context, len(self.coeffs)))
 
     def canonical_str(self) -> str:
         qa, qb = QT
@@ -187,9 +216,6 @@ class QTSeries:
                 {"deg": list(k), "value": p.to_json_obj()} for k, p in self.sorted_items()
             ],
         }
-
-    def __repr__(self):
-        return f"QTSeries({self.canonical_str()}; trunc={self.trunc})"
 
 
 def _poly_to_qtseries(p: LaurentPolynomial, trunc: int) -> QTSeries:
@@ -337,10 +363,7 @@ def expand_split(fr: FactoredRational, trunc: int, _memo: dict | None = None):
     if series is None:
         series = QTSeries.one(coeff_vars, rel)
 
-    series = series.scale(unit_coef)
-    series = series.shift(shift_q, shift_t)
-    series.trunc = trunc
-    series.coeffs = {k2: v for k2, v in series.coeffs.items() if k2[0] + k2[1] <= trunc}
+    series = series.scale(unit_coef).shift(shift_q, shift_t).truncate(trunc)
     if any(unit_zexp):
         series = series.shift_coeffs(unit_zexp)
     rest = FactoredRational(vars, 1, None, rest_factors)
@@ -696,22 +719,19 @@ def expand_sum(terms, trunc: int) -> QTSeries:
     return certify_sum(split_expand(terms, trunc), terms[0].vars, trunc)
 
 
-class XSeries:
+class XSeries(_Series):
     """Truncated series in ``n`` ratio variables with factored-rational
-    coefficients over the base variable context."""
+    coefficients over the base variable context ``base_vars``: its
+    context is the pair ``(n, base_vars)``."""
 
-    __slots__ = ("n", "base_vars", "trunc", "coeffs")
+    __slots__ = ()
 
     def __init__(self, n: int, base_vars: Sequence[str], trunc: int,
                  coeffs: Mapping[tuple, FactoredRational] | None = None):
-        self.n = n
-        self.base_vars = tuple(base_vars)
-        self.trunc = trunc
-        self.coeffs = {}
-        if coeffs:
-            for k, v in coeffs.items():
-                if not v.is_zero() and sum(k) <= trunc:
-                    self.coeffs[tuple(k)] = v
+        super().__init__((n, tuple(base_vars)), trunc, coeffs)
+
+    n = property(lambda self: self._context[0])
+    base_vars = property(lambda self: self._context[1])
 
     @classmethod
     def one(cls, n, base_vars, trunc) -> "XSeries":
@@ -720,68 +740,13 @@ class XSeries:
             s.coeffs[(0,) * n] = FactoredRational.one(base_vars)
         return s
 
-    def _check(self, other: "XSeries"):
-        if self.n != other.n or self.base_vars != other.base_vars:
-            raise ValueError("series contexts differ")
-
-    def __add__(self, other: "XSeries") -> "XSeries":
-        self._check(other)
-        trunc = min(self.trunc, other.trunc)
-        out = XSeries(self.n, self.base_vars, trunc)
-        for k, v in self.coeffs.items():
-            if sum(k) <= trunc:
-                out.coeffs[k] = v
-        for k, v in other.coeffs.items():
-            if sum(k) > trunc:
-                continue
-            cur = out.coeffs.get(k)
-            s = v if cur is None else cur + v
-            if s.is_zero():
-                out.coeffs.pop(k, None)
-            else:
-                out.coeffs[k] = s
-        return out
-
-    def __neg__(self) -> "XSeries":
-        out = XSeries(self.n, self.base_vars, self.trunc)
-        out.coeffs = {k: -v for k, v in self.coeffs.items()}
-        return out
-
-    def __sub__(self, other: "XSeries") -> "XSeries":
-        return self + (-other)
-
-    def __mul__(self, other: "XSeries") -> "XSeries":
-        self._check(other)
-        trunc = min(self.trunc, other.trunc)
-        out = XSeries(self.n, self.base_vars, trunc)
-        acc: dict = {}
-        for k1, v1 in self.coeffs.items():
-            d1 = sum(k1)
-            for k2, v2 in other.coeffs.items():
-                if d1 + sum(k2) > trunc:
-                    continue
-                k = tuple(x + y for x, y in zip(k1, k2))
-                prod = v1 * v2
-                if k in acc:
-                    acc[k] = acc[k] + prod
-                else:
-                    acc[k] = prod
-        out.coeffs = {k: v for k, v in acc.items() if not v.is_zero()}
-        return out
-
     def scale(self, c: FactoredRational) -> "XSeries":
-        out = XSeries(self.n, self.base_vars, self.trunc)
-        if not c.is_zero():
-            out.coeffs = {k: v * c for k, v in self.coeffs.items()}
-        return out
+        return self._like(self.trunc, {} if c.is_zero() else
+                          {k: v * c for k, v in self.coeffs.items()})
 
     def map_coeffs(self, fn: Callable[[tuple, FactoredRational], FactoredRational]) -> "XSeries":
-        out = XSeries(self.n, self.base_vars, self.trunc)
-        for k, v in self.coeffs.items():
-            w = fn(k, v)
-            if not w.is_zero():
-                out.coeffs[k] = w
-        return out
+        return self._like(self.trunc, {k: w for k, v in self.coeffs.items()
+                                       if not (w := fn(k, v)).is_zero()})
 
     @classmethod
     def geometric(cls, n, base_vars, trunc, coef: FactoredRational, mono: Sequence[int]) -> "XSeries":
@@ -810,9 +775,6 @@ class XSeries:
             out.coeffs[tuple(mono)] = -coef
         return out
 
-    def sorted_items(self):
-        return sorted(self.coeffs.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-
     def canonical_str(self) -> str:
         parts = [f"x^{list(k)} * [{v.canonical_str()}]" for k, v in self.sorted_items()]
         return " + ".join(parts) if parts else "0"
@@ -825,6 +787,3 @@ class XSeries:
                 {"deg": list(k), "value": v.to_json_obj()} for k, v in self.sorted_items()
             ],
         }
-
-    def __repr__(self):
-        return f"XSeries({self.canonical_str()}; trunc={self.trunc})"

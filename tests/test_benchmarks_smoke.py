@@ -88,18 +88,21 @@ def _tracer_constant(name):
 
 def test_perfbench_traced_callables_exist():
     """``perfbench/tracer.py::LAYERS`` names the callables the tracer
-    wraps as ``layer.[Class.]name``; a callable that is deleted or renamed
-    fails here instead of dropping out of a traced run."""
+    wraps as ``layer.[Class.]name``, found as the tracer finds them: the
+    owner by attribute, the callable in the owner's own namespace.  A
+    callable that is deleted, renamed or moved into a base class fails
+    here instead of dropping out of a traced run."""
     layers = _tracer_constant("LAYERS")
     assert layers
     for layer, names in layers.items():
         module = importlib.import_module(f"maclab.{layer}")
         for name in names:
-            obj = module
-            for part in name.split("."):
-                obj = getattr(obj, part, None)
-                assert obj is not None, f"{layer}.{name}"
-            assert callable(obj), f"{layer}.{name}"
+            *path, leaf = name.split(".")
+            owner = module
+            for part in path:
+                owner = getattr(owner, part, None)
+                assert owner is not None, f"{layer}.{name}"
+            assert callable(vars(owner).get(leaf)), f"{layer}.{name}"
 
 
 def test_perfbench_memo_tables_exist():

@@ -192,6 +192,22 @@ def test_invalid_partition_is_a_one_line_error(tmp_path, capsys, argv):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv, unknown", [
+    (("global", "verify", "weyl", "--n", "--output", "json"), "--n"),
+    (("verify", "cn", "--max-e", "1"), "--max-e 1"),
+])
+def test_an_abbreviated_flag_is_refused(tmp_path, capsys, argv, unknown):
+    # with abbreviations allowed, --n read as --no-cache and --max-e as
+    # --max-entry, and both runs exited 0
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv) + ["--cache-dir", str(tmp_path)])
+    out = capsys.readouterr()
+    assert exc.value.code == 2
+    assert out.out == ""
+    assert f"error: unrecognized arguments: {unknown}\n" in out.err
+    assert not list(tmp_path.iterdir())
+
+
 def test_trailing_zeros_still_make_a_partition(tmp_path, capsys):
     code, out, err = run_cli(capsys, "macdonald", "--n", "2", "--lambda", "2,1,0",
                              "--cache-dir", str(tmp_path))

@@ -9,8 +9,11 @@ the image loop it replaced (``tests/weyl_reference.py``).  A split
 series keeps the purely coefficient-side poles of its terms as separate
 multipliers; its sum is pinned to the ``+`` fold and the groups dict it
 replaced (``tests/series_reference.py``), and its product to the
-expansion of the factored product.
+expansion of the factored product.  The arithmetic that ``QTSeries`` and
+``XSeries`` share is pinned on ``XSeries`` to plain dicts of polynomials.
 """
+
+from operator import add, mul, sub
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -22,6 +25,7 @@ from maclab.series import (
     NonPolynomialCoefficient,
     NonRootPole,
     QTSeries,
+    XSeries,
     expand,
     expand_sum,
     split_expand,
@@ -311,3 +315,97 @@ def test_split_product_below_the_order_raises():
     assert split_mul(a, a, 0)
     with pytest.raises(InsufficientTruncation):
         split_mul(a, a, 1)
+
+
+# XSeries in two ratio variables over the base context (q, t): the shared
+# truncated-series arithmetic against plain dicts of Laurent polynomials
+BASE = ("q", "t")
+
+
+@st.composite
+def x_dicts(draw):
+    """``(trunc, {key: polynomial})``: single-term coefficients +-q^e, so
+    sums and products cancel often, some zero and some beyond trunc."""
+    terms = draw(st.dictionaries(
+        st.tuples(st.integers(0, 2), st.integers(0, 2)),
+        st.tuples(st.sampled_from([-1, 0, 1]), st.integers(0, 1)), max_size=5))
+    polys = {k: LaurentPolynomial(BASE, {(e, 0): c} if c else {}) for k, (c, e) in terms.items()}
+    return draw(st.integers(0, 4)), polys
+
+
+def _x_series(trunc, polys):
+    return XSeries(2, BASE, trunc, {k: FactoredRational.from_poly(p) for k, p in polys.items()})
+
+
+def _ref(trunc, polys):
+    """The stored dict: nonzero coefficients of total degree <= trunc."""
+    return trunc, {k: p for k, p in polys.items() if sum(k) <= trunc and not p.is_zero()}
+
+
+def _ref_add(a, b, sign=1):
+    trunc = min(a[0], b[0])
+    out = dict(a[1])
+    for k, p in b[1].items():
+        out[k] = out[k] + p.scale(sign) if k in out else p.scale(sign)
+    return _ref(trunc, out)
+
+
+def _ref_mul(a, b):
+    """Exact up to min(a.trunc + val(b), b.trunc + val(a)), val the
+    lowest total degree stored (0 for an empty series)."""
+    val_a, val_b = (min(map(sum, x[1]), default=0) for x in (a, b))
+    out: dict = {}
+    for k1, p1 in a[1].items():
+        for k2, p2 in b[1].items():
+            k = (k1[0] + k2[0], k1[1] + k2[1])
+            out[k] = out[k] + p1 * p2 if k in out else p1 * p2
+    return _ref(min(a[0] + val_b, b[0] + val_a), out)
+
+
+def _as_ref(s: XSeries):
+    return s.trunc, {k: v.to_laurent() for k, v in s.coeffs.items()}
+
+
+@settings(max_examples=100, deadline=None)
+@given(x_dicts(), x_dicts())
+def test_x_series_arithmetic_matches_plain_dicts(a, b):
+    sa, sb = _x_series(*a), _x_series(*b)
+    a, b = _ref(*a), _ref(*b)
+    assert _as_ref(sa) == a
+    assert _as_ref(sa + sb) == _ref_add(a, b)
+    assert _as_ref(sa - sb) == _ref_add(a, b, -1)
+    assert _as_ref(-sb) == _ref_add((b[0], {}), b, -1)
+    assert _as_ref(sa * sb) == _ref_mul(a, b)
+
+
+def test_x_product_without_a_constant_term_is_exact_to_the_valuation_rule():
+    # a = s x1 + s^2 x1^2 + ... has valuation 1, so a (exact to 4) times
+    # b = 1/(1 - x1 - x2) (exact to 2) is exact to min(4 + 0, 2 + 1) = 3
+    s = FactoredRational.monomial(BASE, (0, 1))
+    one = FactoredRational.one(BASE)
+
+    def a(trunc):
+        return XSeries.geometric(2, BASE, trunc, s, (1, 0)) - XSeries.one(2, BASE, trunc)
+
+    def b(trunc):
+        return XSeries.geometric(2, BASE, trunc, one, (1, 0)) * \
+            XSeries.geometric(2, BASE, trunc, one, (0, 1))
+
+    got = a(4) * b(2)
+    assert got.trunc == 3
+    assert got.sorted_items() == [kv for kv in (a(8) * b(8)).sorted_items() if sum(kv[0]) <= 3]
+    assert any(sum(k) == 3 for k in got.coeffs)
+
+
+@pytest.mark.parametrize("other", [
+    QTSeries(("z1",), 2, {(0, 0): LaurentPolynomial.one(("z1",))}),
+    XSeries.one(1, BASE, 2),
+    XSeries.one(2, ("q", "s"), 2),
+], ids=["qt-series", "other-n", "other-base-vars"])
+def test_series_of_different_contexts_do_not_combine(other):
+    x = XSeries.one(2, BASE, 2)
+    for op in (add, sub, mul):
+        with pytest.raises(ValueError, match="contexts differ"):
+            op(x, other)
+        with pytest.raises(ValueError, match="contexts differ"):
+            op(other, x)
