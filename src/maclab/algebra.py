@@ -347,67 +347,27 @@ class LaurentPolynomial:
     # -- division --------------------------------------------------------
 
     def divide_exact(self, divisor: "LaurentPolynomial") -> "LaurentPolynomial":
-        """Exact division; raises :class:`ExactDivisionError` on remainder.
+        """Exact division by a binomial c_a x^{e_a} + c_b x^{e_b}, the only
+        kind of divisor the package has: the Pochhammer factors 1 - x^e of
+        :meth:`FactoredRational.to_laurent` and the Vandermonde factors
+        z_i - z_j of :func:`maclab.macdonald._schur_m` and
+        :func:`maclab.series.certify_weyl_sum`.  Raises ``ValueError`` for
+        a divisor without exactly two terms and :class:`ExactDivisionError`
+        on a remainder.
 
-        Works for Laurent operands.  A monomial divisor is a shift and a
-        scaling.  A binomial divisor (the only kind the package divides
-        by: the Pochhammer factors of :meth:`FactoredRational.to_laurent`
-        and the Vandermonde factors of :func:`maclab.macdonald._schur_m`
-        and :func:`maclab.series.certify_weyl_sum`) takes the linear
-        bucket sweep of :meth:`_divide_binomial`.  Any other divisor: both sides are
-        shifted to honest polynomials, divided by cancelling graded-lex
-        leading terms, and the quotient is shifted back.
+        One upward sweep: the terms are named so that the first nonzero
+        component ``i0`` of ``e = e_b - e_a`` is a positive step ``s``.  A
+        dividend term at ``k`` (shifted by ``-e_a``) goes into bucket
+        ``k[i0] // s``; the cancellation pushes it to ``k + e``, which lies
+        in the next bucket, so each bucket is final once the sweep reaches
+        it.  Every live term below the top bucket is a quotient term; a
+        live term in the top bucket is a remainder.
         """
         self._check(divisor)
-        if divisor.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
+        if len(divisor.terms) != 2:
+            raise ValueError(f"divisor has {len(divisor.terms)} terms, not 2")
         if self.is_zero():
             return self
-        if len(divisor.terms) == 1:
-            (e, c), = divisor.terms.items()
-            inv = _norm_coef(Fraction(1) / c)
-            return self.shift(tuple(-x for x in e)).scale(inv)
-        if len(divisor.terms) == 2:
-            return self._divide_binomial(divisor)
-        sh_a = self.min_exponents()
-        sh_d = divisor.min_exponents()
-        a = {tuple(x - y for x, y in zip(e, sh_a)): c for e, c in self.terms.items()}
-        d = {tuple(x - y for x, y in zip(e, sh_d)): c for e, c in divisor.terms.items()}
-        lt_d = max(d, key=lambda e: (sum(e), e))
-        cd = d[lt_d]
-        q: dict = {}
-        # graded-lex leading terms strictly decrease over a finite set of
-        # monomials, so this terminates; inexactness surfaces as a
-        # non-divisible leading term.
-        while a:
-            lt_a = max(a, key=lambda e: (sum(e), e))
-            e_q = tuple(x - y for x, y in zip(lt_a, lt_d))
-            if any(x < 0 for x in e_q):
-                raise ExactDivisionError("leading term not divisible")
-            c_q = _norm_coef(Fraction(a[lt_a]) / cd)
-            q[e_q] = c_q
-            for e, c in d.items():
-                key = tuple(x + y for x, y in zip(e, e_q))
-                s = a.get(key, 0) - c_q * c
-                if s:
-                    a[key] = _norm_coef(s)
-                elif key in a:
-                    del a[key]
-        shift = tuple(x - y for x, y in zip(sh_a, sh_d))
-        return LaurentPolynomial._from_terms(
-            self.vars, {tuple(x + y for x, y in zip(e, shift)): c for e, c in q.items()})
-
-    def _divide_binomial(self, divisor: "LaurentPolynomial") -> "LaurentPolynomial":
-        """Division by c_a x^{e_a} + c_b x^{e_b} in one upward sweep.
-
-        The terms are named so that the first nonzero component ``i0`` of
-        ``e = e_b - e_a`` is a positive step ``s``.  A dividend term at
-        ``k`` (shifted by ``-e_a``) goes into bucket ``k[i0] // s``; the
-        cancellation pushes it to ``k + e``, which lies in the next
-        bucket, so each bucket is final once the sweep reaches it.  Every
-        live term below the top bucket is a quotient term; a live term in
-        the top bucket is a remainder.
-        """
         (ea, ca), (eb, cb) = divisor.terms.items()
         e = tuple(map(sub, eb, ea))
         i0 = next(i for i, x in enumerate(e) if x)
@@ -733,8 +693,9 @@ class FactoredRational:
         return _over(self.vars, *num), _over(self.vars, *den)
 
     def to_laurent(self) -> LaurentPolynomial:
-        """Exact conversion to a Laurent polynomial (the denominator must
-        divide the numerator exactly)."""
+        """Exact conversion to a Laurent polynomial: the numerator divided
+        by each denominator factor in turn, which must be a binomial
+        (:meth:`LaurentPolynomial.divide_exact`) and divide it exactly."""
         num = _over(self.vars, *_expand(
             self.coef, self.exps, [(p, m) for p, m in self._fmap.values() if m > 0]))
         for p, m in self.factors:

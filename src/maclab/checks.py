@@ -292,7 +292,7 @@ def check_weyl(*, n=2, alpha=None, weight=None):
     """Weyl invariance at ``alpha`` and ``weight``, by default the
     all-ones degree and the zero weight of rank n."""
     alpha = (1,) * (n - 1) if alpha is None else tuple(alpha)
-    weight = GLWeight((0,) * (n - 1) if weight is None else tuple(weight))
+    weight = GLWeight((0,) * (n - 1) if weight is None else weight, n)
     if weyl_invariance_check(alpha, weight):
         return Status.PASSED, []
     return Status.FAILED, [{"alpha": list(alpha), "weight": list(weight.lvec), "passed": False}]

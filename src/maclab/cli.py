@@ -17,8 +17,9 @@ is not cached, and exits 1.  An out-of-range argument (a partition, a
 ``--weight`` length, an ``--alpha-max`` below 2, an ``--n`` below 1, a negative
 ``--order``, ``--degree`` or ``--truncation``) or a check flag that the named
 check does not take prints a one-line error to stderr and exits 2 before
-anything is computed or cached.  A flag must be spelt in full: an
-abbreviation such as ``--max-e`` for ``--max-entry`` is refused (exit 2).
+anything is computed or cached.  So does an argument that argparse
+refuses: an unknown or missing flag, or an abbreviation such as
+``--max-e`` for ``--max-entry`` (a flag must be spelt in full).
 Everything runs serially in one process.
 Reports printed to stdout are canonical (timing goes to stderr), so
 outputs are byte-identical across reruns and cache states.
@@ -33,7 +34,7 @@ import sys
 
 from . import __version__
 from .cache import ResultCache
-from .checks import check_names, check_parameters, run_check
+from . import checks
 from .laumon import NotStabilized
 from .tableaux import Partition
 
@@ -54,14 +55,23 @@ def _add_common(p):
     p.add_argument("--no-cache", action="store_true")
 
 
+class _ParseError(Exception):
+    """An argument that the parser refuses, as its one-line message."""
+
+
 class _Parser(argparse.ArgumentParser):
     """An argument parser that refuses abbreviated flags, as do its
     subparsers (``add_subparsers`` builds them with the parent's class).
     With abbreviations, a ``--n`` given to a command that has none would
-    read as ``--no-cache``."""
+    read as ``--no-cache``.  A refused argument raises :class:`_ParseError`
+    instead of printing the usage and exiting, so that :func:`main`
+    reports it as it reports an out-of-range one."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise _ParseError(f"{self.prog}: error: {message}")
 
 
 @functools.cache
@@ -127,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(pg)
 
     p = sub.add_parser("verify", help="run any registered check by name")
-    p.add_argument("check", choices=check_names() + ["difference-equation", "limit"])
+    p.add_argument("check", choices=checks.check_names() + list(checks.ALIASES))
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--max-n", type=int, default=None)
     p.add_argument("--max-size", type=int, default=None)
@@ -199,7 +209,7 @@ def _check_params(args) -> dict:
 
 
 def _run_named_check(name: str, args) -> int:
-    report = run_check(name, **_check_params(args))
+    report = checks.run_check(name, **_check_params(args))
     # stdout stays canonical (byte-identical across reruns); timing to stderr
     print(report.canonical_json() if args.output == "json" else report.text())
     if report.wall_time is not None:
@@ -230,7 +240,7 @@ def _argument_error(args) -> str | None:
     if weight is not None and len(weight) != args.n - 1:
         return f"argument --weight: {len(weight)} entries, --n {args.n} needs {args.n - 1}"
     if getattr(args, "check", None) is not None:
-        taken = check_parameters(args.check)
+        taken = checks.check_parameters(args.check)
         for key in _check_params(args):
             if key not in taken:
                 return f"argument --{key.replace('_', '-')}: not a parameter of check {args.check}"
@@ -238,7 +248,11 @@ def _argument_error(args) -> str | None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except _ParseError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     error = _argument_error(args)
     if error is not None:
         print(f"maclab {args.command}: error: {error}", file=sys.stderr)
@@ -252,9 +266,8 @@ def main(argv=None) -> int:
 
 def _dispatch(args) -> int:
     if args.command == "checks":
-        from .checks import CHECKS
-        for name in check_names():
-            print(f"{name:16s} {CHECKS[name][1]}")
+        for name in checks.check_names():
+            print(f"{name:16s} {checks.CHECKS[name][1]}")
         return 0
 
     cache = ResultCache(getattr(args, "cache_dir", None),
@@ -293,7 +306,7 @@ def _dispatch(args) -> int:
             return _emit_series(lambda: J_infinity(args.n, args.order),
                                 args, "laumon-limit", params, cache)
         # the local checks that take a rank run at n = 2 unless given one
-        if args.n is None and "n" in check_parameters(args.check):
+        if args.n is None and "n" in checks.check_parameters(args.check):
             args.n = 2
         return _run_named_check(args.check, args)
 

@@ -225,17 +225,24 @@ def _weyl_group(n: int) -> list:
     return sorted(permutations(range(1, n + 1)))
 
 
+def _splittings(alpha) -> list:
+    """The pairs (gamma, beta) of degrees with gamma + beta = alpha;
+    raises ``ValueError`` on a negative entry, which has none."""
+    if any(a < 0 for a in alpha):
+        raise ValueError(f"degree {tuple(alpha)} has a negative entry")
+    return [(gamma, tuple(a - g for a, g in zip(alpha, gamma)))
+            for gamma in product(*(range(a + 1) for a in alpha))]
+
+
 def _localization_terms(alpha, weight: GLWeight, w) -> list:
     """The flattened localization summands of the Weyl element w for the
     given degree, as factored rationals over the SL context."""
     n = weight.n
     vars = glob_vars(n)
-    alpha = tuple(alpha)
     wf = _weyl_factor(n, w)
     zw = FactoredRational.monomial(vars, weight.z_monomial(w))
     terms = []
-    for gamma in product(*(range(a + 1) for a in alpha)):
-        beta = tuple(a - g for a, g in zip(alpha, gamma))
+    for gamma, beta in _splittings(alpha):
         qpow = weight.pairing(gamma)
         pref = zw * FactoredRational.monomial(vars, [qpow] + [0] * n) * wf
         cbs = [_C_glob(thb.entry_list(), n, w, False) for thb in theta_by_degree(n, beta)]
@@ -331,10 +338,8 @@ def euler_char_series(alpha, weight: GLWeight, order: int) -> QTSeries:
     the Weyl factor once and certifies the sum over W."""
     n = weight.n
     ident = tuple(range(1, n + 1))
-    alpha = tuple(alpha)
     conv = []
-    for gamma in product(*(range(a + 1) for a in alpha)):
-        beta = tuple(a - g for a, g in zip(alpha, gamma))
+    for gamma, beta in _splittings(alpha):
         qpow = weight.pairing(gamma)
         need = order - qpow
         v_gamma, v_beta = _j_valuation(n, gamma, True), _j_valuation(n, beta, False)

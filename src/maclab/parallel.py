@@ -1,33 +1,19 @@
-"""Deterministic worker-pool map.
+"""Order-preserving map, kept by name only.
 
-Nothing in the package calls :func:`pmap`: every check runs serially.
-The module stays only because the benchmark harness under ``perfbench/``
-imports it by name and traces ``parallel.pmap``; it goes once the
-harness no longer does.
+Nothing in the package calls :func:`pmap`: every check runs serially in
+one process.  The module stays only because the benchmark harness under
+``perfbench/`` imports it by name and traces ``parallel.pmap``; it goes
+once the harness no longer does.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 __all__ = ["pmap"]
 
-_MIN_PARALLEL_ITEMS = 4
 
-
-def pmap(fn: Callable, items: Sequence, workers: int = 1) -> list:
-    """Map ``fn`` over ``items``, preserving order.
-
-    Runs serially for ``workers <= 1`` (or tiny inputs); otherwise uses a
-    fork-based process pool.  ``fn`` must be a module-level function and
-    items must be picklable.
-    """
-    items = list(items)
-    if workers <= 1 or len(items) < _MIN_PARALLEL_ITEMS:
-        return [fn(x) for x in items]
-    import multiprocessing as mp
-
-    ctx = mp.get_context("fork") if os.name == "posix" else mp.get_context()
-    with ctx.Pool(processes=min(workers, len(items))) as pool:
-        return pool.map(fn, items, chunksize=max(1, len(items) // (4 * workers)))
+def pmap(fn: Callable, items: Iterable, workers: int = 1) -> list:
+    """``[fn(x) for x in items]``, in order.  ``workers`` is ignored: the
+    map always runs serially in this process."""
+    return [fn(x) for x in items]

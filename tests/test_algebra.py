@@ -69,6 +69,14 @@ def test_division_exact_and_laurent():
         (ONE - Q * T).divide_exact(ONE - Q)
 
 
+def test_division_is_by_binomials_only():
+    # no monomial shift and no long division: 0, 1 or 3 terms are refused
+    # even where the quotient exists
+    for divisor in (ONE - ONE, Q, ONE + Q + Q * Q):
+        with pytest.raises(ValueError, match="not 2"):
+            (divisor * (ONE + T)).divide_exact(divisor)
+
+
 def test_substitution_monomial():
     p = ONE - Q * T
     # t -> q t: exponent bookkeeping

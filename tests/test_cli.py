@@ -43,10 +43,7 @@ def test_parser_reused_across_calls_keeps_a_plain_call_unchanged(capsys, before)
     # that exits 2, leaves no state behind for the next
     plain = ("macdonald", "--n", "3", "--lambda", "2,1", "--no-cache")
     _, expected, _ = run_cli(capsys, *plain)
-    try:
-        code = main(list(before) + ["--no-cache"])
-    except SystemExit as exc:
-        code = exc.code
+    code = main(list(before) + ["--no-cache"])
     capsys.readouterr()
     assert code == (0 if "--oracle" in before else 2)
     _, out, _ = run_cli(capsys, *plain)
@@ -198,14 +195,35 @@ def test_invalid_partition_is_a_one_line_error(tmp_path, capsys, argv):
 ])
 def test_an_abbreviated_flag_is_refused(tmp_path, capsys, argv, unknown):
     # with abbreviations allowed, --n read as --no-cache and --max-e as
-    # --max-entry, and both runs exited 0
-    with pytest.raises(SystemExit) as exc:
-        main(list(argv) + ["--cache-dir", str(tmp_path)])
-    out = capsys.readouterr()
-    assert exc.value.code == 2
-    assert out.out == ""
-    assert f"error: unrecognized arguments: {unknown}\n" in out.err
+    # --max-entry, and both runs exited 0; argparse's refusal is reported
+    # as maclab's own range errors are, one line and exit 2
+    code, out, err = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert err == f"maclab: error: unrecognized arguments: {unknown}\n"
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv, error", [
+    (("macdonald", "--n", "2"), "maclab macdonald: error: the following arguments "
+                                "are required: --lambda"),
+    (("verify", "no-such-check"), "maclab verify: error: argument check: invalid choice"),
+    (("laumon",), "maclab laumon: error: the following arguments are required: subcommand"),
+])
+def test_a_refused_argument_is_a_one_line_error(capsys, argv, error):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(error)
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_help_and_version_still_exit_zero(capsys, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([flag])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(("usage: maclab", "maclab "))
 
 
 def test_trailing_zeros_still_make_a_partition(tmp_path, capsys):

@@ -40,6 +40,23 @@ def test_weyl_runs_at_the_given_weight_and_by_default_at_zero(monkeypatch):
     assert seen == [((1, 1), (1, 0)), ((1, 1), (0, 0)), ((2, 1), (0, 0))]
 
 
+@pytest.mark.parametrize("params, message", [
+    ({"alpha": (-1,)}, "negative entry"),
+    ({"n": 3, "alpha": (2, -1)}, "negative entry"),
+    ({"n": 3, "weight": (0,)}, "weight vector must have length N-1"),
+])
+def test_weyl_refuses_a_negative_degree_and_a_weight_of_another_rank(params, message):
+    # a negative degree has no splitting gamma + beta: the character was an
+    # empty sum, and 0 PASSED as W-invariant
+    with pytest.raises(ValueError, match=message):
+        run_check("weyl", **params)
+
+
+def test_the_series_refuses_a_negative_degree():
+    with pytest.raises(ValueError, match="negative entry"):
+        euler.euler_char_series((1, -1), euler.GLWeight((0, 0)), 2)
+
+
 def test_expand_sum_propagates_non_arithmetic_errors(monkeypatch):
     v = ("q", "t", "z1")
     term = FactoredRational.from_poly(LaurentPolynomial.one(v) + LaurentPolynomial.var(v, "q"))

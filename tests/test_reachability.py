@@ -44,7 +44,8 @@ ALLOWED = {
     "memo.clear_all": "empties every table for a cold rerun: criterion 12, benchmarks, tests",
 }
 
-# every subcommand and output mode; the last one is an out-of-range argument
+# every subcommand and output mode, an out-of-range argument (a partition
+# of two parts at --n 1) and a flag that the parser refuses
 CLI_RUNS = [
     ["macdonald", "--n", "3", "--lambda", "2,1"],
     ["macdonald", "--n", "3", "--lambda", "2,1", "--oracle", "--output", "json"],
@@ -57,6 +58,7 @@ CLI_RUNS = [
     ["global", "h", "--n", "2", "--weight", "1", "--order", "1"],
     ["global", "verify", "h0", "--max-n", "2"],
     ["verify", "cordiff", "--max-n", "2", "--max-weight-sum", "1", "--output", "json"],
+    ["verify", "cn", "--max-e", "1"],
 ]
 
 

@@ -115,6 +115,15 @@ def test_uncancelled_poles_of_different_denominators_raise():
         expand_sum(_pole_pair(-2), 2)
 
 
+def test_a_pole_that_is_no_binomial_is_a_programming_error():
+    # exact division is by binomials only: 1/(1 + z1 + z1^2) raises the
+    # divisor's ValueError, which is no ArithmeticError, so it is not
+    # reported as an uncancelled pole
+    trinomial = _poly({(0, 0, 0): 1, (0, 0, 1): 1, (0, 0, 2): 1})
+    with pytest.raises(ValueError, match="3 terms"):
+        expand_sum([FactoredRational(W, 1, None, [(trinomial, -1)])], 1)
+
+
 # VARS is the SL(3) context (q, t, z1, z2), with z3 = (z1 z2)^-1; the Weyl
 # certifier sums over the six images sigma_w: z_i -> z_{w(i)}
 IMAGES = weyl_images(3)
