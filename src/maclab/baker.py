@@ -206,15 +206,15 @@ def specialize_each(lams, n: int, margin: int = 2) -> list:
     surviving coefficient; any other propagates."""
     scans = [_Scan(Partition(lam), n, margin) for lam in lams]
     for th in _theta_entries_upto(n, max((scan.bound for scan in scans), default=-1)):
-        top, led = max(th.entries.values(), default=0), None
+        top, led, where = max(th.entries.values(), default=0), None, th.entry_list()
         for scan in scans:
             if scan.error is None and top <= scan.bound:
                 try:
                     if led is None:
                         led = _closed_ledger(th, n)
-                    scan.take(th, led)
+                    scan.take(th, where, led)
                 except (ZeroDivisionError, TerminationFailure) as exc:
-                    scan.fail(th, exc)
+                    scan.fail(where, exc)
     return [scan.error or scan.inside_error or scan.total() for scan in scans]
 
 
@@ -235,16 +235,16 @@ class _Scan:
         self.inside = []
         self.error = self.inside_error = None
 
-    def take(self, th: ThetaMatrix, led: Ledger) -> None:
+    def take(self, th: ThetaMatrix, where: tuple, led: Ledger) -> None:
         spec = led.image(QS, self.weights, self.images)
-        if th.entry_list() in self.pol:
+        if where in self.pol:
             self.inside.append((th, spec.value()))
         elif spec.coef:
             raise TerminationFailure(
                 f"coefficient at theta={dict(th.entries)} survives specialization")
 
-    def fail(self, th: ThetaMatrix, exc: ArithmeticError) -> None:
-        if th.entry_list() not in self.pol:
+    def fail(self, where: tuple, exc: ArithmeticError) -> None:
+        if where not in self.pol:
             self.error = exc
         elif self.inside_error is None:
             self.inside_error = exc

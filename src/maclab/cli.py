@@ -19,7 +19,8 @@ is not cached, and exits 1.  An out-of-range argument (a partition, a
 check does not take prints a one-line error to stderr and exits 2 before
 anything is computed or cached.  So does an argument that argparse
 refuses: an unknown or missing flag, or an abbreviation such as
-``--max-e`` for ``--max-entry`` (a flag must be spelt in full).
+``--max-e`` for ``--max-entry`` (a flag must be spelt in full).  Each
+error line names the command invoked, as ``maclab laumon verify: error:``.
 Everything runs serially in one process.
 Reports printed to stdout are canonical (timing goes to stderr), so
 outputs are byte-identical across reruns and cache states.
@@ -65,13 +66,23 @@ class _Parser(argparse.ArgumentParser):
     With abbreviations, a ``--n`` given to a command that has none would
     read as ``--no-cache``.  A refused argument raises :class:`_ParseError`
     instead of printing the usage and exiting, so that :func:`main`
-    reports it as it reports an out-of-range one."""
+    reports it as it reports an out-of-range one.  Each parser records
+    itself as ``args.parser``, so every refusal is made in the name of
+    the command invoked, also an unrecognized argument, which argparse
+    finds only after every subparser has run."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, allow_abbrev=False, **kwargs)
+        self.set_defaults(parser=self)
 
     def error(self, message):
         raise _ParseError(f"{self.prog}: error: {message}")
+
+    def parse_args(self, args=None, namespace=None):
+        args, extra = self.parse_known_args(args, namespace)
+        if extra:
+            args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
+        return args
 
 
 @functools.cache
@@ -250,12 +261,11 @@ def _argument_error(args) -> str | None:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        error = _argument_error(args)
+        if error is not None:
+            args.parser.error(error)
     except _ParseError as exc:
         print(exc, file=sys.stderr)
-        return 2
-    error = _argument_error(args)
-    if error is not None:
-        print(f"maclab {args.command}: error: {error}", file=sys.stderr)
         return 2
     try:
         return _dispatch(args)

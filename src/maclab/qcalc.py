@@ -14,6 +14,12 @@ is decided on the ledgers, with no value built.
 context (q, x, z1, z2, ...), its z indices counted from there;
 :meth:`Ledger.binomial` adds one binomial over any context, and
 :func:`pochhammer` is the ledger of a single symbol.
+A binomial is stored as 1 - x^e with e > 0 in graded-lex order, and a
+symbol is oriented once, not factor by factor: its exponents e_k =
+(k,) + rest differ only in the q-entry k, so they are positive above
+the tie k = -sum(rest), negative below it, and graded-lex order decides
+at the tie.  :meth:`Ledger.image` likewise orients the image of each
+binomial once, in its table of images.
 The infinite symbol (p; q)_inf is only used through its truncated
 (q,t)-expansion, where all but finitely many factors are 1 modulo the
 truncation order: :meth:`Ledger.inf` adds the others to the ledger, and
@@ -102,17 +108,57 @@ class Ledger:
                zden: int | None = None, mult: int = 1) -> None:
         """Multiply by (q^qpow x^xpow z_znum / z_zden ; q)_n ** mult over
         the context (q, x, z1, z2, ...): z_k sits at index k + 1, so the
-        z indices apply only to such contexts."""
+        z indices apply only to such contexts.
+
+        The symbol is oriented once, not factor by factor.  Its factors
+        are 1 - x^{e_k}, e_k = (k,) + rest, qpow <= k < qpow + n, and
+        e_k has total degree k + sum(rest), so e_k > 0 in graded-lex
+        order for every k above the tie k = -sum(rest) and e_k < 0 for
+        every k below it.  At the tie the first entry decides, then
+        ``rest``; e_tie = 0 when rest = 0.  :func:`_symbol` gives ``cut``,
+        the least k with e_k not negative.  The run k < cut is stored
+        flipped, 1 - x^e = -x^e (1 - x^-e), as :meth:`binomial` stores
+        it: it multiplies the coefficient by (-1)^(count * mult) and adds
+        mult * (sum of its k, count * rest) to the unit.  A zero factor
+        at k = cut zeroes a numerator and raises ``ZeroDivisionError`` in
+        a denominator; the factors above are stored as they are.
+        ``mult`` 0 or ``n`` 0 change nothing; a negative ``n`` raises
+        ``ValueError``."""
         if n < 0:
             raise ValueError("Pochhammer length must be nonnegative")
-        rest = [xpow] + [0] * (len(self.vars) - 2)
-        if znum is not None:
-            rest[znum] += 1
-        if zden is not None:
-            rest[zden] -= 1
-        rest = tuple(rest)
-        for k in range(qpow, qpow + n):
-            self.binomial((k,) + rest, mult)
+        if not mult or not n:
+            return
+        rest, neg, nonzero, cut, zero = _symbol(len(self.vars), xpow, znum, zden)
+        b, lo, hi = self.binomials, qpow, qpow + n
+        if lo < cut:
+            top = min(cut, hi)
+            step = (top - lo) * mult
+            if step & 1:
+                self.coef = -self.coef
+            unit = self.unit
+            unit[0] += (lo + top - 1) * step // 2
+            for i, x in nonzero:
+                unit[i] += step * x
+            for k in range(lo, top):
+                e = (-k,) + neg
+                m = b.get(e, 0) + mult
+                if m:
+                    b[e] = m
+                else:
+                    del b[e]
+            lo = top
+        if zero and lo == cut < hi:
+            if mult < 0:
+                raise ZeroDivisionError("zero polynomial in denominator")
+            self.coef = 0
+            lo += 1
+        for k in range(lo, hi):
+            e = (k,) + rest
+            m = b.get(e, 0) + mult
+            if m:
+                b[e] = m
+            else:
+                del b[e]
 
     def inf(self, order: int, qpow: int = 0, xpow: int = 0, znum: int | None = None,
             zden: int | None = None, mult: int = 1) -> None:
@@ -126,20 +172,21 @@ class Ledger:
         self.zratio(max(0, order - deg + 1), qpow, xpow, znum, zden, mult)
 
     def binomial(self, e: tuple, mult: int) -> None:
-        """Multiply by (1 - x^e) ** mult."""
+        """Multiply by (1 - x^e) ** mult, stored as :func:`_oriented`
+        orients it."""
         if not mult:
             return
-        s = sum(e)
-        if s < 0 or not s and e < (0,) * len(e):
-            if mult & 1:
-                self.coef = -self.coef
-            self.unit = [u + mult * x for u, x in zip(self.unit, e)]
-            e = tuple([-x for x in e])
-        elif not s and not any(e):
+        img = _oriented(e)
+        if not img:
             if mult < 0:
                 raise ZeroDivisionError("zero polynomial in denominator")
             self.coef = 0
             return
+        e, flip = img
+        if flip:
+            if mult & 1:
+                self.coef = -self.coef
+            self.unit = [u + mult * x for u, x in zip(self.unit, flip)]
         m = self.binomials.get(e, 0) + mult
         if m:
             self.binomials[e] = m
@@ -148,7 +195,10 @@ class Ledger:
 
     def image(self, vars: tuple, weights: Sequence[tuple], images: dict) -> "Ledger":
         """The ledger over ``vars`` of the substitution x^e -> y^f with
-        f_t = <e, weights[t]>; ``images`` caches f per binomial.  As in
+        f_t = <e, weights[t]>; ``images`` caches, per binomial e, its
+        image oriented as :meth:`binomial` orients it: ``(f, None)`` for
+        f > 0, ``(-f, f)`` for f < 0, whose flip multiplies the output by
+        -x^f per factor, and ``()`` for f = 0.  As in
         :meth:`FactoredRational.transform`, the first factor in key order
         whose image is 1 - 1 decides: a numerator makes the value zero, a
         denominator raises ``ZeroDivisionError``."""
@@ -156,22 +206,32 @@ class Ledger:
             return Ledger(vars, 0)
         found, collapsed = [], []
         for e in self.binomials:
-            f = images.get(e)
-            if f is None:
-                f = tuple([sum(map(mul, e, w)) for w in weights])
-                images[e] = f = f if any(f) else ()
-            if f:
-                found.append(f)
+            img = images.get(e)
+            if img is None:
+                img = images[e] = _oriented(tuple([sum(map(mul, e, w)) for w in weights]))
+            if img:
+                found.append(img)
             else:
                 collapsed.append(e)
         if collapsed:
-            first = min(collapsed, key=lambda e: _binomial(self.vars, e)[0])
-            if self.binomials[first] < 0:
+            poles = [e for e in collapsed if self.binomials[e] < 0]
+            if poles and (len(poles) == len(collapsed) or self.binomials[
+                    min(collapsed, key=lambda e: _binomial(self.vars, e)[0])] < 0):
                 raise ZeroDivisionError("denominator factor vanished under substitution")
             return Ledger(vars, 0)
         out = Ledger(vars, self.coef, [sum(map(mul, self.unit, w)) for w in weights])
-        for f, m in zip(found, self.binomials.values()):
-            out.binomial(f, m)
+        b, unit = out.binomials, out.unit
+        for (f, flip), m in zip(found, self.binomials.values()):
+            if flip:
+                if m & 1:
+                    out.coef = -out.coef
+                for i, x in enumerate(flip):
+                    unit[i] += m * x
+            m += b.get(f, 0)
+            if m:
+                b[f] = m
+            else:
+                del b[f]
         return out
 
     def valuation(self, grading: Sequence[int]) -> int:
@@ -214,3 +274,34 @@ def _binomial(vars: tuple, e: tuple) -> tuple:
     key = _poly_sort_key(poly)
     poly._canon = (1, (0,) * len(vars), poly, key)
     return key, poly, tuple([(i, x) for i, x in enumerate(low) if x])
+
+
+@memo.cached(256)
+def _symbol(width: int, xpow: int, znum: int | None, zden: int | None) -> tuple:
+    """``(rest, neg, nonzero, cut, zero)`` for the symbols (q^k x^xpow
+    z_znum / z_zden; q) over a context of ``width`` variables: ``rest``
+    is the exponent vector after q, ``neg`` its negation, ``nonzero``
+    its nonzero entries as (index in the context, exponent) pairs,
+    ``cut`` the least k at which (k,) + rest is not negative in
+    graded-lex order, and ``zero`` whether it is zero there (rest = 0,
+    cut = 0)."""
+    rest = [xpow] + [0] * (width - 2)
+    if znum is not None:
+        rest[znum] += 1
+    if zden is not None:
+        rest[zden] -= 1
+    rest = tuple(rest)
+    tie = -sum(rest)
+    nonzero = tuple([(i, x) for i, x in enumerate(rest, 1) if x])
+    return (rest, tuple([-x for x in rest]), nonzero,
+            tie + ((tie,) + rest < (0,) * width), not nonzero)
+
+
+def _oriented(f: tuple) -> tuple:
+    """``(f, None)`` for f > 0 in graded-lex order, ``(-f, f)`` for
+    f < 0 and ``()`` for f = 0: the key under which a ledger stores
+    1 - x^f, and the flip 1 - x^f = -x^f (1 - x^-f) that it applies."""
+    s = sum(f)
+    if s < 0 or not s and f < (0,) * len(f):
+        return tuple([-x for x in f]), f
+    return (f, None) if s or any(f) else ()

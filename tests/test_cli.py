@@ -153,6 +153,12 @@ def test_reports_built_without_witnesses_do_not_share_a_list():
     assert a.witnesses == [{"k": 1}] and b.witnesses == []
 
 
+def _invoked(argv) -> str:
+    """The command that ``argv`` invokes, which names its refusals: the
+    subcommand too under ``laumon`` and ``global``."""
+    return " ".join(("maclab",) + argv[:2 if argv[0] in ("laumon", "global") else 1])
+
+
 @pytest.mark.parametrize("argv", [
     ("macdonald", "--n", "2", "--lambda", "1,1,1"),
     ("macdonald", "--n", "2", "--lambda", "1,2"),
@@ -185,7 +191,7 @@ def test_invalid_partition_is_a_one_line_error(tmp_path, capsys, argv):
     assert code == 2
     assert out == ""
     assert err.count("\n") == 1
-    assert err.startswith(f"maclab {argv[0]}: error: argument --")
+    assert err.startswith(f"{_invoked(argv)}: error: argument --")
     assert not list(tmp_path.iterdir())
 
 
@@ -196,11 +202,12 @@ def test_invalid_partition_is_a_one_line_error(tmp_path, capsys, argv):
 def test_an_abbreviated_flag_is_refused(tmp_path, capsys, argv, unknown):
     # with abbreviations allowed, --n read as --no-cache and --max-e as
     # --max-entry, and both runs exited 0; argparse's refusal is reported
-    # as maclab's own range errors are, one line and exit 2
+    # as maclab's own range errors are, one line in the name of the
+    # command invoked and exit 2
     code, out, err = run_cli(capsys, *argv, "--cache-dir", str(tmp_path))
     assert code == 2
     assert out == ""
-    assert err == f"maclab: error: unrecognized arguments: {unknown}\n"
+    assert err == f"{_invoked(argv)}: error: unrecognized arguments: {unknown}\n"
     assert not list(tmp_path.iterdir())
 
 
@@ -209,6 +216,13 @@ def test_an_abbreviated_flag_is_refused(tmp_path, capsys, argv, unknown):
                                 "are required: --lambda"),
     (("verify", "no-such-check"), "maclab verify: error: argument check: invalid choice"),
     (("laumon",), "maclab laumon: error: the following arguments are required: subcommand"),
+    # one command, one prefix, whichever kind of refusal
+    (("laumon", "verify", "shir", "--bogus"),
+     "maclab laumon verify: error: unrecognized arguments: --bogus"),
+    (("laumon", "verify", "shir", "--degree", "-1"),
+     "maclab laumon verify: error: argument --degree: -1, must be at least 0"),
+    (("laumon", "verify", "no-such-check"),
+     "maclab laumon verify: error: argument check: invalid choice"),
 ])
 def test_a_refused_argument_is_a_one_line_error(capsys, argv, error):
     code, out, err = run_cli(capsys, *argv)

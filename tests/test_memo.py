@@ -29,6 +29,7 @@ CONSTANT_DICTS = {"maclab.checks.CHECKS", "maclab.checks.ALIASES"}
 # every memo table of the package and its cap
 TABLES = {
     "qcalc._binomial": 4096,
+    "qcalc._symbol": 256,
     "euler._c_ledger": 4096,
     "euler._C_glob": 4096,
     "euler._j_valuation": 1024,

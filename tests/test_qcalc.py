@@ -1,8 +1,9 @@
 """Finite and truncated-infinite Pochhammer symbols, binomial ledgers,
 q-shifts.  The infinite symbols of a ledger (``Ledger.inf``) are pinned
 to the symbols expanded and inverted one by one
-(``tests/series_reference.py``), and ledger equality to ``rational_eq``
-of the values."""
+(``tests/series_reference.py``), the symbol and image fills to the same
+fills made one binomial at a time (``tests/ledger_reference.py``), and
+ledger equality to ``rational_eq`` of the values."""
 
 import itertools
 import sys
@@ -22,6 +23,7 @@ from maclab.qcalc import Ledger, NonConvergent, pochhammer
 from maclab.reports import Status
 from maclab.series import XSeries, expand
 from coefficient_reference import pochhammer_reference, product_reference
+from ledger_reference import binomial_reference, image_reference, zratio_reference
 from series_reference import pochhammer_inf, series_inverse
 
 V = ("q", "t")
@@ -175,6 +177,122 @@ def test_a_counted_valuation_is_the_valuation_of_the_value(rows, unit, sign):
     led = _ledger(rows, unit)
     value = led.value().transform(W, {"q": (1, (sign, 0, 0, 0))})
     assert led.valuation((sign, 1, 0, 0)) == value.valuation_lb(W[:2])
+
+
+# -- symbol and image fills against the per-binomial reference -------------------
+
+Z_INDICES = {ba_vars(3): [None, 1, 2, 3], QS: [None]}
+
+
+@st.composite
+def symbol_rows(draw, vars):
+    """A ``zratio`` row (n, qpow, xpow, znum, zden, mult) over ``vars``
+    whose q-range lies below, across or above the tie k = -sum(rest),
+    with n in -1..4 and mult in -2..2.  A third of the rows have rest =
+    0 (xpow 0, znum = zden), whose factor at the tie k = 0 is 1 - 1."""
+    index = st.sampled_from(Z_INDICES[vars])
+    if draw(st.integers(0, 2)):
+        xpow, znum, zden = draw(st.integers(-2, 2)), draw(index), draw(index)
+    else:
+        xpow, znum = 0, draw(index)
+        zden = znum
+    tie = -(xpow + (znum is not None) - (zden is not None))
+    return (draw(st.integers(-1, 4)), tie + draw(st.integers(-4, 1)), xpow, znum, zden,
+            draw(st.integers(-2, 2)))
+
+
+@st.composite
+def ledger_maps(draw, vars):
+    """``(target, weights)`` for ``Ledger.image``: z_i -> s^{3-i} q^{lambda_i}
+    into (q, s) as the termination scan maps, z_i -> q^{c_i} z_i as the
+    recursion maps, or any matrix with entries in -1..1 into (q, s)."""
+    width = len(vars)
+    kind = draw(st.sampled_from(["scan", "shift", "matrix"] if vars != QS else ["matrix"]))
+    if kind == "scan":
+        return QS, ((1, 0) + draw(st.tuples(*[st.integers(0, 2)] * 3)), (0, 1, 2, 1, 0))
+    if kind == "shift":
+        eye = [tuple(int(a == b) for a in range(width)) for b in range(width)]
+        return vars, [(1, 0) + draw(st.tuples(*[st.integers(-2, 0)] * 3))] + eye[1:]
+    row = st.tuples(*[st.integers(-1, 1)] * width)
+    return QS, (draw(row), draw(row))
+
+
+def _fill(vars, start, rows, zratio, binomial):
+    """The ledger filled row by row from ``start``, by ``zratio`` for a
+    symbol row and by ``binomial`` for an (e, mult) row, and the
+    ``(type, message)`` of the error that stopped it, or None."""
+    led = Ledger(vars, *start)
+    for row in rows:
+        try:
+            (zratio if len(row) == 6 else binomial)(led, *row)
+        except (ValueError, ZeroDivisionError) as exc:
+            return led, (type(exc), str(exc))
+    return led, None
+
+
+def _state(led):
+    if not isinstance(led, Ledger):
+        return led
+    return led.vars, type(led.coef), led.coef, led.unit, list(led.binomials.items())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_symbols_and_images_fill_as_one_binomial_at_a_time(data):
+    # each ledger is filled by symbol and binomial rows, then mapped with
+    # one table of images per side shared by all of them, collapsed
+    # images included; both sides must leave the same coefficient, unit
+    # and binomials, in the same order, and raise the same errors
+    vars = data.draw(st.sampled_from(list(Z_INDICES)))
+    start = st.tuples(st.one_of(base_coefs, st.just(0)),
+                      st.tuples(*[st.integers(-2, 2)] * len(vars)))
+    binomial_rows = st.tuples(st.tuples(*[st.integers(-2, 2)] * len(vars)), st.integers(-2, 2))
+    rows = st.lists(st.one_of(symbol_rows(vars), binomial_rows), max_size=5)
+    ledgers = data.draw(st.lists(st.tuples(start, rows), min_size=1, max_size=3))
+    target, weights = data.draw(ledger_maps(vars))
+    images, reference_images = {}, {}
+    for start, rows in ledgers:
+        got, got_error = _fill(vars, start, rows, Ledger.zratio, Ledger.binomial)
+        want, want_error = _fill(vars, start, rows, zratio_reference, binomial_reference)
+        assert got_error == want_error
+        assert _state(got) == _state(want)
+        got_image = _outcome(lambda: got.image(target, weights, images))
+        want_image = _outcome(lambda: image_reference(want, target, weights, reference_images))
+        assert _state(got_image) == _state(want_image)
+
+
+def test_the_first_collapsed_factor_in_key_order_decides():
+    # z1 -> s q, z2 -> 1 collapses both 1 - qs/z1 and 1 - qs z2/z1: the
+    # one first in key order decides, a numerator for zero and a
+    # denominator for ZeroDivisionError, whatever the other one is and
+    # in whichever order the two were filled
+    weights, mapping = ((1, 0, 1, 0), (0, 1, 1, 0)), {"z1": (1, (1, 1)), "z2": (1, (0, 0))}
+    outcomes = []
+    for mults in ((1, -1), (-1, 1)):
+        for rows in itertools.permutations(zip([(1, 1, -1, 0), (1, 1, -1, 1)], mults)):
+            led = _ledger(list(rows))
+            got = _outcome(lambda: led.image(QS, weights, {}).value())
+            assert got == _outcome(lambda: led.value().transform(QS, mapping))
+            outcomes.append(type(got))
+    assert outcomes.count(tuple) == outcomes.count(FactoredRational) == 2
+
+
+def test_a_zero_factor_at_the_tie_acts_as_its_binomial():
+    # (x^0 z1/z1; q)_3 from q^-1: the factor at k = 0 is 1 - 1
+    vars = ba_vars(3)
+    for mult in (1, -1, 0):
+        led, ref = Ledger(vars), Ledger(vars)
+        outcome = _outcome(lambda: led.zratio(3, -1, 0, 1, 1, mult))
+        assert outcome == _outcome(lambda: zratio_reference(ref, 3, -1, 0, 1, 1, mult))
+        assert _state(led) == _state(ref)
+        if mult > 0:
+            assert led.coef == 0
+        elif mult < 0:
+            assert outcome == (ZeroDivisionError, "zero polynomial in denominator")
+        else:
+            assert led == Ledger(vars) and not led.binomials
+    with pytest.raises(ValueError, match="nonnegative"):
+        Ledger(vars).zratio(-1, 0, 0, 1, 1, mult=0)
 
 
 def test_zero_binomials_follow_the_product():
