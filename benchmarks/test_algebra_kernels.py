@@ -32,7 +32,7 @@ from maclab.algebra import LaurentPolynomial, rational_eq
 from maclab.macdonald import eigenvalue, mac_vars, macdonald_P, macdonald_P_oracle
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
-from algebra_reference import clear_denominators  # noqa: E402
+from algebra_reference import clear_denominators, reembed  # noqa: E402
 
 N = 4
 LAM = (4, 1)
@@ -55,8 +55,8 @@ def operands():
             factor = factor * (_y(vars, a) - _y(vars, b))
     shift = [0] * len(vars)
     shift[0] = shift[vars.index("y1")] = 1
-    shifted = poly.transform(vars, {"y1": (1, tuple(shift))})
-    dividend = eigenvalue(LAM, N).transform(vars, {}) * poly
+    shifted = poly.transform(vars, {"y1": tuple(shift)})
+    dividend = reembed(eigenvalue(LAM, N), vars) * poly
     for a in range(1, N + 1):
         for b in range(a + 1, N + 1):
             dividend = dividend * (_y(vars, a) - _y(vars, b))

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import add, itemgetter, mul, sub
+from operator import add, mul, sub
 from typing import Iterable, Mapping, Sequence, Union
 
 Coef = Union[int, Fraction]
@@ -282,67 +282,39 @@ class LaurentPolynomial:
     def transform(
         self,
         new_vars: Sequence[str],
-        mapping: Mapping[str, tuple],
+        mapping: Mapping[str, Sequence[int]],
     ) -> "LaurentPolynomial":
         """Monomial substitution into a (possibly different) context.
 
-        ``mapping[v] = (coef, exps)`` sends variable ``v`` to
-        ``coef * new_vars^exps``.  Unmapped variables must exist in the
-        new context and map to themselves; when no variable is mapped, the
-        call is a re-embedding (:meth:`_reembed`).
+        ``mapping[v] = exps`` sends variable ``v`` to the monomial
+        ``new_vars^exps``.  Unmapped variables must exist in the new
+        context and map to themselves.
         """
         new_vars = tuple(new_vars)
         n_new = len(new_vars)
-        if mapping.keys().isdisjoint(self.vars):
-            return self._reembed(new_vars)
         images = []
-        for i, v in enumerate(self.vars):
-            if v in mapping:
-                coef, exps = mapping[v]
-                images.append((_norm_coef(coef), tuple(exps)))
-            else:
-                j = new_vars.index(v)
-                e = [0] * n_new
-                e[j] = 1
-                images.append((1, tuple(e)))
+        for v in self.vars:
+            image = mapping.get(v)
+            if image is None:
+                image = [0] * n_new
+                image[new_vars.index(v)] = 1
+            images.append(tuple(image))
         t: dict = {}
         for e, c in self.terms.items():
             exps = [0] * n_new
-            coef = c
-            for i, ei in enumerate(e):
+            for ei, mi in zip(e, images):
                 if not ei:
                     continue
-                ci, mi = images[i]
-                if ci != 1:
-                    coef = coef * _coef_pow(ci, ei)
                 for j, mj in enumerate(mi):
                     if mj:
                         exps[j] += mj * ei
             key = tuple(exps)
-            s = t.get(key, 0) + coef
+            s = t.get(key, 0) + c
             if s:
                 t[key] = _norm_coef(s)
             elif key in t:
                 del t[key]
         return LaurentPolynomial._from_terms(new_vars, t)
-
-    def _reembed(self, new_vars: tuple) -> "LaurentPolynomial":
-        """:meth:`transform` when every variable maps to itself: each
-        target slot picks a source exponent or a padded zero, and distinct
-        terms stay distinct."""
-        if new_vars == self.vars:
-            return self
-        pick = [len(self.vars)] * len(new_vars)   # the padded zero
-        for i, v in enumerate(self.vars):
-            pick[new_vars.index(v)] = i
-        zero = (0,)
-        if len(pick) == 1:
-            (j,) = pick
-            return LaurentPolynomial._from_terms(
-                new_vars, {((e + zero)[j],): c for e, c in self.terms.items()})
-        get = itemgetter(*pick)
-        return LaurentPolynomial._from_terms(
-            new_vars, {get(e + zero): c for e, c in self.terms.items()})
 
     # -- division --------------------------------------------------------
 
@@ -478,7 +450,9 @@ class FactoredRational:
     Factors are canonically normalized: the componentwise-minimum
     monomial and the coefficient of the graded-lex smallest term are
     pulled into the unit, so equal factors always merge.  The zero value
-    is represented by ``coef == 0``.
+    is represented by ``coef == 0``.  A zero denominator factor raises
+    ``ZeroDivisionError``; otherwise a zero numerator factor makes the
+    value zero, whatever the order of the factors.
 
     ``_fmap`` maps each canonical factor's sort key to ``(poly, mult)``
     with ``mult != 0``; it is never mutated after construction, so values
@@ -502,18 +476,17 @@ class FactoredRational:
         if len(exps) != len(vars):
             raise ValueError(f"exponent vector {exps} does not fit the context {vars}")
         fmap: dict = {}
-        if coef:
-            for poly, mult in factors:
-                if poly.vars is not vars and poly.vars != vars:
-                    raise ValueError(f"factor over {poly.vars} in the context {vars}")
-                if mult == 0:
-                    continue
+        for poly, mult in factors:
+            if poly.vars is not vars and poly.vars != vars:
+                raise ValueError(f"factor over {poly.vars} in the context {vars}")
+            if not mult:
+                continue
+            if not poly.terms:
+                if mult < 0:
+                    raise ZeroDivisionError("zero polynomial in denominator")
+                coef = 0
+            elif coef:
                 u_c, u_e, canon, key = _canonical_factor(poly)
-                if u_c == 0:
-                    if mult < 0:
-                        raise ZeroDivisionError("zero polynomial in denominator")
-                    coef = 0
-                    break
                 if canon is not poly:
                     coef = _norm_coef(coef * _coef_pow(u_c, mult))
                     if any(u_e):
@@ -704,12 +677,12 @@ class FactoredRational:
                     num = num.divide_exact(p)
         return num
 
-    def transform(self, new_vars: Sequence[str], mapping: Mapping[str, tuple]) -> "FactoredRational":
+    def transform(self, new_vars: Sequence[str], mapping: Mapping[str, Sequence[int]]) -> "FactoredRational":
         """Monomial substitution (see :meth:`LaurentPolynomial.transform`).
 
-        A numerator factor may collapse to zero (making the value zero); a
-        denominator factor collapsing to zero raises ``ZeroDivisionError``;
-        the first collapsing factor in key order decides."""
+        A denominator factor that maps to zero raises
+        ``ZeroDivisionError``; otherwise a numerator factor that maps to
+        zero makes the value zero."""
         new_vars = tuple(new_vars)
         if self.is_zero():
             return FactoredRational.zero(new_vars)
@@ -718,26 +691,25 @@ class FactoredRational:
             if v not in mapping:
                 exps[new_vars.index(v)] += e
             elif e:
-                c, image = mapping[v]
-                if c != 1:
-                    coef = _norm_coef(coef * _coef_pow(c, e))
-                exps = [x + e * y for x, y in zip(exps, image)]
+                exps = [x + e * y for x, y in zip(exps, mapping[v])]
         exps = tuple(exps)
-        own = self._fmap
         fmap: dict = {}
-        for key in sorted(own):
-            p, m = own[key]
-            u_c, u_e, canon, ckey = _canonical_factor(p.transform(new_vars, mapping))
-            if u_c == 0:
+        for p, m in self._fmap.values():
+            image = p.transform(new_vars, mapping)
+            if not image.terms:
                 if m < 0:
                     raise ZeroDivisionError("denominator factor vanished under substitution")
-                return FactoredRational.zero(new_vars)
-            if u_c != 1:
-                coef = _norm_coef(coef * _coef_pow(u_c, m))
-            if any(u_e):
-                exps = tuple(x + m * y for x, y in zip(exps, u_e))
-            if canon is not None:
-                _merge_factor(fmap, ckey, canon, m)
+                coef = 0
+            elif coef:
+                u_c, u_e, canon, ckey = _canonical_factor(image)
+                if u_c != 1:
+                    coef = _norm_coef(coef * _coef_pow(u_c, m))
+                if any(u_e):
+                    exps = tuple(x + m * y for x, y in zip(exps, u_e))
+                if canon is not None:
+                    _merge_factor(fmap, ckey, canon, m)
+        if not coef:
+            return FactoredRational.zero(new_vars)
         return FactoredRational._from_map(new_vars, coef, exps, fmap)
 
     # -- valuation ---------------------------------------------------------------
@@ -773,23 +745,21 @@ class FactoredRational:
 
 
 def _canonical_factor(p: LaurentPolynomial) -> tuple:
-    """Normalize a polynomial factor, once per polynomial.
+    """Normalize a nonzero polynomial factor, once per polynomial (a
+    zero factor is decided by the caller).
 
     Returns ``(unit_coef, unit_exps, canonical, key)`` with
     ``p == unit_coef * x^unit_exps * canonical`` and ``key`` the
     :func:`_poly_sort_key` of ``canonical``; ``canonical`` and ``key``
-    are None when p is a monomial (fully absorbed into the unit), and
-    ``unit_coef == 0`` when p is zero.  The result is cached in
-    ``p._canon``; a canonical polynomial's own entry is
-    ``(1, zeros, itself, key)``, and a polynomial that is already
+    are None when p is a monomial (fully absorbed into the unit).  The
+    result is cached in ``p._canon``; a canonical polynomial's own entry
+    is ``(1, zeros, itself, key)``, and a polynomial that is already
     canonical is its own canonical form.
     """
     cached = p._canon
     if cached is not None:
         return cached
-    if p.is_zero():
-        cached = (0, (0,) * len(p.vars), None, None)
-    elif len(p.terms) == 1:
+    if len(p.terms) == 1:
         (e, c), = p.terms.items()
         cached = (c, e, None, None)
     else:

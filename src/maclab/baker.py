@@ -103,10 +103,8 @@ def _closed_ledger(theta: ThetaMatrix, n: int) -> Ledger:
                 ln = theta[(i, k)]
                 if not ln:
                     continue
-                e1 = sum(theta[(i, a)] - (theta[(j + 1, a)] if j + 1 < a else 0)
-                         for a in range(k + 1, nn + 1))
-                e2 = sum(theta[(i, a)] - (theta[(j, a)] if j < a else 0)
-                         for a in range(k + 1, nn + 1))
+                e1 = sum(theta[(i, a)] - theta[(j + 1, a)] for a in range(k + 1, nn + 1))
+                e2 = sum(theta[(i, a)] - theta[(j, a)] for a in range(k + 1, nn + 1))
                 led.zratio(ln, e1, 1, j + 1, i)
                 led.zratio(ln, e1 + 1, 0, j + 1, i, -1)
                 led.zratio(ln, -theta[(j, k)] + e2 + 1, -1, j, i)
@@ -130,8 +128,7 @@ def _closed_alt_ledger(theta: ThetaMatrix, n: int) -> Ledger:
             ln = theta[(i, j)]
             if not ln:
                 continue
-            a_sum = sum(theta[(i, a)] - (theta[(j, a)] if j < a else 0)
-                        for a in range(j + 1, nn + 1))
+            a_sum = sum(theta[(i, a)] - theta[(j, a)] for a in range(j + 1, nn + 1))
             led.unit[0] += ln                           # (q/s)^theta
             led.unit[1] -= ln
             led.zratio(ln, 0, 1)                        # (s; q)

@@ -363,7 +363,7 @@ def weyl_invariance_check(alpha, weight: GLWeight) -> bool:
     for k in range(1, n):
         sigma = list(range(1, n + 1))
         sigma[k - 1], sigma[k] = sigma[k], sigma[k - 1]
-        mapping = {f"z{i}": (1, _slot_exp(n, sigma[i - 1])) for i in range(1, n)}
+        mapping = {f"z{i}": _slot_exp(n, sigma[i - 1]) for i in range(1, n)}
         ok = ok and rational_eq(total, total.transform(vars, mapping))
     return ok
 
@@ -493,7 +493,7 @@ def macdonald_in_z(weight: GLWeight) -> FactoredRational:
     vars = glob_vars(n)
     P = macdonald_P(weight.partition(), n)
     total = FactoredRational.zero(vars)
-    s_to_t = {"s": (1, (0, 1) + (0,) * (n - 1))}
+    s_to_t = {"s": (0, 1) + (0,) * (n - 1)}
     for nu, c in sorted(P.mcoeffs.items()):
         cc = c.transform(vars, s_to_t)
         base = tuple(nu) + (0,) * (n - len(nu))

@@ -74,8 +74,7 @@ def C_ledger(theta: ThetaMatrix, n: int) -> Ledger:
             ln = theta[(i, j)]
             if not ln:
                 continue
-            s_sum = sum(theta[(i, a)] - (theta[(j, a)] if j < a else 0)
-                        for a in range(j + 1, nn + 1))
+            s_sum = sum(theta[(i, a)] - theta[(j, a)] for a in range(j + 1, nn + 1))
             led.zratio(ln, 1, 1)
             led.zratio(ln, 1, 0, mult=-1)
             led.zratio(ln, 1 + s_sum, 1, j, i)

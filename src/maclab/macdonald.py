@@ -122,9 +122,8 @@ class SymmetricPolynomial:
         (q, s)."""
         den_factors: dict = {}
         for c in self.mcoeffs.values():
-            for p, m in c.factors:
+            for key, (p, m) in c._fmap.items():
                 if m < 0:
-                    key = p.canonical_str()
                     den_factors[key] = (p, max(den_factors.get(key, (p, 0))[1], -m))
         den = FactoredRational(QS, 1, None, list(den_factors.values()))
         return {mu: (c * den).to_laurent() for mu, c in self.mcoeffs.items()}, den

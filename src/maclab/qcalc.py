@@ -199,25 +199,23 @@ class Ledger:
         image oriented as :meth:`binomial` orients it: ``(f, None)`` for
         f > 0, ``(-f, f)`` for f < 0, whose flip multiplies the output by
         -x^f per factor, and ``()`` for f = 0.  As in
-        :meth:`FactoredRational.transform`, the first factor in key order
-        whose image is 1 - 1 decides: a numerator makes the value zero, a
-        denominator raises ``ZeroDivisionError``."""
+        :meth:`FactoredRational.transform`, a denominator binomial whose
+        image is 1 - 1 raises ``ZeroDivisionError``; otherwise a numerator
+        one makes the value zero."""
         if not self.coef:
             return Ledger(vars, 0)
-        found, collapsed = [], []
-        for e in self.binomials:
+        found, zero = [], False
+        for e, m in self.binomials.items():
             img = images.get(e)
             if img is None:
                 img = images[e] = _oriented(tuple([sum(map(mul, e, w)) for w in weights]))
             if img:
                 found.append(img)
-            else:
-                collapsed.append(e)
-        if collapsed:
-            poles = [e for e in collapsed if self.binomials[e] < 0]
-            if poles and (len(poles) == len(collapsed) or self.binomials[
-                    min(collapsed, key=lambda e: _binomial(self.vars, e)[0])] < 0):
+            elif m < 0:
                 raise ZeroDivisionError("denominator factor vanished under substitution")
+            else:
+                zero = True
+        if zero:
             return Ledger(vars, 0)
         out = Ledger(vars, self.coef, [sum(map(mul, self.unit, w)) for w in weights])
         b, unit = out.binomials, out.unit

@@ -23,13 +23,16 @@ their output formats:
 :func:`expand` turns a factored rational with unit denominator (in the
 (q,t)-grading) into a :class:`QTSeries`; :func:`expand_split` additionally
 tolerates purely-z denominator factors, returning them unexpanded as a
-rational multiplier.
+rational multiplier over the coefficient variables.
 
 A split series is a finite sum of such pairs ``(rest, series)``, one per
-pole part ``rest``; every summed series is one.  :func:`split_sum` adds
-the pairs of each pole part, :func:`split_expand` expands a sum of
-factored rationals into one, and two split series multiply pairwise
-(:func:`split_mul`).  :func:`certify_sum` certifies that the poles of a
+pole part ``rest``; every summed series is one.  A pole part and the
+coefficients of its series live in the same ring, the Laurent
+polynomials in the coefficient variables, so the series layer adds,
+multiplies and divides them as they are and substitutes no monomial.
+:func:`split_sum` adds the pairs of each pole part, :func:`split_expand`
+expands a sum of factored rationals into one, and two split series
+multiply pairwise (:func:`split_mul`).  :func:`certify_sum` certifies that the poles of a
 split series cancel in its total, which :func:`expand_sum` expands, and
 :func:`certify_weyl_sum` certifies the total over the Weyl group S_N of
 the coefficient variables' permutations from the w = id pairs, in one
@@ -239,16 +242,22 @@ def _poly_to_qtseries(p: LaurentPolynomial, trunc: int) -> QTSeries:
     return out
 
 
-def _classify(p: LaurentPolynomial, iq: int, it: int) -> tuple:
+def _classify(p: LaurentPolynomial, iq: int, it: int, coeff_vars: tuple) -> tuple:
     """``(pure, lead)`` of a canonical factor for the (q,t)-grading:
-    ``pure`` when it has no (q,t)-content, and ``lead = (coef, exps)``
-    its unique term of minimal (q,t)-degree (None when that is not
-    unique)."""
+    ``pure`` is the factor over ``coeff_vars`` when it has no
+    (q,t)-content (None otherwise), and ``lead = (coef, exps)`` its
+    unique term of minimal (q,t)-degree (None when that is not unique).
+    A canonical factor has least exponent 0 in q and in t, so (q,t)-degree
+    0 in every term means no q and no t at all."""
     degs = {e: e[iq] + e[it] for e in p.terms}
     dmin = min(degs.values())
     minimal = [e for e, d in degs.items() if d == dmin]
     lead = (p.terms[minimal[0]], minimal[0]) if len(minimal) == 1 else None
-    return max(degs.values()) == 0, lead
+    if max(degs.values()):
+        return None, lead
+    z_idx = [i for i in range(len(p.vars)) if i not in (iq, it)]
+    return LaurentPolynomial._from_terms(
+        coeff_vars, {tuple([e[i] for i in z_idx]): c for e, c in p.terms.items()}), lead
 
 
 def _factor_series(memo: dict, key: tuple, p: LaurentPolynomial, m: int, lead,
@@ -267,8 +276,7 @@ def _factor_series(memo: dict, key: tuple, p: LaurentPolynomial, m: int, lead,
         base = _factor_series(memo, key, p, unit, lead, rel, coeff_vars)
         out = base
         for _ in range(abs(m) - 1):
-            out = out * base
-            out.trunc = rel
+            out = (out * base).truncate(rel)
     elif m > 0:
         out = _poly_to_qtseries(p, rel)
     else:
@@ -281,8 +289,7 @@ def _factor_series(memo: dict, key: tuple, p: LaurentPolynomial, m: int, lead,
         out = QTSeries.one(coeff_vars, rel)
         pw = out
         for _ in range(rel):
-            pw = pw * neg_h
-            pw.trunc = rel
+            pw = (pw * neg_h).truncate(rel)
             if pw.is_zero():
                 break
             out = out + pw
@@ -296,8 +303,9 @@ def expand_split(fr: FactoredRational, trunc: int, _memo: dict | None = None):
 
     Returns ``(rest, series)`` with ``fr == rest * series``:
 
-    * ``rest`` is a factored rational whose factors are purely in the
-      coefficient variables and appear only in the denominator (unit 1);
+    * ``rest`` is a factored rational over the coefficient variables
+      (unit 1), the denominator factors of ``fr`` that have no
+      (q,t)-content;
     * ``series`` is exact up to total (q,t)-degree ``trunc``.
 
     Raises :class:`DenominatorNotUnit` for denominator factors whose
@@ -305,13 +313,14 @@ def expand_split(fr: FactoredRational, trunc: int, _memo: dict | None = None):
 
     ``_memo`` lets :func:`split_expand` share factor classifications and
     factor series between the terms of one sum; it maps a canonical
-    factor key to :func:`_classify`'s result and ``(key, mult, rel)`` to
+    factor key to :func:`_classify`'s result, which projects each such
+    factor to the coefficient variables once, and ``(key, mult, rel)`` to
     :func:`_factor_series`'s.
     """
     vars = fr.vars
     coeff_vars = _coeff_vars(vars)
     if fr.is_zero():
-        return FactoredRational.one(vars), QTSeries(coeff_vars, trunc)
+        return FactoredRational.one(coeff_vars), QTSeries(coeff_vars, trunc)
     memo = {} if _memo is None else _memo
     iq, it = vars.index("q"), vars.index("t")
     z_idx = [i for i in range(len(vars)) if i not in (iq, it)]
@@ -328,12 +337,12 @@ def expand_split(fr: FactoredRational, trunc: int, _memo: dict | None = None):
     for key, (p, m) in sorted(fr._fmap.items()):
         info = memo.get(key)
         if info is None:
-            info = memo[key] = _classify(p, iq, it)
+            info = memo[key] = _classify(p, iq, it, coeff_vars)
         pure, lead = info
         if m > 0:
             num_factors.append((key, p, m, None))
-        elif pure:
-            rest_factors.append((p, m))
+        elif pure is not None:
+            rest_factors.append((pure, m))
         elif lead is None:
             raise DenominatorNotUnit(
                 f"denominator factor has non-monomial minimal part: {p.canonical_str()}")
@@ -358,16 +367,14 @@ def expand_split(fr: FactoredRational, trunc: int, _memo: dict | None = None):
             if series is None:
                 series = f
             else:
-                series = series * f
-                series.trunc = rel
+                series = (series * f).truncate(rel)
     if series is None:
         series = QTSeries.one(coeff_vars, rel)
 
     series = series.scale(unit_coef).shift(shift_q, shift_t).truncate(trunc)
     if any(unit_zexp):
         series = series.shift_coeffs(unit_zexp)
-    rest = FactoredRational(vars, 1, None, rest_factors)
-    return rest, series
+    return FactoredRational(coeff_vars, 1, None, rest_factors), series
 
 
 def expand(fr: FactoredRational, trunc: int) -> QTSeries:
@@ -488,36 +495,27 @@ def certify_sum(split, vars: Sequence[str], trunc: int) -> QTSeries:
 
     Each pair's coefficient is lifted to a factored rational over its
     pole part, the lifts of one degree are added, and the sum is divided
-    out exactly.  ``vars`` is the context of the summed terms; every
-    series must be exact up to total degree ``trunc`` and hold no
+    out exactly.  ``vars`` is the context of the summed terms, and the
+    pole parts and coefficients are over its coefficient variables;
+    every series must be exact up to total degree ``trunc`` and hold no
     coefficient beyond it.  Raises :class:`NonPolynomialCoefficient` when
     the poles do not cancel.
     """
-    vars = tuple(vars)
-    coeff_vars = _coeff_vars(vars)
-    out = QTSeries(coeff_vars, trunc)
+    out = QTSeries(_coeff_vars(vars), trunc)
     acc: dict = {}
     for rest, ser in split:
         for key, poly in ser.coeffs.items():
-            contrib = rest * FactoredRational.from_poly(poly.transform(vars, {}))
+            contrib = rest * FactoredRational.from_poly(poly)
             acc[key] = acc[key] + contrib if key in acc else contrib
-    drop = {v: (1, (0,) * len(coeff_vars)) for v in QT}
-    qt_idx = [vars.index(v) for v in QT]
     for key, fr in sorted(acc.items()):
         if fr.is_zero():
             continue
         try:
-            poly = fr.to_laurent()
+            out.coeffs[key] = fr.to_laurent()
         except ArithmeticError as exc:
             raise NonPolynomialCoefficient(
                 f"coefficient at (q,t)-degree {key} is not polynomial: "
                 f"{fr.canonical_str()}") from exc
-        if poly.is_zero():
-            continue
-        if any(e[i] for e in poly.terms for i in qt_idx):
-            raise NonPolynomialCoefficient(
-                f"coefficient at {key} still involves the graded variables")
-        out.coeffs[key] = poly.transform(coeff_vars, drop)
     return out
 
 
@@ -531,7 +529,6 @@ def certify_weyl_sum(split, vars: Sequence[str], trunc: int) -> QTSeries:
     A is divided exactly by each z_i - z_j of V, m times.  Raises :class:`NonPolynomialCoefficient` when the poles
     do not cancel and :class:`NonRootPole` when a pole part is not a
     product of root binomials."""
-    vars = tuple(vars)
     coeff_vars = _coeff_vars(vars)
     out = QTSeries(coeff_vars, trunc)
     parts: dict = {}
@@ -542,7 +539,7 @@ def certify_weyl_sum(split, vars: Sequence[str], trunc: int) -> QTSeries:
     poles: dict = {}
     products: dict = {}
     for key, group in sorted(parts.items()):
-        poly, m = _alternant_sum(group, vars, coeff_vars, poles, products)
+        poly, m = _alternant_sum(group, coeff_vars, poles, products)
         if poly.is_zero():
             continue   # certified with no division
         try:
@@ -585,23 +582,21 @@ def _sl_weyl(coeff_vars: tuple) -> tuple:
     return slots, roots, pairs, binomials, perms
 
 
-def _root_poles(rest: FactoredRational, vars: tuple, coeff_vars: tuple) -> tuple:
+def _root_poles(rest: FactoredRational, coeff_vars: tuple) -> tuple:
     """The pole part ``rest`` of an :func:`expand_split` pair (unit 1,
-    factors purely in ``coeff_vars``) as ``(coef, shift, mult)``: rest is
+    over ``coeff_vars``) as ``(coef, shift, mult)``: rest is
     coef z^shift / prod_{i<j} (z_i - z_j)^mult[k] over the positive roots
     (i, j), k their index, in the SL coordinates ``coeff_vars``.  Raises
     :class:`NonRootPole` unless every factor is a root binomial
     u z^k (z_i - z_j) in the denominator."""
     slots, roots, pairs, _binomials, _perms = _sl_weyl(coeff_vars)
-    z_idx = [k for k, v in enumerate(vars) if v in coeff_vars]
     coef = 1
     shift = [0] * len(coeff_vars)
     mult = [0] * len(pairs)
     for p, k in rest._fmap.values():
         root = None
         if k < 0 and len(p.terms) == 2:
-            (e1, c1), (e2, c2) = p.terms.items()
-            z1, z2 = (tuple(e[x] for x in z_idx) for e in (e1, e2))
+            (z1, c1), (z2, c2) = p.terms.items()
             root = roots.get(tuple(map(sub, z1, z2))) if c1 + c2 == 0 else None
         if root is None:
             raise NonRootPole(
@@ -628,8 +623,7 @@ def _root_product(exps: tuple, coeff_vars: tuple, products: dict) -> LaurentPoly
     return out
 
 
-def _alternant_sum(group: list, vars: tuple, coeff_vars: tuple,
-                   poles: dict, products: dict) -> tuple:
+def _alternant_sum(group: list, coeff_vars: tuple, poles: dict, products: dict) -> tuple:
     """``(A, m)`` with A / V^m the sum over W of the images sigma_w of
     the sum of rest * poly over the ``(rest, poly terms)`` pairs of
     ``group``, V = prod_{i<j} (z_i - z_j) over ``coeff_vars`` (SL
@@ -654,7 +648,7 @@ def _alternant_sum(group: list, vars: tuple, coeff_vars: tuple,
         key = _pole_key(rest)
         info = poles.get(key)
         if info is None:
-            info = poles[key] = _root_poles(rest, vars, coeff_vars)
+            info = poles[key] = _root_poles(rest, coeff_vars)
         infos.append(info)
     lcm = tuple(map(max, zip(*(mult for _c, _s, mult in infos))))
     m = max(lcm, default=1) | 1

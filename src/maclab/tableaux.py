@@ -252,7 +252,9 @@ def partitions_upto(max_size: int, max_len: int) -> list:
 
 
 def theta_by_degree(n: int, alpha: Sequence[int]) -> list:
-    """All theta in M^(N) whose x-degree vector equals alpha."""
+    """All theta in M^(N) whose x-degree vector equals alpha, in
+    increasing order of their entry lists: the depth-first fill tries
+    the entries in the order of ``pairs``, each from 0 upwards."""
     alpha = tuple(alpha)
     if len(alpha) != n - 1:
         raise ValueError("alpha must have length N-1")
@@ -274,7 +276,6 @@ def theta_by_degree(n: int, alpha: Sequence[int]) -> list:
             vals.pop()
 
     rec(0, alpha)
-    results.sort(key=lambda th: th.entry_list())
     return results
 
 

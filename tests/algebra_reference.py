@@ -12,7 +12,8 @@ two expansions as polynomials.  ``sum_is_zero`` folds a list of factored
 rationals with ``+`` on their expanded numerator and denominator pairs.
 
 ``evaluate`` and ``from_json_obj`` are test-side helpers for
-:class:`LaurentPolynomial`, and ``clear_denominators`` writes a
+:class:`LaurentPolynomial`, ``reembed`` moves a polynomial or a factored
+rational into a larger context, and ``clear_denominators`` writes a
 Macdonald polynomial as one y-polynomial over a (q, s) denominator;
 they are used only to check the package.
 """
@@ -122,6 +123,23 @@ def evaluate(p: LaurentPolynomial, point: dict):
     return _norm(acc)
 
 
+def reembed(x, vars):
+    """The polynomial or factored rational ``x`` over the context
+    ``vars``, which holds every variable of its own: each exponent moves
+    to its variable's slot, and the other slots are 0."""
+    vars = tuple(vars)
+    if not set(x.vars) <= set(vars):
+        raise ValueError(f"{x.vars} is not within {vars}")
+    pick = [x.vars.index(v) if v in x.vars else None for v in vars]
+
+    def move(e):
+        return tuple(0 if i is None else e[i] for i in pick)
+
+    if isinstance(x, LaurentPolynomial):
+        return LaurentPolynomial(vars, {move(e): c for e, c in x.terms.items()})
+    return FactoredRational(vars, x.coef, move(x.exps), [(reembed(p, vars), m) for p, m in x.factors])
+
+
 def clear_denominators(P):
     """Return (poly, den) with  P == poly / den:  ``poly`` is a Laurent
     polynomial over (q, s, y_1..y_N) and ``den`` one over (q, s)."""
@@ -130,7 +148,7 @@ def clear_denominators(P):
     # distinct partitions give disjoint y-monomials: no term collides
     terms: dict = {}
     for mu, c in cleared.items():
-        terms.update((c.transform(vars, {}) * monomial_symmetric(mu, P.n)).terms)
+        terms.update((reembed(c, vars) * monomial_symmetric(mu, P.n)).terms)
     return LaurentPolynomial._from_terms(vars, terms), den.to_laurent()
 
 

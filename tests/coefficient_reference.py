@@ -120,7 +120,7 @@ def _c_rec(theta, m, vars):
             e = [0] * len(vars)
             e[0] = -sh
             e[vars.index(f"z{i}")] = 1
-            sub = sub.transform(vars, {f"z{i}": (1, tuple(e))})
+            sub = sub.transform(vars, {f"z{i}": tuple(e)})
     out = sub
     for i in range(1, m):
         for j in range(i, m):
@@ -390,7 +390,7 @@ def lattice_term_reference(vars, chi, order):
 def z_specialization(lam, n):
     """Mapping z_i -> s^{N-i} q^{lambda_i} over (q, s)."""
     full = list(Partition(lam)) + [0] * n
-    return {f"z{i}": (1, (full[i - 1], n - i) + (0,) * n) for i in range(1, n + 1)}
+    return {f"z{i}": (full[i - 1], n - i) + (0,) * n for i in range(1, n + 1)}
 
 
 def specialize_reference(lam, n, margin=2):
@@ -412,7 +412,7 @@ def specialize_reference(lam, n, margin=2):
     coeffs = {}
     for th in enumerate_pol_lambda(lam, n):
         spec = baker.c_N_closed(th, n).transform(vars, mapping)
-        qs_spec = spec.transform(QS, {f"z{i}": (1, (0, 0)) for i in range(1, n + 1)})
+        qs_spec = spec.transform(QS, {f"z{i}": (0, 0) for i in range(1, n + 1)})
         w = strip_sizes(th, lam)
         if list(w) != sorted(w, reverse=True):
             continue

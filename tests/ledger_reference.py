@@ -10,7 +10,7 @@ exceptions they raise.
 
 from operator import mul
 
-from maclab.qcalc import Ledger, _binomial
+from maclab.qcalc import Ledger
 
 
 def binomial_reference(led: Ledger, e: tuple, mult: int) -> None:
@@ -53,7 +53,8 @@ def zratio_reference(led: Ledger, n: int, qpow: int = 0, xpow: int = 0,
 def image_reference(led: Ledger, vars: tuple, weights, images: dict) -> Ledger:
     """The ledger over ``vars`` of x^e -> y^f, f_t = <e, weights[t]>, with
     ``images`` caching the unoriented f per binomial (``()`` for f = 0)
-    and each image added through :func:`binomial_reference`."""
+    and each image added through :func:`binomial_reference`.  A collapsed
+    denominator raises; otherwise a collapsed numerator gives zero."""
     if not led.coef:
         return Ledger(vars, 0)
     found, collapsed = [], []
@@ -67,8 +68,7 @@ def image_reference(led: Ledger, vars: tuple, weights, images: dict) -> Ledger:
         else:
             collapsed.append(e)
     if collapsed:
-        first = min(collapsed, key=lambda e: _binomial(led.vars, e)[0])
-        if led.binomials[first] < 0:
+        if any(led.binomials[e] < 0 for e in collapsed):
             raise ZeroDivisionError("denominator factor vanished under substitution")
         return Ledger(vars, 0)
     out = Ledger(vars, led.coef, [sum(map(mul, led.unit, w)) for w in weights])

@@ -253,8 +253,9 @@ vanished = (ZeroDivisionError, "denominator factor vanished under substitution")
 @pytest.mark.parametrize("num, den, expected", [
     ((HIGH,), (), None),               # a numerator collapse is a zero value
     ((), (HIGH,), vanished),           # a denominator collapse raises
-    ((LOW,), (HIGH,), None),           # both: the first in key order decides
-    ((HIGH,), (LOW,), vanished),
+    ((LOW,), (), None),
+    ((HIGH,), (LOW,), vanished),       # both: the denominator raises,
+    ((LOW,), (HIGH,), vanished),       # whichever is first in key order
 ])
 @pytest.mark.parametrize("theta", [(1,), (3,)])
 def test_a_collapsing_binomial_keeps_the_meaning_of_the_reference(

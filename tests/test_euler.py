@@ -237,7 +237,7 @@ def test_c_glob_entries_share_factor_objects():
     n, gv = 3, euler.glob_vars(3)
     seen = {}
     for w in [(1, 2, 3), (3, 1, 2)]:
-        mapping = {f"z{i}": (1, euler._wslot_exp(n, i, w)) for i in range(1, n + 1)}
+        mapping = {f"z{i}": euler._wslot_exp(n, i, w) for i in range(1, n + 1)}
         for th in theta_by_degree(n, (1, 2)):
             got = euler._C_glob(th.entry_list(), n, w, False)
             assert got == C_theta(th, n).transform(gv, mapping)
@@ -494,10 +494,10 @@ def test_c_glob_inverts_q_in_its_one_substitution():
         gv = euler.glob_vars(n)
         inv = (-1,) + (0,) * (len(lau_vars(n)) - 1)
         for w in permutations(range(1, n + 1)):
-            mapping = {f"z{i}": (1, euler._wslot_exp(n, i, w)) for i in range(1, n + 1)}
+            mapping = {f"z{i}": euler._wslot_exp(n, i, w) for i in range(1, n + 1)}
             for d in _degrees_upto(n, top):
                 for th in theta_by_degree(n, d):
-                    ref = C_theta(th, n).transform(lau_vars(n), {"q": (1, inv)})
+                    ref = C_theta(th, n).transform(lau_vars(n), {"q": inv})
                     ref = ref.transform(gv, mapping)
                     got = euler._C_glob(th.entry_list(), n, w, True)
                     assert got.canonical_str() == ref.canonical_str(), (th, w)

@@ -93,7 +93,7 @@ def _c_theta_cases():
     # C_theta at two Weyl elements against the unshared substitution
     n, gv = 3, euler.glob_vars(3)
     for w in [(1, 2, 3), (2, 1, 3)]:
-        mapping = {f"z{i}": (1, euler._wslot_exp(n, i, w)) for i in range(1, n + 1)}
+        mapping = {f"z{i}": euler._wslot_exp(n, i, w) for i in range(1, n + 1)}
         for alpha in [(1, 1), (1, 2), (2, 2)]:
             for th in theta_by_degree(n, alpha):
                 yield ((lambda th=th, w=w: euler._C_glob(th.entry_list(), n, w, False)),

@@ -17,6 +17,7 @@ from maclab.euler import (
 from maclab.laumon import C_theta, J_infinity, _lattice_points, _lattice_product, _lattice_term
 from maclab.macdonald import pieri_L, psi_T
 from maclab.tableaux import ThetaMatrix, enumerate_pol_lambda, partitions_upto, theta_upto_degree
+from algebra_reference import reembed
 import coefficient_reference as ref
 import series_reference
 
@@ -186,10 +187,10 @@ def test_prefactors_over_the_sl_context_equal_their_re_embedding():
     seen = 0
     for w in _weights(4, 3):
         vars = glob_vars(w.n)
-        pairs = [(hp_prefactor(w, vars), hp_prefactor(w).transform(vars, {}))]
-        pairs += [(frakD_K(w, r, vars), frakD_K(w, r).transform(vars, {}))
+        pairs = [(hp_prefactor(w, vars), reembed(hp_prefactor(w), vars))]
+        pairs += [(frakD_K(w, r, vars), reembed(frakD_K(w, r), vars))
                   for r in range(1, w.n + 1)]
-        pairs += [(pieri_L(w.lvec, r, w.n, vars), pieri_L(w.lvec, r, w.n).transform(vars, {}))
+        pairs += [(pieri_L(w.lvec, r, w.n, vars), reembed(pieri_L(w.lvec, r, w.n), vars))
                   for r in range(1, w.n + 1)]
         for got, want in pairs:
             assert got == want, w.lvec

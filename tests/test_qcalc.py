@@ -160,7 +160,7 @@ def test_a_ledger_converts_to_the_product_of_its_binomials(rows, unit):
 def test_an_image_is_the_substitution_of_the_value(rows, unit, lam):
     # z_i -> s^{2-i} q^{lambda_i} over (q, s): a collapsing binomial makes
     # the value zero or raises exactly as FactoredRational.transform does
-    mapping = {"z1": (1, (lam[0], 1)), "z2": (1, (lam[1], 0))}
+    mapping = {"z1": (lam[0], 1), "z2": (lam[1], 0)}
     weights = ((1, 0, lam[0], lam[1]), (0, 1, 1, 0))
     led = _ledger(rows, unit)
     want = _outcome(lambda: led.value().transform(QS, mapping))
@@ -175,7 +175,7 @@ def test_a_counted_valuation_is_the_valuation_of_the_value(rows, unit, sign):
     # the (q, s)-valuation after q -> q^sign, against valuation_lb of the
     # built and substituted value
     led = _ledger(rows, unit)
-    value = led.value().transform(W, {"q": (1, (sign, 0, 0, 0))})
+    value = led.value().transform(W, {"q": (sign, 0, 0, 0)})
     assert led.valuation((sign, 1, 0, 0)) == value.valuation_lb(W[:2])
 
 
@@ -261,20 +261,33 @@ def test_symbols_and_images_fill_as_one_binomial_at_a_time(data):
         assert _state(got_image) == _state(want_image)
 
 
-def test_the_first_collapsed_factor_in_key_order_decides():
-    # z1 -> s q, z2 -> 1 collapses both 1 - qs/z1 and 1 - qs z2/z1: the
-    # one first in key order decides, a numerator for zero and a
-    # denominator for ZeroDivisionError, whatever the other one is and
-    # in whichever order the two were filled
-    weights, mapping = ((1, 0, 1, 0), (0, 1, 1, 0)), {"z1": (1, (1, 1)), "z2": (1, (0, 0))}
-    outcomes = []
+def test_a_zero_denominator_raises_in_any_order():
+    # one zero numerator factor and one zero denominator factor, in both
+    # orders: every fill, image, construction and substitution raises.
+    # z1 -> s q, z2 -> 1 collapses both 1 - qs/z1 and 1 - qs z2/z1
+    zero = (0,) * len(W)
+    fills = [lambda led, m: led.binomial(zero, m),
+             lambda led, m: led.zratio(1, 0, 0, 1, 1, m)]   # (z1/z1; q)_1 = 1 - 1
+    for fill in fills:
+        for mults in ((1, -1), (-1, 1)):
+            led = Ledger(W)
+            with pytest.raises(ZeroDivisionError):
+                for m in mults:
+                    fill(led, m)
+    weights, mapping = ((1, 0, 1, 0), (0, 1, 1, 0)), {"z1": (1, 1), "z2": (0, 0)}
+    binomials = [(1, 1, -1, 0), (1, 1, -1, 1)]
+    zero_poly = LaurentPolynomial.zero(W)
     for mults in ((1, -1), (-1, 1)):
-        for rows in itertools.permutations(zip([(1, 1, -1, 0), (1, 1, -1, 1)], mults)):
+        for rows in itertools.permutations(zip(binomials, mults)):
             led = _ledger(list(rows))
-            got = _outcome(lambda: led.image(QS, weights, {}).value())
-            assert got == _outcome(lambda: led.value().transform(QS, mapping))
-            outcomes.append(type(got))
-    assert outcomes.count(tuple) == outcomes.count(FactoredRational) == 2
+            with pytest.raises(ZeroDivisionError):
+                led.image(QS, weights, {})
+            factors = [(W_ONE - LaurentPolynomial.monomial(W, e), m) for e, m in rows]
+            with pytest.raises(ZeroDivisionError):
+                FactoredRational(W, 1, None, factors).transform(QS, mapping)
+        for coef in (1, 0):
+            with pytest.raises(ZeroDivisionError):
+                FactoredRational(W, coef, None, [(zero_poly, m) for m in mults])
 
 
 def test_a_zero_factor_at_the_tie_acts_as_its_binomial():
@@ -562,7 +575,7 @@ def apply_qshift(obj, shift: QShift, qvar: str = "q"):
         e = [0] * len(obj.vars)
         e[obj.vars.index(shift.variable)] = 1
         e[obj.vars.index(qvar)] += shift.power
-        return obj.transform(obj.vars, {shift.variable: (1, tuple(e))})
+        return obj.transform(obj.vars, {shift.variable: tuple(e)})
     i = int(shift.variable[1:])
     iq = obj.base_vars.index(qvar)
 

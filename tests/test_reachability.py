@@ -37,6 +37,7 @@ ALLOWED = {
     "algebra.FactoredRational.is_one": "the value type's test for 1, which the tests assert",
     "algebra.FactoredRational.scale": "scales a value; the planted faults double one with it",
     "algebra.FactoredRational.canonical_str": "a witness of a FAILED check, and repr",
+    "algebra.LaurentPolynomial.canonical_str": "the factors of FactoredRational.canonical_str, and repr",
     "series.QTSeries.canonical_str": "a witness of a FAILED vanishing, and repr",
     "series.XSeries.canonical_str": "repr of a series",
     "baker._Scan.fail": "records the error of a failing termination scan",

@@ -27,6 +27,7 @@ from maclab.series import (
     QTSeries,
     XSeries,
     expand,
+    expand_split,
     expand_sum,
     split_expand,
     split_mul,
@@ -122,6 +123,18 @@ def test_a_pole_that_is_no_binomial_is_a_programming_error():
     trinomial = _poly({(0, 0, 0): 1, (0, 0, 1): 1, (0, 0, 2): 1})
     with pytest.raises(ValueError, match="3 terms"):
         expand_sum([FactoredRational(W, 1, None, [(trinomial, -1)])], 1)
+
+
+def test_memoised_factor_series_hold_no_term_above_their_truncation():
+    # (q - t)^3 at degree 2: the cube of q - t is cut back to degree 2,
+    # and so is every other series the expansion memoises
+    q, t = LaurentPolynomial.var(W, "q"), LaurentPolynomial.var(W, "t")
+    memo: dict = {}
+    expand_split(FactoredRational(W, 1, None, [(q - t, 3)]), 2, _memo=memo)
+    series = {key: s for key, s in memo.items() if isinstance(s, QTSeries)}
+    assert any(key[1:] == (3, 2) for key in series)
+    for s in series.values():
+        assert all(sum(k) <= s.trunc for k in s.coeffs), s
 
 
 # VARS is the SL(3) context (q, t, z1, z2), with z3 = (z1 z2)^-1; the Weyl
@@ -303,11 +316,14 @@ def test_split_product_equals_the_expansion_of_the_product(a_terms, b_terms, ord
     b = split_expand(b_terms, order - va)
     # D clears every pole of a product, so both sides expand as series
     clear = FactoredRational(VARS, 1, None, [(p, 2) for p in POLES])
+    z_clear = FactoredRational(VARS[2:], 1, None, [
+        (LaurentPolynomial(VARS[2:], {e[2:]: c for e, c in p.terms.items()}), 2) for p in POLES])
     got = QTSeries(VARS[2:], order)
     for rest, series in split_mul(a, b, order):
-        assert series.trunc == order
-        # clear * rest is a z-polynomial: exact at any truncation
-        got = got + (expand(clear * rest, order + 4) * series).truncate(order)
+        assert series.trunc == order and rest.vars == VARS[2:]
+        # z_clear * rest is a z-polynomial: it multiplies each coefficient
+        cleared = (z_clear * rest).to_laurent()
+        got = got + QTSeries(VARS[2:], order, {k: cleared * p for k, p in series.coeffs.items()})
     expected = QTSeries(VARS[2:], order)
     for x in a_terms:
         for y in b_terms:

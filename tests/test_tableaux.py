@@ -1,5 +1,7 @@
 """Partitions, theta matrices, the shape polytope, and the tableau bijection."""
 
+from itertools import product
+
 import pytest
 
 from maclab.tableaux import (
@@ -145,3 +147,14 @@ def test_theta_by_degree():
     assert len(theta_upto_degree(3, 2)) == 7
     for th in theta_upto_degree(3, 2):
         assert th.total_degree() <= 2
+
+
+def test_theta_by_degree_comes_in_increasing_entry_order():
+    # the depth-first fill yields the entry lists in strictly increasing
+    # lexicographic order, with no sort after it
+    for n in range(2, 6):
+        for alpha in product(range(5 if n < 5 else 3), repeat=n - 1):
+            thetas = theta_by_degree(n, alpha)
+            entries = [th.entry_list() for th in thetas]
+            assert all(a < b for a, b in zip(entries, entries[1:])), (n, alpha)
+            assert all(th.degree_vector() == alpha for th in thetas)

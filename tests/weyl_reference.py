@@ -52,31 +52,35 @@ def weyl_images(n: int) -> list:
     ``euler._wslot_exp(n, i, id)`` to ``euler._wslot_exp(n, i, w)``, hence
     C_theta(wz), z^{w weight} and the Weyl factor of w are the images of
     those of id."""
-    return [{f"z{i}": (1, _slot_exp(n, w[i - 1])) for i in range(1, n) if w[i - 1] != i}
+    return [{f"z{i}": _slot_exp(n, w[i - 1]) for i in range(1, n) if w[i - 1] != i}
             for w in _weyl_group(n)]
 
 
 def _certify_by_images(split, vars: Sequence[str], trunc: int,
                        images: Sequence[Mapping[str, tuple]] = ({},)) -> QTSeries:
     """``series.certify_sum`` with images, as it was: N! rational
-    additions per degree."""
+    additions per degree.  The pole parts and coefficients of ``split``
+    are over the coefficient variables of ``vars``, and each image over
+    ``vars`` is applied there."""
     qt = ("q", "t")
-    if not images or any(v in sigma for sigma in images for v in qt):
-        raise ValueError("images must be maps of the coefficient variables")
     vars = tuple(vars)
-    coeff_vars = tuple(v for v in vars if v not in qt)
+    qt_idx = [vars.index(v) for v in qt]
+    z_idx = [i for i in range(len(vars)) if i not in qt_idx]
+    if not images or any(v in qt or any(e[i] for i in qt_idx)
+                         for sigma in images for v, e in sigma.items()):
+        raise ValueError("images must be maps of the coefficient variables")
+    coeff_vars = tuple(vars[i] for i in z_idx)
+    images = [{v: tuple(e[i] for i in z_idx) for v, e in sigma.items()} for sigma in images]
     acc: dict = {}
     for rest, ser in split:
         for key, poly in ser.coeffs.items():
-            contrib = rest * FactoredRational.from_poly(poly.transform(vars, {}))
+            contrib = rest * FactoredRational.from_poly(poly)
             acc[key] = acc[key] + contrib if key in acc else contrib
     out = QTSeries(coeff_vars, trunc)
-    drop = {v: (1, (0,) * len(coeff_vars)) for v in qt}
-    qt_idx = [vars.index(v) for v in qt]
     for key, fold in sorted(acc.items()):
         fr = None
         for sigma in images:
-            img = fold.transform(vars, sigma) if sigma else fold
+            img = fold.transform(coeff_vars, sigma) if sigma else fold
             fr = img if fr is None else fr + img
         if fr.is_zero():
             continue
@@ -86,12 +90,8 @@ def _certify_by_images(split, vars: Sequence[str], trunc: int,
             raise NonPolynomialCoefficient(
                 f"coefficient at (q,t)-degree {key} is not polynomial: "
                 f"{fr.canonical_str()}") from exc
-        if poly.is_zero():
-            continue
-        if any(e[i] for e in poly.terms for i in qt_idx):
-            raise NonPolynomialCoefficient(
-                f"coefficient at {key} still involves the graded variables")
-        out.coeffs[key] = poly.transform(coeff_vars, drop)
+        if not poly.is_zero():
+            out.coeffs[key] = poly
     return out
 
 
@@ -169,10 +169,9 @@ def plant_uncancelled_pole(split, how):
                  key=lambda ik: len(split[ik[0]][1].coeffs[ik[1]].terms))
     rest, ser = split[i]
     pole = next(p for p, m in rest.factors if m < -1)
-    root = LaurentPolynomial(pole.vars[2:], {e[2:]: c for e, c in pole.terms.items()})
     poly = ser.coeffs[key]
     if how == "missing":
-        poly = poly.divide_exact(root)
+        poly = poly.divide_exact(pole)
     else:
         poly = poly + LaurentPolynomial.one(poly.vars)
     broken = QTSeries(ser.coeff_vars, ser.trunc, {**ser.coeffs, key: poly})
